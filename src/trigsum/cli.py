@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import closed_forms as cf
 from . import cotangent as ct
+from . import exact_core as ec
 from . import genfunc as gf
 from . import oracle as oc
 from . import walks as wk
@@ -40,8 +41,6 @@ _ERRATA_FAMILIES = [
     "cot-all-positive",
     "byrne-smith-printed",
 ]
-# composition enumeration grows as binom(3n, 2n); cap the exponent half
-_COT_N_CAP = 6
 
 
 def decimal_string(value: Fraction, digits: int) -> str:
@@ -125,19 +124,23 @@ def _verify_case(req) -> dict:
 
 
 def _grid_requests(family: str, args) -> list:
-    """All admissible requests of one family inside the argument ranges."""
+    """All admissible requests of one family inside the argument ranges.
+
+    Cotangent requests beyond the cost guard (n > cotangent.MAX_N) are
+    rejected with ParameterError rather than dropped.
+    """
     ms = range(args.m_min, args.m_max + 1)
     ns = range(max(args.n_min, 1), args.n_max + 1)
     requests = []
-    if family == _COT_FAMILY:
-        for n in range(max(args.n_min, 1), min(args.n_max, _COT_N_CAP) + 1):
-            for k in range(max(args.k_min, 2), args.k_max + 1):
-                requests.append(CotSumParams(n, k))
-        return requests
-    if family == _BS_FAMILY:
-        for n in range(max(args.n_min, 1), min(args.n_max, _COT_N_CAP) + 1):
-            for k in range(max(args.k_min, 1), args.k_max + 1):
-                requests.append(ByrneSmithParams(n, k))
+    if family in (_COT_FAMILY, _BS_FAMILY):
+        params, k_min = (
+            (CotSumParams, 2) if family == _COT_FAMILY else (ByrneSmithParams, 1)
+        )
+        for n in ns:
+            for k in range(max(args.k_min, k_min), args.k_max + 1):
+                request = params(n, k)
+                request.validate()
+                requests.append(request)
         return requests
     fam = Family(family)
     kinds = ("cos", "sin") if fam in cf._USES_KIND else ("cos",)
@@ -474,6 +477,7 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
     value = None
     for _ in range(max(repeat, 1)):
         ct.clear_caches()
+        ec.clear_caches()
         t0 = time.perf_counter_ns()
         value = thunk()
         elapsed = time.perf_counter_ns() - t0

@@ -4,16 +4,24 @@ Two sum shapes live here. The integer-shift sum
 
     T(n, k) = sum_{r=1}^{k-1} cot^{2n}(r*pi/k),   k >= 2,
 
-is evaluated through a multi-index Bernoulli-number expansion: with
-BF(j) = B_{2j}/(2j)!,
+has the multi-index Bernoulli expansion, with BF(j) = B_{2j}/(2j)!,
 
     T(n, k) = (-1)^n * ( k - 4^n * sum k^{2*j_d} * prod_i BF(j_i) )
 
 where the sum runs over all compositions (j_1, ..., j_{2n}, j_0) of n into
 2n+1 non-negative parts and j_d is one distinguished part carrying the
-power of k. The expansion is symmetric in which part is distinguished;
-``distinguished`` exposes that choice so the symmetry is testable. T(n, k)
-is also a degree-2n polynomial in k, recovered here by exact interpolation.
+power of k. That sum is a Cauchy product: with B(x) = sum_j BF(j) x^j (the
+even part of the Bernoulli generating function, (sqrt(x)/2)*coth(sqrt(x)/2)),
+it equals [x^n] B(x)^{2n} * B(k^2 x), whichever part is distinguished. So
+T(n, k) is a degree-2n polynomial in k whose coefficients are read off
+directly:
+
+    [k^{2i}] = -(-1)^n * 4^n * BF(i) * [x^{n-i}] B(x)^{2n},   i = 0..n,
+    [k^1]    = (-1)^n,   every other odd coefficient 0.
+
+The n+1 needed coefficients of B(x)^{2n} take one O(n^2) pass over exact
+rationals, instead of the binom(3n, 2n) terms of the enumeration. n is
+capped at MAX_N so no request runs unbounded.
 
 The half-shift sum
 
@@ -35,12 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 
 from .errors import ParameterError
 from .exact_core import Rational, bernoulli, binom, composition_tuples
 
 __all__ = [
+    "MAX_N",
     "CotSumParams",
     "ByrneSmithParams",
     "CotPolynomial",
@@ -54,6 +63,26 @@ __all__ = [
     "byrne_smith_sum_uncorrected",
 ]
 
+# Cost guard on the exponent half n of both sum shapes. The series costs
+# O(n^2) products of rationals that themselves grow with n (about 0.1 s at
+# n = 100 for the polynomial), and the oracle's precision grows like
+# n * log2(k); larger n is rejected with ParameterError.
+MAX_N = 100
+
+
+def _check_int(name: str, value) -> None:
+    # bool is an int subclass, but True as an exponent is a caller bug
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _check_n(n) -> None:
+    _check_int("n", n)
+    if n < 1:
+        raise ParameterError("n must be positive")
+    if n > MAX_N:
+        raise ParameterError(f"n must be <= {MAX_N} (cost guard)")
+
 
 @dataclass(frozen=True)
 class CotSumParams:
@@ -63,8 +92,8 @@ class CotSumParams:
     k: int
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ParameterError("n must be positive")
+        _check_n(self.n)
+        _check_int("k", self.k)
         if self.k < 2:
             raise ParameterError("k must be >= 2 (the sum over r=1..k-1 is empty otherwise)")
 
@@ -77,8 +106,8 @@ class ByrneSmithParams:
     k: int
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ParameterError("n must be positive")
+        _check_n(self.n)
+        _check_int("k", self.k)
         if self.k < 1:
             raise ParameterError("k must be positive")
 
@@ -103,43 +132,58 @@ class CotPolynomial:
     @property
     def denominator_lcm(self) -> int:
         """lcm of coefficient denominators: an exact denominator bound for
-        every value of the sum, used by rational reconstruction."""
+        every value of the sum."""
         return lcm(*(c.denominator for c in self.coefficients))
-
-
-_DISTINGUISHED = ("first", "last", "remainder")
 
 
 @lru_cache(maxsize=None)
 def _bf(j: int) -> Fraction:
     # B_{2j}/(2j)!
-    num = bernoulli(2 * j)
-    den = 1
-    for i in range(1, 2 * j + 1):
-        den *= i
-    return num / den
+    return bernoulli(2 * j) / factorial(2 * j)
 
 
-@lru_cache(maxsize=None)
-def cot_power_sum(n: int, k: int, distinguished: str = "last") -> Rational:
-    """T(n, k) = sum_{r=1}^{k-1} cot^{2n}(r*pi/k) via the multi-index
-    Bernoulli expansion.
+def _series_power(n: int) -> list[Fraction]:
+    """[x^0..x^n] of B(x)^{2n}, by J. C. P. Miller's recurrence for a power
+    p of a series a with a_0 = 1:  c_0 = 1,
+    c_m = (1/m) * sum_{j=1}^{m} ((p+1)*j - m) * a_j * c_{m-j}."""
+    p = 2 * n
+    c = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = sum(((p + 1) * j - m) * _bf(j) * c[m - j] for j in range(1, m + 1))
+        c.append(acc / m)
+    return c
 
-    ``distinguished`` selects which composition slot carries the power of
-    k: "first" (j_1), "last" (j_{2n}), or "remainder" (the dependent part
-    j_0 = n - sum of the others). All three give the same value.
+
+@lru_cache(maxsize=None, typed=True)
+def cot_sum_polynomial(n: int) -> CotPolynomial:
+    """The degree-2n polynomial p with p(k) = T(n, k) for every k >= 2.
+
+    Read off the truncated series B(x)^{2n} (see the module docstring),
+    then checked against four elementary values: cot(r*pi/k) is 0, 1/sqrt3,
+    1 or sqrt3 at the angles pi/2, pi/3, pi/4 and pi/6, so T(n, 2) = 0,
+    T(n, 3) = 2/3^n, T(n, 4) = 2 and T(n, 6) = 2*3^n + 2/3^n.
     """
+    _check_n(n)
+    sign = (-1) ** n
+    power = _series_power(n)
+    coeffs = [Fraction(0)] * (2 * n + 1)
+    for i in range(n + 1):
+        coeffs[2 * i] = -sign * 4**n * _bf(i) * power[n - i]
+    coeffs[1] = Fraction(sign)
+    poly = CotPolynomial(n=n, coefficients=tuple(coeffs))
+    third = Fraction(1, 3**n)
+    for k, value in ((2, 0), (3, 2 * third), (4, 2), (6, 2 * 3**n + 2 * third)):
+        if poly(k) != value:
+            raise ArithmeticError(f"cot_sum_polynomial: anchor T({n}, {k}) failed")
+    return poly
+
+
+@lru_cache(maxsize=None, typed=True)
+def cot_power_sum(n: int, k: int) -> Rational:
+    """T(n, k) = sum_{r=1}^{k-1} cot^{2n}(r*pi/k), evaluated from the
+    polynomial ``cot_sum_polynomial(n)``."""
     CotSumParams(n, k).validate()
-    if distinguished not in _DISTINGUISHED:
-        raise ParameterError(f"distinguished must be one of {_DISTINGUISHED}")
-    d = {"first": 0, "last": 2 * n - 1, "remainder": 2 * n}[distinguished]
-    total = Fraction(0)
-    for parts in composition_tuples(n, 2 * n + 1):
-        prod = Fraction(k) ** (2 * parts[d])
-        for j in parts:
-            prod *= _bf(j)
-        total += prod
-    return (-1) ** n * (k - Fraction(4) ** n * total)
+    return cot_sum_polynomial(n)(k)
 
 
 def cot_power_sum_all_positive(n: int, k: int) -> Rational:
@@ -158,48 +202,6 @@ def cot_power_sum_all_positive(n: int, k: int) -> Rational:
                 prod *= _bf(j)
             total += prod
     return (-1) ** n * (k - Fraction(4) ** n * total)
-
-
-def _lagrange(points: list[tuple[int, Fraction]]) -> list[Fraction]:
-    # exact Lagrange interpolation; returns monomial coefficients
-    size = len(points)
-    coeffs = [Fraction(0)] * size
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            # basis *= (x - xj)
-            shifted = [Fraction(0)] + basis
-            basis = [shifted[d] - xj * basis[d] if d < len(basis) else shifted[d]
-                     for d in range(len(shifted))]
-            denom *= xi - xj
-        w = yi / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += w * c
-    return coeffs
-
-
-@lru_cache(maxsize=None)
-def cot_sum_polynomial(n: int) -> CotPolynomial:
-    """The degree-2n polynomial p with p(k) = T(n, k) for every k >= 2.
-
-    Built by exact interpolation through T at k = 2..2n+3 (one more point
-    than a degree-2n polynomial needs, so the vanishing of the top
-    coefficient is itself a check) and verified at three further points.
-    """
-    if n < 1:
-        raise ParameterError("n must be positive")
-    points = [(k, cot_power_sum(n, k)) for k in range(2, 2 * n + 4)]
-    coeffs = _lagrange(points)
-    if coeffs[-1] != 0:
-        raise ArithmeticError("cot_sum_polynomial: sum is not degree-2n polynomial")
-    poly = CotPolynomial(n=n, coefficients=tuple(coeffs[:-1]))
-    for k in range(2 * n + 4, 2 * n + 7):
-        if poly(k) != cot_power_sum(n, k):
-            raise ArithmeticError("cot_sum_polynomial: verification point failed")
-    return poly
 
 
 @dataclass(frozen=True)

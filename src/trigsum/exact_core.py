@@ -92,6 +92,14 @@ def bernoulli(index: int, cache: BernoulliCache | None = None) -> Fraction:
     return (cache or _SHARED_CACHE).get(index)
 
 
+def clear_caches() -> None:
+    """Start the shared Bernoulli table over from B_0, as in a fresh process
+    (so a timing run pays for the table). A reader already inside the old
+    table finishes on it undisturbed."""
+    global _SHARED_CACHE
+    _SHARED_CACHE = BernoulliCache()
+
+
 @dataclass(frozen=True)
 class Composition:
     """An ordered tuple of non-negative parts with a fixed sum."""

@@ -31,7 +31,7 @@ from math import ceil, floor, gcd
 from mpmath import libmp
 
 from .closed_forms import Family, SumSpec
-from .cotangent import ByrneSmithParams, CotSumParams, cot_sum_polynomial
+from .cotangent import ByrneSmithParams, CotSumParams
 from .errors import ParameterError
 
 __all__ = [
@@ -256,17 +256,21 @@ def _sum_spec_interval(spec: SumSpec, prec: int):
     return total
 
 
+def _check_request(spec) -> None:
+    if not isinstance(
+        spec, (SumSpec, CotSumParams, ByrneSmithParams, OddCosPowerParams)
+    ):
+        raise ParameterError(f"unsupported oracle request {type(spec).__name__}")
+    spec.validate()
+
+
 def direct_sum(spec, precision_bits: int) -> IntervalValue:
     """Evaluate ``spec``'s defining sum as a certified interval.
 
     Accepts a SumSpec, CotSumParams, ByrneSmithParams, or OddCosPowerParams.
     """
     _check_precision(precision_bits)
-    if not isinstance(
-        spec, (SumSpec, CotSumParams, ByrneSmithParams, OddCosPowerParams)
-    ):
-        raise ParameterError(f"unsupported oracle request {type(spec).__name__}")
-    spec.validate()
+    _check_request(spec)
     prec = precision_bits
     if isinstance(spec, SumSpec):
         total = _sum_spec_interval(spec, prec)
@@ -335,16 +339,24 @@ def denominator_bound_for(spec) -> int:
     Trig power families: 2^{2m+2} (closed forms carry prefactor 2^{1-2m};
     the extra bits absorb the /2 and /4 of the composite families), with
     two more bits for the degree-5 weighted family. Integer-valued requests
-    (the 2^{2m}-scaled sums and both cotangent shapes' integer cases): 1.
-    Integer-shift cotangent sums: the exact lcm of the interpolated
-    polynomial's coefficient denominators.
+    (the 2^{2m}-scaled sums, the half-shift cotangent sums and the odd
+    cosine power sums): 1.
+
+    Integer-shift cotangent sums T(n, k): k^{2n}, from the angles alone.
+    The values cot(r*pi/k), r = 1..k-1, are the k-1 roots of
+    Im((x + i)^k) = sum_j (-1)^j C(k, 2j+1) x^{k-1-2j}, an integer
+    polynomial with leading coefficient k. Substituting x = y/k and
+    multiplying by k^{k-2} gives a monic integer polynomial in y whose
+    roots are k*cot(r*pi/k), so those are algebraic integers. Their power
+    sum k^{2n} * T(n, k) is then a rational algebraic integer (Newton's
+    identities), that is an integer.
     """
     if isinstance(spec, SumSpec):
         if spec.family in (Family.QUONIAM, Family.BARBERO_R):
             return 1
         return 2 ** (2 * spec.m + 2 + _DYADIC_MARGIN.get(spec.family, 0))
     if isinstance(spec, CotSumParams):
-        return cot_sum_polynomial(spec.n).denominator_lcm
+        return spec.k ** (2 * spec.n)
     if isinstance(spec, ByrneSmithParams):
         return 1
     if isinstance(spec, OddCosPowerParams):
@@ -353,13 +365,14 @@ def denominator_bound_for(spec) -> int:
 
 
 def default_precision(spec) -> int:
-    """Starting working precision: enough bits for the answer's magnitude
-    and the guard, before any retry doubling."""
+    """Starting working precision: enough bits for the answer's magnitude,
+    the denominator bound and the guard, before any retry doubling."""
     if isinstance(spec, SumSpec):
         return 2 * spec.m + (spec.n + 1).bit_length() + 96
     if isinstance(spec, CotSumParams):
-        # cot(pi/k) ~ k/pi, so terms reach ~ (k/pi)^{2n}
-        return 2 * spec.n * max(spec.k.bit_length(), 2) + 96
+        # cot(pi/k) ~ k/pi, so terms reach ~ (k/pi)^{2n}; the bound k^{2n}
+        # costs 2n*log2(k) more
+        return 2 * spec.n * (max(spec.k.bit_length(), 2) + spec.k.bit_length()) + 96
     if isinstance(spec, ByrneSmithParams):
         return 2 * spec.n * (spec.k.bit_length() + 2) + 96
     if isinstance(spec, OddCosPowerParams):
@@ -378,6 +391,7 @@ def evaluate_exact(
     NoIntegerNearby propagates immediately since more precision cannot put
     an integer inside a certified interval that excludes all of them.
     """
+    _check_request(spec)
     if policy is None:
         policy = ReconstructionPolicy(denominator_bound=denominator_bound_for(spec))
     prec = max(64, default_precision(spec))

@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 from math import factorial, gcd
 
+from cot_reference import SLOTS, composition_sum
 from trigsum import (
     ByrneSmithParams,
     CotSumParams,
@@ -187,8 +188,8 @@ def test_criterion_4_composite_families_vs_oracle(capsys):
 
 def test_criterion_5_cotangent_sums(capsys):
     """T(n, k) equals the published closed polynomials for n = 2, 3, 4 at
-    all k in [2, 40], equals the oracle for n <= 5, k <= 20, and is
-    independent of which composition slot is distinguished."""
+    all k in [2, 40], equals the oracle for n <= 5, k <= 20, and equals
+    the enumerated composition expansion whichever slot is distinguished."""
     polys = {
         2: lambda k: F((k - 1) * (k - 2) * (k * k + 3 * k - 13), 45),
         3: lambda k: F(
@@ -220,10 +221,8 @@ def test_criterion_5_cotangent_sums(capsys):
 
     for n in range(1, 6):
         for k in range(2, 13):
-            first = cot_power_sum(n, k, distinguished="first")
-            last = cot_power_sum(n, k, distinguished="last")
-            remainder = cot_power_sum(n, k, distinguished="remainder")
-            assert first == last == remainder, (n, k)
+            for slot in SLOTS:
+                assert composition_sum(n, k, slot) == cot_power_sum(n, k), (n, k, slot)
     _announce(
         capsys,
         "ACCEPTANCE 5: PASS (cotangent sums: polynomials k<=40, "

@@ -31,6 +31,20 @@ def test_eval_cot(capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_eval_cot_beyond_enumeration(capsys):
+    """n = 12 would be about 1.25e9 composition terms; the series answers
+    at once (cot^24(pi/4) + cot^24(3pi/4) = 2)."""
+    assert main(["eval", "--family", "cot", "--n", "12", "--k", "4"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+
+
+def test_cot_cost_guard_is_a_usage_error(capsys):
+    assert main(["eval", "--family", "cot", "--n", "101", "--k", "4"]) == 2
+    assert "cost guard" in capsys.readouterr().err
+    assert main(["verify", "--family", "cot", "--n-max", "101", "--k-max", "3"]) == 2
+    assert "cost guard" in capsys.readouterr().err
+
+
 def test_eval_barbero(capsys):
     assert main(["eval", "--family", "barbero", "--m", "12", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "3798310"
@@ -314,6 +328,14 @@ def test_run_bench_machinery():
     result = run_bench("C", 20, 7, None, True, 3)
     assert result["equal"] is True
     assert set(result) == {"family", "params", "micros_closed", "micros_oracle", "equal"}
+
+
+def test_run_bench_starts_the_bernoulli_table_cold():
+    from trigsum import exact_core
+
+    exact_core.bernoulli(40)
+    run_bench("C", 20, 7, None, False, 1)
+    assert len(exact_core._SHARED_CACHE) == 1
 
 
 # --- module entry point ---------------------------------------------------------

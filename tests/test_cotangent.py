@@ -1,13 +1,16 @@
-"""Cotangent power sums: Bernoulli-composition evaluation, interpolated
-polynomials, the half-angle (Byrne-Smith style) sum, and both documented
-misprints."""
+"""Cotangent power sums: the truncated-series evaluation against the
+enumerated Bernoulli-composition expansion and the oracle, the polynomials
+in k, boundary validation, the half-angle (Byrne-Smith style) sum, and both
+documented misprints."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cot_reference import SLOTS, composition_sum
 from trigsum.cotangent import (
+    MAX_N,
     ByrneSmithParams,
     CotPolynomial,
     CotSumParams,
@@ -20,6 +23,7 @@ from trigsum.cotangent import (
     cot_sum_polynomial,
 )
 from trigsum.errors import ParameterError
+from trigsum.oracle import evaluate_exact
 
 F = Fraction
 
@@ -73,7 +77,46 @@ def test_cot_sum_validation():
     with pytest.raises(ParameterError):
         cot_power_sum(0, 5)
     with pytest.raises(ParameterError):
-        cot_power_sum(2, 5, distinguished="middle")
+        cot_sum_polynomial(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cot_power_sum(2, 3.0),
+        lambda: cot_power_sum(2.0, 3),
+        lambda: cot_power_sum(True, 3),
+        lambda: cot_power_sum(2, True),
+        lambda: cot_sum_polynomial(True),
+        lambda: cot_sum_polynomial(2.0),
+        lambda: byrne_smith_sum(2, 3.0),
+        lambda: byrne_smith_sum(True, 3),
+        lambda: evaluate_exact(CotSumParams(2, 3.0)),
+        lambda: evaluate_exact(ByrneSmithParams(True, 2)),
+    ],
+)
+def test_non_int_parameters_rejected(call):
+    """bool and float parameters are caller bugs, not values: they raise
+    ParameterError (also after the int case is cached, which a float key
+    equal to the int would otherwise hit)."""
+    assert cot_power_sum(2, 3) == F(2, 9)
+    assert cot_power_sum(1, 3) == F(2, 3)
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_cost_guard_on_n():
+    """n beyond MAX_N is refused up front instead of running unbounded."""
+    assert cot_sum_polynomial(MAX_N).degree == 2 * MAX_N
+    for call in (
+        lambda: cot_power_sum(MAX_N + 1, 4),
+        lambda: cot_sum_polynomial(MAX_N + 1),
+        lambda: byrne_smith_sum(MAX_N + 1, 2),
+        lambda: CotSumParams(MAX_N + 1, 4).validate(),
+        lambda: ByrneSmithParams(MAX_N + 1, 4).validate(),
+    ):
+        with pytest.raises(ParameterError):
+            call()
 
 
 @given(
@@ -82,12 +125,50 @@ def test_cot_sum_validation():
 )
 @settings(max_examples=60, deadline=None)
 def test_distinguished_index_symmetry(n, k):
-    """Property: attaching the k-power to the first free index, the last
-    free index, or the dependent remainder slot gives the same value."""
-    first = cot_power_sum(n, k, distinguished="first")
-    last = cot_power_sum(n, k, distinguished="last")
-    remainder = cot_power_sum(n, k, distinguished="remainder")
-    assert first == last == remainder
+    """Property: the enumerated expansion with the k-power on the first
+    free index, the last free index, or the dependent remainder slot gives
+    the same value, and the truncated series equals all three."""
+    series = cot_power_sum(n, k)
+    for slot in SLOTS:
+        assert composition_sum(n, k, slot) == series, slot
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_series_matches_oracle_beyond_enumeration(n):
+    """For n = 7..12, where the composition enumeration is out of reach,
+    the series values equal the oracle's certified reconstruction."""
+    for k in (3, 5, 8, 13):
+        assert cot_power_sum(n, k) == evaluate_exact(CotSumParams(n, k)), k
+
+
+def test_polynomial_elementary_anchors():
+    """cot(r*pi/k) is 0, 1/sqrt3, 1, sqrt3 at pi/2, pi/3, pi/4, pi/6."""
+    for n in (1, 2, 7, 29, 60):
+        poly = cot_sum_polynomial(n)
+        assert poly(2) == 0
+        assert poly(3) == F(2, 3**n)
+        assert poly(4) == 2
+        assert poly(6) == 2 * 3**n + F(2, 3**n)
+
+
+def test_polynomial_anchor_check_catches_a_wrong_series(monkeypatch):
+    """A corrupted series coefficient must not yield a polynomial."""
+    import trigsum.cotangent as ct
+
+    real = ct._series_power
+
+    def corrupted(n):
+        power = real(n)
+        power[-1] += F(1, 10**6)
+        return power
+
+    monkeypatch.setattr(ct, "_series_power", corrupted)
+    ct.cot_sum_polynomial.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            cot_sum_polynomial(3)
+    finally:
+        ct.cot_sum_polynomial.cache_clear()
 
 
 @given(
@@ -194,15 +275,33 @@ def test_byrne_smith_polynomial_structure_from_oracle_fit():
     """Fit an interpolating polynomial through exact oracle values of
     U(n, k) at k = 1..2n+2 and read the coefficients: even powers match the
     recursion table, odd powers vanish except the linear term (-1)^n."""
-    from trigsum.cotangent import _lagrange
-    from trigsum.oracle import evaluate_exact
+
+    def lagrange(points):
+        # exact Lagrange interpolation; returns monomial coefficients
+        size = len(points)
+        coeffs = [F(0)] * size
+        for i, (xi, yi) in enumerate(points):
+            basis = [F(1)]
+            denom = F(1)
+            for j, (xj, _) in enumerate(points):
+                if j == i:
+                    continue
+                # basis *= (x - xj)
+                shifted = [F(0)] + basis
+                basis = [shifted[d] - xj * basis[d] if d < len(basis) else shifted[d]
+                         for d in range(len(shifted))]
+                denom *= xi - xj
+            w = yi / denom
+            for d, c in enumerate(basis):
+                coeffs[d] += w * c
+        return coeffs
 
     for n in range(1, 4):
         points = [
             (k, Fraction(evaluate_exact(ByrneSmithParams(n, k))))
             for k in range(1, 2 * n + 3)
         ]
-        coeffs = _lagrange(points)
+        coeffs = lagrange(points)
         table = byrne_smith_coefficients(n)
         assert coeffs[0] == 0
         assert coeffs[1] == (-1) ** n
@@ -219,5 +318,9 @@ def test_param_validation():
         ByrneSmithParams(0, 3).validate()
     with pytest.raises(ParameterError):
         ByrneSmithParams(2, 0).validate()
+    with pytest.raises(ParameterError):
+        CotSumParams(2, 3.0).validate()
+    with pytest.raises(ParameterError):
+        ByrneSmithParams(True, 3).validate()
     CotSumParams(2, 2).validate()
     ByrneSmithParams(1, 1).validate()

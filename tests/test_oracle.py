@@ -95,21 +95,34 @@ def test_denominator_bounds_by_request_type():
     assert denominator_bound_for(SumSpec(Family.ELL5_COS2, 3, 2)) == 2**12
     assert denominator_bound_for(SumSpec(Family.QUONIAM, 2, 4)) == 1
     assert denominator_bound_for(SumSpec(Family.BARBERO_R, 12, 3)) == 1
-    assert denominator_bound_for(CotSumParams(2, 7)) == 45
-    assert denominator_bound_for(CotSumParams(3, 5)) == 945
+    assert denominator_bound_for(CotSumParams(2, 7)) == 7**4
+    assert denominator_bound_for(CotSumParams(3, 5)) == 5**6
     assert denominator_bound_for(ByrneSmithParams(2, 5)) == 1
     assert denominator_bound_for(OddCosPowerParams(3, 5)) == 1
 
 
-def test_cot_bound_is_the_polynomial_lcm():
-    """45 divides neither (2n+1)! nor any power-of-two padding; the bound
-    has to come from the interpolated polynomial itself. Spot-check that
-    the claimed bound actually clears every value."""
-    for n in range(1, 5):
-        bound = denominator_bound_for(CotSumParams(n, 2))
-        for k in range(2, 30):
+def test_cot_bound_is_k_to_the_2n():
+    """The bound comes from the angles alone (k*cot(r*pi/k) are algebraic
+    integers), not from the closed form under test. Check that it clears
+    every value for n <= 6, k < 40."""
+    for n in range(1, 7):
+        for k in range(2, 40):
+            bound = denominator_bound_for(CotSumParams(n, k))
+            assert bound == k ** (2 * n)
             scaled = cot_power_sum(n, k) * bound
             assert scaled.denominator == 1
+
+
+def test_oracle_imports_nothing_from_the_cot_closed_form():
+    """Independence: the oracle module sees only the request dataclasses
+    of the cotangent module."""
+    import trigsum.cotangent as ct
+    import trigsum.oracle as oc
+
+    borrowed = {
+        name for name, obj in vars(oc).items() if getattr(obj, "__module__", None) == ct.__name__
+    }
+    assert borrowed == {"CotSumParams", "ByrneSmithParams"}
 
 
 def test_evaluate_exact_matches_closed_forms_sampled():
