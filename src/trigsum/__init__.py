@@ -19,7 +19,7 @@ from .cotangent import (
     cot_sum_polynomial,
 )
 from .errors import ParameterError
-from .exact_core import BernoulliCache, Rational, bernoulli, binom, compositions
+from .exact_core import BernoulliCache, Rational, bernoulli, binom
 from .genfunc import (
     SeriesCoefficients,
     g1_coefficients,
@@ -65,7 +65,6 @@ __all__ = [
     "binom",
     "byrne_smith_coefficients",
     "byrne_smith_sum",
-    "compositions",
     "cot_power_sum",
     "cot_sum_polynomial",
     "cycle_closed_walks",

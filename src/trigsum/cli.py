@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 from . import closed_forms as cf
 from . import cotangent as ct
@@ -27,20 +28,28 @@ from . import oracle as oc
 from . import walks as wk
 from .closed_forms import Family, SumSpec
 from .cotangent import ByrneSmithParams, CotSumParams
-from .errors import ParameterError
+from .errors import CostGuardError, ParameterError
 
 __all__ = ["main", "decimal_string", "run_bench"]
 
-_COT_FAMILY = "cot"
-_BS_FAMILY = "byrne-smith"
-_NORMAL_FAMILIES = [f.value for f in Family] + [_COT_FAMILY, _BS_FAMILY]
-_ERRATA_FAMILIES = [
-    "barbero-naive",
-    "alt-cos-middle",
-    "alt-sin-middle",
-    "cot-all-positive",
-    "byrne-smith-printed",
-]
+# token -> (the arguments its request reads, in report order; the request
+# type built from them). Each request type answers token, params(),
+# sort_key(), validate() and closed_value().
+_REQUEST_FAMILIES = {
+    **{f.value: (tuple(SumSpec(f, 0, 1).params()), partial(SumSpec, f)) for f in Family},
+    "cot": (("n", "k"), CotSumParams),
+    "byrne-smith": (("n", "k"), ByrneSmithParams),
+}
+# erratum token -> (the arguments it reads; the published expression it
+# evaluates). An erratum is no request: _errata_run compares each one with
+# the oracle value of the sum it misstates.
+_ERRATA_FAMILIES = {
+    "barbero-naive": (("m", "n"), cf.barbero_R_naive),
+    "alt-cos-middle": (("m", "n"), cf.alternating_cos_middle_erratum),
+    "alt-sin-middle": (("m", "n"), cf.alternating_sin_middle_erratum),
+    "cot-all-positive": (("n", "k"), ct.cot_power_sum_all_positive),
+    "byrne-smith-printed": (("n", "k"), ct.byrne_smith_sum_uncorrected),
+}
 
 
 def decimal_string(value: Fraction, digits: int) -> str:
@@ -67,41 +76,13 @@ def _value_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-# --- request plumbing shared by verify/bench ------------------------------
-
-def _closed_value(req) -> Fraction:
-    if isinstance(req, SumSpec):
-        return cf.evaluate(req)
-    if isinstance(req, CotSumParams):
-        return ct.cot_power_sum(req.n, req.k)
-    if isinstance(req, ByrneSmithParams):
-        return Fraction(ct.byrne_smith_sum(req.n, req.k))
-    raise ParameterError(f"unsupported request {type(req).__name__}")
-
-
-def _request_family(req) -> str:
-    if isinstance(req, SumSpec):
-        return req.family.value
-    return _COT_FAMILY if isinstance(req, CotSumParams) else _BS_FAMILY
-
-
-def _request_params(req) -> dict:
-    if isinstance(req, SumSpec):
-        return req.params()
-    return {"n": req.n, "k": req.k}
-
-
-def _request_sort_key(req):
-    if isinstance(req, SumSpec):
-        return (req.family.value, req.kind, req.m, req.n, req.q)
-    return (_request_family(req), "", req.n, req.k, 0)
-
+# --- verify campaign -------------------------------------------------------
 
 def _verify_case(req) -> dict:
     """One campaign case: closed form and oracle, timed, compared."""
     t0 = time.perf_counter_ns()
     try:
-        closed = _closed_value(req)
+        closed = req.closed_value()
         closed_text = _fraction_text(closed)
     except ArithmeticError as exc:
         closed, closed_text = None, f"error: {exc}"
@@ -114,7 +95,7 @@ def _verify_case(req) -> dict:
         exact, oracle_text = None, f"error: {exc}"
     micros_oracle = (time.perf_counter_ns() - t0) // 1000
     return {
-        "spec": {"family": _request_family(req), **_request_params(req)},
+        "spec": {"family": req.token, **req.params()},
         "closed_form": closed_text,
         "oracle": oracle_text,
         "match": closed is not None and closed == exact,
@@ -124,44 +105,43 @@ def _verify_case(req) -> dict:
 
 
 def _grid_requests(family: str, args) -> list:
-    """All admissible requests of one family inside the argument ranges.
-
-    Cotangent requests beyond the cost guard (n > cotangent.MAX_N) are
-    rejected with ParameterError rather than dropped.
+    """All requests of one family inside the argument ranges: m, n and k
+    sweep their ranges, q sweeps 1..2n+1 and kind cos and sin, each where
+    the family reads it. Points outside the family's domain are dropped; a
+    point past a cost guard (cotangent n > MAX_N) raises CostGuardError.
     """
-    ms = range(args.m_min, args.m_max + 1)
-    ns = range(max(args.n_min, 1), args.n_max + 1)
+    names, build = _REQUEST_FAMILIES[family]
+    ranges = {
+        "m": range(args.m_min, args.m_max + 1),
+        "n": range(max(args.n_min, 1), args.n_max + 1),
+        "k": range(args.k_min, args.k_max + 1),
+        "kind": ("cos", "sin"),
+    }
+    points = [{}]
+    for name in names:  # q, whose range depends on n, always follows n
+        points = [
+            {**point, name: value}
+            for point in points
+            for value in (range(1, 2 * point["n"] + 2) if name == "q" else ranges[name])
+        ]
     requests = []
-    if family in (_COT_FAMILY, _BS_FAMILY):
-        params, k_min = (
-            (CotSumParams, 2) if family == _COT_FAMILY else (ByrneSmithParams, 1)
-        )
-        for n in ns:
-            for k in range(max(args.k_min, k_min), args.k_max + 1):
-                request = params(n, k)
-                request.validate()
-                requests.append(request)
-        return requests
-    fam = Family(family)
-    kinds = ("cos", "sin") if fam in cf._USES_KIND else ("cos",)
-    for kind in kinds:
-        for m in ms:
-            for n in ns:
-                qs = range(1, 2 * n + 2) if fam in cf._USES_Q else (1,)
-                for q in qs:
-                    spec = SumSpec(fam, m, n, q, kind)
-                    try:
-                        spec.validate()
-                    except ParameterError:
-                        continue
-                    requests.append(spec)
+    for point in points:
+        request = build(**point)
+        try:
+            request.validate()
+        except CostGuardError:
+            raise
+        except ParameterError:
+            continue
+        requests.append(request)
     return requests
 
 
 def _run_cases(requests: list, jobs: int) -> list[dict]:
-    requests = sorted(requests, key=_request_sort_key)
-    if jobs > 1 and len(requests) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    requests = sorted(requests, key=lambda req: req.sort_key())
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1 and len(requests) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_verify_case, requests, chunksize=16))
     return [_verify_case(req) for req in requests]
 
@@ -257,54 +237,31 @@ def _errata_run(family: str) -> tuple[list[dict], bool, list[str]]:
 
 # --- subcommands -----------------------------------------------------------
 
-def _eval_request(args):
-    family = args.family
-    if family == _COT_FAMILY:
-        _need(args, "n", "k")
-        return CotSumParams(args.n, args.k), lambda: ct.cot_power_sum(args.n, args.k)
-    if family == _BS_FAMILY:
-        _need(args, "n", "k")
-        return (
-            ByrneSmithParams(args.n, args.k),
-            lambda: Fraction(ct.byrne_smith_sum(args.n, args.k)),
-        )
-    if family == "barbero-naive":
-        _need(args, "m", "n")
-        return None, lambda: cf.barbero_R_naive(args.m, args.n)
-    if family == "alt-cos-middle":
-        _need(args, "m", "n")
-        return None, lambda: cf.alternating_cos_middle_erratum(args.m, args.n)
-    if family == "alt-sin-middle":
-        _need(args, "m", "n")
-        return None, lambda: cf.alternating_sin_middle_erratum(args.m, args.n)
-    if family == "cot-all-positive":
-        _need(args, "n", "k")
-        return None, lambda: ct.cot_power_sum_all_positive(args.n, args.k)
-    if family == "byrne-smith-printed":
-        _need(args, "n", "k")
-        return None, lambda: Fraction(ct.byrne_smith_sum_uncorrected(args.n, args.k))
-    _need(args, "m", "n")
-    spec = SumSpec(Family(family), args.m, args.n, args.q, args.kind)
-    return spec, lambda: cf.evaluate(spec)
-
-
-def _need(args, *names: str) -> None:
+def _eval_request(family: str, given: dict):
+    """(request, thunk computing its closed value) for one family token and
+    the given arguments; the request is None for an erratum token."""
+    entry = _REQUEST_FAMILIES.get(family) or _ERRATA_FAMILIES.get(family)
+    if entry is None:
+        raise ParameterError(f"unknown family {family!r}")
+    names, build = entry
     for name in names:
-        if getattr(args, name) is None:
-            raise ParameterError(f"--family {args.family} requires --{name}")
+        if given.get(name) is None:
+            raise ParameterError(f"--family {family} requires --{name}")
+    arguments = {name: given[name] for name in names}
+    if family in _ERRATA_FAMILIES:
+        return None, partial(build, **arguments)
+    request = build(**arguments)
+    return request, request.closed_value
 
 
 def cmd_eval(args) -> int:
-    _, thunk = _eval_request(args)
+    given = {key: getattr(args, key) for key in ("m", "n", "q", "k", "kind")}
+    _, thunk = _eval_request(args.family, given)
     value = thunk()
     if args.json:
         payload = {
             "family": args.family,
-            "params": {
-                key: getattr(args, key)
-                for key in ("m", "n", "q", "k", "kind")
-                if getattr(args, key) is not None
-            },
+            "params": {key: val for key, val in given.items() if val is not None},
             "value": _value_json(value),
         }
         if args.digits is not None:
@@ -318,19 +275,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    families = args.family.split(",") if args.family else list(_NORMAL_FAMILIES)
-    known = set(_NORMAL_FAMILIES) | set(_ERRATA_FAMILIES)
+    families = args.family.split(",") if args.family else list(_REQUEST_FAMILIES)
     for family in families:
-        if family not in known:
+        if family not in _REQUEST_FAMILIES and family not in _ERRATA_FAMILIES:
             raise ParameterError(f"unknown family {family!r}")
-    normal = [f for f in families if f in _NORMAL_FAMILIES]
+    normal = [f for f in families if f in _REQUEST_FAMILIES]
     errata = [f for f in families if f in _ERRATA_FAMILIES]
     if errata and not args.expect_known_errata:
         raise ParameterError(
             "errata families need --expect-known-errata (their mismatches are the point)"
         )
     if args.expect_known_errata and not errata:
-        errata = [f for f in _ERRATA_FAMILIES]
+        errata = list(_ERRATA_FAMILIES)
 
     requests: list = []
     for family in normal:
@@ -469,10 +425,8 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
     Returns {family, params, micros_closed, micros_oracle?, equal?}; the
     closed-form time is the minimum over ``repeat`` runs.
     """
-    namespace = argparse.Namespace(
-        family=args_family, m=m, n=n, q=1, k=k, kind="cos"
-    )
-    request, thunk = _eval_request(namespace)
+    given = {"m": m, "n": n, "q": 1, "k": k, "kind": "cos"}
+    request, thunk = _eval_request(args_family, given)
     best = None
     value = None
     for _ in range(max(repeat, 1)):
@@ -530,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_eval = sub.add_parser("eval", parents=[shared], help="evaluate one sum exactly")
-    p_eval.add_argument("--family", required=True, choices=_NORMAL_FAMILIES + _ERRATA_FAMILIES)
+    p_eval.add_argument("--family", required=True, choices=[*_REQUEST_FAMILIES, *_ERRATA_FAMILIES])
     p_eval.add_argument("--m", type=int)
     p_eval.add_argument("--n", type=int)
     p_eval.add_argument("--q", type=int, default=1)
@@ -553,10 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k-min", type=int, default=1, help="cot/byrne-smith k lower bound")
     p_verify.add_argument("--k-max", type=int, default=8, help="cot/byrne-smith k upper bound")
     p_verify.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("TRIGSUM_JOBS", "1")),
-        help="worker processes (default: TRIGSUM_JOBS or 1)",
+        "--jobs", type=int, default=1, help="worker processes, at most the CPU count"
     )
     p_verify.add_argument("--out", help="write the report to FILE (.csv or JSON)")
     p_verify.add_argument(
@@ -581,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_bench = sub.add_parser("bench", parents=[shared], help="time closed form vs oracle")
-    p_bench.add_argument("--family", required=True, choices=_NORMAL_FAMILIES)
+    p_bench.add_argument("--family", required=True, choices=list(_REQUEST_FAMILIES))
     p_bench.add_argument("--m", type=int)
     p_bench.add_argument("--n", type=int)
     p_bench.add_argument("--k", type=int)

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import gcd, prod
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .exact_core import Rational, binom
 
 __all__ = [
@@ -110,6 +110,9 @@ class SumSpec:
 
     def validate(self) -> None:
         f = self.family
+        check_int("m", self.m)
+        check_int("n", self.n)
+        check_int("q", self.q)
         if self.m < 0:
             raise ParameterError("m must be non-negative")
         min_n = 0 if f is Family.BARBERO_R else 1
@@ -140,8 +143,15 @@ class SumSpec:
             out["kind"] = self.kind
         return out
 
+    @property
+    def token(self) -> str:
+        return self.family.value
+
     def sort_key(self) -> tuple:
-        return (self.family.value, self.kind, self.m, self.n, self.q)
+        return (self.token, self.kind, self.m, self.n, self.q)
+
+    def closed_value(self) -> Rational:
+        return evaluate(self)
 
 
 def _check_mn(m: int, n: int) -> None:
@@ -149,11 +159,6 @@ def _check_mn(m: int, n: int) -> None:
         raise ParameterError("m must be non-negative")
     if n < 1:
         raise ParameterError("n must be positive")
-
-
-def _central_binom(m: int) -> int:
-    # binom(2m, m); the factorial route beats math.comb at a few hundred m
-    return factorial(2 * m) // factorial(m) ** 2
 
 
 def _tail(m: int, n: int, central: int | None = None, signed: bool = False) -> int:
@@ -166,7 +171,7 @@ def _tail(m: int, n: int, central: int | None = None, signed: bool = False) -> i
     """
     alternating = signed and n % 2 == 1
     sign = -1 if alternating else 1
-    current = _central_binom(m) if central is None else central
+    current = binom(2 * m, m) if central is None else central
     total = 0
     k = m
     two_m = 2 * m
@@ -193,7 +198,7 @@ def cos_power_sum(m: int, n: int) -> Rational:
     _check_mn(m, n)
     if m == 0:
         return Fraction(n)
-    central = _central_binom(m)
+    central = binom(2 * m, m)
     # binom(2m-1, m-1) = binom(2m, m)/2
     return Fraction(n * (central // 2 + _tail(m, n, central)), 2 ** (2 * m - 1))
 
@@ -203,7 +208,7 @@ def sin_power_sum(m: int, n: int) -> Rational:
     _check_mn(m, n)
     if m == 0:
         return Fraction(n)
-    central = _central_binom(m)
+    central = binom(2 * m, m)
     return Fraction(
         n * (central // 2 + _tail_signed(m, n, central)), 2 ** (2 * m - 1)
     )

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .errors import ParameterError
+from .errors import CostGuardError, ParameterError, check_int
 from .exact_core import Rational, bernoulli, binom, composition_tuples
 
 __all__ = [
@@ -66,22 +66,16 @@ __all__ = [
 # Cost guard on the exponent half n of both sum shapes. The series costs
 # O(n^2) products of rationals that themselves grow with n (about 0.1 s at
 # n = 100 for the polynomial), and the oracle's precision grows like
-# n * log2(k); larger n is rejected with ParameterError.
+# n * log2(k); larger n is rejected with CostGuardError.
 MAX_N = 100
 
 
-def _check_int(name: str, value) -> None:
-    # bool is an int subclass, but True as an exponent is a caller bug
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{name} must be an int, not {type(value).__name__}")
-
-
 def _check_n(n) -> None:
-    _check_int("n", n)
+    check_int("n", n)
     if n < 1:
         raise ParameterError("n must be positive")
     if n > MAX_N:
-        raise ParameterError(f"n must be <= {MAX_N} (cost guard)")
+        raise CostGuardError(f"n must be <= {MAX_N} (cost guard)")
 
 
 @dataclass(frozen=True)
@@ -91,11 +85,22 @@ class CotSumParams:
     n: int
     k: int
 
+    token = "cot"
+
     def validate(self) -> None:
         _check_n(self.n)
-        _check_int("k", self.k)
+        check_int("k", self.k)
         if self.k < 2:
             raise ParameterError("k must be >= 2 (the sum over r=1..k-1 is empty otherwise)")
+
+    def params(self) -> dict[str, int]:
+        return {"n": self.n, "k": self.k}
+
+    def sort_key(self) -> tuple:
+        return (self.token, self.n, self.k)
+
+    def closed_value(self) -> Rational:
+        return cot_power_sum(self.n, self.k)
 
 
 @dataclass(frozen=True)
@@ -105,11 +110,19 @@ class ByrneSmithParams:
     n: int
     k: int
 
+    token = "byrne-smith"
+
     def validate(self) -> None:
         _check_n(self.n)
-        _check_int("k", self.k)
+        check_int("k", self.k)
         if self.k < 1:
             raise ParameterError("k must be positive")
+
+    params = CotSumParams.params
+    sort_key = CotSumParams.sort_key
+
+    def closed_value(self) -> Rational:
+        return byrne_smith_sum(self.n, self.k)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ touches floating point.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterator
@@ -22,10 +21,7 @@ __all__ = [
     "binom",
     "BernoulliCache",
     "bernoulli",
-    "Composition",
-    "compositions",
     "composition_tuples",
-    "composition_count",
 ]
 
 
@@ -100,20 +96,6 @@ def clear_caches() -> None:
     _SHARED_CACHE = BernoulliCache()
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of non-negative parts with a fixed sum."""
-
-    parts: tuple[int, ...]
-    total: int
-
-    def __post_init__(self) -> None:
-        if any(p < 0 for p in self.parts):
-            raise ValueError("parts must be non-negative")
-        if sum(self.parts) != self.total:
-            raise ValueError("parts must sum to total")
-
-
 def composition_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` non-negative integers summing to ``total``.
 
@@ -132,15 +114,3 @@ def composition_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for last in range(total + 1):
         for head in composition_tuples(total - last, parts - 1):
             yield head + (last,)
-
-
-def compositions(total: int, parts: int) -> Iterator[Composition]:
-    for t in composition_tuples(total, parts):
-        yield Composition(parts=t, total=total)
-
-
-def composition_count(total: int, parts: int) -> int:
-    """C(total + parts - 1, parts - 1), the stars-and-bars count."""
-    if total < 0 or parts <= 0:
-        raise ValueError("need total >= 0 and parts > 0")
-    return comb(total + parts - 1, parts - 1)

@@ -30,7 +30,6 @@ __all__ = [
     "SeriesCoefficients",
     "sigma",
     "sigma_minus",
-    "sigma_table",
     "bessel_i0_coefficient",
     "g1_coefficients",
     "h1_coefficients",
@@ -72,12 +71,6 @@ def sigma_minus(k: int, n: int) -> Rational:
         (-1) ** p * binom(2 * k, k + p * n) for p in range(1, k // n + 1)
     )
     return Fraction(window, factorial(2 * k))
-
-
-def sigma_table(n: int, k_max: int, minus: bool = False) -> dict[tuple[int, int], Fraction]:
-    """{(k, n): value} for k = 0..k_max, one n."""
-    fn = sigma_minus if minus else sigma
-    return {(k, n): fn(k, n) for k in range(k_max + 1)}
 
 
 def bessel_i0_coefficient(j: int) -> Rational:

@@ -27,14 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd
+from typing import NamedTuple
 
 from mpmath import libmp
 
 from .closed_forms import Family, SumSpec
 from .cotangent import ByrneSmithParams, CotSumParams
-from .errors import ParameterError
+from .errors import CostGuardError, ParameterError, check_int
 
 __all__ = [
+    "MAX_TERMS",
     "IntervalValue",
     "ReconstructionPolicy",
     "OddCosPowerParams",
@@ -47,9 +49,6 @@ __all__ = [
     "default_precision",
     "evaluate_exact",
 ]
-
-OracleRequest = "SumSpec | CotSumParams | ByrneSmithParams | OddCosPowerParams"
-
 
 class AmbiguousReconstruction(ArithmeticError):
     """Interval too wide for the denominator bound; retry at higher precision."""
@@ -106,6 +105,8 @@ class OddCosPowerParams:
     n: int
 
     def validate(self) -> None:
+        check_int("j", self.j)
+        check_int("n", self.n)
         if self.j < 0 or self.n < 1:
             raise ParameterError("need j >= 0 and n >= 1")
 
@@ -169,132 +170,146 @@ def _check_precision(precision_bits: int) -> None:
 
 # --- defining sums ------------------------------------------------------
 
-def _trig_power_terms(spec: SumSpec):
-    """Yield (sign, cos_weights, fn, angle_num, angle_den, scale) per term
-    of the defining sum. The term is
-    sign * prod(cos(w_num*pi/w_den)) * fn(angle_num*pi/angle_den)^{2m} * scale.
-    """
-    f, m, n, q = spec.family, spec.m, spec.n, spec.q
-    kind = spec.kind
-    if f is Family.COS_POWER:
-        for k in range(n):
-            yield 1, (), "cos", k, n, 1
-    elif f is Family.SIN_POWER:
-        for k in range(n):
-            yield 1, (), "sin", k, n, 1
-    elif f is Family.SCALED:
-        for k in range(q):
-            yield 1, (), kind, k, n, 1
+# Cost guard on the length of a defining sum. A term costs tens of
+# microseconds of interval arithmetic (80 to 100 us for a cot term at
+# k = 2000..20000 on a 2-vCPU Xeon VM), so 10^5 terms take several
+# seconds; longer sums are refused with CostGuardError before any term
+# is summed.
+MAX_TERMS = 100_000
+
+
+class _DefiningSum(NamedTuple):
+    """A request's defining sum
+
+        sum_{k in indices} (-1)^k [only if alternating]
+            * prod_{(c, d) in weights} cos(c*k*pi/d)
+            * fn((a*k + b)*pi/den)^exponent * scale,
+
+    with the request's denominator bound and starting working precision
+    (see denominator_bound_for and default_precision)."""
+
+    indices: range
+    fn: str
+    a: int
+    b: int
+    den: int
+    exponent: int
+    bound: int
+    precision: int
+    weights: tuple[tuple[int, int], ...] = ()
+    scale: int = 1
+    alternating: bool = False
+
+
+# Weighted families: f -> (L, weights). The sum runs over k < L*n at the
+# angles k*pi/(L*n), each term times prod cos(c*k*pi/d) over (c, d).
+_WEIGHTED = {
+    Family.WEIGHT3_COS: (3, ((2, 3),)),
+    Family.WEIGHT3_SIN: (3, ((2, 3),)),
+    Family.WEIGHT_HALF_PI: (4, ((1, 2),)),
+    Family.WEIGHT_PI3: (3, ((1, 3),)),
+    Family.ELL5_PRODUCT: (5, ((2, 5), (4, 5))),
+    Family.ELL5_ALT_PRODUCT: (5, ((1, 5), (2, 5))),
+    Family.ELL5_COS2: (5, ((2, 5),)),
+    Family.ELL5_COS4: (5, ((4, 5),)),
+}
+_SINE = frozenset({Family.SIN_POWER, Family.SHIFTED_SIN, Family.WEIGHT3_SIN})
+# scaled by 2^{2m}, which makes their values integers
+_INTEGRAL = frozenset({Family.QUONIAM, Family.BARBERO_R})
+
+
+def _sum_spec_sum(spec: SumSpec) -> _DefiningSum:
+    f, m, n, q, kind = spec.family, spec.m, spec.n, spec.q, spec.kind
+    fn = "sin" if f in _SINE else "cos"
+    period, weights = _WEIGHTED.get(f, (1, ()))
+    # indices, fn, a, b, den
+    if f is Family.SCALED:
+        shape = range(q), kind, 1, 0, n
     elif f in (Family.COPRIME, Family.GCD_REDUCED):
-        for k in range(n):
-            yield 1, (), kind, q * k, n, 1
-    elif f is Family.QUONIAM:
-        for k in range(1, n // 2 + 1):
-            yield 1, (), "cos", k, n + 1, 2 ** (2 * m)
-    elif f is Family.MERCA_HALF:
-        for k in range(1, (n - 1) // 2 + 1):
-            yield 1, (), "cos", k, n, 1
-    elif f is Family.MERCA_SHIFTED:
-        for k in range(1, n // 2 + 1):
-            yield 1, (), "cos", 2 * k - 1, 2 * n, 1
-    elif f is Family.BARBERO_R:
-        for k in range(1, n + 2):
-            yield 1, (), "cos", k, 2 * n + 3, 2 ** (2 * m)
+        shape = range(n), kind, q, 0, n
     elif f is Family.ALTERNATING:
-        for k in range(n):
-            yield (-1) ** k, (), kind, k, n, 1
-    elif f is Family.SHIFTED_COS:
-        for k in range(n):
-            yield 1, (), "cos", 2 * k + 1, 2 * n, 1
-    elif f is Family.SHIFTED_SIN:
-        for k in range(n):
-            yield 1, (), "sin", 2 * k + 1, 2 * n, 1
-    elif f in (Family.WEIGHT3_COS, Family.WEIGHT3_SIN):
-        trig = "cos" if f is Family.WEIGHT3_COS else "sin"
-        for k in range(3 * n):
-            yield 1, ((2 * k, 3),), trig, k, 3 * n, 1
-    elif f is Family.WEIGHT_HALF_PI:
-        for k in range(4 * n):
-            yield 1, ((k, 2),), "cos", k, 4 * n, 1
-    elif f is Family.WEIGHT_PI3:
-        for k in range(3 * n):
-            yield 1, ((k, 3),), "cos", k, 3 * n, 1
-    elif f in (
-        Family.ELL5_PRODUCT,
-        Family.ELL5_ALT_PRODUCT,
-        Family.ELL5_COS2,
-        Family.ELL5_COS4,
-    ):
-        # weight angles in units of pi*k: product of cos(a*k*pi/5)
-        factors = {
-            Family.ELL5_PRODUCT: (2, 4),
-            Family.ELL5_ALT_PRODUCT: (1, 2),
-            Family.ELL5_COS2: (2,),
-            Family.ELL5_COS4: (4,),
-        }[f]
-        for k in range(5 * n):
-            yield 1, tuple((a * k, 5) for a in factors), "cos", k, 5 * n, 1
-    else:  # pragma: no cover
-        raise ParameterError(f"family {f} not handled by the oracle")
+        shape = range(n), kind, 1, 0, n
+    elif f is Family.QUONIAM:
+        shape = range(1, n // 2 + 1), fn, 1, 0, n + 1
+    elif f is Family.MERCA_HALF:
+        shape = range(1, (n - 1) // 2 + 1), fn, 1, 0, n
+    elif f is Family.MERCA_SHIFTED:
+        shape = range(1, n // 2 + 1), fn, 2, -1, 2 * n
+    elif f is Family.BARBERO_R:
+        shape = range(1, n + 2), fn, 1, 0, 2 * n + 3
+    elif f in (Family.SHIFTED_COS, Family.SHIFTED_SIN):
+        shape = range(n), fn, 2, 1, 2 * n
+    else:  # C, S and the weighted families
+        shape = range(period * n), fn, 1, 0, period * n
+    integral = f in _INTEGRAL
+    bound = 1 if integral else 2 ** (2 * m + 2 + (4 if period == 5 else 0))
+    precision = 2 * m + (n + 1).bit_length() + 96
+    scale = 2 ** (2 * m) if integral else 1
+    alternating = f is Family.ALTERNATING
+    return _DefiningSum(*shape, 2 * m, bound, precision, weights, scale, alternating)
 
 
-def _sum_spec_interval(spec: SumSpec, prec: int):
-    total = _ZERO
-    exponent = 2 * spec.m
-    for sign, weights, fn, a_num, a_den, scale in _trig_power_terms(spec):
-        term = _pow(_trig_interval(fn, a_num, a_den, prec), exponent, prec)
-        for w_num, w_den in weights:
-            term = libmp.mpi_mul(
-                term, _trig_interval("cos", w_num, w_den, prec), prec
-            )
-        if scale != 1:
-            term = libmp.mpi_mul(term, _exact(scale), prec)
-        if sign < 0:
-            total = libmp.mpi_sub(total, term, prec)
-        else:
-            total = libmp.mpi_add(total, term, prec)
-    return total
+def _cot_sum(spec: CotSumParams) -> _DefiningSum:
+    n, k = spec.n, spec.k
+    # cot(pi/k) ~ k/pi, so terms reach ~ (k/pi)^{2n}; the bound k^{2n}
+    # costs 2n*log2(k) more
+    precision = 2 * n * (max(k.bit_length(), 2) + k.bit_length()) + 96
+    return _DefiningSum(range(1, k), "cot", 1, 0, k, 2 * n, k ** (2 * n), precision)
 
 
-def _check_request(spec) -> None:
-    if not isinstance(
-        spec, (SumSpec, CotSumParams, ByrneSmithParams, OddCosPowerParams)
-    ):
+def _half_shift_cot_sum(spec: ByrneSmithParams) -> _DefiningSum:
+    n, k = spec.n, spec.k
+    precision = 2 * n * (k.bit_length() + 2) + 96
+    return _DefiningSum(range(1, k + 1), "cot", 2, -1, 4 * k, 2 * n, 1, precision)
+
+
+def _odd_cos_sum(spec: OddCosPowerParams) -> _DefiningSum:
+    j, n = spec.j, spec.n
+    precision = 2 * j + (n + 1).bit_length() + 96
+    return _DefiningSum(range(n), "cos", 1, 0, n, 2 * j + 1, 1, precision)
+
+
+# The one place the oracle reads a request's type.
+_DEFINING_SUMS = {
+    SumSpec: _sum_spec_sum,
+    CotSumParams: _cot_sum,
+    ByrneSmithParams: _half_shift_cot_sum,
+    OddCosPowerParams: _odd_cos_sum,
+}
+
+
+def _defining_sum(spec) -> _DefiningSum:
+    define = _DEFINING_SUMS.get(type(spec))
+    if define is None:
         raise ParameterError(f"unsupported oracle request {type(spec).__name__}")
     spec.validate()
+    return define(spec)
 
 
 def direct_sum(spec, precision_bits: int) -> IntervalValue:
     """Evaluate ``spec``'s defining sum as a certified interval.
 
     Accepts a SumSpec, CotSumParams, ByrneSmithParams, or OddCosPowerParams.
+    A sum of more than MAX_TERMS terms raises CostGuardError.
     """
     _check_precision(precision_bits)
-    _check_request(spec)
+    s = _defining_sum(spec)
+    if len(s.indices) > MAX_TERMS:
+        raise CostGuardError(
+            f"defining sum has {len(s.indices)} terms, more than {MAX_TERMS} (cost guard)"
+        )
     prec = precision_bits
-    if isinstance(spec, SumSpec):
-        total = _sum_spec_interval(spec, prec)
-    elif isinstance(spec, CotSumParams):
-        total = _ZERO
-        for r in range(1, spec.k):
-            term = _pow(_trig_interval("cot", r, spec.k, prec), 2 * spec.n, prec)
+    total = _ZERO
+    for k in s.indices:
+        term = _pow(_trig_interval(s.fn, s.a * k + s.b, s.den, prec), s.exponent, prec)
+        for c, d in s.weights:
+            term = libmp.mpi_mul(term, _trig_interval("cos", c * k, d, prec), prec)
+        if s.scale != 1:
+            term = libmp.mpi_mul(term, _exact(s.scale), prec)
+        if s.alternating and k % 2:
+            total = libmp.mpi_sub(total, term, prec)
+        else:
             total = libmp.mpi_add(total, term, prec)
-    elif isinstance(spec, ByrneSmithParams):
-        total = _ZERO
-        for r in range(1, spec.k + 1):
-            term = _pow(
-                _trig_interval("cot", 2 * r - 1, 4 * spec.k, prec), 2 * spec.n, prec
-            )
-            total = libmp.mpi_add(total, term, prec)
-    elif isinstance(spec, OddCosPowerParams):
-        total = _ZERO
-        for k in range(spec.n):
-            term = _pow(
-                _trig_interval("cos", k, spec.n, prec), 2 * spec.j + 1, prec
-            )
-            total = libmp.mpi_add(total, term, prec)
-    else:
-        raise ParameterError(f"unsupported oracle request {type(spec).__name__}")
     return IntervalValue(
         lower=_to_fraction(total[0]),
         upper=_to_fraction(total[1]),
@@ -325,20 +340,12 @@ def reconstruct(value: IntervalValue, policy: ReconstructionPolicy) -> Fraction:
     return Fraction(lo, bound)
 
 
-_DYADIC_MARGIN = {
-    Family.ELL5_PRODUCT: 4,
-    Family.ELL5_ALT_PRODUCT: 4,
-    Family.ELL5_COS2: 4,
-    Family.ELL5_COS4: 4,
-}
-
-
 def denominator_bound_for(spec) -> int:
     """A positive integer guaranteed to clear the request's denominator.
 
     Trig power families: 2^{2m+2} (closed forms carry prefactor 2^{1-2m};
     the extra bits absorb the /2 and /4 of the composite families), with
-    two more bits for the degree-5 weighted family. Integer-valued requests
+    four more bits for the degree-5 weighted family. Integer-valued requests
     (the 2^{2m}-scaled sums, the half-shift cotangent sums and the odd
     cosine power sums): 1.
 
@@ -351,33 +358,13 @@ def denominator_bound_for(spec) -> int:
     sum k^{2n} * T(n, k) is then a rational algebraic integer (Newton's
     identities), that is an integer.
     """
-    if isinstance(spec, SumSpec):
-        if spec.family in (Family.QUONIAM, Family.BARBERO_R):
-            return 1
-        return 2 ** (2 * spec.m + 2 + _DYADIC_MARGIN.get(spec.family, 0))
-    if isinstance(spec, CotSumParams):
-        return spec.k ** (2 * spec.n)
-    if isinstance(spec, ByrneSmithParams):
-        return 1
-    if isinstance(spec, OddCosPowerParams):
-        return 1
-    raise ParameterError(f"unsupported oracle request {type(spec).__name__}")
+    return _defining_sum(spec).bound
 
 
 def default_precision(spec) -> int:
     """Starting working precision: enough bits for the answer's magnitude,
     the denominator bound and the guard, before any retry doubling."""
-    if isinstance(spec, SumSpec):
-        return 2 * spec.m + (spec.n + 1).bit_length() + 96
-    if isinstance(spec, CotSumParams):
-        # cot(pi/k) ~ k/pi, so terms reach ~ (k/pi)^{2n}; the bound k^{2n}
-        # costs 2n*log2(k) more
-        return 2 * spec.n * (max(spec.k.bit_length(), 2) + spec.k.bit_length()) + 96
-    if isinstance(spec, ByrneSmithParams):
-        return 2 * spec.n * (spec.k.bit_length() + 2) + 96
-    if isinstance(spec, OddCosPowerParams):
-        return 2 * spec.j + (spec.n + 1).bit_length() + 96
-    raise ParameterError(f"unsupported oracle request {type(spec).__name__}")
+    return _defining_sum(spec).precision
 
 
 def evaluate_exact(
@@ -389,9 +376,10 @@ def evaluate_exact(
 
     Ambiguous reconstructions retry (up to ``max_retries`` doublings);
     NoIntegerNearby propagates immediately since more precision cannot put
-    an integer inside a certified interval that excludes all of them.
+    an integer inside a certified interval that excludes all of them. A
+    defining sum of more than MAX_TERMS (10^5) terms is refused with
+    CostGuardError before any term is summed.
     """
-    _check_request(spec)
     if policy is None:
         policy = ReconstructionPolicy(denominator_bound=denominator_bound_for(spec))
     prec = max(64, default_precision(spec))

@@ -2,14 +2,17 @@
 determinism under concurrency."""
 
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from trigsum import cli
 from trigsum.cli import decimal_string, main, run_bench
+from trigsum.closed_forms import SumSpec
 
 F = Fraction
 
@@ -160,10 +163,41 @@ def test_verify_order_is_deterministic_across_jobs(capsys):
 
 def test_verify_detects_injected_mismatch(capsys, monkeypatch):
     """A wrong closed-form value must flip the exit code to 1."""
-    monkeypatch.setattr(cli, "_closed_value", lambda req: F(1, 7))
+    monkeypatch.setattr(SumSpec, "closed_value", lambda self: F(1, 7))
     assert main(["verify", "--family", "C", "--m-max", "1", "--n-max", "2", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["summary"]["mismatches"] == report["summary"]["total"] == 4
+
+
+def test_verify_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    """--jobs never asks for more workers than CPUs; no real pool starts."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["verify", "--family", "C", "--m-max", "1", "--n-max", "2"]
+    assert main(args + ["--jobs", "10000"]) == 0
+    assert pools == [2]
+    for jobs in ("1", "0", "-3"):
+        assert main(args + ["--jobs", jobs]) == 0
+    assert pools == [2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(args + ["--jobs", "4"]) == 0
+    assert pools == [2]
+    capsys.readouterr()
 
 
 def test_verify_unknown_family_is_usage_error(capsys):
@@ -336,6 +370,31 @@ def test_run_bench_starts_the_bernoulli_table_cold():
     exact_core.bernoulli(40)
     run_bench("C", 20, 7, None, False, 1)
     assert len(exact_core._SHARED_CACHE) == 1
+
+
+# --- README examples ------------------------------------------------------------
+
+def _readme_eval_examples():
+    """(argv, printed lines) for every `$ trigsum eval ...` line of the README."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    examples = []
+    for index, line in enumerate(lines):
+        if line.startswith("$ trigsum eval "):
+            printed = []
+            for follower in lines[index + 1:]:
+                if follower.startswith(("$ ", "```")):
+                    break
+                printed.append(follower)
+            examples.append((shlex.split(line)[2:], printed))
+    return examples
+
+
+def test_readme_eval_examples_print_as_documented(capsys):
+    examples = _readme_eval_examples()
+    assert len(examples) >= 5
+    for argv, printed in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in printed), argv
 
 
 # --- module entry point ---------------------------------------------------------

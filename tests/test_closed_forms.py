@@ -367,6 +367,24 @@ def test_sumspec_validation_errors():
     SumSpec(Family.BARBERO_R, 3, 0).validate()
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SumSpec(Family.COS_POWER, True, 3),
+        SumSpec(Family.COS_POWER, 2, True),
+        SumSpec(Family.COS_POWER, 2.0, 3),
+        SumSpec(Family.SIN_POWER, 2, 3.0),
+        SumSpec(Family.SCALED, 2, 3, q=6.0),
+        SumSpec(Family.COPRIME, 2, 3, q=False),
+        SumSpec(Family.QUONIAM, "2", 4),
+    ],
+)
+def test_non_int_parameters_rejected(spec):
+    """bool and non-int m, n, q are usage errors, not m = 1 or a TypeError."""
+    with pytest.raises(ParameterError, match="must be an int"):
+        evaluate(spec)
+
+
 def test_sort_key_orders_by_family_then_params():
     specs = [
         SumSpec(Family.SIN_POWER, 1, 1),

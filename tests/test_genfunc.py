@@ -16,7 +16,6 @@ from trigsum.genfunc import (
     resolvent_coefficients,
     sigma,
     sigma_minus,
-    sigma_table,
 )
 
 F = Fraction
@@ -56,14 +55,6 @@ def test_sigma_minus_equals_sigma_for_even_n(k, n):
     """Property: the alternating weight is trivial at even n."""
     assert sigma_minus(k, 2 * n) == sigma(k, 2 * n)
     assert abs(sigma_minus(k, 2 * n - 1)) <= sigma(k, 2 * n - 1)
-
-
-def test_sigma_table_shape():
-    table = sigma_table(3, 6)
-    assert set(table) == {(k, 3) for k in range(7)}
-    assert table[(3, 3)] == F(1, 720)
-    minus = sigma_table(3, 6, minus=True)
-    assert minus[(3, 3)] == F(-1, 720)
 
 
 def test_bessel_coefficients_are_generated_not_sampled():

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from trigsum.closed_forms import Family, SumSpec, barbero_R_naive, evaluate
 from trigsum.cotangent import ByrneSmithParams, CotSumParams, byrne_smith_sum, cot_power_sum
-from trigsum.errors import ParameterError
+from trigsum.errors import CostGuardError, ParameterError
 from trigsum.oracle import (
+    MAX_TERMS,
     AmbiguousReconstruction,
     IntervalValue,
     NoIntegerNearby,
@@ -206,6 +207,32 @@ def test_default_precision_scales_with_exponent():
     large = default_precision(SumSpec(Family.COS_POWER, 200, 3))
     assert large > small
     assert small >= 96
+
+
+def test_defining_sum_cost_guard():
+    """A defining sum past MAX_TERMS is refused before any term is summed,
+    through every entry point that would sum it."""
+    huge = CotSumParams(2, 10**9)
+    with pytest.raises(CostGuardError, match="cost guard"):
+        evaluate_exact(huge)
+    with pytest.raises(CostGuardError):
+        direct_sum(huge, 128)
+    with pytest.raises(CostGuardError):
+        evaluate_exact(ByrneSmithParams(1, MAX_TERMS + 1))
+    with pytest.raises(CostGuardError):
+        evaluate_exact(SumSpec(Family.COS_POWER, 1, 10**7))
+    assert issubclass(CostGuardError, ParameterError)
+
+
+def test_non_int_requests_rejected():
+    for spec in (
+        SumSpec(Family.COS_POWER, True, 3),
+        SumSpec(Family.SIN_POWER, 2, 3.0),
+        OddCosPowerParams(True, 3),
+        OddCosPowerParams(1, 2.5),
+    ):
+        with pytest.raises(ParameterError, match="must be an int"):
+            evaluate_exact(spec)
 
 
 def test_unsupported_request_rejected():
