@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
+from math import prod
 
 from . import closed_forms as cf
 from . import cotangent as ct
@@ -40,6 +41,13 @@ _REQUEST_FAMILIES = {
     "cot": (("n", "k"), CotSumParams),
     "byrne-smith": (("n", "k"), ByrneSmithParams),
 }
+# Cost guard on the raw points of a verify grid, counted before any point
+# is built. A built point holds about 300 bytes and a case takes 0.3 to 2 ms
+# (closed form plus oracle), so 10^6 points are about 300 MB and 5 to 30
+# minutes; larger grids are refused with CostGuardError. The default grid
+# has 3,660 points.
+MAX_CASES = 10**6
+
 # erratum token -> (the arguments it reads; the published expression it
 # evaluates). An erratum is no request: _errata_run compares each one with
 # the oracle value of the sum it misstates.
@@ -104,36 +112,51 @@ def _verify_case(req) -> dict:
     }
 
 
-def _grid_requests(family: str, args) -> list:
-    """All requests of one family inside the argument ranges: m, n and k
+def _grid_size(names: tuple, ranges: dict) -> int:
+    # q sweeps 2n+1 values per n: sum(2n+1) = len(n) * (n_first + n_last + 1)
+    size = prod(len(ranges[name]) for name in names if name not in ("n", "q"))
+    n = ranges["n"]
+    if "q" in names:
+        return size * len(n) * (n[0] + n[-1] + 1) if n else 0
+    return size * len(n)
+
+
+def _grid_requests(families: list[str], args) -> list:
+    """All requests of the families inside the argument ranges: m, n and k
     sweep their ranges, q sweeps 1..2n+1 and kind cos and sin, each where
-    the family reads it. Points outside the family's domain are dropped; a
-    point past a cost guard (cotangent n > MAX_N) raises CostGuardError.
+    the family reads it. Points outside a family's domain are dropped. A
+    grid of more than MAX_CASES raw points, counted from the range lengths
+    before any point is built, and a point past a cost guard (cotangent
+    n > MAX_N, m > MAX_M) raise CostGuardError.
     """
-    names, build = _REQUEST_FAMILIES[family]
     ranges = {
         "m": range(args.m_min, args.m_max + 1),
         "n": range(max(args.n_min, 1), args.n_max + 1),
         "k": range(args.k_min, args.k_max + 1),
         "kind": ("cos", "sin"),
     }
-    points = [{}]
-    for name in names:  # q, whose range depends on n, always follows n
-        points = [
-            {**point, name: value}
-            for point in points
-            for value in (range(1, 2 * point["n"] + 2) if name == "q" else ranges[name])
-        ]
+    size = sum(_grid_size(_REQUEST_FAMILIES[family][0], ranges) for family in families)
+    if size > MAX_CASES:
+        raise CostGuardError(f"the verify grid has {size} points; at most {MAX_CASES} (cost guard)")
     requests = []
-    for point in points:
-        request = build(**point)
-        try:
-            request.validate()
-        except CostGuardError:
-            raise
-        except ParameterError:
-            continue
-        requests.append(request)
+    for family in families:
+        names, build = _REQUEST_FAMILIES[family]
+        points = [{}]
+        for name in names:  # q, whose range depends on n, always follows n
+            points = [
+                {**point, name: value}
+                for point in points
+                for value in (range(1, 2 * point["n"] + 2) if name == "q" else ranges[name])
+            ]
+        for point in points:
+            request = build(**point)
+            try:
+                request.validate()
+            except CostGuardError:
+                raise
+            except ParameterError:
+                continue
+            requests.append(request)
     return requests
 
 
@@ -288,10 +311,7 @@ def cmd_verify(args) -> int:
     if args.expect_known_errata and not errata:
         errata = list(_ERRATA_FAMILIES)
 
-    requests: list = []
-    for family in normal:
-        requests.extend(_grid_requests(family, args))
-    cases = _run_cases(requests, args.jobs)
+    cases = _run_cases(_grid_requests(normal, args), args.jobs)
     mismatches = sum(not case["match"] for case in cases)
 
     all_reproduced = True

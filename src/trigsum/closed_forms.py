@@ -29,12 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, prod
+from itertools import cycle
+from math import gcd
+from operator import mul
 
-from .errors import ParameterError, check_int
-from .exact_core import Rational, binom
+from .errors import CostGuardError, ParameterError, check_int
+from .exact_core import Rational, binom, binom_window
 
 __all__ = [
+    "MAX_M",
     "Family",
     "SumSpec",
     "evaluate",
@@ -85,6 +88,12 @@ class Family(str, Enum):
     ELL5_COS4 = "ell5-cos4"
 
 
+# Cost guard on the half-power m of a SumSpec. A closed form sums a window
+# of up to m binomials of 2m bits each (several seconds at m = 10^5 for the
+# composite families), and the oracle's precision grows like 2m bits;
+# larger m is rejected with CostGuardError.
+MAX_M = 10**5
+
 # Families whose definition reads the q parameter / the cos-sin kind switch.
 _USES_Q = frozenset({Family.SCALED, Family.COPRIME, Family.GCD_REDUCED})
 _USES_KIND = frozenset(
@@ -115,6 +124,8 @@ class SumSpec:
         check_int("q", self.q)
         if self.m < 0:
             raise ParameterError("m must be non-negative")
+        if self.m > MAX_M:
+            raise CostGuardError(f"m must be <= {MAX_M} (cost guard)")
         min_n = 0 if f is Family.BARBERO_R else 1
         if self.n < min_n:
             raise ParameterError(f"n must be >= {min_n} for {f.value}")
@@ -161,57 +172,34 @@ def _check_mn(m: int, n: int) -> None:
         raise ParameterError("n must be positive")
 
 
-def _tail(m: int, n: int, central: int | None = None, signed: bool = False) -> int:
-    """sum_{p=1}^{floor(m/n)} binom(2m, m - p*n), empty when m < n;
-    with ``signed``, each term carries the sine weight (-1)^{p*n}.
-
-    Each term is derived from its predecessor by n exact ratio steps
-    binom(2m, k-1) = binom(2m, k) * k / (2m - k + 1), starting from the
-    central binomial; far cheaper at large m than independent binomials.
-    """
-    alternating = signed and n % 2 == 1
-    sign = -1 if alternating else 1
-    current = binom(2 * m, m) if central is None else central
-    total = 0
-    k = m
-    two_m = 2 * m
-    for _ in range(m // n):
-        current = (
-            current
-            * prod(range(k - n + 1, k + 1))
-            // prod(range(two_m - k + 1, two_m - k + n + 1))
-        )
-        k -= n
-        total += sign * current
-        if alternating:
-            sign = -sign
-    return total
+def _tail(m: int, n: int, weight=lambda p: 1) -> tuple[int, int]:
+    """(binom(2m, m), sum_{p=1}^{floor(m/n)} weight(p) * binom(2m, m - p*n)),
+    the tail empty when m < n. Every weight here is a sign pattern in
+    (-1)^p, so weight(1), weight(2) repeat along the window."""
+    terms = binom_window(m, n)
+    central = next(terms)
+    return central, sum(map(mul, cycle((weight(1), weight(2))), terms))
 
 
-def _tail_signed(m: int, n: int, central: int | None = None) -> int:
-    # cosine tail with weight (-1)^{p*n}; collapses to _tail for even n
-    return _tail(m, n, central, signed=True)
+def _power_form(m: int, n: int, weight=lambda p: 1) -> Rational:
+    """2^{1-2m} * n * (binom(2m-1, m-1) + sum_{p=1}^{floor(m/n)} weight(p)
+    * binom(2m, m-p*n)), the shape of C, S and the shifted sums' direct
+    forms, as 2^{-2m} * n * (binom(2m, m) + 2 * tail): binom(2m-1, m-1) =
+    binom(2m, m)/2 for m >= 1, and the m = 0 value n comes out too."""
+    central, tail = _tail(m, n, weight)
+    return Fraction(n * (central + 2 * tail), 2 ** (2 * m))
 
 
 def cos_power_sum(m: int, n: int) -> Rational:
     """C(m, n) = sum_{k=0}^{n-1} cos^{2m}(k*pi/n)."""
     _check_mn(m, n)
-    if m == 0:
-        return Fraction(n)
-    central = binom(2 * m, m)
-    # binom(2m-1, m-1) = binom(2m, m)/2
-    return Fraction(n * (central // 2 + _tail(m, n, central)), 2 ** (2 * m - 1))
+    return _power_form(m, n)
 
 
 def sin_power_sum(m: int, n: int) -> Rational:
     """S(m, n) = sum_{k=0}^{n-1} sin^{2m}(k*pi/n)."""
     _check_mn(m, n)
-    if m == 0:
-        return Fraction(n)
-    central = binom(2 * m, m)
-    return Fraction(
-        n * (central // 2 + _tail_signed(m, n, central)), 2 ** (2 * m - 1)
-    )
+    return _power_form(m, n, lambda p: (-1) ** (p * n))
 
 
 def _base(kind: str, m: int, n: int) -> Rational:
@@ -278,10 +266,9 @@ def merca_half_sum(p: int, n: int) -> Rational:
     if p < 1:
         raise ParameterError("merca_half_sum requires p >= 1")
     half = (cos_power_sum(p, n) - 1) / 2
-    window = sum(
-        binom(2 * p, p + k * n) for k in range(-(p // n), p // n + 1)
-    )
-    alt = Fraction(-1, 2) + Fraction(n * window, 2 ** (2 * p + 1))
+    # binom(2p, p+kn) = binom(2p, p-kn): the k < 0 half mirrors the k > 0 one
+    central, tail = _tail(p, n)
+    alt = Fraction(-1, 2) + Fraction(n * (central + 2 * tail), 2 ** (2 * p + 1))
     if half != alt:
         raise ArithmeticError("merca_half_sum: evaluation routes disagree")
     return half
@@ -294,11 +281,8 @@ def merca_shifted_sum(p: int, n: int) -> Rational:
     _check_mn(p, n)
     if p < 1:
         raise ParameterError("merca_shifted_sum requires p >= 1")
-    window = sum(
-        (-1) ** (k % 2) * binom(2 * p, p + k * n)
-        for k in range(-(p // n), p // n + 1)
-    )
-    value = Fraction(n * window, 2 ** (2 * p + 1))
+    central, tail = _tail(p, n, lambda k: (-1) ** k)  # k < 0 mirrors k > 0
+    value = Fraction(n * (central + 2 * tail), 2 ** (2 * p + 1))
     if value * 2 != shifted_cos_sum(p, n):
         raise ArithmeticError("merca_shifted_sum: evaluation routes disagree")
     return value
@@ -307,19 +291,16 @@ def merca_shifted_sum(p: int, n: int) -> Rational:
 def barbero_R(m: int, n: int) -> Rational:
     """R_{m,n} = 2^{2m} * sum_{k=1}^{n+1} cos^{2m}(k*pi/(2n+3)).
 
-    For m >= 1 this is (n + 3/2)*binom(2m, m) - 2^{2m-1} plus, once
-    m >= 2n+3, the tail (2n+3) * sum_i binom(2m, m-(2n+3)i). The tail is the
-    part the first-branch expression misses; see barbero_R_naive. R_{0,n} =
-    n+1 (a sum of n+1 ones).
+    This is (n + 3/2)*binom(2m, m) - 2^{2m-1} plus, once m >= 2n+3, the
+    tail (2n+3) * sum_i binom(2m, m-(2n+3)i). The tail is the part the
+    first-branch expression misses; see barbero_R_naive. At m = 0 the
+    expression gives R_{0,n} = n+1 (a sum of n+1 ones).
     """
     if m < 0 or n < 0:
         raise ParameterError("barbero_R requires m, n >= 0")
-    if m == 0:
-        return Fraction(n + 1)
-    base = Fraction(2 * n + 3, 2) * binom(2 * m, m) - 2 ** (2 * m - 1)
     period = 2 * n + 3
-    tail = sum(binom(2 * m, m - period * i) for i in range(1, m // period + 1))
-    return base + period * tail
+    central, tail = _tail(m, period)
+    return Fraction(period * central - 2 ** (2 * m), 2) + period * tail
 
 
 def barbero_R_naive(m: int, n: int) -> Rational:
@@ -355,7 +336,7 @@ def alternating_cos_middle_erratum(m: int, n: int) -> Rational:
     """
     if not n <= m < 2 * n:
         raise ParameterError("middle-range expression needs n <= m < 2n")
-    return Fraction(4 * _tail(m, n), 2 ** (2 * m))
+    return Fraction(4 * _tail(m, n)[1], 2 ** (2 * m))
 
 
 def alternating_sin_middle_erratum(m: int, n: int) -> Rational:
@@ -366,9 +347,7 @@ def alternating_sin_middle_erratum(m: int, n: int) -> Rational:
     sign, so the true value is (-1)^n * n times this and the two never
     coincide (at n = 1 the sign still differs).
     """
-    if not n <= m < 2 * n:
-        raise ParameterError("middle-range expression needs n <= m < 2n")
-    return Fraction(4 * _tail(m, n), 2 ** (2 * m))
+    return alternating_cos_middle_erratum(m, n)
 
 
 def shifted_cos_sum(m: int, n: int) -> Rational:
@@ -379,15 +358,7 @@ def shifted_cos_sum(m: int, n: int) -> Rational:
     """
     _check_mn(m, n)
     diff = cos_power_sum(m, 2 * n) - cos_power_sum(m, n)
-    if m == 0:
-        direct = Fraction(n)
-    else:
-        window = sum(
-            (-1) ** p * binom(2 * m, m - p * n) for p in range(1, m // n + 1)
-        )
-        direct = Fraction(
-            n * (binom(2 * m - 1, m - 1) + window), 2 ** (2 * m - 1)
-        )
+    direct = _power_form(m, n, lambda p: (-1) ** p)
     if diff != direct:
         raise ArithmeticError("shifted_cos_sum: evaluation routes disagree")
     return diff
@@ -402,16 +373,7 @@ def shifted_sin_sum(m: int, n: int) -> Rational:
     S(m, 2n) - S(m, n).
     """
     _check_mn(m, n)
-    if m == 0:
-        direct = Fraction(n)
-    else:
-        window = sum(
-            (1 + (-1) ** p - (-1) ** (n * p)) * binom(2 * m, m - p * n)
-            for p in range(1, m // n + 1)
-        )
-        direct = Fraction(
-            n * (binom(2 * m - 1, m - 1) + window), 2 ** (2 * m - 1)
-        )
+    direct = _power_form(m, n, lambda p: 1 + (-1) ** p - (-1) ** (n * p))
     diff = sin_power_sum(m, 2 * n) - sin_power_sum(m, n)
     if diff != direct:
         raise ArithmeticError("shifted_sin_sum: evaluation routes disagree")
@@ -422,15 +384,12 @@ def _weight3_cases(kind: str, m: int, n: int) -> Rational:
     # explicit three-range expression; correct as published for this family
     if m < n:
         return Fraction(0)
-    if kind == "cos":
-        inner = _tail(m, n)
-        outer = _tail(m, 3 * n)
-    else:
-        inner = _tail_signed(m, n)
-        # (-1)^{3pn} = (-1)^{pn}
-        outer = _tail_signed(m, 3 * n) if n % 2 else _tail(m, 3 * n)
+    # the sine weight (-1)^{pn} serves both tails: (-1)^{3pn} = (-1)^{pn}
+    sign = 1 if kind == "cos" else -1
+    inner = _tail(m, n, lambda p: sign ** (p * n))[1]
     if m < 3 * n:
         return Fraction(3 * n * inner, 2 ** (2 * m))
+    outer = _tail(m, 3 * n, lambda p: sign ** (p * n))[1]
     return Fraction(3 * n * (inner - outer), 2 ** (2 * m))
 
 

@@ -1,17 +1,18 @@
 """Exact integer and rational building blocks.
 
-Everything downstream reduces to three ingredients: binomial coefficients
-with out-of-range indices treated as zero, Bernoulli numbers at even index,
-and compositions of an integer into a fixed number of non-negative parts.
-All arithmetic is over arbitrary-precision rationals; nothing in this module
-touches floating point.
+Everything downstream reduces to three ingredients: the binomial window
+binom(2m, m - p*n), p = 0..floor(m/n), that every power-sum closed form
+sums with its own weights; Bernoulli numbers at even index; and
+compositions of an integer into a fixed number of non-negative parts
+(``composition_tuples``). All arithmetic is over arbitrary-precision
+rationals; nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 Rational = Fraction
@@ -19,6 +20,7 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "binom",
+    "binom_window",
     "BernoulliCache",
     "bernoulli",
     "composition_tuples",
@@ -36,6 +38,26 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+def binom_window(m: int, n: int) -> Iterator[int]:
+    """binom(2m, m - p*n) for p = 0, 1, ..., floor(m/n), central term first.
+
+    Each term comes from the one before it by n exact ratio steps
+    binom(2m, k-1) = binom(2m, k) * k / (2m - k + 1), far cheaper at large
+    m than independent binomials. The terms are yielded one at a time: the
+    whole window at m = 10^5, n = 1 would hold gigabytes.
+    """
+    if m < 0 or n < 1:
+        raise ValueError("binom_window requires m >= 0 and n >= 1")
+    two_m = 2 * m
+    current = comb(two_m, m)
+    yield current
+    for k in range(m, n - 1, -n):  # binom(2m, k) -> binom(2m, k - n)
+        current = current * prod(range(k - n + 1, k + 1)) // prod(
+            range(two_m - k + 1, two_m - k + n + 1)
+        )
+        yield current
 
 
 class BernoulliCache:

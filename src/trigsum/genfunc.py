@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd
 
 from .closed_forms import cos_power_sum, sin_power_sum
 from .errors import ParameterError
-from .exact_core import Rational, binom
+from .exact_core import Rational, binom, binom_window
 
 __all__ = [
     "SeriesCoefficients",
@@ -57,7 +58,8 @@ def sigma(k: int, n: int) -> Rational:
     """(1/(2k)!) * sum_{p=1}^{floor(k/n)} binom(2k, k+pn); zero for k < n."""
     if k < 0 or n < 1:
         raise ParameterError("need k >= 0 and n >= 1")
-    window = sum(binom(2 * k, k + p * n) for p in range(1, k // n + 1))
+    # binom(2k, k+pn) = binom(2k, k-pn), the window's term p; p = 0 is not summed
+    window = sum(islice(binom_window(k, n), 1, None))
     return Fraction(window, factorial(2 * k))
 
 
@@ -65,11 +67,7 @@ def sigma_minus(k: int, n: int) -> Rational:
     """sigma with alternating weight (-1)^{pn}; equals sigma for even n."""
     if k < 0 or n < 1:
         raise ParameterError("need k >= 0 and n >= 1")
-    if n % 2 == 0:
-        return sigma(k, n)
-    window = sum(
-        (-1) ** p * binom(2 * k, k + p * n) for p in range(1, k // n + 1)
-    )
+    window = sum((-1) ** (p * n) * b for p, b in enumerate(binom_window(k, n)) if p)
     return Fraction(window, factorial(2 * k))
 
 

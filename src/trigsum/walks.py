@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
-from .exact_core import binom
+from .exact_core import binom_window
 
 __all__ = [
     "GraphKind",
@@ -76,10 +76,8 @@ def path_closed_walks(n: int, m: int) -> WalkCount:
     GraphSpec(GraphKind.PATH, n).validate()
     if m < 0:
         raise ParameterError("m must be non-negative")
-    if m == 0:
-        return WalkCount(n - 1)
-    tail = sum(binom(2 * m, m - k * n) for k in range(1, m // n + 1))
-    return WalkCount(2 * n * (binom(2 * m - 1, m - 1) + tail) - 2 ** (2 * m))
+    terms = binom_window(m, n)  # 2*binom(2m-1, m-1) = binom(2m, m); m = 0 fits too
+    return WalkCount(n * (next(terms) + 2 * sum(terms)) - 2 ** (2 * m))
 
 
 def cycle_closed_walks(n: int, m: int) -> WalkCount:
@@ -89,10 +87,8 @@ def cycle_closed_walks(n: int, m: int) -> WalkCount:
     GraphSpec(GraphKind.CYCLE, n).validate()
     if m < 0:
         raise ParameterError("m must be non-negative")
-    if m == 0:
-        return WalkCount(n)
-    tail = sum(binom(2 * m, m - k * n) for k in range(1, m // n + 1))
-    return WalkCount(2 * n * (binom(2 * m - 1, m - 1) + tail))
+    terms = binom_window(m, n)  # 2*binom(2m-1, m-1) = binom(2m, m); m = 0 fits too
+    return WalkCount(n * (next(terms) + 2 * sum(terms)))
 
 
 def adjacency_matrix(graph: GraphSpec) -> list[list[int]]:

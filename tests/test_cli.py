@@ -48,6 +48,40 @@ def test_cot_cost_guard_is_a_usage_error(capsys):
     assert "cost guard" in capsys.readouterr().err
 
 
+def test_sum_cost_guard_is_a_usage_error(capsys):
+    assert main(["eval", "--family", "C", "--m", "1000000000", "--n", "1"]) == 2
+    assert "cost guard" in capsys.readouterr().err
+
+
+def test_verify_grid_cost_guard_refuses_before_building(capsys, monkeypatch):
+    """A grid past MAX_CASES exits 2 from its range lengths alone; no point
+    of the 6*10^8 is built."""
+
+    def build(**point):
+        raise AssertionError("grid point built")
+
+    monkeypatch.setitem(cli._REQUEST_FAMILIES, "cot", (("n", "k"), build))
+    assert main(["verify", "--family", "cot", "--k-max", "100000000"]) == 2
+    assert "has 600000000 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        ([], 3660),
+        (["--m-max", "24", "--n-max", "12", "--k-max", "16"], 30984),
+        (["--m-min", "195", "--m-max", "207", "--n-max", "24", "--k-max", "0"], 54288),
+        (["--m-min", "5", "--m-max", "4"], 6 * 8 * 2),  # only cot and byrne-smith
+    ],
+)
+def test_verify_grid_guard_counts_raw_points(argv, size, capsys, monkeypatch):
+    """The guard counts every raw point of every family, q's 2n+1 per n
+    included, before validation drops any."""
+    monkeypatch.setattr(cli, "MAX_CASES", size - 1)
+    assert main(["verify", *argv]) == 2
+    assert f"has {size} points" in capsys.readouterr().err
+
+
 def test_eval_barbero(capsys):
     assert main(["eval", "--family", "barbero", "--m", "12", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "3798310"

@@ -2,12 +2,14 @@
 documented-discrepancy regressions."""
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigsum import exact_core
 from trigsum.closed_forms import (
+    MAX_M,
     Family,
     SumSpec,
     alternating_cos_middle_erratum,
@@ -31,7 +33,9 @@ from trigsum.closed_forms import (
     weight_half_pi_sum,
     weight_pi3_sum,
 )
-from trigsum.errors import ParameterError
+from trigsum.errors import CostGuardError, ParameterError
+from trigsum.genfunc import sigma, sigma_minus
+from trigsum.walks import cycle_closed_walks, path_closed_walks
 
 F = Fraction
 
@@ -68,6 +72,96 @@ def test_power_sums_against_literal_binomial_form():
             assert sin_power_sum(m, n) == F(
                 n * (lead + signed_tail), 2 ** (2 * m - 1)
             )
+
+
+def _symmetric(p, n, weight):
+    # sum_{k=-floor(p/n)}^{floor(p/n)} weight(k) * binom(2p, p+kn)
+    return sum(weight(k) * comb(2 * p, p + k * n) for k in range(-(p // n), p // n + 1))
+
+
+def _tail_sum(m, n, weight=lambda p: 1):
+    # sum_{p=1}^{floor(m/n)} weight(p) * binom(2m, m-pn)
+    return sum(weight(p) * comb(2 * m, m - p * n) for p in range(1, m // n + 1))
+
+
+def _lead_form(m, n, weight):
+    # 2^{1-2m} * n * (binom(2m-1, m-1) + sum_p weight(p) * binom(2m, m-pn))
+    return F(n * (comb(2 * m - 1, m - 1) + _tail_sum(m, n, weight)), 2 ** (2 * m - 1))
+
+
+# function of (m, n) and its docstring formula written with math.comb
+WINDOW_SITES = {
+    "merca_half_sum": (
+        merca_half_sum,
+        lambda p, n: F(-1, 2) + F(n * _symmetric(p, n, lambda k: 1), 2 ** (2 * p + 1)),
+    ),
+    "merca_shifted_sum": (
+        merca_shifted_sum,
+        lambda p, n: F(n * _symmetric(p, n, lambda k: (-1) ** (k % 2)), 2 ** (2 * p + 1)),
+    ),
+    "barbero_R": (
+        barbero_R,
+        lambda m, n: F(2 * n + 3, 2) * comb(2 * m, m) - 2 ** (2 * m - 1)
+        + (2 * n + 3) * _tail_sum(m, 2 * n + 3),
+    ),
+    "shifted_cos_sum": (
+        shifted_cos_sum,
+        lambda m, n: _lead_form(m, n, lambda p: (-1) ** p),
+    ),
+    "shifted_sin_sum": (
+        shifted_sin_sum,
+        lambda m, n: _lead_form(m, n, lambda p: 1 + (-1) ** p - (-1) ** (n * p)),
+    ),
+    "sigma": (
+        sigma,
+        lambda k, n: F(_tail_sum(k, n), factorial(2 * k)),
+    ),
+    "sigma_minus": (
+        sigma_minus,
+        lambda k, n: F(_tail_sum(k, n, lambda p: (-1) ** (p * n)), factorial(2 * k)),
+    ),
+    "path_closed_walks": (
+        lambda m, n: path_closed_walks(n, m),
+        lambda m, n: 2 * n * (comb(2 * m - 1, m - 1) + _tail_sum(m, n)) - 2 ** (2 * m),
+    ),
+    "cycle_closed_walks": (
+        lambda m, n: cycle_closed_walks(n, m),
+        lambda m, n: 2 * n * (comb(2 * m - 1, m - 1) + _tail_sum(m, n)),
+    ),
+}
+# n outside a function's domain; m >= 1 and n <= 9 everywhere
+WINDOW_SITE_SKIPS = {"path_closed_walks": {1}, "cycle_closed_walks": {1, 2, 4, 6, 8}}
+
+
+@pytest.mark.parametrize("name", WINDOW_SITES)
+def test_window_sites_against_literal_binomial_form(name):
+    """Every sum over the binomial window equals its docstring formula
+    written with math.comb: a reference independent of binom_window."""
+    fn, reference = WINDOW_SITES[name]
+    for m in range(1, 31):
+        for n in set(range(1, 10)) - WINDOW_SITE_SKIPS.get(name, set()):
+            assert fn(m, n) == reference(m, n), (name, m, n)
+
+
+@pytest.mark.parametrize("name", WINDOW_SITES)
+def test_window_sites_make_a_constant_number_of_comb_calls(name, monkeypatch):
+    """Each window comes from binom_window's ratio steps, so the number of
+    math.comb calls does not grow with the window's floor(m/n) terms."""
+    fn = WINDOW_SITES[name][0]
+    calls = []
+    real_comb = exact_core.comb
+
+    def counting_comb(a, b):
+        calls.append((a, b))
+        return real_comb(a, b)
+
+    monkeypatch.setattr(exact_core, "comb", counting_comb)
+    counts = []
+    for m in (500, 1000):
+        calls.clear()
+        fn(m, 7)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4, counts
 
 
 def test_quoniam_frozen():
@@ -383,6 +477,17 @@ def test_non_int_parameters_rejected(spec):
     """bool and non-int m, n, q are usage errors, not m = 1 or a TypeError."""
     with pytest.raises(ParameterError, match="must be an int"):
         evaluate(spec)
+
+
+def test_cost_guard_on_m():
+    """m beyond MAX_M is refused up front: C(10^9, 1) would hang in the
+    central binomial of 2*10^9."""
+    SumSpec(Family.COS_POWER, MAX_M, 7).validate()
+    for family in (Family.COS_POWER, Family.MERCA_HALF, Family.SHIFTED_COS):
+        with pytest.raises(CostGuardError, match="cost guard"):
+            evaluate(SumSpec(family, MAX_M + 1, 7))
+    with pytest.raises(CostGuardError):
+        evaluate(SumSpec(Family.COS_POWER, 10**9, 1))
 
 
 def test_sort_key_orders_by_family_then_params():

@@ -1,5 +1,5 @@
-"""Integer and rational building blocks: binomials, Bernoulli numbers,
-compositions."""
+"""Integer and rational building blocks: binomials, the binomial window,
+Bernoulli numbers, compositions."""
 
 from fractions import Fraction
 from math import comb
@@ -7,7 +7,13 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum.exact_core import BernoulliCache, bernoulli, binom, composition_tuples
+from trigsum.exact_core import (
+    BernoulliCache,
+    bernoulli,
+    binom,
+    binom_window,
+    composition_tuples,
+)
 
 
 def test_binom_frozen_values():
@@ -42,6 +48,26 @@ def test_binom_symmetry(n, data):
     """Property: binom(n,k) = binom(n,n-k)."""
     k = data.draw(st.integers(min_value=0, max_value=n))
     assert binom(n, k) == binom(n, n - k)
+
+
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=40))
+@settings(max_examples=200)
+def test_binom_window_matches_comb(m, n):
+    """Property: the ratio-step window is binom(2m, m - p*n), p = 0..m//n,
+    including m < n (the central term alone) and n = 1 (every term)."""
+    assert list(binom_window(m, n)) == [comb(2 * m, m - p * n) for p in range(m // n + 1)]
+
+
+def test_binom_window_edges():
+    assert list(binom_window(0, 1)) == [1]
+    assert list(binom_window(3, 1)) == [20, 15, 6, 1]
+    assert list(binom_window(2, 5)) == [6]
+
+
+@pytest.mark.parametrize("m, n", [(-1, 1), (3, 0), (3, -2)])
+def test_binom_window_bad_arguments_rejected(m, n):
+    with pytest.raises(ValueError):
+        list(binom_window(m, n))
 
 
 BERNOULLI_KNOWN = {
