@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from math import prod
@@ -29,7 +28,7 @@ from . import oracle as oc
 from . import walks as wk
 from .closed_forms import Family, SumSpec
 from .cotangent import ByrneSmithParams, CotSumParams
-from .errors import CostGuardError, ParameterError
+from .errors import CostGuardError, ParameterError, check_int
 
 __all__ = ["main", "decimal_string", "run_bench"]
 
@@ -48,22 +47,43 @@ _REQUEST_FAMILIES = {
 # has 3,660 points.
 MAX_CASES = 10**6
 
-# erratum token -> (the arguments it reads; the published expression it
-# evaluates). An erratum is no request: _errata_run compares each one with
-# the oracle value of the sum it misstates.
+
+def _alternating_request(kind: str):
+    """Builder of the alternating sum over N = 2n points that the
+    middle-range errata misstate, from their (m, n)."""
+
+    def build(m, n):
+        check_int("n", n)  # 2 * True would pass as N = 2
+        return SumSpec(Family.ALTERNATING, m, 2 * n, kind=kind)
+
+    return build
+
+
+# erratum token -> (the arguments it reads; the builder of the request of the
+# sum it misstates, whose validate() guards those arguments; the published
+# expression it evaluates). An erratum is no request: _errata_run compares
+# each one with the oracle value of the sum it misstates.
 _ERRATA_FAMILIES = {
-    "barbero-naive": (("m", "n"), cf.barbero_R_naive),
-    "alt-cos-middle": (("m", "n"), cf.alternating_cos_middle_erratum),
-    "alt-sin-middle": (("m", "n"), cf.alternating_sin_middle_erratum),
-    "cot-all-positive": (("n", "k"), ct.cot_power_sum_all_positive),
-    "byrne-smith-printed": (("n", "k"), ct.byrne_smith_sum_uncorrected),
+    "barbero-naive": (("m", "n"), partial(SumSpec, Family.BARBERO_R), cf.barbero_R_naive),
+    "alt-cos-middle": (("m", "n"), _alternating_request("cos"), cf.alternating_cos_middle_erratum),
+    "alt-sin-middle": (("m", "n"), _alternating_request("sin"), cf.alternating_sin_middle_erratum),
+    "cot-all-positive": (("n", "k"), CotSumParams, ct.cot_power_sum_all_positive),
+    "byrne-smith-printed": (("n", "k"), ByrneSmithParams, ct.byrne_smith_sum_uncorrected),
 }
+
+
+# Cost guard on --digits. Rendering is quadratic in the digit count once
+# the int-to-str limit is lifted: 10^5 places took 0.3 s and 10^6 places
+# 19 s for a whole `trigsum eval` run on a 2-vCPU Xeon VM.
+MAX_DIGITS = 10**5
 
 
 def decimal_string(value: Fraction, digits: int) -> str:
     """Exact decimal rendering to ``digits`` places, rounding half to even."""
     if digits < 0:
         raise ParameterError("digits must be non-negative")
+    if digits > MAX_DIGITS:
+        raise CostGuardError(f"digits must be <= {MAX_DIGITS} (cost guard)")
     sign = "-" if value < 0 else ""
     num, den = abs(value).numerator, abs(value).denominator
     q, r = divmod(num * 10**digits, den)
@@ -74,6 +94,13 @@ def decimal_string(value: Fraction, digits: int) -> str:
         text = text.rjust(digits + 1, "0")
         text = text[:-digits] + "." + text[-digits:]
     return sign + text
+
+
+def _lift_int_str_limit() -> None:
+    # exact values can run past the default 4,300-digit limit on int <-> str
+    # conversion, which would make printing them raise ValueError
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -160,6 +187,14 @@ def _grid_requests(families: list[str], args) -> list:
     return requests
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported when a pool starts:
+    it loads all of multiprocessing, which only verify --jobs > 1 needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers, initializer=_lift_int_str_limit)
+
+
 def _run_cases(requests: list, jobs: int) -> list[dict]:
     requests = sorted(requests, key=lambda req: req.sort_key())
     workers = min(jobs, os.cpu_count() or 1)
@@ -178,6 +213,9 @@ def _errata_run(family: str) -> tuple[list[dict], bool, list[str]]:
     discrepancy exists and has exactly its documented shape; a silent match
     (or a differently shaped mismatch) counts as NOT reproduced.
     """
+    if family not in _ERRATA_FAMILIES:
+        raise ParameterError(f"unknown erratum family {family!r}")
+    _, misstated, published = _ERRATA_FAMILIES[family]
     cases: list[dict] = []
     notes: list[str] = []
     reproduced = True
@@ -198,8 +236,8 @@ def _errata_run(family: str) -> tuple[list[dict], bool, list[str]]:
 
     if family == "barbero-naive":
         truth = cf.barbero_R(12, 3)
-        wrong = cf.barbero_R_naive(12, 3)
-        oracle_truth = oc.evaluate_exact(SumSpec(Family.BARBERO_R, 12, 3))
+        wrong = published(12, 3)
+        oracle_truth = oc.evaluate_exact(misstated(12, 3))
         record({"m": 12, "n": 3}, wrong, oracle_truth)
         reproduced = (
             truth == oracle_truth == 3798310
@@ -212,16 +250,10 @@ def _errata_run(family: str) -> tuple[list[dict], bool, list[str]]:
         )
     elif family in ("alt-cos-middle", "alt-sin-middle"):
         sin = family == "alt-sin-middle"
-        erratum = (
-            cf.alternating_sin_middle_erratum if sin else cf.alternating_cos_middle_erratum
-        )
-        kind = "sin" if sin else "cos"
         for n in range(1, 7):
             for m in range(n, 2 * n):
-                truth = oc.evaluate_exact(
-                    SumSpec(Family.ALTERNATING, m, 2 * n, kind=kind)
-                )
-                wrong = erratum(m, n)
+                truth = oc.evaluate_exact(misstated(m, n))
+                wrong = published(m, n)
                 matched = record({"m": m, "n": n}, wrong, truth)
                 if sin:
                     # truth = (-1)^n * n * printed, never equal
@@ -238,23 +270,21 @@ def _errata_run(family: str) -> tuple[list[dict], bool, list[str]]:
     elif family == "cot-all-positive":
         for n in range(1, 5):
             for k in range(2, 9):
-                truth = oc.evaluate_exact(CotSumParams(n, k))
-                wrong = ct.cot_power_sum_all_positive(n, k)
+                truth = oc.evaluate_exact(misstated(n, k))
+                wrong = published(n, k)
                 if record({"n": n, "k": k}, wrong, truth):
                     reproduced = False
         notes.append(
             "strictly-positive-index reading collapses to (-1)^n * k, wrong everywhere"
         )
-    elif family == "byrne-smith-printed":
-        truth = oc.evaluate_exact(ByrneSmithParams(1, 2))
-        wrong = ct.byrne_smith_sum_uncorrected(1, 2)
+    else:  # byrne-smith-printed
+        truth = oc.evaluate_exact(misstated(1, 2))
+        wrong = published(1, 2)
         record({"n": 1, "k": 2}, wrong, truth)
         reproduced = truth == 6 and wrong == 10
         notes.append(
             f"published closed form gives {wrong} at (n=1, k=2); true value {truth}"
         )
-    else:
-        raise ParameterError(f"unknown erratum family {family!r}")
     return cases, reproduced, notes
 
 
@@ -266,14 +296,15 @@ def _eval_request(family: str, given: dict):
     entry = _REQUEST_FAMILIES.get(family) or _ERRATA_FAMILIES.get(family)
     if entry is None:
         raise ParameterError(f"unknown family {family!r}")
-    names, build = entry
+    names, build = entry[:2]
     for name in names:
         if given.get(name) is None:
             raise ParameterError(f"--family {family} requires --{name}")
     arguments = {name: given[name] for name in names}
-    if family in _ERRATA_FAMILIES:
-        return None, partial(build, **arguments)
     request = build(**arguments)
+    if family in _ERRATA_FAMILIES:
+        request.validate()  # the cost guards of the misstated sum
+        return None, partial(entry[2], **arguments)
     return request, request.closed_value
 
 
@@ -381,6 +412,18 @@ def _write_case_csv(sink, cases: list[dict]) -> None:
 
 
 _TABLE_KINDS = ("sigma", "sigma-minus", "walks-path", "walks-cycle", "cot-poly")
+# Cost guard on the last row of a sigma (--k-max) or walks (--m-max) table.
+# Each row is a fresh binomial window, so a table's cost grows about as the
+# 2.4th power of its last index: at the costliest n (1 for sigma, 3 for the
+# walks) a whole `trigsum table` run took 0.7 to 1.7 s at index 1,000 and
+# 2.9 to 9.0 s at 2,000 on a 2-vCPU Xeon VM. Longer tables are refused with
+# CostGuardError before any row is built.
+MAX_TABLE_INDEX = 1000
+
+
+def _check_table_index(name: str, value: int) -> None:
+    if value > MAX_TABLE_INDEX:
+        raise CostGuardError(f"--{name} must be <= {MAX_TABLE_INDEX} (cost guard)")
 
 
 def cmd_table(args) -> int:
@@ -388,6 +431,7 @@ def cmd_table(args) -> int:
     if kind in ("sigma", "sigma-minus"):
         if args.n is None:
             raise ParameterError("--kind sigma requires --n")
+        _check_table_index("k-max", args.k_max)
         rows = [
             {"k": k, "value": gf.sigma_minus(k, args.n) if kind == "sigma-minus" else gf.sigma(k, args.n)}
             for k in range(args.k_max + 1)
@@ -396,6 +440,7 @@ def cmd_table(args) -> int:
     elif kind in ("walks-path", "walks-cycle"):
         if args.n is None:
             raise ParameterError(f"--kind {kind} requires --n")
+        _check_table_index("m-max", args.m_max)
         counter = wk.path_closed_walks if kind == "walks-path" else wk.cycle_closed_walks
         rows = [{"m": m, "count": counter(args.n, m)} for m in range(args.m_max + 1)]
         header = ["m", "count"]
@@ -565,6 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _lift_int_str_limit()
     try:
         return args.func(args)
     except ParameterError as exc:

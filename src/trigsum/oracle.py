@@ -18,7 +18,10 @@ retried at doubled precision.
 The interval primitives come from mpmath's stateless low-level layer
 (explicit precision arguments, no global context), so oracle calls are
 pure and safe to fan out across threads or processes. Endpoints convert
-losslessly to Fraction via the raw mantissa/exponent pairs.
+losslessly to Fraction via the raw mantissa/exponent pairs. mpmath is
+imported by the first ``direct_sum`` call, not by importing this module:
+the closed forms need no interval arithmetic, so ``trigsum eval`` and
+``trigsum table`` never load it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd
 from typing import NamedTuple
-
-from mpmath import libmp
 
 from .closed_forms import Family, SumSpec
 from .cotangent import ByrneSmithParams, CotSumParams
@@ -113,7 +114,9 @@ class OddCosPowerParams:
 
 # --- interval plumbing -------------------------------------------------
 
-_ZERO = (libmp.fzero, libmp.fzero)
+# mpmath.libmp, bound by the first direct_sum call; every function below
+# that reads it runs inside direct_sum.
+libmp = None
 
 
 def _to_fraction(raw) -> Fraction:
@@ -292,6 +295,9 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
     Accepts a SumSpec, CotSumParams, ByrneSmithParams, or OddCosPowerParams.
     A sum of more than MAX_TERMS terms raises CostGuardError.
     """
+    global libmp
+    if libmp is None:
+        from mpmath import libmp
     _check_precision(precision_bits)
     s = _defining_sum(spec)
     if len(s.indices) > MAX_TERMS:
@@ -299,7 +305,7 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
             f"defining sum has {len(s.indices)} terms, more than {MAX_TERMS} (cost guard)"
         )
     prec = precision_bits
-    total = _ZERO
+    total = (libmp.fzero, libmp.fzero)
     for k in s.indices:
         term = _pow(_trig_interval(s.fn, s.a * k + s.b, s.den, prec), s.exponent, prec)
         for c, d in s.weights:

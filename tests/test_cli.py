@@ -1,7 +1,9 @@
 """Command-line behavior: output formats, exit codes, report schema,
 determinism under concurrency."""
 
+import concurrent.futures
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -12,7 +14,8 @@ import pytest
 
 from trigsum import cli
 from trigsum.cli import decimal_string, main, run_bench
-from trigsum.closed_forms import SumSpec
+from trigsum.closed_forms import Family, SumSpec, evaluate
+from trigsum.errors import ParameterError
 
 F = Fraction
 
@@ -53,6 +56,15 @@ def test_sum_cost_guard_is_a_usage_error(capsys):
     assert "cost guard" in capsys.readouterr().err
 
 
+def test_digits_cost_guard_is_a_usage_error(capsys):
+    """Past MAX_DIGITS places --digits exits 2 before any rendering."""
+    argv = ["eval", "--family", "C", "--m", "2", "--n", "3", "--digits"]
+    assert main([*argv, str(cli.MAX_DIGITS)]) == 0
+    assert len(capsys.readouterr().out) == len("9/8\n1.\n") + cli.MAX_DIGITS
+    assert main([*argv, "1000000000"]) == 2
+    assert "cost guard" in capsys.readouterr().err
+
+
 def test_verify_grid_cost_guard_refuses_before_building(capsys, monkeypatch):
     """A grid past MAX_CASES exits 2 from its range lengths alone; no point
     of the 6*10^8 is built."""
@@ -82,6 +94,39 @@ def test_verify_grid_guard_counts_raw_points(argv, size, capsys, monkeypatch):
     assert f"has {size} points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family, argv",
+    [
+        ("barbero-naive", ["--m", "1000000000", "--n", "1"]),
+        ("alt-cos-middle", ["--m", "1000000000", "--n", "700000000"]),
+        ("alt-sin-middle", ["--m", "200000", "--n", "150000"]),
+        ("cot-all-positive", ["--n", "1000000000", "--k", "3"]),
+        ("byrne-smith-printed", ["--n", "1000000000", "--k", "3"]),
+    ],
+)
+def test_erratum_tokens_obey_the_misstated_sums_cost_guards(family, argv, capsys):
+    """An erratum token is validated as the request of the sum it misstates
+    before its published expression runs."""
+    assert main(["eval", "--family", family, *argv]) == 2
+    assert "cost guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, given",
+    [
+        ("barbero-naive", {"m": True, "n": 3}),
+        ("alt-cos-middle", {"m": 1, "n": True}),
+        ("alt-sin-middle", {"m": 2.0, "n": 2}),
+        ("cot-all-positive", {"n": 1, "k": True}),
+        ("byrne-smith-printed", {"n": True, "k": 2}),
+    ],
+)
+def test_erratum_tokens_reject_non_int_parameters(family, given):
+    with pytest.raises(ParameterError):
+        _, thunk = cli._eval_request(family, given)
+        thunk()
+
+
 def test_eval_barbero(capsys):
     assert main(["eval", "--family", "barbero", "--m", "12", "--n", "3"]) == 0
     assert capsys.readouterr().out.strip() == "3798310"
@@ -92,6 +137,24 @@ def test_eval_erratum_families_evaluable(capsys):
     assert capsys.readouterr().out.strip() == "3780094"
     assert main(["eval", "--family", "byrne-smith-printed", "--n", "1", "--k", "2"]) == 0
     assert capsys.readouterr().out.strip() == "10"
+
+
+def test_values_past_the_int_str_limit_print(capsys):
+    """C(10^4, 7) has over 12,000 digits, past Python's default 4,300-digit
+    limit on int-to-str conversion; eval, eval --json and verify print it."""
+    value = evaluate(SumSpec(Family.COS_POWER, 10_000, 7))
+    text = f"{value.numerator}/{value.denominator}"
+    assert len(text) > 12_000
+    argv = ["--family", "C", "--m", "10000", "--n", "7"]
+    assert main(["eval", *argv]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert main(["eval", *argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert F(payload["value"]["num"], payload["value"]["den"]) == value
+    grid = ["--m-min", "10000", "--m-max", "10000", "--n-min", "7", "--n-max", "7"]
+    assert main(["verify", "--family", "C", *grid, "--json"]) == 0
+    (case,) = json.loads(capsys.readouterr().out)["cases"]
+    assert case["closed_form"] == case["oracle"] == text
 
 
 def test_eval_json_schema(capsys):
@@ -179,12 +242,26 @@ def test_verify_report_schema(capsys):
         assert case["closed_form"] == case["oracle"]
 
 
-def test_verify_order_is_deterministic_across_jobs(capsys):
+def test_verify_order_is_deterministic_across_jobs(capsys, monkeypatch):
+    """--jobs 3 on two CPUs starts a real two-worker process pool and
+    reports what --jobs 1 reports."""
+    pools = []
+
+    def recording_pool(max_workers):
+        pools.append(start_pool(max_workers))
+        return pools[-1]
+
+    start_pool = cli.ProcessPoolExecutor
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     args = ["verify", "--family", "C,S,cot", "--m-max", "3", "--n-max", "3", "--json"]
     assert main(args + ["--jobs", "1"]) == 0
     sequential = json.loads(capsys.readouterr().out)
+    assert pools == []
     assert main(args + ["--jobs", "3"]) == 0
     parallel = json.loads(capsys.readouterr().out)
+    assert len(pools) == 1
+    assert isinstance(pools[0], concurrent.futures.ProcessPoolExecutor)
     strip = lambda report: [
         {k: v for k, v in case.items() if not k.startswith("micros")}
         for case in report["cases"]
@@ -345,6 +422,33 @@ def test_table_out_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "k,value"
 
 
+@pytest.mark.parametrize(
+    "kind, bound, builder",
+    [
+        ("sigma", "--k-max", "gf.sigma"),
+        ("sigma-minus", "--k-max", "gf.sigma_minus"),
+        ("walks-path", "--m-max", "wk.path_closed_walks"),
+        ("walks-cycle", "--m-max", "wk.cycle_closed_walks"),
+    ],
+)
+def test_table_cost_guard_refuses_before_building(kind, bound, builder, capsys, monkeypatch):
+    """A table whose last index passes MAX_TABLE_INDEX exits 2 before any
+    row is built; one at the bound is built."""
+    monkeypatch.setattr(cli, "MAX_TABLE_INDEX", 3)
+    argv = ["table", "--kind", kind, "--n", "3"]
+    assert main([*argv, bound, "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+
+    def build(*args):
+        raise AssertionError("table row built")
+
+    module, name = builder.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, build)
+    for extra in ([], ["--json"], ["--bfile"] if kind.startswith("walks") else []):
+        assert main([*argv, bound, "4", *extra]) == 2
+        assert f"{bound} must be <= 3 (cost guard)" in capsys.readouterr().err
+
+
 def test_table_usage_errors(capsys):
     assert main(["table", "--kind", "sigma"]) == 2  # missing --n
     assert main(["table", "--kind", "sigma", "--n", "3", "--bfile"]) == 2
@@ -433,11 +537,50 @@ def test_readme_eval_examples_print_as_documented(capsys):
 
 # --- module entry point ---------------------------------------------------------
 
-def test_python_dash_m_entry():
-    proc = subprocess.run(
-        [sys.executable, "-m", "trigsum", "eval", "--family", "C", "--m", "2", "--n", "3"],
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_python(*argv: str) -> subprocess.CompletedProcess:
+    """``python argv`` in a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_python_dash_m_entry():
+    proc = _run_python("-m", "trigsum", "eval", "--family", "C", "--m", "2", "--n", "3")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "9/8"
+
+
+_START_UP_PROBE = """
+import sys
+
+def loaded():
+    return sorted(m for m in ("mpmath", "multiprocessing", "trigsum.oracle") if m in sys.modules)
+
+import trigsum.cli
+print(loaded())
+assert trigsum.cli.main(["eval", "--family", "C", "--m", "2", "--n", "3"]) == 0
+assert trigsum.cli.main(["table", "--kind", "walks-path", "--n", "4", "--m-max", "3"]) == 0
+print(loaded())
+from trigsum.closed_forms import Family, SumSpec
+from trigsum.oracle import evaluate_exact
+assert evaluate_exact(SumSpec(Family.COS_POWER, 2, 3)) == 9 / 8
+print(loaded())
+"""
+
+
+def test_start_up_imports_neither_mpmath_nor_multiprocessing():
+    """Importing the CLI and running eval or table loads the oracle module
+    but not mpmath (loaded by the first oracle sum) or multiprocessing
+    (loaded when verify starts a pool)."""
+    proc = _run_python("-c", _START_UP_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-2] == "['trigsum.oracle']"
+    assert lines[-1] == "['mpmath', 'trigsum.oracle']"
