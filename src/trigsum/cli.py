@@ -29,8 +29,9 @@ from . import walks as wk
 from .closed_forms import Family, SumSpec
 from .cotangent import ByrneSmithParams, CotSumParams
 from .errors import CostGuardError, ParameterError, check_int
+from .genfunc import MAX_TABLE_INDEX
 
-__all__ = ["main", "decimal_string", "run_bench"]
+__all__ = ["main", "run_bench"]
 
 # token -> (the arguments its request reads, in report order; the request
 # type built from them). Each request type answers token, params(),
@@ -78,7 +79,7 @@ _ERRATA_FAMILIES = {
 MAX_DIGITS = 10**5
 
 
-def decimal_string(value: Fraction, digits: int) -> str:
+def _decimal_string(value: Fraction, digits: int) -> str:
     """Exact decimal rendering to ``digits`` places, rounding half to even."""
     if digits < 0:
         raise ParameterError("digits must be non-negative")
@@ -319,12 +320,12 @@ def cmd_eval(args) -> int:
             "value": _value_json(value),
         }
         if args.digits is not None:
-            payload["decimal"] = decimal_string(value, args.digits)
+            payload["decimal"] = _decimal_string(value, args.digits)
         print(json.dumps(payload))
     else:
         print(_fraction_text(value))
         if args.digits is not None:
-            print(decimal_string(value, args.digits))
+            print(_decimal_string(value, args.digits))
     return 0
 
 
@@ -412,13 +413,6 @@ def _write_case_csv(sink, cases: list[dict]) -> None:
 
 
 _TABLE_KINDS = ("sigma", "sigma-minus", "walks-path", "walks-cycle", "cot-poly")
-# Cost guard on the last row of a sigma (--k-max) or walks (--m-max) table.
-# Each row is a fresh binomial window, so a table's cost grows about as the
-# 2.4th power of its last index: at the costliest n (1 for sigma, 3 for the
-# walks) a whole `trigsum table` run took 0.7 to 1.7 s at index 1,000 and
-# 2.9 to 9.0 s at 2,000 on a 2-vCPU Xeon VM. Longer tables are refused with
-# CostGuardError before any row is built.
-MAX_TABLE_INDEX = 1000
 
 
 def _check_table_index(name: str, value: int) -> None:
@@ -488,8 +482,11 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
     """Measure closed-form (and optionally oracle) wall time for one case.
 
     Returns {family, params, micros_closed, micros_oracle?, equal?}; the
-    closed-form time is the minimum over ``repeat`` runs.
+    closed-form time is the minimum over ``repeat`` runs, at most
+    MAX_TABLE_INDEX of them.
     """
+    if repeat > MAX_TABLE_INDEX:
+        raise CostGuardError(f"repeat must be <= {MAX_TABLE_INDEX} (cost guard)")
     given = {"m": m, "n": n, "q": 1, "k": k, "kind": "cos"}
     request, thunk = _eval_request(args_family, given)
     best = None

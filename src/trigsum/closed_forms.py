@@ -15,9 +15,10 @@ convention). Every other family in this module is a composition of C and S
 evaluations: scaling the range, shifting the angle, or weighting the terms
 with low-order cosines only reindexes the same lattice of angles. Composite
 families are therefore computed from C/S compositions, never from per-case
-expansions; where a widely circulated explicit case table exists it is kept
-as a secondary expression whose agreement (or documented disagreement) is
-asserted.
+expansions. The shifted sums are the one place a second route still runs:
+their direct form sums the (-1)^p-weighted window of (m, n), which the
+difference C(m, 2n) - C(m, n) never reads, and the two are compared at
+every call.
 
 All values are exact rationals. Any value times 2^{2m+2} is an integer for
 the families here except the degree-5 weighted family, where 2^{2m+4}
@@ -88,7 +89,8 @@ class Family(str, Enum):
     ELL5_COS4 = "ell5-cos4"
 
 
-# Cost guard on the half-power m of a SumSpec. A closed form sums a window
+# Cost guard on the half-power m of a SumSpec and of every public function
+# here (the walk counters inherit it through C). A closed form sums a window
 # of up to m binomials of 2m bits each (several seconds at m = 10^5 for the
 # composite families), and the oracle's precision grows like 2m bits;
 # larger m is rejected with CostGuardError.
@@ -124,8 +126,7 @@ class SumSpec:
         check_int("q", self.q)
         if self.m < 0:
             raise ParameterError("m must be non-negative")
-        if self.m > MAX_M:
-            raise CostGuardError(f"m must be <= {MAX_M} (cost guard)")
+        _check_m_cost(self.m)
         min_n = 0 if f is Family.BARBERO_R else 1
         if self.n < min_n:
             raise ParameterError(f"n must be >= {min_n} for {f.value}")
@@ -165,11 +166,17 @@ class SumSpec:
         return evaluate(self)
 
 
+def _check_m_cost(m: int) -> None:
+    if m > MAX_M:
+        raise CostGuardError(f"m must be <= {MAX_M} (cost guard)")
+
+
 def _check_mn(m: int, n: int) -> None:
     if m < 0:
         raise ParameterError("m must be non-negative")
     if n < 1:
         raise ParameterError("n must be positive")
+    _check_m_cost(m)
 
 
 def _tail(m: int, n: int, weight=lambda p: 1) -> tuple[int, int]:
@@ -253,39 +260,29 @@ def quoniam_sum(m: int, n: int) -> Rational:
     1 <= m < n+1, where it equals (n+1)*binom(2m-1, m-1) - 2^{2m-1}."""
     if m < 1 or m > n:
         raise ParameterError("quoniam_sum requires 1 <= m < n+1")
+    _check_m_cost(m)
     return Fraction((n + 1) * binom(2 * m - 1, m - 1) - 2 ** (2 * m - 1))
 
 
 def merca_half_sum(p: int, n: int) -> Rational:
-    """sum_{k=1}^{floor((n-1)/2)} cos^{2p}(k*pi/n) = (C(p, n) - 1)/2.
-
-    Also evaluated as -1/2 + (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)}
-    binom(2p, p+kn); the two routes are asserted equal.
-    """
+    """sum_{k=1}^{floor((n-1)/2)} cos^{2p}(k*pi/n)
+    = -1/2 + (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} binom(2p, p+kn),
+    which is (C(p, n) - 1)/2: the k = 0 term dropped, the mirror pairs
+    halved."""
     _check_mn(p, n)
     if p < 1:
         raise ParameterError("merca_half_sum requires p >= 1")
-    half = (cos_power_sum(p, n) - 1) / 2
-    # binom(2p, p+kn) = binom(2p, p-kn): the k < 0 half mirrors the k > 0 one
-    central, tail = _tail(p, n)
-    alt = Fraction(-1, 2) + Fraction(n * (central + 2 * tail), 2 ** (2 * p + 1))
-    if half != alt:
-        raise ArithmeticError("merca_half_sum: evaluation routes disagree")
-    return half
+    return (cos_power_sum(p, n) - 1) / 2
 
 
 def merca_shifted_sum(p: int, n: int) -> Rational:
     """sum_{k=1}^{floor(n/2)} cos^{2p}((k - 1/2)*pi/n)
     = (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} (-1)^k binom(2p, p+kn),
-    asserted equal to shifted_cos_sum(p, n)/2."""
+    which is shifted_cos_sum(p, n)/2 by mirror pairing."""
     _check_mn(p, n)
     if p < 1:
         raise ParameterError("merca_shifted_sum requires p >= 1")
-    central, tail = _tail(p, n, lambda k: (-1) ** k)  # k < 0 mirrors k > 0
-    value = Fraction(n * (central + 2 * tail), 2 ** (2 * p + 1))
-    if value * 2 != shifted_cos_sum(p, n):
-        raise ArithmeticError("merca_shifted_sum: evaluation routes disagree")
-    return value
+    return shifted_cos_sum(p, n) / 2
 
 
 def barbero_R(m: int, n: int) -> Rational:
@@ -294,13 +291,13 @@ def barbero_R(m: int, n: int) -> Rational:
     This is (n + 3/2)*binom(2m, m) - 2^{2m-1} plus, once m >= 2n+3, the
     tail (2n+3) * sum_i binom(2m, m-(2n+3)i). The tail is the part the
     first-branch expression misses; see barbero_R_naive. At m = 0 the
-    expression gives R_{0,n} = n+1 (a sum of n+1 ones).
+    expression gives R_{0,n} = n+1 (a sum of n+1 ones). Computed as
+    2^{2m} * (C(m, 2n+3) - 1)/2, the k = 0 term dropped and the mirror
+    pairs of the odd period halved.
     """
     if m < 0 or n < 0:
         raise ParameterError("barbero_R requires m, n >= 0")
-    period = 2 * n + 3
-    central, tail = _tail(m, period)
-    return Fraction(period * central - 2 ** (2 * m), 2) + period * tail
+    return (cos_power_sum(m, 2 * n + 3) - 1) * 4**m / 2
 
 
 def barbero_R_naive(m: int, n: int) -> Rational:
@@ -310,6 +307,7 @@ def barbero_R_naive(m: int, n: int) -> Rational:
     9*binom(24, 3) = 18216). Kept as a regression reproducer."""
     if m < 1 or n < 0:
         raise ParameterError("barbero_R_naive requires m >= 1, n >= 0")
+    _check_m_cost(m)
     return Fraction(2 * n + 3, 2) * binom(2 * m, m) - 2 ** (2 * m - 1)
 
 
@@ -336,6 +334,7 @@ def alternating_cos_middle_erratum(m: int, n: int) -> Rational:
     """
     if not n <= m < 2 * n:
         raise ParameterError("middle-range expression needs n <= m < 2n")
+    _check_m_cost(m)
     return Fraction(4 * _tail(m, n)[1], 2 ** (2 * m))
 
 
@@ -380,31 +379,16 @@ def shifted_sin_sum(m: int, n: int) -> Rational:
     return direct
 
 
-def _weight3_cases(kind: str, m: int, n: int) -> Rational:
-    # explicit three-range expression; correct as published for this family
-    if m < n:
-        return Fraction(0)
-    # the sine weight (-1)^{pn} serves both tails: (-1)^{3pn} = (-1)^{pn}
-    sign = 1 if kind == "cos" else -1
-    inner = _tail(m, n, lambda p: sign ** (p * n))[1]
-    if m < 3 * n:
-        return Fraction(3 * n * inner, 2 ** (2 * m))
-    outer = _tail(m, 3 * n, lambda p: sign ** (p * n))[1]
-    return Fraction(3 * n * (inner - outer), 2 ** (2 * m))
-
-
 def weight3_sum(kind: str, m: int, n: int) -> Rational:
     """sum_{k=0}^{3n-1} cos(2k*pi/3) * trig^{2m}(k*pi/3n).
 
     The weight is 1 at k = 0 mod 3 and -1/2 otherwise, a root-of-unity
-    filter: the value is (3*C(m, n) - C(m, 3n))/2 (resp. S). The explicit
-    three-range expression is asserted equal (it is sound for this family).
+    filter: the value is (3*C(m, n) - C(m, 3n))/2 (resp. S). The published
+    three-range case expression is sound for this family (the tests hold
+    the two equal).
     """
     _check_mn(m, n)
-    value = (3 * _base(kind, m, n) - _base(kind, m, 3 * n)) / 2
-    if value != _weight3_cases(kind, m, n):
-        raise ArithmeticError("weight3_sum: evaluation routes disagree")
-    return value
+    return (3 * _base(kind, m, n) - _base(kind, m, 3 * n)) / 2
 
 
 def weight_half_pi_sum(m: int, n: int) -> Rational:
@@ -450,7 +434,8 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
       - "cos4":        cos(4*pi*k/5) -> (10*C(m,n) - 2*C(m,5n))/4 - cos2
     """
     _check_mn(m, n)
-    C = cos_power_sum
+    # unchecked C: cos2 reads C(m+n, 5n), past MAX_M when m is near it
+    C = _power_form
     if variant == "product":
         return (5 * C(m, n) - C(m, 5 * n)) / 4
     if variant == "alt-product":

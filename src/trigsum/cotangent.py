@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .errors import CostGuardError, ParameterError, check_int
-from .exact_core import Rational, bernoulli, binom, composition_tuples
+from .exact_core import Rational, bernoulli, binom
 
 __all__ = [
     "MAX_N",
@@ -63,10 +63,12 @@ __all__ = [
     "byrne_smith_sum_uncorrected",
 ]
 
-# Cost guard on the exponent half n of both sum shapes. The series costs
-# O(n^2) products of rationals that themselves grow with n (about 0.1 s at
-# n = 100 for the polynomial), and the oracle's precision grows like
-# n * log2(k); larger n is rejected with CostGuardError.
+# Cost guard on the exponent half n of both sum shapes and on the n_max of
+# the coefficient triangles. The series costs O(n^2) products of rationals
+# that themselves grow with n (about 0.1 s at n = 100 for the polynomial),
+# the triangle O(n^3) (2.5 s at n_max = 100, 9.9 s at 150), and the
+# oracle's precision grows like n * log2(k); larger n is rejected with
+# CostGuardError.
 MAX_N = 100
 
 
@@ -206,15 +208,7 @@ def cot_power_sum_all_positive(n: int, k: int) -> Rational:
     the true T(n, k) for every k >= 2 (T is non-negative, this alternates).
     """
     CotSumParams(n, k).validate()
-    total = Fraction(0)
-    if n - (2 * n + 1) >= 0:  # never for n >= 1; kept literal
-        for parts in composition_tuples(n - (2 * n + 1), 2 * n + 1):
-            shifted = tuple(p + 1 for p in parts)
-            prod = Fraction(k) ** (2 * shifted[-1])
-            for j in shifted:
-                prod *= _bf(j)
-            total += prod
-    return (-1) ** n * (k - Fraction(4) ** n * total)
+    return Fraction((-1) ** n * k)
 
 
 @dataclass(frozen=True)
@@ -237,6 +231,10 @@ class ByrneSmithCoefficients:
 
 
 def _build_rows(n_max: int, corrected: bool) -> tuple[tuple[Fraction, ...], ...]:
+    if n_max < 1:
+        raise ParameterError("n_max must be positive")
+    if n_max > MAX_N:
+        raise CostGuardError(f"n_max must be <= {MAX_N} (cost guard)")
     rows: list[tuple[Fraction, ...]] = []
     for n in range(1, n_max + 1):
         row: list[Fraction] = []
@@ -266,8 +264,6 @@ def byrne_smith_coefficients(n_max: int) -> ByrneSmithCoefficients:
     with b[n][n] fixed by the row-sum constraint. Independently validated
     (in tests) by exact polynomial fitting against oracle values.
     """
-    if n_max < 1:
-        raise ParameterError("n_max must be positive")
     return ByrneSmithCoefficients(rows=_build_rows(n_max, corrected=True))
 
 
@@ -275,8 +271,6 @@ def byrne_smith_coefficients(n_max: int) -> ByrneSmithCoefficients:
 def byrne_smith_coefficients_uncorrected(n_max: int) -> ByrneSmithCoefficients:
     """Erratum reproducer: the same construction with the published
     recursion denominator 2^{2(n-j)-1}. Wrong from n = 2 on."""
-    if n_max < 1:
-        raise ParameterError("n_max must be positive")
     return ByrneSmithCoefficients(rows=_build_rows(n_max, corrected=False))
 
 

@@ -1,11 +1,10 @@
 """Exact integer and rational building blocks.
 
-Everything downstream reduces to three ingredients: the binomial window
+Everything downstream reduces to two ingredients: the binomial window
 binom(2m, m - p*n), p = 0..floor(m/n), that every power-sum closed form
-sums with its own weights; Bernoulli numbers at even index; and
-compositions of an integer into a fixed number of non-negative parts
-(``composition_tuples``). All arithmetic is over arbitrary-precision
-rationals; nothing in this module touches floating point.
+sums with its own weights, and Bernoulli numbers at even index. All
+arithmetic is over arbitrary-precision rationals; nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "binom_window",
     "BernoulliCache",
     "bernoulli",
-    "composition_tuples",
 ]
 
 
@@ -105,9 +103,9 @@ class BernoulliCache:
 _SHARED_CACHE = BernoulliCache()
 
 
-def bernoulli(index: int, cache: BernoulliCache | None = None) -> Fraction:
-    """B_index for even index >= 0, from ``cache`` (default: shared)."""
-    return (cache or _SHARED_CACHE).get(index)
+def bernoulli(index: int) -> Fraction:
+    """B_index for even index >= 0, from the shared table."""
+    return _SHARED_CACHE.get(index)
 
 
 def clear_caches() -> None:
@@ -116,23 +114,3 @@ def clear_caches() -> None:
     table finishes on it undisturbed."""
     global _SHARED_CACHE
     _SHARED_CACHE = BernoulliCache()
-
-
-def composition_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative integers summing to ``total``.
-
-    Emitted in colexicographic order: the last part varies slowest in
-    reverse, i.e. reading each tuple right-to-left gives lexicographically
-    increasing sequences. Deterministic order keeps downstream sums
-    reproducible term by term.
-    """
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for head in composition_tuples(total - last, parts - 1):
-            yield head + (last,)

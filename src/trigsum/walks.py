@@ -8,9 +8,10 @@ rescaled cosine power sums:
     odd cycles: trace A^{2m} = 2^{2m} * C(m, n)
 
 (the cycle case uses the coprime-invariance of C under the angle doubling,
-which is why n must be odd). Expanding C gives the integer formulas below.
-An exact integer matrix-power trace oracle is included so the formulas are
-testable without trusting any of this.
+which is why n must be odd). The counts are computed that way; expanding C
+gives the integer formulas in the docstrings below. An exact integer
+matrix-power trace oracle is included so the formulas are testable without
+trusting any of this.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .closed_forms import cos_power_sum
 from .errors import ParameterError
-from .exact_core import binom_window
 
 __all__ = [
     "GraphKind",
@@ -74,10 +75,7 @@ def path_closed_walks(n: int, m: int) -> WalkCount:
     2n*(binom(2m-1, m-1) + sum_{k=1}^{floor(m/n)} binom(2m, m-kn)) - 2^{2m};
     n-1 (one trivial walk per vertex) at m = 0."""
     GraphSpec(GraphKind.PATH, n).validate()
-    if m < 0:
-        raise ParameterError("m must be non-negative")
-    terms = binom_window(m, n)  # 2*binom(2m-1, m-1) = binom(2m, m); m = 0 fits too
-    return WalkCount(n * (next(terms) + 2 * sum(terms)) - 2 ** (2 * m))
+    return WalkCount(int((cos_power_sum(m, n) - 1) * 4**m))
 
 
 def cycle_closed_walks(n: int, m: int) -> WalkCount:
@@ -85,10 +83,7 @@ def cycle_closed_walks(n: int, m: int) -> WalkCount:
     2n*(binom(2m-1, m-1) + sum_{k=1}^{floor(m/n)} binom(2m, m-kn));
     n at m = 0."""
     GraphSpec(GraphKind.CYCLE, n).validate()
-    if m < 0:
-        raise ParameterError("m must be non-negative")
-    terms = binom_window(m, n)  # 2*binom(2m-1, m-1) = binom(2m, m); m = 0 fits too
-    return WalkCount(n * (next(terms) + 2 * sum(terms)))
+    return WalkCount(int(cos_power_sum(m, n) * 4**m))
 
 
 def adjacency_matrix(graph: GraphSpec) -> list[list[int]]:

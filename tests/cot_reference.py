@@ -13,12 +13,33 @@ is only for small n.
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Iterator
 
-from trigsum.exact_core import bernoulli, composition_tuples
+from trigsum.exact_core import bernoulli
 
 # which composition slot carries the power of k: j_1, j_{2n}, or the
 # dependent remainder j_0 = n - (sum of the others)
 SLOTS = ("first", "last", "remainder")
+
+
+def composition_tuples(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``parts`` non-negative integers summing to ``total``.
+
+    Emitted in colexicographic order: the last part varies slowest in
+    reverse, i.e. reading each tuple right-to-left gives lexicographically
+    increasing sequences. Deterministic order keeps the sums reproducible
+    term by term.
+    """
+    if total < 0:
+        raise ValueError("total must be non-negative")
+    if parts <= 0:
+        raise ValueError("parts must be positive")
+    if parts == 1:
+        yield (total,)
+        return
+    for last in range(total + 1):
+        for head in composition_tuples(total - last, parts - 1):
+            yield head + (last,)
 
 
 def _bf(j: int) -> Fraction:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from trigsum import cli
-from trigsum.cli import decimal_string, main, run_bench
+from trigsum.cli import _decimal_string, main, run_bench
 from trigsum.closed_forms import Family, SumSpec, evaluate
 from trigsum.errors import ParameterError
 
@@ -180,6 +180,9 @@ def test_eval_digits(capsys):
         ["eval", "--family", "C", "--m", "2", "--n", "3", "--digits", "2", "--json"]
     ) == 0
     assert json.loads(capsys.readouterr().out)["decimal"] == "1.12"
+    # past the 4,300-digit int-to-str limit, which main lifts
+    assert main(["eval", "--family", "cot", "--n", "1", "--k", "3", "--digits", "5000"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["2/3", "0." + "6" * 4999 + "7"]
 
 
 def test_eval_missing_parameter_is_usage_error(capsys):
@@ -198,16 +201,16 @@ def test_eval_unknown_family_is_usage_error():
 
 
 def test_decimal_string_half_to_even():
-    assert decimal_string(F(9, 8), 6) == "1.125000"
-    assert decimal_string(F(1, 2), 0) == "0"
-    assert decimal_string(F(3, 2), 0) == "2"
-    assert decimal_string(F(5, 2), 0) == "2"
-    assert decimal_string(F(7, 2), 0) == "4"
-    assert decimal_string(F(1, 8), 2) == "0.12"
-    assert decimal_string(F(3, 8), 2) == "0.38"
-    assert decimal_string(F(-9, 8), 3) == "-1.125"
-    assert decimal_string(F(0), 2) == "0.00"
-    assert decimal_string(F(2, 3), 5) == "0.66667"
+    assert _decimal_string(F(9, 8), 6) == "1.125000"
+    assert _decimal_string(F(1, 2), 0) == "0"
+    assert _decimal_string(F(3, 2), 0) == "2"
+    assert _decimal_string(F(5, 2), 0) == "2"
+    assert _decimal_string(F(7, 2), 0) == "4"
+    assert _decimal_string(F(1, 8), 2) == "0.12"
+    assert _decimal_string(F(3, 8), 2) == "0.38"
+    assert _decimal_string(F(-9, 8), 3) == "-1.125"
+    assert _decimal_string(F(0), 2) == "0.00"
+    assert _decimal_string(F(2, 3), 5) == "0.66667"
 
 
 # --- verify -------------------------------------------------------------------
@@ -494,6 +497,18 @@ def test_bench_cot(capsys):
         ["bench", "--family", "cot", "--n", "5", "--k", "12", "--repeat", "1"]
     ) == 0
     assert "closed" in capsys.readouterr().out
+
+
+def test_bench_repeat_cost_guard_refuses_before_running(capsys, monkeypatch):
+    """--repeat past MAX_TABLE_INDEX exits 2 before the request is built."""
+
+    def build(*args):
+        raise AssertionError("bench request built")
+
+    monkeypatch.setattr(cli, "_eval_request", build)
+    argv = ["bench", "--family", "C", "--m", "2", "--n", "3", "--repeat"]
+    assert main([*argv, str(cli.MAX_TABLE_INDEX + 1)]) == 2
+    assert "cost guard" in capsys.readouterr().err
 
 
 def test_run_bench_machinery():

@@ -7,7 +7,7 @@ from math import comb, factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import exact_core
+from trigsum import closed_forms, exact_core, genfunc, walks
 from trigsum.closed_forms import (
     MAX_M,
     Family,
@@ -34,7 +34,13 @@ from trigsum.closed_forms import (
     weight_pi3_sum,
 )
 from trigsum.errors import CostGuardError, ParameterError
-from trigsum.genfunc import sigma, sigma_minus
+from trigsum.genfunc import (
+    g1_coefficients,
+    h1_coefficients,
+    resolvent_coefficients,
+    sigma,
+    sigma_minus,
+)
 from trigsum.walks import cycle_closed_walks, path_closed_walks
 
 F = Fraction
@@ -162,6 +168,87 @@ def test_window_sites_make_a_constant_number_of_comb_calls(name, monkeypatch):
         fn(m, 7)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4, counts
+
+
+# call -> binom_window calls it makes: one per distinct (window, weights)
+WINDOW_COUNTS = {
+    "merca_half_sum(40, 4)": (lambda: merca_half_sum(40, 4), 1),
+    # C(40, 8), C(40, 4) and the (-1)^p window of (40, 4) of the direct form
+    "merca_shifted_sum(40, 4)": (lambda: merca_shifted_sum(40, 4), 3),
+    "weight3_sum('cos', 40, 4)": (lambda: weight3_sum("cos", 40, 4), 2),
+    "weight3_sum('sin', 40, 4)": (lambda: weight3_sum("sin", 40, 4), 2),
+    "barbero_R(40, 3)": (lambda: barbero_R(40, 3), 1),
+    "resolvent_coefficients('cos', 4, 10)": (lambda: resolvent_coefficients("cos", 4, 10), 11),
+    "resolvent_coefficients('sin', 4, 10)": (lambda: resolvent_coefficients("sin", 4, 10), 11),
+    "g1_coefficients(4, 20)": (lambda: g1_coefficients(4, 20), 11),
+    "h1_coefficients(5, 2, 20)": (lambda: h1_coefficients(5, 2, 20), 11),
+    "path_closed_walks(4, 40)": (lambda: path_closed_walks(4, 40), 1),
+    "cycle_closed_walks(5, 40)": (lambda: cycle_closed_walks(5, 40), 1),
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_COUNTS)
+def test_each_window_is_summed_once(name, monkeypatch):
+    """No evaluation sums a window whose terms and weights it already
+    summed: a second route over the same window is the same arithmetic."""
+    call, expected = WINDOW_COUNTS[name]
+    calls = []
+    real_window = exact_core.binom_window
+
+    def counting_window(m, n):
+        calls.append((m, n))
+        return real_window(m, n)
+
+    for module in (closed_forms, genfunc):
+        monkeypatch.setattr(module, "binom_window", counting_window)
+    assert not hasattr(walks, "binom_window")
+    call()
+    assert len(calls) == expected, calls
+
+
+_BEYOND = MAX_M + 1
+# every public closed-form function, at m = MAX_M + 1
+GUARDED_CALLS = {
+    "cos_power_sum": lambda: cos_power_sum(_BEYOND, 7),
+    "sin_power_sum": lambda: sin_power_sum(_BEYOND, 7),
+    "scaled_sum": lambda: scaled_sum("cos", _BEYOND, 7, 14),
+    "coprime_sum": lambda: coprime_sum("sin", _BEYOND, 7, 2),
+    "gcd_reduced_sum": lambda: gcd_reduced_sum("cos", _BEYOND, 6, 4),
+    "quoniam_sum": lambda: quoniam_sum(_BEYOND, _BEYOND),
+    "merca_half_sum": lambda: merca_half_sum(_BEYOND, 7),
+    "merca_shifted_sum": lambda: merca_shifted_sum(_BEYOND, 7),
+    "barbero_R": lambda: barbero_R(_BEYOND, 2),
+    "barbero_R_naive": lambda: barbero_R_naive(_BEYOND, 2),
+    "alternating_sum": lambda: alternating_sum("cos", _BEYOND, 8),
+    "alternating_cos_middle_erratum": lambda: alternating_cos_middle_erratum(_BEYOND, MAX_M),
+    "alternating_sin_middle_erratum": lambda: alternating_sin_middle_erratum(_BEYOND, MAX_M),
+    "shifted_cos_sum": lambda: shifted_cos_sum(_BEYOND, 7),
+    "shifted_sin_sum": lambda: shifted_sin_sum(_BEYOND, 7),
+    "weight3_sum": lambda: weight3_sum("sin", _BEYOND, 7),
+    "weight_half_pi_sum": lambda: weight_half_pi_sum(_BEYOND, 7),
+    "weight_pi3_sum": lambda: weight_pi3_sum(_BEYOND, 8),
+    **{
+        f"ell5_sum {variant}": (lambda variant=variant: ell5_sum(variant, _BEYOND, 4))
+        for variant in ("product", "alt-product", "cos2", "cos4")
+    },
+    "path_closed_walks": lambda: path_closed_walks(2, _BEYOND),
+    "cycle_closed_walks": lambda: cycle_closed_walks(3, _BEYOND),
+}
+
+
+@pytest.mark.parametrize("name", GUARDED_CALLS)
+def test_cost_guard_on_m_in_every_function(name, monkeypatch):
+    """Every closed-form function, called directly, refuses m > MAX_M
+    before it builds a binomial; path_closed_walks(2, 10**5) alone took
+    7.6 s, and larger m would grow quadratically."""
+
+    def costly(*args):
+        raise AssertionError("binomial computed")
+
+    monkeypatch.setattr(closed_forms, "binom_window", costly)
+    monkeypatch.setattr(closed_forms, "binom", costly)
+    with pytest.raises(CostGuardError, match="cost guard"):
+        GUARDED_CALLS[name]()
 
 
 def test_quoniam_frozen():
@@ -401,11 +488,24 @@ def test_middle_erratum_range_is_enforced():
         alternating_sin_middle_erratum(6, 3)  # m at 2n, above the range
 
 
+def _weight3_cases(kind, m, n):
+    """The published three-range expression of weight3_sum, written with
+    math.comb: 0 for m < n, 3n * 2^{-2m} * sum_p e_p binom(2m, m-pn) for
+    n <= m < 3n, and from m = 3n on that minus the same tail at period 3n,
+    with e_p = 1 for cosine and (-1)^{pn} for sine ((-1)^{3pn} at 3n)."""
+    if m < n:
+        return F(0)
+    sign = 1 if kind == "cos" else -1
+    inner = _tail_sum(m, n, lambda p: sign ** (p * n))
+    if m < 3 * n:
+        return F(3 * n * inner, 2 ** (2 * m))
+    outer = _tail_sum(m, 3 * n, lambda p: sign ** (p * 3 * n))
+    return F(3 * n * (inner - outer), 2 ** (2 * m))
+
+
 def test_weight3_matches_explicit_tri_case():
     """The composition (3*base(m,n) - base(m,3n))/2 equals the three-range
     case expansion for both kinds."""
-    from trigsum.closed_forms import _weight3_cases
-
     for kind in ("cos", "sin"):
         for m in range(0, 12):
             for n in range(1, 8):

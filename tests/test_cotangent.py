@@ -4,11 +4,13 @@ in k, boundary validation, the half-angle (Byrne-Smith style) sum, and both
 documented misprints."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cot_reference import SLOTS, composition_sum
+from cot_reference import SLOTS, composition_sum, composition_tuples
+from trigsum import cotangent
 from trigsum.cotangent import (
     MAX_N,
     ByrneSmithParams,
@@ -22,7 +24,7 @@ from trigsum.cotangent import (
     cot_power_sum_all_positive,
     cot_sum_polynomial,
 )
-from trigsum.errors import ParameterError
+from trigsum.errors import CostGuardError, ParameterError
 from trigsum.oracle import evaluate_exact
 
 F = Fraction
@@ -117,6 +119,19 @@ def test_cost_guard_on_n():
     ):
         with pytest.raises(ParameterError):
             call()
+
+
+def test_coefficient_triangle_cost_guard_refuses_before_building(monkeypatch):
+    """n_max beyond MAX_N is refused before any row is built:
+    byrne_smith_coefficients(150) took 9.9 s."""
+
+    def costly(*args):
+        raise AssertionError("triangle row built")
+
+    monkeypatch.setattr(cotangent, "binom", costly)
+    for fn in (byrne_smith_coefficients, byrne_smith_coefficients_uncorrected):
+        with pytest.raises(CostGuardError, match="cost guard"):
+            fn(MAX_N + 1)
 
 
 @given(
@@ -324,3 +339,41 @@ def test_param_validation():
         ByrneSmithParams(True, 3).validate()
     CotSumParams(2, 2).validate()
     ByrneSmithParams(1, 1).validate()
+
+
+# --- the reference enumeration ----------------------------------------------
+
+def test_composition_frozen_order():
+    """Colexicographic order is a fixture the reference sums rely on."""
+    assert list(composition_tuples(2, 3)) == [
+        (2, 0, 0),
+        (1, 1, 0),
+        (0, 2, 0),
+        (1, 0, 1),
+        (0, 1, 1),
+        (0, 0, 2),
+    ]
+    assert list(composition_tuples(3, 1)) == [(3,)]
+
+
+def test_composition_validation():
+    with pytest.raises(ValueError):
+        list(composition_tuples(-1, 2))
+    with pytest.raises(ValueError):
+        list(composition_tuples(2, 0))
+
+
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=10),
+)
+@settings(max_examples=80)
+def test_composition_enumeration_count(total, parts):
+    """Property: enumerated count equals the stars-and-bars binomial."""
+    seen = list(composition_tuples(total, parts))
+    assert len(seen) == comb(total + parts - 1, parts - 1)
+    assert len(set(seen)) == len(seen)
+    for c in seen:
+        assert len(c) == parts
+        assert sum(c) == total
+        assert min(c) >= 0

@@ -1,5 +1,5 @@
 """Integer and rational building blocks: binomials, the binomial window,
-Bernoulli numbers, compositions."""
+Bernoulli numbers."""
 
 from fractions import Fraction
 from math import comb
@@ -12,7 +12,6 @@ from trigsum.exact_core import (
     bernoulli,
     binom,
     binom_window,
-    composition_tuples,
 )
 
 
@@ -136,42 +135,6 @@ def test_bernoulli_cache_grows_and_is_stable():
     assert cache.get(20) == first
     assert cache.table[10] == first
     assert cache.table[0] == 1
-
-
-def test_composition_frozen_order():
-    """Colexicographic order is a fixture other modules' sums rely on."""
-    assert list(composition_tuples(2, 3)) == [
-        (2, 0, 0),
-        (1, 1, 0),
-        (0, 2, 0),
-        (1, 0, 1),
-        (0, 1, 1),
-        (0, 0, 2),
-    ]
-    assert list(composition_tuples(3, 1)) == [(3,)]
-
-
-def test_composition_validation():
-    with pytest.raises(ValueError):
-        list(composition_tuples(-1, 2))
-    with pytest.raises(ValueError):
-        list(composition_tuples(2, 0))
-
-
-@given(
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=1, max_value=10),
-)
-@settings(max_examples=80)
-def test_composition_enumeration_count(total, parts):
-    """Property: enumerated count equals the stars-and-bars binomial."""
-    seen = list(composition_tuples(total, parts))
-    assert len(seen) == comb(total + parts - 1, parts - 1)
-    assert len(set(seen)) == len(seen)
-    for c in seen:
-        assert len(c) == parts
-        assert sum(c) == total
-        assert min(c) >= 0
 
 
 rationals = st.fractions(

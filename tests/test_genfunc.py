@@ -7,8 +7,11 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum.errors import ParameterError
+from trigsum import genfunc
+from trigsum.closed_forms import MAX_M
+from trigsum.errors import CostGuardError, ParameterError
 from trigsum.genfunc import (
+    MAX_TABLE_INDEX,
     SeriesCoefficients,
     bessel_i0_coefficient,
     g1_coefficients,
@@ -34,6 +37,18 @@ def test_sigma_validation():
         sigma(-1, 3)
     with pytest.raises(ParameterError):
         sigma(3, 0)
+
+
+def test_sigma_cost_guard_refuses_before_the_window(monkeypatch):
+    """k past MAX_M is refused before any binomial is computed."""
+
+    def costly(*args):
+        raise AssertionError("window summed")
+
+    monkeypatch.setattr(genfunc, "binom_window", costly)
+    for fn in (sigma, sigma_minus):
+        with pytest.raises(CostGuardError, match="cost guard"):
+            fn(MAX_M + 1, 3)
 
 
 @given(
@@ -84,16 +99,20 @@ def test_g1_coefficients_explicit_small_case():
 @given(st.integers(min_value=1, max_value=10))
 @settings(max_examples=10, deadline=None)
 def test_g1_routes_agree_to_order_40(n):
-    """Property: construction succeeds (both routes equal) for K = 40."""
+    """Property: through K = 40 every even slot equals the tail-sum route
+    n*[I0 coeff] + 2n*sigma(j, n)/4^j."""
     series = g1_coefficients(n, 40)
     assert len(series.coeffs) == 41
+    for j in range(21):
+        assert series[2 * j] == n * bessel_i0_coefficient(j) + F(2 * n, 4**j) * sigma(j, n)
 
 
 @given(st.integers(min_value=0, max_value=4))
 @settings(max_examples=5, deadline=None)
 def test_h1_routes_agree_and_odd_vanish(i):
     """Property: for odd n (the admissible case), even slots are
-    S(j,n)/(2j)! and every odd slot is exactly zero."""
+    S(j,n)/(2j)!, equal to the tail-sum route n*[I0 coeff]
+    + 2n*sigma_minus(j, n)/4^j, and every odd slot is exactly zero."""
     from trigsum.closed_forms import sin_power_sum
 
     n = 2 * i + 1
@@ -102,7 +121,11 @@ def test_h1_routes_agree_and_odd_vanish(i):
         if idx % 2:
             assert series[idx] == 0
         else:
-            assert series[idx] == sin_power_sum(idx // 2, n) / factorial(idx)
+            j = idx // 2
+            assert series[idx] == sin_power_sum(j, n) / factorial(idx)
+            assert series[idx] == n * bessel_i0_coefficient(j) + F(2 * n, 4**j) * sigma_minus(
+                j, n
+            )
 
 
 def test_h1_parameter_validation():
@@ -125,6 +148,27 @@ def test_resolvent_coefficients_both_kinds():
             assert sin_series[j] == sin_power_sum(j, n) / n
             explicit = F(comb(2 * j, j), 4**j) + F(2 * factorial(2 * j), 4**j) * sigma(j, n)
             assert cos_series[j] == explicit
+            explicit = F(comb(2 * j, j), 4**j) + F(2 * factorial(2 * j), 4**j) * sigma_minus(j, n)
+            assert sin_series[j] == explicit
+
+
+def test_series_order_cost_guard_refuses_before_any_coefficient(monkeypatch):
+    """An order past MAX_TABLE_INDEX is refused before any power sum."""
+
+    def costly(*args):
+        raise AssertionError("coefficient computed")
+
+    monkeypatch.setattr(genfunc, "cos_power_sum", costly)
+    monkeypatch.setattr(genfunc, "sin_power_sum", costly)
+    order = MAX_TABLE_INDEX + 1
+    for build in (
+        lambda: g1_coefficients(3, order),
+        lambda: h1_coefficients(3, 2, order),
+        lambda: resolvent_coefficients("cos", 3, order),
+        lambda: resolvent_coefficients("sin", 3, order),
+    ):
+        with pytest.raises(CostGuardError, match="cost guard"):
+            build()
 
 
 def test_resolvent_kind_validation():
