@@ -39,6 +39,7 @@ from .exact_core import Rational, binom, binom_window
 
 __all__ = [
     "MAX_M",
+    "MAX_ELL5_N",
     "Family",
     "SumSpec",
     "evaluate",
@@ -96,6 +97,12 @@ class Family(str, Enum):
 # larger m is rejected with CostGuardError.
 MAX_M = 10**5
 
+# Cost guard on n for the ell5 cos2/cos4 weights, whose power reduction
+# loops over j < n with binomials and powers of 2 that grow with n:
+# ell5_sum('cos2', 1, n) took 0.16 s at n = 1,000, 1.1 s at 2,000 and
+# 37 s at 8,000. Larger n is rejected with CostGuardError.
+MAX_ELL5_N = 1_000
+
 # Families whose definition reads the q parameter / the cos-sin kind switch.
 _USES_Q = frozenset({Family.SCALED, Family.COPRIME, Family.GCD_REDUCED})
 _USES_KIND = frozenset(
@@ -127,6 +134,8 @@ class SumSpec:
         if self.m < 0:
             raise ParameterError("m must be non-negative")
         _check_m_cost(self.m)
+        if f in (Family.ELL5_COS2, Family.ELL5_COS4):
+            _check_ell5_n(self.n)
         min_n = 0 if f is Family.BARBERO_R else 1
         if self.n < min_n:
             raise ParameterError(f"n must be >= {min_n} for {f.value}")
@@ -169,6 +178,11 @@ class SumSpec:
 def _check_m_cost(m: int) -> None:
     if m > MAX_M:
         raise CostGuardError(f"m must be <= {MAX_M} (cost guard)")
+
+
+def _check_ell5_n(n: int) -> None:
+    if n > MAX_ELL5_N:
+        raise CostGuardError(f"n must be <= {MAX_ELL5_N} for the ell5 cos2/cos4 weights (cost guard)")
 
 
 def _check_mn(m: int, n: int) -> None:
@@ -432,8 +446,12 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
                        * C(m+n-j-1, 5n), via the power reduction of
                        cos(2x) = 2cos^2(x) - 1 expanded through degree n
       - "cos4":        cos(4*pi*k/5) -> (10*C(m,n) - 2*C(m,5n))/4 - cos2
+
+    cos2 and cos4 refuse n > MAX_ELL5_N with CostGuardError.
     """
     _check_mn(m, n)
+    if variant in ("cos2", "cos4"):
+        _check_ell5_n(n)
     # unchecked C: cos2 reads C(m+n, 5n), past MAX_M when m is near it
     C = _power_form
     if variant == "product":

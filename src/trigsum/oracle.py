@@ -6,7 +6,10 @@ under test. Terms are computed in rigorous interval arithmetic: pi is
 enclosed with directed rounding at the working precision, angles are exact
 integer multiples of that enclosure, and every cos/sin/cot/power/add
 propagates outward-rounded bounds. The result is an interval certified to
-contain the true value.
+contain the true value. Each term fn(angle)^exponent is memoized by its
+reduced angle, exponent and precision, so the cases of a campaign that
+revisit a lattice angle share one enclosure; a hit returns exactly the
+interval a fresh evaluation would (``clear_caches`` empties the memo).
 
 The exact rational is then recovered by scaling the interval with an
 a-priori denominator bound D: if the scaled interval is narrower than
@@ -146,24 +149,24 @@ def _angle(num: int, den: int, prec: int):
     return libmp.mpi_div(scaled, _exact(den), prec)
 
 
-@lru_cache(maxsize=250_000)
-def _trig_interval(fn: str, num: int, den: int, prec: int):
-    """Enclosure of cos/sin/cot(num*pi/den). cos/sin arguments are reduced
-    mod 2*pi arithmetically (exactly, on the integers) before evaluation so
-    repeated lattice angles hit the cache."""
+def _term(fn: str, num: int, den: int, exponent: int, prec: int):
+    """Enclosure of fn(num*pi/den)^exponent, fn one of cos, sin, cot. A
+    cos/sin angle is reduced mod 2*pi and to lowest terms exactly, on the
+    integers, before the cache lookup, so every index that lands on the same
+    lattice angle shares one enclosure."""
     if fn in ("cos", "sin"):
         num %= 2 * den
-        g = gcd(num, den) or 1
+        g = gcd(num, den)
         num, den = num // g, den // g
-        f = libmp.mpi_cos if fn == "cos" else libmp.mpi_sin
-        return f(_angle(num, den, prec), prec)
-    if fn == "cot":
-        return libmp.mpi_cot(_angle(num, den, prec), prec)
-    raise ValueError(fn)
+    return _reduced_term(fn, num, den, exponent, prec)
 
 
-def _pow(iv, exponent: int, prec: int):
-    return libmp.mpi_pow_int(iv, exponent, prec)
+@lru_cache(maxsize=250_000)
+def _reduced_term(fn: str, num: int, den: int, exponent: int, prec: int):
+    trig = {"cos": libmp.mpi_cos, "sin": libmp.mpi_sin, "cot": libmp.mpi_cot}.get(fn)
+    if trig is None:
+        raise ValueError(fn)
+    return libmp.mpi_pow_int(trig(_angle(num, den, prec), prec), exponent, prec)
 
 
 def _check_precision(precision_bits: int) -> None:
@@ -307,9 +310,9 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
     prec = precision_bits
     total = (libmp.fzero, libmp.fzero)
     for k in s.indices:
-        term = _pow(_trig_interval(s.fn, s.a * k + s.b, s.den, prec), s.exponent, prec)
+        term = _term(s.fn, s.a * k + s.b, s.den, s.exponent, prec)
         for c, d in s.weights:
-            term = libmp.mpi_mul(term, _trig_interval("cos", c * k, d, prec), prec)
+            term = libmp.mpi_mul(term, _term("cos", c * k, d, 1, prec), prec)
         if s.scale != 1:
             term = libmp.mpi_mul(term, _exact(s.scale), prec)
         if s.alternating and k % 2:
@@ -401,10 +404,11 @@ def evaluate_exact(
 
 
 def clear_caches() -> None:
-    """Drop memoized pi and trig intervals.
+    """Drop the memoized pi enclosures and term enclosures.
 
-    Campaigns deliberately share these across cases; timing a single
-    evaluation should not, or the oracle's cost is understated.
+    Campaigns deliberately share one term enclosure per reduced angle,
+    exponent and precision across cases; timing a single evaluation should
+    not, or the oracle's cost is understated.
     """
     _pi_interval.cache_clear()
-    _trig_interval.cache_clear()
+    _reduced_term.cache_clear()

@@ -56,6 +56,22 @@ def test_sum_cost_guard_is_a_usage_error(capsys):
     assert "cost guard" in capsys.readouterr().err
 
 
+def test_ell5_weight_cost_guard_is_a_usage_error(capsys, monkeypatch):
+    """eval and verify of the ell5 cos2/cos4 weights past n = MAX_ELL5_N
+    exit 2 before any binomial."""
+    from trigsum import closed_forms
+
+    def costly(*args):
+        raise AssertionError("binomial computed")
+
+    monkeypatch.setattr(closed_forms, "binom_window", costly)
+    monkeypatch.setattr(closed_forms, "binom", costly)
+    assert main(["eval", "--family", "ell5-cos2", "--m", "1", "--n", "100000"]) == 2
+    assert "cost guard" in capsys.readouterr().err
+    assert main(["verify", "--family", "ell5-cos2,ell5-cos4", "--n-max", "5000"]) == 2
+    assert "cost guard" in capsys.readouterr().err
+
+
 def test_digits_cost_guard_is_a_usage_error(capsys):
     """Past MAX_DIGITS places --digits exits 2 before any rendering."""
     argv = ["eval", "--family", "C", "--m", "2", "--n", "3", "--digits"]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from trigsum import closed_forms, exact_core, genfunc, walks
 from trigsum.closed_forms import (
+    MAX_ELL5_N,
     MAX_M,
     Family,
     SumSpec,
@@ -249,6 +250,29 @@ def test_cost_guard_on_m_in_every_function(name, monkeypatch):
     monkeypatch.setattr(closed_forms, "binom", costly)
     with pytest.raises(CostGuardError, match="cost guard"):
         GUARDED_CALLS[name]()
+
+
+@pytest.mark.parametrize("family", [Family.ELL5_COS2, Family.ELL5_COS4])
+def test_ell5_weight_cost_guard_on_n(family, monkeypatch):
+    """The cos2/cos4 weights refuse n > MAX_ELL5_N before any binomial:
+    their power reduction loops over j < n (1.2 s at n = 2,000). n =
+    MAX_ELL5_N itself is admitted, and the product weights keep no bound."""
+
+    def costly(*args):
+        raise AssertionError("binomial computed")
+
+    monkeypatch.setattr(closed_forms, "binom_window", costly)
+    monkeypatch.setattr(closed_forms, "binom", costly)
+    variant = family.value.removeprefix("ell5-")
+    over = SumSpec(family, 1, MAX_ELL5_N + 1)
+    for call in (over.validate, lambda: evaluate(over), lambda: ell5_sum(variant, 1, MAX_ELL5_N + 1)):
+        with pytest.raises(CostGuardError, match="cost guard"):
+            call()
+    SumSpec(family, 1, MAX_ELL5_N).validate()
+    with pytest.raises(AssertionError, match="binomial computed"):
+        ell5_sum(variant, 1, MAX_ELL5_N)
+    with pytest.raises(AssertionError, match="binomial computed"):
+        ell5_sum("product", 1, MAX_ELL5_N + 1)
 
 
 def test_quoniam_frozen():

@@ -2,11 +2,13 @@
 reconstruction, failure taxonomy, and independence checks against the
 closed forms."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigsum import oracle
 from trigsum.closed_forms import Family, SumSpec, barbero_R_naive, evaluate
 from trigsum.cotangent import ByrneSmithParams, CotSumParams, byrne_smith_sum, cot_power_sum
 from trigsum.errors import CostGuardError, ParameterError
@@ -17,6 +19,7 @@ from trigsum.oracle import (
     NoIntegerNearby,
     OddCosPowerParams,
     ReconstructionPolicy,
+    clear_caches,
     default_precision,
     denominator_bound_for,
     direct_sum,
@@ -240,3 +243,103 @@ def test_unsupported_request_rejected():
         denominator_bound_for(object())
     with pytest.raises(ParameterError):
         direct_sum(42, 128)
+
+
+# --- the term memo -------------------------------------------------------
+
+_COUNTED = ("mpi_cos", "mpi_sin", "mpi_cot", "mpi_pow_int")
+
+
+class _CountingLibmp:
+    """Stands in for ``oracle.libmp`` and counts its trig and power calls."""
+
+    def __init__(self):
+        from mpmath import libmp
+
+        self._real = libmp
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._real, name)
+        if name not in _COUNTED:
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+
+        return counted
+
+
+@pytest.fixture
+def counting_libmp(monkeypatch):
+    clear_caches()
+    counter = _CountingLibmp()
+    monkeypatch.setattr(oracle, "libmp", counter)
+    yield counter
+    clear_caches()
+
+
+def test_campaign_shares_one_enclosure_per_reduced_angle(counting_libmp):
+    """The gcd-reduced sums of every q in 1..2n+1 land on the angles
+    j*pi/n mod 2*pi, j < 2n, that the scaled sum with q = 2n visits, at the
+    same exponent and precision, so after it they make no trig or power
+    call. (C(m, n) alone visits only j < n: an angle in [pi, 2*pi) is
+    enclosed from itself, not folded onto [0, pi), so its bits stay those
+    of a direct evaluation.)"""
+    m, n = 5, 6
+    warm = SumSpec(Family.SCALED, m, n, q=2 * n, kind="cos")
+    assert evaluate_exact(warm) == evaluate(warm)
+    before = sum(counting_libmp.calls.values())
+    assert before > 0
+    for q in range(1, 2 * n + 2):
+        spec = SumSpec(Family.GCD_REDUCED, m, n, q, "cos")
+        assert evaluate_exact(spec) == evaluate(spec)
+    assert sum(counting_libmp.calls.values()) == before
+
+
+@pytest.mark.parametrize(
+    "spec, campaign",
+    [
+        (
+            SumSpec(Family.GCD_REDUCED, 7, 9, q=12, kind="sin"),
+            [SumSpec(Family.SCALED, 7, 9, q=18, kind="sin")],
+        ),
+        (SumSpec(Family.MERCA_SHIFTED, 4, 5), [SumSpec(Family.COS_POWER, 4, 10)]),
+        (SumSpec(Family.SHIFTED_SIN, 5, 4), [SumSpec(Family.SIN_POWER, 5, 8)]),
+        (
+            SumSpec(Family.ELL5_PRODUCT, 6, 3),
+            [SumSpec(Family.ELL5_COS2, 6, 3), SumSpec(Family.ELL5_COS4, 6, 3)],
+        ),
+    ],
+    ids=["gcd", "merca-shifted", "shifted-sin", "ell5-product"],
+)
+def test_direct_sum_same_interval_cold_and_warm(spec, campaign, counting_libmp):
+    """The memo changes no bit: a sum served entirely from enclosures that
+    other requests computed, at other indices of the same reduced angles,
+    has the exact endpoints it has right after clear_caches()."""
+    prec = default_precision(spec)
+    cold = direct_sum(spec, prec)
+    clear_caches()
+    for other in campaign:
+        direct_sum(other, prec)
+    calls = sum(counting_libmp.calls.values())
+    warm = direct_sum(spec, prec)
+    assert sum(counting_libmp.calls.values()) == calls  # every term was a hit
+    assert (warm.lower, warm.upper, warm.precision_bits) == (cold.lower, cold.upper, prec)
+    assert evaluate(spec) in warm
+
+
+def test_clear_caches_restores_the_cold_cost(counting_libmp):
+    """Timing one evaluation after clear_caches() pays every trig and power
+    call again (run_bench and acceptance criterion 9 rely on it)."""
+    spec = SumSpec(Family.ELL5_COS2, 9, 4)
+    evaluate_exact(spec)
+    cold = Counter(counting_libmp.calls)
+    assert cold["mpi_cos"] > 0 and cold["mpi_pow_int"] > 0
+    evaluate_exact(spec)
+    assert counting_libmp.calls == cold  # warm: served from the memo
+    clear_caches()
+    counting_libmp.calls.clear()
+    evaluate_exact(spec)
+    assert counting_libmp.calls == cold
