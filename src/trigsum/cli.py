@@ -416,6 +416,8 @@ _TABLE_KINDS = ("sigma", "sigma-minus", "walks-path", "walks-cycle", "cot-poly")
 
 
 def _check_table_index(name: str, value: int) -> None:
+    if value < 0:
+        raise ParameterError(f"--{name} must be non-negative")
     if value > MAX_TABLE_INDEX:
         raise CostGuardError(f"--{name} must be <= {MAX_TABLE_INDEX} (cost guard)")
 
@@ -435,14 +437,14 @@ def cmd_table(args) -> int:
         if args.n is None:
             raise ParameterError(f"--kind {kind} requires --n")
         _check_table_index("m-max", args.m_max)
-        counter = wk.path_closed_walks if kind == "walks-path" else wk.cycle_closed_walks
-        rows = [{"m": m, "count": counter(args.n, m)} for m in range(args.m_max + 1)]
-        header = ["m", "count"]
+        graph = wk.GraphKind.PATH if kind == "walks-path" else wk.GraphKind.CYCLE
         if args.bfile:
-            graph = wk.GraphKind.PATH if kind == "walks-path" else wk.GraphKind.CYCLE
             for line in wk.walk_table_lines(graph, args.n, args.m_max):
                 print(line)
             return 0
+        counts = wk.closed_walk_counts(graph, args.n, args.m_max)
+        rows = [{"m": m, "count": count} for m, count in enumerate(counts)]
+        header = ["m", "count"]
     elif kind == "cot-poly":
         if args.n is None:
             raise ParameterError("--kind cot-poly requires --n")
@@ -482,16 +484,19 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
     """Measure closed-form (and optionally oracle) wall time for one case.
 
     Returns {family, params, micros_closed, micros_oracle?, equal?}; the
-    closed-form time is the minimum over ``repeat`` runs, at most
-    MAX_TABLE_INDEX of them.
+    closed-form time is the minimum over ``repeat`` runs, at least one and
+    at most MAX_TABLE_INDEX of them.
     """
+    check_int("repeat", repeat)
+    if repeat < 1:
+        raise ParameterError("repeat must be >= 1")
     if repeat > MAX_TABLE_INDEX:
         raise CostGuardError(f"repeat must be <= {MAX_TABLE_INDEX} (cost guard)")
     given = {"m": m, "n": n, "q": 1, "k": k, "kind": "cos"}
     request, thunk = _eval_request(args_family, given)
     best = None
     value = None
-    for _ in range(max(repeat, 1)):
+    for _ in range(repeat):
         ct.clear_caches()
         ec.clear_caches()
         t0 = time.perf_counter_ns()
@@ -507,7 +512,7 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
         if request is None:
             raise ParameterError("oracle timing is not defined for erratum families")
         best_oracle = None
-        for _ in range(max(repeat, 1)):
+        for _ in range(repeat):
             oc.clear_caches()
             t0 = time.perf_counter_ns()
             exact = oc.evaluate_exact(request)

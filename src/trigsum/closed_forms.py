@@ -15,10 +15,15 @@ convention). Every other family in this module is a composition of C and S
 evaluations: scaling the range, shifting the angle, or weighting the terms
 with low-order cosines only reindexes the same lattice of angles. Composite
 families are therefore computed from C/S compositions, never from per-case
-expansions. The shifted sums are the one place a second route still runs:
-their direct form sums the (-1)^p-weighted window of (m, n), which the
-difference C(m, 2n) - C(m, n) never reads, and the two are compared at
-every call.
+expansions.
+
+Every C(m, d*n) a value combines lies on one window: its terms are the
+terms p = 0 (mod d) of the window of (m, n). So each value walks the window
+of (m, n) once, adds term p into a bucket chosen by p mod L, and reads each
+C and S it needs off the buckets (_window_pass). The shifted sums are the
+one place a second route still runs: their direct form weights the window
+of (m, n) by (-1)^p, the difference C(m, 2n) - C(m, n) reads C(m, 2n) from
+its own window, and the two are compared at every call.
 
 All values are exact rationals. Any value times 2^{2m+2} is an integer for
 the families here except the degree-5 weighted family, where 2^{2m+4}
@@ -30,9 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import cycle
-from math import gcd
-from operator import mul
+from math import gcd, lcm
 
 from .errors import CostGuardError, ParameterError, check_int
 from .exact_core import Rational, binom, binom_window
@@ -97,10 +100,13 @@ class Family(str, Enum):
 # larger m is rejected with CostGuardError.
 MAX_M = 10**5
 
-# Cost guard on n for the ell5 cos2/cos4 weights, whose power reduction
-# loops over j < n with binomials and powers of 2 that grow with n:
-# ell5_sum('cos2', 1, n) took 0.16 s at n = 1,000, 1.1 s at 2,000 and
-# 37 s at 8,000. Larger n is rejected with CostGuardError.
+# Cost guard on n for the ell5 cos2/cos4 weights, kept from their former
+# power reduction, which looped over j < n with binomials and powers of 2
+# that grew with n (ell5_sum('cos2', 1, n) took 0.16 s at n = 1,000 and
+# 37 s at 8,000). cos2 and cos4 now read one window like the other
+# composites, so their cost no longer grows with n: at m = 3,000 either
+# took 3 to 4 ms at n = 7 or 1,000 and 1.2 ms at n = 10^5 (a shorter
+# window; 2-vCPU Xeon VM). Larger n is still rejected with CostGuardError.
 MAX_ELL5_N = 1_000
 
 # Families whose definition reads the q parameter / the cos-sin kind switch.
@@ -193,42 +199,66 @@ def _check_mn(m: int, n: int) -> None:
     _check_m_cost(m)
 
 
-def _tail(m: int, n: int, weight=lambda p: 1) -> tuple[int, int]:
-    """(binom(2m, m), sum_{p=1}^{floor(m/n)} weight(p) * binom(2m, m - p*n)),
-    the tail empty when m < n. Every weight here is a sign pattern in
-    (-1)^p, so weight(1), weight(2) repeat along the window."""
+def _window_pass(
+    kind: str,
+    m: int,
+    n: int,
+    multiples: tuple[int, ...],
+    classes: tuple[tuple[int, ...], ...] = (),
+    period: int = 1,
+) -> list[int]:
+    """One pass over binom_window(m, n). Returns 4^m * X(m, d*n) for each d
+    in ``multiples`` (X = C for kind "cos", S for "sin"), then for each
+    tuple in ``classes`` the tail sum of binom(2m, m - p*n) over p >= 1 with
+    p mod ``period`` in that tuple.
+
+    Term p goes into bucket p mod L, L the lcm of ``period`` and of the
+    multiples, each d read as 2d for S at odd d*n. The window of (m, d*n) is
+    the terms p = 0 (mod d), so
+
+        4^m * C(m, d*n) = d*n * (binom(2m, m) + 2 * sum_{j = 0 (mod d)} buckets[j])
+
+    (binom(2m-1, m-1) = binom(2m, m)/2 for m >= 1, and the m = 0 value d*n
+    comes out too). S weights term p by (-1)^{p*n}: it equals C at even d*n,
+    and at odd d*n the classes j = d (mod 2d) enter with sign -1.
+    """
+    if kind not in ("cos", "sin"):
+        raise ParameterError("kind must be 'cos' or 'sin'")
+    odd_sin = [kind == "sin" and d * n % 2 == 1 for d in multiples]
+    size = lcm(period, *(2 * d if odd else d for d, odd in zip(multiples, odd_sin)))
     terms = binom_window(m, n)
     central = next(terms)
-    return central, sum(map(mul, cycle((weight(1), weight(2))), terms))
+    buckets = [0] * size
+    for p, term in enumerate(terms, 1):
+        buckets[p % size] += term
+    sums = []
+    for d, odd in zip(multiples, odd_sin):
+        tail = sum(buckets[:: 2 * d]) - sum(buckets[d :: 2 * d]) if odd else sum(buckets[::d])
+        sums.append(d * n * (central + 2 * tail))
+    for wanted in classes:
+        sums.append(sum(b for r, b in enumerate(buckets) if r % period in wanted))
+    return sums
 
 
-def _power_form(m: int, n: int, weight=lambda p: 1) -> Rational:
-    """2^{1-2m} * n * (binom(2m-1, m-1) + sum_{p=1}^{floor(m/n)} weight(p)
-    * binom(2m, m-p*n)), the shape of C, S and the shifted sums' direct
-    forms, as 2^{-2m} * n * (binom(2m, m) + 2 * tail): binom(2m-1, m-1) =
-    binom(2m, m)/2 for m >= 1, and the m = 0 value n comes out too."""
-    central, tail = _tail(m, n, weight)
-    return Fraction(n * (central + 2 * tail), 2 ** (2 * m))
+def _power_sum(kind: str, m: int, n: int) -> Rational:
+    """C(m, n) or S(m, n) by ``kind``, through the public entry points."""
+    if kind not in ("cos", "sin"):
+        raise ParameterError("kind must be 'cos' or 'sin'")
+    return cos_power_sum(m, n) if kind == "cos" else sin_power_sum(m, n)
 
 
 def cos_power_sum(m: int, n: int) -> Rational:
     """C(m, n) = sum_{k=0}^{n-1} cos^{2m}(k*pi/n)."""
     _check_mn(m, n)
-    return _power_form(m, n)
+    (value,) = _window_pass("cos", m, n, (1,))
+    return Fraction(value, 4**m)
 
 
 def sin_power_sum(m: int, n: int) -> Rational:
     """S(m, n) = sum_{k=0}^{n-1} sin^{2m}(k*pi/n)."""
     _check_mn(m, n)
-    return _power_form(m, n, lambda p: (-1) ** (p * n))
-
-
-def _base(kind: str, m: int, n: int) -> Rational:
-    if kind == "cos":
-        return cos_power_sum(m, n)
-    if kind == "sin":
-        return sin_power_sum(m, n)
-    raise ParameterError("kind must be 'cos' or 'sin'")
+    (value,) = _window_pass("sin", m, n, (1,))
+    return Fraction(value, 4**m)
 
 
 def scaled_sum(kind: str, m: int, n: int, q: int) -> Rational:
@@ -237,7 +267,7 @@ def scaled_sum(kind: str, m: int, n: int, q: int) -> Rational:
     _check_mn(m, n)
     if q < 1 or q % n:
         raise ParameterError("scaled sum requires q a positive multiple of n")
-    return Fraction(q, n) * _base(kind, m, n)
+    return Fraction(q, n) * _power_sum(kind, m, n)
 
 
 def coprime_sum(kind: str, m: int, n: int, q: int) -> Rational:
@@ -252,7 +282,7 @@ def coprime_sum(kind: str, m: int, n: int, q: int) -> Rational:
         raise ParameterError("q must be positive")
     if gcd(n, q) != 1:
         raise ParameterError("coprime sum requires gcd(n, q) = 1")
-    return _base(kind, m, n)
+    return _power_sum(kind, m, n)
 
 
 def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
@@ -266,7 +296,7 @@ def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
     if q < 1:
         raise ParameterError("q must be positive")
     r = gcd(n, q)
-    return r * _base(kind, m, n // r)
+    return r * _power_sum(kind, m, n // r)
 
 
 def quoniam_sum(m: int, n: int) -> Rational:
@@ -336,7 +366,8 @@ def alternating_sum(kind: str, m: int, n: int) -> Rational:
     _check_mn(m, n)
     if n % 2:
         raise ParameterError("alternating_sum requires an even period")
-    return 2 * _base(kind, m, n // 2) - _base(kind, m, n)
+    half, full = _window_pass(kind, m, n // 2, (1, 2))
+    return Fraction(2 * half - full, 4**m)
 
 
 def alternating_cos_middle_erratum(m: int, n: int) -> Rational:
@@ -349,7 +380,8 @@ def alternating_cos_middle_erratum(m: int, n: int) -> Rational:
     if not n <= m < 2 * n:
         raise ParameterError("middle-range expression needs n <= m < 2n")
     _check_m_cost(m)
-    return Fraction(4 * _tail(m, n)[1], 2 ** (2 * m))
+    (tail,) = _window_pass("cos", m, n, (), ((0,),))
+    return Fraction(4 * tail, 4**m)
 
 
 def alternating_sin_middle_erratum(m: int, n: int) -> Rational:
@@ -367,14 +399,16 @@ def shifted_cos_sum(m: int, n: int) -> Rational:
     """sum_{k=0}^{n-1} cos^{2m}((k + 1/2)*pi/n) = C(m, 2n) - C(m, n).
 
     Also 2^{1-2m} * n * (binom(2m-1, m-1) + sum_p (-1)^p binom(2m, m-pn));
-    the two routes are asserted equal.
+    the two routes are asserted equal. C(m, n) and the direct form share
+    one pass over the window of (m, n); C(m, 2n) comes from its own.
     """
     _check_mn(m, n)
-    diff = cos_power_sum(m, 2 * n) - cos_power_sum(m, n)
-    direct = _power_form(m, n, lambda p: (-1) ** p)
-    if diff != direct:
+    full, odd = _window_pass("cos", m, n, (1,), ((1,),), 2)
+    direct = full - 4 * n * odd  # weight (-1)^p = 1 - 2*[p odd]
+    (double,) = _window_pass("cos", m, 2 * n, (1,))
+    if double - full != direct:
         raise ArithmeticError("shifted_cos_sum: evaluation routes disagree")
-    return diff
+    return Fraction(direct, 4**m)
 
 
 def shifted_sin_sum(m: int, n: int) -> Rational:
@@ -383,14 +417,17 @@ def shifted_sin_sum(m: int, n: int) -> Rational:
     Direct form 2^{1-2m} * n * (binom(2m-1, m-1)
     + sum_p (1 + (-1)^p - (-1)^{np}) * binom(2m, m-pn)): the weight reduces
     to +1 for odd n and to (-1)^p for even n. Asserted equal to
-    S(m, 2n) - S(m, n).
+    S(m, 2n) - S(m, n). S(m, n) and the direct form share one pass over the
+    window of (m, n); S(m, 2n) comes from its own.
     """
     _check_mn(m, n)
-    direct = _power_form(m, n, lambda p: 1 + (-1) ** p - (-1) ** (n * p))
-    diff = sin_power_sum(m, 2 * n) - sin_power_sum(m, n)
-    if diff != direct:
+    full, odd = _window_pass("sin", m, n, (1,), ((1,),), 2)
+    # the direct weight minus S's (-1)^{np} is -2*(-1)^n at odd p, 0 at even p
+    direct = full - (-1) ** n * 4 * n * odd
+    (double,) = _window_pass("sin", m, 2 * n, (1,))
+    if double - full != direct:
         raise ArithmeticError("shifted_sin_sum: evaluation routes disagree")
-    return direct
+    return Fraction(direct, 4**m)
 
 
 def weight3_sum(kind: str, m: int, n: int) -> Rational:
@@ -402,7 +439,8 @@ def weight3_sum(kind: str, m: int, n: int) -> Rational:
     the two equal).
     """
     _check_mn(m, n)
-    return (3 * _base(kind, m, n) - _base(kind, m, 3 * n)) / 2
+    single, triple = _window_pass(kind, m, n, (1, 3))
+    return Fraction(3 * single - triple, 2 * 4**m)
 
 
 def weight_half_pi_sum(m: int, n: int) -> Rational:
@@ -413,7 +451,8 @@ def weight_half_pi_sum(m: int, n: int) -> Rational:
     reducibility a tested fact.
     """
     _check_mn(m, n)
-    return 2 * cos_power_sum(m, n) - cos_power_sum(m, 2 * n)
+    single, double = _window_pass("cos", m, n, (1, 2))
+    return Fraction(2 * single - double, 4**m)
 
 
 def weight_pi3_sum(m: int, n: int) -> Rational:
@@ -422,13 +461,8 @@ def weight_pi3_sum(m: int, n: int) -> Rational:
     _check_mn(m, n)
     if n % 2:
         raise ParameterError("weight_pi3_sum requires even n")
-    h = n // 2
-    return (
-        3 * cos_power_sum(m, h)
-        - Fraction(3, 2) * cos_power_sum(m, n)
-        + Fraction(cos_power_sum(m, 3 * n), 2)
-        - cos_power_sum(m, 3 * h)
-    )
+    c1, c2, c3, c6 = _window_pass("cos", m, n // 2, (1, 2, 3, 6))
+    return Fraction(6 * c1 - 3 * c2 - 2 * c3 + c6, 2 * 4**m)
 
 
 _ELL5_VARIANTS = ("product", "alt-product", "cos2", "cos4")
@@ -441,41 +475,39 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
       - "product":     cos(2*pi*k/5)*cos(4*pi*k/5) -> (5*C(m,n) - C(m,5n))/4
       - "alt-product": cos(pi*k/5)*cos(2*pi*k/5), even n only ->
                        (10*C(m,n/2) - 2*C(m,5n/2) + C(m,5n) - 5*C(m,n))/4
-      - "cos2":        cos(2*pi*k/5) -> 2^{2n-1}*C(m+n, 5n) + n * sum_{j<n}
-                       ((-1)^{j+1}/(j+1)) * 2^{2n-2j-2} * binom(2n-j-2, j)
-                       * C(m+n-j-1, 5n), via the power reduction of
-                       cos(2x) = 2cos^2(x) - 1 expanded through degree n
+      - "cos2":        cos(2*pi*k/5) -> 5n * 4^{-m} * sum_{p >= 1, p = +-1 (mod 5)}
+                       binom(2m, m - p*n)
       - "cos4":        cos(4*pi*k/5) -> (10*C(m,n) - 2*C(m,5n))/4 - cos2
 
-    cos2 and cos4 refuse n > MAX_ELL5_N with CostGuardError.
+    The cos2 value: expand cos^{2m}(x) = 4^{-m} * sum_j binom(2m, j) *
+    cos((2m - 2j)*x); with x = k*pi/5n the weight is cos(2n*x), and each
+    product cos((2m - 2j)*x) * cos(2n*x) is half the sum of cos((2m - 2j
+    + 2n)*x) and cos((2m - 2j - 2n)*x). Summed over k < 5n, cos(2*pi*s*k/5n)
+    gives 5n when 5n | s and 0 otherwise, so the terms left are j = m - p*n
+    with p = 1 or p = -1 (mod 5), and the mirror j <-> 2m - j merges the two
+    classes into the one sum over p >= 1 above. Each variant reads all its
+    C and the cos2 classes from one pass over the window of (m, n) (of
+    (m, n/2) for alt-product). cos2 and cos4 refuse n > MAX_ELL5_N with
+    CostGuardError.
     """
     _check_mn(m, n)
     if variant in ("cos2", "cos4"):
         _check_ell5_n(n)
-    # unchecked C: cos2 reads C(m+n, 5n), past MAX_M when m is near it
-    C = _power_form
     if variant == "product":
-        return (5 * C(m, n) - C(m, 5 * n)) / 4
+        c1, c5 = _window_pass("cos", m, n, (1, 5))
+        return Fraction(5 * c1 - c5, 4 * 4**m)
     if variant == "alt-product":
         if n % 2:
             raise ParameterError("alt-product requires even n")
-        h = n // 2
-        return (
-            10 * C(m, h) - 2 * C(m, 5 * h) + C(m, 5 * n) - 5 * C(m, n)
-        ) / 4
+        c1, c2, c5, c10 = _window_pass("cos", m, n // 2, (1, 2, 5, 10))
+        return Fraction(10 * c1 - 5 * c2 - 2 * c5 + c10, 4 * 4**m)
     if variant == "cos2":
-        acc = 2 ** (2 * n - 1) * C(m + n, 5 * n)
-        for j in range(n):
-            acc += (
-                n
-                * Fraction((-1) ** (j + 1), j + 1)
-                * 2 ** (2 * n - 2 * j - 2)
-                * binom(2 * n - j - 2, j)
-                * C(m + n - j - 1, 5 * n)
-            )
-        return acc
+        (near,) = _window_pass("cos", m, n, (), ((1, 4),), 5)  # p = +-1 (mod 5)
+        return Fraction(5 * n * near, 4**m)
     if variant == "cos4":
-        return (10 * C(m, n) - 2 * C(m, 5 * n)) / 4 - ell5_sum("cos2", m, n)
+        c1, c5, near = _window_pass("cos", m, n, (1, 5), ((1, 4),), 5)
+        cos2 = 5 * n * near
+        return Fraction(10 * c1 - 2 * c5 - 4 * cos2, 4 * 4**m)
     raise ParameterError(f"unknown ell5 variant {variant!r} (expected one of {_ELL5_VARIANTS})")
 
 

@@ -1,10 +1,12 @@
 """Exact integer and rational building blocks.
 
-Everything downstream reduces to two ingredients: the binomial window
+Everything downstream reduces to three ingredients: the binomial window
 binom(2m, m - p*n), p = 0..floor(m/n), that every power-sum closed form
-sums with its own weights, and Bernoulli numbers at even index. All
-arithmetic is over arbitrary-precision rationals; nothing in this module
-touches floating point.
+sums with its own weights; the same window sums for every j = 0, 1, 2, ...
+in turn, read off the residue rows of (1 + x)^{2j} mod (x^n - 1) at O(n)
+additions a row (scaled_power_sums); and Bernoulli numbers at even index.
+All arithmetic is over arbitrary-precision rationals; nothing in this
+module touches floating point.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb, prod
+from itertools import count
+from operator import add
 from typing import Iterator
 
 Rational = Fraction
@@ -20,6 +24,7 @@ __all__ = [
     "Rational",
     "binom",
     "binom_window",
+    "scaled_power_sums",
     "BernoulliCache",
     "bernoulli",
 ]
@@ -56,6 +61,57 @@ def binom_window(m: int, n: int) -> Iterator[int]:
             range(two_m - k + 1, two_m - k + n + 1)
         )
         yield current
+
+
+def scaled_power_sums(kind: str, n: int) -> Iterator[int]:
+    """4^j * X(j, n) / n for j = 0, 1, 2, ..., X = C for kind "cos" and S
+    for "sin": the whole window sum_p e_p * binom(2j, j + p*n) over all
+    integers p, e_p = 1 for C and (-1)^{p*n} for S.
+
+    While j < n the window is its central term binom(2j, j), each from the
+    one before by one ratio step. From j = n on the sums are read off the
+    residue rows of _residue_rows mod (x^L - 1): with L = n the window sum
+    is row_j[j mod n]. S at odd n weights p by (-1)^p, so L = 2n and the sum
+    is row_j[j mod 2n] - row_j[(j + n) mod 2n]; at even n, S is C.
+
+    The iterator never ends; the caller takes what it needs. No row is
+    built before j = n, so a caller that stops below n pays nothing for a
+    large n, and one that reads to j >= n holds rows of at most 2j entries.
+    """
+    if kind not in ("cos", "sin"):
+        raise ValueError("kind must be 'cos' or 'sin'")
+    if n < 1:
+        raise ValueError("scaled_power_sums requires n >= 1")
+    central = 1
+    for j in range(n):
+        yield central
+        central = central * 2 * (2 * j + 1) // (j + 1)
+    period = 2 * n if kind == "sin" and n % 2 else n
+    for j, row in zip(count(n), _residue_rows(n, period)):
+        yield row[j % period] - (row[(j + n) % period] if period > n else 0)
+
+
+def _residue_rows(start: int, period: int) -> Iterator[tuple[int, ...]]:
+    """Rows j = start, start + 1, ... of the coefficients of (1 + x)^{2j}
+    mod (x^period - 1): entry r is the sum of binom(2j, i) over
+    i = r (mod period).
+
+    The first row is folded from the binomials of 2*start; each next row is
+    the one before times (1 + x)^2, R'_r = R_r + 2*R_{r-1} + R_{r-2} with
+    indices mod period (the closed-walk recurrence of the period-cycle with
+    a weight-2 loop at every vertex). A row costs 2*period big-integer
+    additions, where a fresh window at j costs O(j^2) bit operations.
+    """
+    first = [0] * period
+    term = 1
+    for i in range(2 * start + 1):
+        first[i % period] += term
+        term = term * (2 * start - i) // (i + 1)
+    row = tuple(first)
+    while True:
+        yield row
+        for _ in range(2):  # times (1 + x), twice
+            row = tuple(map(add, row, row[-1:] + row[:-1]))
 
 
 class BernoulliCache:

@@ -6,8 +6,11 @@ The cosine/sine power sums package neatly into three generating objects:
   - H(n, q; z)= sum_{k=0}^{n-1} exp(z*sin(q*k*pi/n)) for even q coprime to n,
   - the resolvent (1/n) * sum_{k=0}^{n-1} 1/(1 - z*trig^2(k*pi/n)).
 
-Their coefficients are power sums divided by factorials, computed from C
-and S alone. Each also has an expression through the normalized tail sums
+Their coefficients are power sums divided by factorials: C(j, n) and
+S(j, n) for every j up to the order. The series builders take them in
+turn from exact_core.scaled_power_sums, a central binomial each below
+j = n and a residue row of (1 + x)^{2j} each from there, at O(n)
+big-integer additions a coefficient, not a fresh binomial window each. Each also has an expression through the normalized tail sums
 
     sigma(k, n)       = (1/(2k)!) * sum_{p=1}^{floor(k/n)} binom(2k, k+pn)
     sigma_minus(k, n) = same with weight (-1)^{pn},
@@ -23,9 +26,9 @@ from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd
 
-from .closed_forms import MAX_M, cos_power_sum, sin_power_sum
+from .closed_forms import MAX_M
 from .errors import CostGuardError, ParameterError
-from .exact_core import Rational, binom_window
+from .exact_core import Rational, binom_window, scaled_power_sums
 
 __all__ = [
     "MAX_TABLE_INDEX",
@@ -40,12 +43,18 @@ __all__ = [
 
 
 # Cost guard on the last index of a series or table: a series order, and the
-# last row of a sigma or walks table. Each coefficient or row is a fresh
-# binomial window, so the cost grows about as the 2.4th power of the last
-# index: at the costliest n (1 for sigma, 3 for the walks) a whole `trigsum
-# table` run took 0.7 to 1.7 s at index 1,000 and 2.9 to 9.0 s at 2,000 on
-# a 2-vCPU Xeon VM. Longer ones are refused with CostGuardError before any
-# coefficient or row is built.
+# last row of a sigma or walks table. Series and walks tables take their power
+# sums from exact_core.scaled_power_sums and cost little at this bound:
+# resolvent_coefficients('cos', 3, 1000) took 7 ms, g1_coefficients(1, 1000)
+# 34 ms, the costliest n (about half the last index) 0.1 s for
+# resolvent_coefficients('sin', 501, 1000), an n past the last index 14 ms
+# (one central binomial an index), and a `trigsum table --kind walks-path
+# --n 3 --m-max 1000` run 0.01 s past start-up. The table itself still holds
+# O(index^2) bits. Each sigma row is a fresh binomial window, so a sigma
+# table's cost grows about as the 2.4th power of the last index, and it sets
+# the bound: at n = 1 a whole `trigsum table` run took 1.1 to 1.3 s at index
+# 1,000 and 6.9 s at 2,000 (in-process, 2-vCPU Xeon VM). Longer ones are
+# refused with CostGuardError before any coefficient or row is built.
 MAX_TABLE_INDEX = 1000
 
 
@@ -110,11 +119,7 @@ def g1_coefficients(n: int, order: int) -> SeriesCoefficients:
     cosine power sums all equal 1, contributing one sinh z).
     """
     _check_order(n, order)
-    coeffs = [
-        Fraction(1, factorial(idx)) if idx % 2 else cos_power_sum(idx // 2, n) / factorial(idx)
-        for idx in range(order + 1)
-    ]
-    return SeriesCoefficients(coeffs=tuple(coeffs), order=order)
+    return _exponential_series(scaled_power_sums("cos", n), n, order, odd=1)
 
 
 def h1_coefficients(n: int, q: int, order: int) -> SeriesCoefficients:
@@ -131,8 +136,16 @@ def h1_coefficients(n: int, q: int, order: int) -> SeriesCoefficients:
         raise ParameterError("q must be a positive even integer")
     if gcd(q, n) != 1:
         raise ParameterError("q must be coprime to n")
+    return _exponential_series(scaled_power_sums("sin", n), n, order, odd=0)
+
+
+def _exponential_series(sums, n: int, order: int, odd: int) -> SeriesCoefficients:
+    """Coefficient X(j, n)/(2j)! at z^{2j}, with ``sums`` yielding
+    4^j * X(j, n)/n, and odd/(2j+1)! at z^{2j+1}."""
     coeffs = [
-        Fraction(0) if idx % 2 else sin_power_sum(idx // 2, n) / factorial(idx)
+        Fraction(odd, factorial(idx))
+        if idx % 2
+        else Fraction(n * next(sums), 4 ** (idx // 2) * factorial(idx))
         for idx in range(order + 1)
     ]
     return SeriesCoefficients(coeffs=tuple(coeffs), order=order)
@@ -147,6 +160,6 @@ def resolvent_coefficients(kind: str, n: int, order: int) -> SeriesCoefficients:
     _check_order(n, order)
     if kind not in ("cos", "sin"):
         raise ParameterError("kind must be 'cos' or 'sin'")
-    base = cos_power_sum if kind == "cos" else sin_power_sum
-    coeffs = [base(j, n) / n for j in range(order + 1)]
+    sums = scaled_power_sums(kind, n)
+    coeffs = [Fraction(s, 4**j) for j, s in zip(range(order + 1), sums)]
     return SeriesCoefficients(coeffs=tuple(coeffs), order=order)

@@ -8,10 +8,14 @@ rescaled cosine power sums:
     odd cycles: trace A^{2m} = 2^{2m} * C(m, n)
 
 (the cycle case uses the coprime-invariance of C under the angle doubling,
-which is why n must be odd). The counts are computed that way; expanding C
-gives the integer formulas in the docstrings below. An exact integer
-matrix-power trace oracle is included so the formulas are testable without
-trusting any of this.
+which is why n must be odd). A single count is computed that way;
+expanding C gives the integer formulas in the docstrings below. A table of
+counts for m = 0..m_max takes 4^m * C(m, n) / n in turn from
+exact_core.scaled_power_sums instead: a central binomial each below m = n,
+and from there a residue row of (1 + x)^{2m} mod (x^n - 1), each from the
+one before at O(n) big-integer additions. An exact integer matrix-power
+trace oracle is included so the formulas are testable without trusting
+any of this.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .closed_forms import cos_power_sum
-from .errors import ParameterError
+from .errors import CostGuardError, ParameterError
+from .exact_core import scaled_power_sums
+from .genfunc import MAX_TABLE_INDEX
 
 __all__ = [
     "GraphKind",
@@ -30,6 +36,7 @@ __all__ = [
     "cycle_closed_walks",
     "adjacency_matrix",
     "trace_oracle",
+    "closed_walk_counts",
     "walk_table_lines",
 ]
 
@@ -129,8 +136,24 @@ def trace_oracle(graph: GraphSpec, length: int) -> WalkCount:
     return WalkCount(sum(power[i][i] for i in range(size)))
 
 
+def closed_walk_counts(kind: GraphKind, n: int, m_max: int) -> list[WalkCount]:
+    """Closed walks of length 2m for m = 0..m_max on the path or cycle of
+    parameter n, as path_closed_walks and cycle_closed_walks count them:
+    4^m * C(m, n), less 4^m for the path. The table holds O(m_max^2) bits,
+    so m_max past MAX_TABLE_INDEX is refused with CostGuardError."""
+    GraphSpec(kind, n).validate()
+    if m_max < 0:
+        raise ParameterError("m_max must be non-negative")
+    if m_max > MAX_TABLE_INDEX:
+        raise CostGuardError(f"m_max must be <= {MAX_TABLE_INDEX} (cost guard)")
+    path = kind is GraphKind.PATH  # the path's spectrum lacks the angle 0
+    return [
+        WalkCount(n * sums - (4**m if path else 0))
+        for m, sums in zip(range(m_max + 1), scaled_power_sums("cos", n))
+    ]
+
+
 def walk_table_lines(kind: GraphKind, n: int, m_max: int) -> list[str]:
     """Plain-text sequence listing, one "m count" pair per line, for
     eyeball comparison against published integer-sequence archives."""
-    counter = path_closed_walks if kind is GraphKind.PATH else cycle_closed_walks
-    return [f"{m} {counter(n, m)}" for m in range(m_max + 1)]
+    return [f"{m} {count}" for m, count in enumerate(closed_walk_counts(kind, n, m_max))]

@@ -446,13 +446,15 @@ def test_table_out_file(tmp_path, capsys):
     [
         ("sigma", "--k-max", "gf.sigma"),
         ("sigma-minus", "--k-max", "gf.sigma_minus"),
-        ("walks-path", "--m-max", "wk.path_closed_walks"),
-        ("walks-cycle", "--m-max", "wk.cycle_closed_walks"),
+        # the per-value counter and the table builder, which builds every row
+        ("walks-path", "--m-max", "wk.path_closed_walks,wk.closed_walk_counts"),
+        ("walks-cycle", "--m-max", "wk.cycle_closed_walks,wk.closed_walk_counts"),
     ],
+    ids=lambda value: value.split(",")[0],
 )
 def test_table_cost_guard_refuses_before_building(kind, bound, builder, capsys, monkeypatch):
     """A table whose last index passes MAX_TABLE_INDEX exits 2 before any
-    row is built; one at the bound is built."""
+    row is built by any of the named builders; one at the bound is built."""
     monkeypatch.setattr(cli, "MAX_TABLE_INDEX", 3)
     argv = ["table", "--kind", kind, "--n", "3"]
     assert main([*argv, bound, "3"]) == 0
@@ -461,11 +463,49 @@ def test_table_cost_guard_refuses_before_building(kind, bound, builder, capsys, 
     def build(*args):
         raise AssertionError("table row built")
 
-    module, name = builder.split(".")
-    monkeypatch.setattr(getattr(cli, module), name, build)
+    for target in builder.split(","):
+        module, name = target.split(".")
+        monkeypatch.setattr(getattr(cli, module), name, build)
     for extra in ([], ["--json"], ["--bfile"] if kind.startswith("walks") else []):
         assert main([*argv, bound, "4", *extra]) == 2
         assert f"{bound} must be <= 3 (cost guard)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, bound, n",
+    [("sigma", "--k-max", "2"), ("sigma-minus", "--k-max", "2"),
+     ("walks-path", "--m-max", "3"), ("walks-cycle", "--m-max", "3")],
+)
+def test_table_negative_last_index_is_refused(kind, bound, n, capsys, monkeypatch):
+    """A negative --k-max/--m-max exits 2 before any row is built, where it
+    used to print a header-only table and exit 0."""
+
+    def build(*args):
+        raise AssertionError("table row built")
+
+    for name in ("sigma", "sigma_minus"):
+        monkeypatch.setattr(cli.gf, name, build)
+    for name in ("path_closed_walks", "cycle_closed_walks", "closed_walk_counts"):
+        monkeypatch.setattr(cli.wk, name, build)
+    for extra in ([], ["--json"], ["--bfile"] if kind.startswith("walks") else []):
+        for value in ("-1", "-3"):
+            assert main(["table", "--kind", kind, "--n", n, bound, value, *extra]) == 2
+            assert f"{bound} must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, n", [("walks-cycle", "999999999"), ("walks-path", "1000000000")])
+def test_walk_table_with_n_past_m_max_builds_no_row(kind, n, capsys, monkeypatch):
+    """A walks table whose n passes --m-max prints its central-binomial
+    rows at once: no residue row of n entries is built."""
+
+    def no_rows(*args):
+        raise AssertionError("residue row built")
+
+    monkeypatch.setattr(cli.ec, "_residue_rows", no_rows)
+    for m_max in ("0", "5"):
+        for extra in ([], ["--bfile"]):
+            assert main(["table", "--kind", kind, "--n", n, "--m-max", m_max, *extra]) == 0
+            assert len(capsys.readouterr().out.strip().splitlines()) >= int(m_max) + 1
 
 
 def test_table_usage_errors(capsys):
@@ -525,6 +565,21 @@ def test_bench_repeat_cost_guard_refuses_before_running(capsys, monkeypatch):
     argv = ["bench", "--family", "C", "--m", "2", "--n", "3", "--repeat"]
     assert main([*argv, str(cli.MAX_TABLE_INDEX + 1)]) == 2
     assert "cost guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("repeat", ["0", "-4"])
+def test_bench_repeat_below_one_is_refused(repeat, capsys, monkeypatch):
+    """--repeat 0 or below exits 2 before the request is built, where it
+    used to run once and exit 0; run_bench refuses it too."""
+
+    def build(*args):
+        raise AssertionError("bench request built")
+
+    monkeypatch.setattr(cli, "_eval_request", build)
+    assert main(["bench", "--family", "C", "--m", "2", "--n", "3", "--repeat", repeat]) == 2
+    assert "repeat must be >= 1" in capsys.readouterr().err
+    with pytest.raises(ParameterError, match="repeat"):
+        run_bench("C", 2, 3, None, False, int(repeat))
 
 
 def test_run_bench_machinery():

@@ -42,7 +42,13 @@ from trigsum.genfunc import (
     sigma,
     sigma_minus,
 )
-from trigsum.walks import cycle_closed_walks, path_closed_walks
+from trigsum.walks import (
+    GraphKind,
+    closed_walk_counts,
+    cycle_closed_walks,
+    path_closed_walks,
+    walk_table_lines,
+)
 
 F = Fraction
 
@@ -96,7 +102,32 @@ def _lead_form(m, n, weight):
     return F(n * (comb(2 * m - 1, m - 1) + _tail_sum(m, n, weight)), 2 ** (2 * m - 1))
 
 
-# function of (m, n) and its docstring formula written with math.comb
+def _lattice_sum(m, N, s, sign=1):
+    # sum_{k<N} cos(2*pi*s*k/N) * trig^{2m}(k*pi/N), trig = cos (sign 1) or
+    # sin (sign -1): trig^{2m}(x) = 4^{-m} sum_t sign^t binom(2m, m+t) e^{2itx},
+    # and summing over k leaves N times the terms t = +-s (mod N)
+    terms = (sign ** (t % 2) * comb(2 * m, m + t) for t in range(-m, m + 1) if (t - s) % N == 0)
+    return F(N * sum(terms), 4**m)
+
+
+def _ell5_cos2_power_reduction(m, n):
+    # the power reduction of cos(2x) = 2cos^2(x) - 1 through degree n:
+    # 2^{2n-1}*C(m+n, 5n) + n * sum_{j<n} ((-1)^{j+1}/(j+1)) * 2^{2n-2j-2}
+    # * binom(2n-j-2, j) * C(m+n-j-1, 5n), C written with math.comb
+    acc = 2 ** (2 * n - 1) * _lattice_sum(m + n, 5 * n, 0)
+    for j in range(n):
+        acc += (
+            n
+            * F((-1) ** (j + 1), j + 1)
+            * 2 ** (2 * n - 2 * j - 2)
+            * comb(2 * n - j - 2, j)
+            * _lattice_sum(m + n - j - 1, 5 * n, 0)
+        )
+    return acc
+
+
+# function of (m, n) and its docstring formula written with math.comb; a
+# family that needs an even period takes 2n for n
 WINDOW_SITES = {
     "merca_half_sum": (
         merca_half_sum,
@@ -118,6 +149,41 @@ WINDOW_SITES = {
     "shifted_sin_sum": (
         shifted_sin_sum,
         lambda m, n: _lead_form(m, n, lambda p: 1 + (-1) ** p - (-1) ** (n * p)),
+    ),
+    "weight3_sum cos": (
+        lambda m, n: weight3_sum("cos", m, n),
+        lambda m, n: _lattice_sum(m, 3 * n, n),
+    ),
+    "weight3_sum sin": (
+        lambda m, n: weight3_sum("sin", m, n),
+        lambda m, n: _lattice_sum(m, 3 * n, n, sign=-1),
+    ),
+    "weight_half_pi_sum": (weight_half_pi_sum, lambda m, n: _lattice_sum(m, 4 * n, n)),
+    "weight_pi3_sum": (
+        lambda m, n: weight_pi3_sum(m, 2 * n),
+        lambda m, n: _lattice_sum(m, 6 * n, n),
+    ),
+    "alternating_sum cos": (
+        lambda m, n: alternating_sum("cos", m, 2 * n),
+        lambda m, n: _lattice_sum(m, 2 * n, n),
+    ),
+    "alternating_sum sin": (
+        lambda m, n: alternating_sum("sin", m, 2 * n),
+        lambda m, n: _lattice_sum(m, 2 * n, n, sign=-1),
+    ),
+    # cos(2a)*cos(4a) = (cos(2a) + cos(6a))/2 and cos(a)*cos(2a) = (cos(a) + cos(3a))/2
+    "ell5_sum product": (
+        lambda m, n: ell5_sum("product", m, n),
+        lambda m, n: (_lattice_sum(m, 5 * n, n) + _lattice_sum(m, 5 * n, 3 * n)) / 2,
+    ),
+    "ell5_sum alt-product": (
+        lambda m, n: ell5_sum("alt-product", m, 2 * n),
+        lambda m, n: (_lattice_sum(m, 10 * n, n) + _lattice_sum(m, 10 * n, 3 * n)) / 2,
+    ),
+    "ell5_sum cos2": (lambda m, n: ell5_sum("cos2", m, n), _ell5_cos2_power_reduction),
+    "ell5_sum cos4": (
+        lambda m, n: ell5_sum("cos4", m, n),
+        lambda m, n: _lattice_sum(m, 5 * n, 2 * n),
     ),
     "sigma": (
         sigma,
@@ -171,27 +237,44 @@ def test_window_sites_make_a_constant_number_of_comb_calls(name, monkeypatch):
     assert counts[0] == counts[1] <= 4, counts
 
 
-# call -> binom_window calls it makes: one per distinct (window, weights)
+# call -> binom_window calls it makes: one pass per value, each C(m, d*n)
+# it combines read off the window of (m, n); the shifted sums also read
+# C(m, 2n) from its own window, the check that the value does not read.
+# Series and walk tables read the residue rows and no window.
 WINDOW_COUNTS = {
     "merca_half_sum(40, 4)": (lambda: merca_half_sum(40, 4), 1),
-    # C(40, 8), C(40, 4) and the (-1)^p window of (40, 4) of the direct form
-    "merca_shifted_sum(40, 4)": (lambda: merca_shifted_sum(40, 4), 3),
-    "weight3_sum('cos', 40, 4)": (lambda: weight3_sum("cos", 40, 4), 2),
-    "weight3_sum('sin', 40, 4)": (lambda: weight3_sum("sin", 40, 4), 2),
+    # C(40, 4) with the (-1)^p direct form of (40, 4), and C(40, 8)
+    "merca_shifted_sum(40, 4)": (lambda: merca_shifted_sum(40, 4), 2),
+    "shifted_cos_sum(40, 4)": (lambda: shifted_cos_sum(40, 4), 2),
+    "shifted_sin_sum(40, 3)": (lambda: shifted_sin_sum(40, 3), 2),
+    "weight3_sum('cos', 40, 4)": (lambda: weight3_sum("cos", 40, 4), 1),
+    "weight3_sum('sin', 40, 4)": (lambda: weight3_sum("sin", 40, 4), 1),
+    "weight3_sum('sin', 40, 3)": (lambda: weight3_sum("sin", 40, 3), 1),
+    "weight_half_pi_sum(40, 4)": (lambda: weight_half_pi_sum(40, 4), 1),
+    "weight_pi3_sum(40, 6)": (lambda: weight_pi3_sum(40, 6), 1),
+    "alternating_sum('cos', 40, 6)": (lambda: alternating_sum("cos", 40, 6), 1),
+    "alternating_sum('sin', 40, 6)": (lambda: alternating_sum("sin", 40, 6), 1),
+    **{
+        f"ell5_sum('{variant}', 40, 2)": (lambda variant=variant: ell5_sum(variant, 40, 2), 1)
+        for variant in ("product", "alt-product", "cos2", "cos4")
+    },
     "barbero_R(40, 3)": (lambda: barbero_R(40, 3), 1),
-    "resolvent_coefficients('cos', 4, 10)": (lambda: resolvent_coefficients("cos", 4, 10), 11),
-    "resolvent_coefficients('sin', 4, 10)": (lambda: resolvent_coefficients("sin", 4, 10), 11),
-    "g1_coefficients(4, 20)": (lambda: g1_coefficients(4, 20), 11),
-    "h1_coefficients(5, 2, 20)": (lambda: h1_coefficients(5, 2, 20), 11),
+    "resolvent_coefficients('cos', 4, 10)": (lambda: resolvent_coefficients("cos", 4, 10), 0),
+    "resolvent_coefficients('sin', 4, 10)": (lambda: resolvent_coefficients("sin", 4, 10), 0),
+    "g1_coefficients(4, 20)": (lambda: g1_coefficients(4, 20), 0),
+    "h1_coefficients(5, 2, 20)": (lambda: h1_coefficients(5, 2, 20), 0),
     "path_closed_walks(4, 40)": (lambda: path_closed_walks(4, 40), 1),
     "cycle_closed_walks(5, 40)": (lambda: cycle_closed_walks(5, 40), 1),
+    "walk_table_lines(PATH, 4, 40)": (lambda: walk_table_lines(GraphKind.PATH, 4, 40), 0),
+    "closed_walk_counts(CYCLE, 5, 40)": (lambda: closed_walk_counts(GraphKind.CYCLE, 5, 40), 0),
 }
 
 
 @pytest.mark.parametrize("name", WINDOW_COUNTS)
 def test_each_window_is_summed_once(name, monkeypatch):
-    """No evaluation sums a window whose terms and weights it already
-    summed: a second route over the same window is the same arithmetic."""
+    """Each value walks each window it reads once: a second pass over the
+    same window is the same arithmetic, and every C(m, d*n) a composite
+    combines is read off the one pass over the window of (m, n)."""
     call, expected = WINDOW_COUNTS[name]
     calls = []
     real_window = exact_core.binom_window

@@ -1,17 +1,20 @@
 """Integer and rational building blocks: binomials, the binomial window,
-Bernoulli numbers."""
+the scaled power sums from the residue rows, Bernoulli numbers."""
 
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigsum import exact_core
 from trigsum.exact_core import (
     BernoulliCache,
     bernoulli,
     binom,
     binom_window,
+    scaled_power_sums,
 )
 
 
@@ -67,6 +70,58 @@ def test_binom_window_edges():
 def test_binom_window_bad_arguments_rejected(m, n):
     with pytest.raises(ValueError):
         list(binom_window(m, n))
+
+
+def _literal_window_sum(kind, j, n):
+    # sum_p e_p * binom(2j, j + p*n) over all integers p, written with math.comb
+    weight = (lambda p: 1) if kind == "cos" else (lambda p: (-1) ** (p * n % 2))
+    return sum(weight(p) * comb(2 * j, j + p * n) for p in range(-(j // n), j // n + 1))
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_scaled_power_sums_match_literal_window_sums(kind):
+    """Term j is the whole window sum of (j, n) with the weights of C or S,
+    below j = n (central terms) and from there (residue rows) alike."""
+    for n in [*range(1, 12), 40, 41]:
+        sums = list(islice(scaled_power_sums(kind, n), 61))
+        assert sums == [_literal_window_sum(kind, j, n) for j in range(61)], (kind, n)
+
+
+def test_residue_rows_match_literal_residue_sums():
+    """Row j lists sum_{i = r (mod L)} binom(2j, i), r < L: the coefficients
+    of (1 + x)^{2j} mod (x^L - 1), written with math.comb, from any start."""
+    for period in range(1, 12):
+        for start in (0, 1, period, 2 * period + 1):
+            rows = islice(exact_core._residue_rows(start, period), 30)
+            for j, row in enumerate(rows, start):
+                literal = tuple(
+                    sum(comb(2 * j, i) for i in range(r, 2 * j + 1, period))
+                    for r in range(period)
+                )
+                assert row == literal, (period, start, j)
+
+
+def test_scaled_power_sums_edges():
+    assert list(islice(scaled_power_sums("cos", 1), 4)) == [1, 4, 16, 64]
+    assert list(islice(scaled_power_sums("sin", 1), 4)) == [1, 0, 0, 0]  # sin(0) = 0
+    # a huge n: central binomials only, no row of n entries
+    assert list(islice(scaled_power_sums("sin", 10**9 + 1), 4)) == [1, 2, 6, 20]
+    for kind, n in (("tan", 3), ("cos", 0)):
+        with pytest.raises(ValueError):
+            next(scaled_power_sums(kind, n))
+
+
+def test_scaled_power_sums_build_no_row_below_n(monkeypatch):
+    """The rows start at j = n: a caller that stops below n builds none."""
+
+    def no_rows(*args):
+        raise AssertionError("residue row built")
+
+    monkeypatch.setattr(exact_core, "_residue_rows", no_rows)
+    for kind in ("cos", "sin"):
+        assert len(list(islice(scaled_power_sums(kind, 10**9), 1001))) == 1001
+        with pytest.raises(AssertionError, match="residue row"):
+            list(islice(scaled_power_sums(kind, 5), 6))
 
 
 BERNOULLI_KNOWN = {

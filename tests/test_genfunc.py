@@ -7,8 +7,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import genfunc
-from trigsum.closed_forms import MAX_M
+from trigsum import exact_core, genfunc
+from trigsum.closed_forms import MAX_M, cos_power_sum, sin_power_sum
 from trigsum.errors import CostGuardError, ParameterError
 from trigsum.genfunc import (
     MAX_TABLE_INDEX,
@@ -152,14 +152,67 @@ def test_resolvent_coefficients_both_kinds():
             assert sin_series[j] == explicit
 
 
+def test_series_builders_match_per_index_power_sums():
+    """The residue-row recurrence gives every coefficient exactly as the
+    per-index C and S do, n = 1..11, both kinds, to order 80."""
+    order = 80
+    for n in range(1, 12):
+        g1 = g1_coefficients(n, order)
+        for kind, base in (("cos", cos_power_sum), ("sin", sin_power_sum)):
+            resolvent = resolvent_coefficients(kind, n, order)
+            assert resolvent.coeffs == tuple(base(j, n) / n for j in range(order + 1)), (kind, n)
+        for idx in range(order + 1):
+            odd = F(1, factorial(idx)) if idx % 2 else cos_power_sum(idx // 2, n) / factorial(idx)
+            assert g1[idx] == odd, (n, idx)
+        if n % 2:  # h1 needs even q coprime to n
+            h1 = h1_coefficients(n, 2, order)
+            for idx in range(order + 1):
+                even = 0 if idx % 2 else sin_power_sum(idx // 2, n) / factorial(idx)
+                assert h1[idx] == even, (n, idx)
+
+
+def test_series_builders_at_n_near_and_past_the_order():
+    """Around j = n the sums switch from central binomials to residue rows;
+    every coefficient still equals the per-index C and S."""
+    order = 60
+    for n in (29, 30, 31, 59, 60, 61, 97):
+        for kind, base in (("cos", cos_power_sum), ("sin", sin_power_sum)):
+            resolvent = resolvent_coefficients(kind, n, order)
+            assert resolvent.coeffs == tuple(base(j, n) / n for j in range(order + 1)), (kind, n)
+        g1 = g1_coefficients(n, order)
+        assert all(g1[2 * j] == cos_power_sum(j, n) / factorial(2 * j) for j in range(31)), n
+        if n % 2:
+            h1 = h1_coefficients(n, 2, order)
+            assert all(h1[2 * j] == sin_power_sum(j, n) / factorial(2 * j) for j in range(31)), n
+
+
+def test_series_builders_build_no_row_for_n_past_the_order(monkeypatch):
+    """With n above every index each coefficient is one central binomial:
+    no residue row of n entries is built, so a huge n costs nothing."""
+
+    def no_rows(*args):
+        raise AssertionError("residue row built")
+
+    monkeypatch.setattr(exact_core, "_residue_rows", no_rows)
+    n = 10**8 + 1
+    for series in (
+        g1_coefficients(n, 20),
+        h1_coefficients(n, 2, 20),
+        resolvent_coefficients("cos", n, 10),
+        resolvent_coefficients("sin", n, 10),
+    ):
+        assert series.order in (10, 20)
+    coeffs = resolvent_coefficients("cos", n, MAX_TABLE_INDEX).coeffs
+    assert coeffs[7] == F(comb(14, 7), 4**7)
+
+
 def test_series_order_cost_guard_refuses_before_any_coefficient(monkeypatch):
     """An order past MAX_TABLE_INDEX is refused before any power sum."""
 
     def costly(*args):
         raise AssertionError("coefficient computed")
 
-    monkeypatch.setattr(genfunc, "cos_power_sum", costly)
-    monkeypatch.setattr(genfunc, "sin_power_sum", costly)
+    monkeypatch.setattr(genfunc, "scaled_power_sums", costly)
     order = MAX_TABLE_INDEX + 1
     for build in (
         lambda: g1_coefficients(3, order),

@@ -5,13 +5,16 @@ the cosine power sums."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trigsum import exact_core
 from trigsum.closed_forms import cos_power_sum
-from trigsum.errors import ParameterError
+from trigsum.errors import CostGuardError, ParameterError
+from trigsum.genfunc import MAX_TABLE_INDEX
 from trigsum.walks import (
     GraphKind,
     GraphSpec,
     WalkCount,
     adjacency_matrix,
+    closed_walk_counts,
     cycle_closed_walks,
     path_closed_walks,
     trace_oracle,
@@ -132,6 +135,43 @@ def test_adjacency_shapes():
     assert all(sum(row) == 2 for row in cycle)  # 2-regular
     triangle = adjacency_matrix(GraphSpec(GraphKind.CYCLE, 3))
     assert sum(sum(row) for row in triangle) == 6
+
+
+def test_walk_tables_match_per_index_counters():
+    """The residue-row recurrence gives every row of both walk tables
+    exactly as the per-index counters do, n up to 11, m up to 80."""
+    for n in range(2, 12):
+        kinds = [(GraphKind.PATH, path_closed_walks)]
+        if n % 2 and n >= 3:
+            kinds.append((GraphKind.CYCLE, cycle_closed_walks))
+        for kind, counter in kinds:
+            expected = [counter(n, m) for m in range(81)]
+            assert closed_walk_counts(kind, n, 80) == expected, (kind, n)
+            assert walk_table_lines(kind, n, 80) == [f"{m} {c}" for m, c in enumerate(expected)]
+
+
+def test_walk_table_bad_arguments_rejected():
+    with pytest.raises(ParameterError):
+        closed_walk_counts(GraphKind.PATH, 4, -1)
+    with pytest.raises(ParameterError):
+        closed_walk_counts(GraphKind.CYCLE, 4, 3)
+    with pytest.raises(CostGuardError, match="cost guard"):
+        closed_walk_counts(GraphKind.PATH, 4, MAX_TABLE_INDEX + 1)
+
+
+def test_walk_tables_for_n_past_m_max_build_no_row(monkeypatch):
+    """With n above m_max every count is a central binomial times n (less
+    4^m for the path): no residue row of n entries is built."""
+
+    def no_rows(*args):
+        raise AssertionError("residue row built")
+
+    monkeypatch.setattr(exact_core, "_residue_rows", no_rows)
+    n = 999_999_999
+    assert closed_walk_counts(GraphKind.CYCLE, n, 0) == [n]
+    assert closed_walk_counts(GraphKind.CYCLE, n, 3) == [n, 2 * n, 6 * n, 20 * n]
+    assert walk_table_lines(GraphKind.PATH, n + 1, 2) == [f"0 {n}", f"1 {2 * n - 2}", f"2 {6 * n - 10}"]
+    assert len(closed_walk_counts(GraphKind.PATH, n + 1, MAX_TABLE_INDEX)) == MAX_TABLE_INDEX + 1
 
 
 def test_walk_table_lines_format():
