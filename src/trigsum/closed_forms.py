@@ -28,6 +28,12 @@ its own window, and the two are compared at every call.
 All values are exact rationals. Any value times 2^{2m+2} is an integer for
 the families here except the degree-5 weighted family, where 2^{2m+4}
 suffices.
+
+SumSpec.validate() is the one domain check: each public function starts by
+validating the SumSpec of its own family, so a call and an evaluate() of
+the same request accept and refuse the same arguments. The erratum
+reproducers validate the sum they misstate, then check only the range their
+published expression claims.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .exact_core import Rational, binom, binom_window
 
 __all__ = [
     "MAX_M",
-    "MAX_ELL5_N",
     "Family",
     "SumSpec",
     "evaluate",
@@ -100,15 +105,6 @@ class Family(str, Enum):
 # larger m is rejected with CostGuardError.
 MAX_M = 10**5
 
-# Cost guard on n for the ell5 cos2/cos4 weights, kept from their former
-# power reduction, which looped over j < n with binomials and powers of 2
-# that grew with n (ell5_sum('cos2', 1, n) took 0.16 s at n = 1,000 and
-# 37 s at 8,000). cos2 and cos4 now read one window like the other
-# composites, so their cost no longer grows with n: at m = 3,000 either
-# took 3 to 4 ms at n = 7 or 1,000 and 1.2 ms at n = 10^5 (a shorter
-# window; 2-vCPU Xeon VM). Larger n is still rejected with CostGuardError.
-MAX_ELL5_N = 1_000
-
 # Families whose definition reads the q parameter / the cos-sin kind switch.
 _USES_Q = frozenset({Family.SCALED, Family.COPRIME, Family.GCD_REDUCED})
 _USES_KIND = frozenset(
@@ -124,6 +120,9 @@ class SumSpec:
     angle denominator (the alternating family reads it as the even period
     N). ``q`` and ``kind`` are read only by the families in _USES_Q and
     _USES_KIND and ignored elsewhere.
+
+    validate() holds every family's domain and cost guard, and it is the
+    only place that does: each public function of the family runs it.
     """
 
     family: Family
@@ -134,32 +133,34 @@ class SumSpec:
 
     def validate(self) -> None:
         f = self.family
+        if not isinstance(f, Family):
+            raise ParameterError(f"unknown family {f!r}")
         check_int("m", self.m)
         check_int("n", self.n)
         check_int("q", self.q)
         if self.m < 0:
             raise ParameterError("m must be non-negative")
-        _check_m_cost(self.m)
-        if f in (Family.ELL5_COS2, Family.ELL5_COS4):
-            _check_ell5_n(self.n)
+        if self.m > MAX_M:
+            raise CostGuardError(f"m must be <= {MAX_M} (cost guard)")
         min_n = 0 if f is Family.BARBERO_R else 1
         if self.n < min_n:
             raise ParameterError(f"n must be >= {min_n} for {f.value}")
         if self.kind not in ("cos", "sin"):
             raise ParameterError("kind must be 'cos' or 'sin'")
-        if f in _USES_Q and self.q < 1:
-            raise ParameterError("q must be positive")
-        if f is Family.SCALED and self.q % self.n:
-            raise ParameterError("scaled family requires n | q")
-        if f is Family.COPRIME and gcd(self.n, self.q) != 1:
-            raise ParameterError("coprime family requires gcd(n, q) = 1")
-        if f is Family.QUONIAM and not 1 <= self.m <= self.n:
+        # each public function runs this, so the cheap value tests go first
+        if f in _USES_Q:
+            if self.q < 1:
+                raise ParameterError("q must be positive")
+            if f is Family.SCALED and self.q % self.n:
+                raise ParameterError("scaled family requires n | q")
+            if f is Family.COPRIME and gcd(self.n, self.q) != 1:
+                raise ParameterError("coprime family requires gcd(n, q) = 1")
+        if not 1 <= self.m <= self.n and f is Family.QUONIAM:
             raise ParameterError("quoniam requires 1 <= m < n+1")
-        if f in (Family.MERCA_HALF, Family.MERCA_SHIFTED) and self.m < 1:
+        if self.m < 1 and f in (Family.MERCA_HALF, Family.MERCA_SHIFTED):
             raise ParameterError("half-range families require m >= 1")
-        if f in (Family.ALTERNATING, Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT):
-            if self.n % 2:
-                raise ParameterError(f"{f.value} requires even n")
+        if self.n % 2 and f in (Family.ALTERNATING, Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT):
+            raise ParameterError(f"{f.value} requires even n")
 
     def params(self) -> dict[str, int | str]:
         """Parameter mapping for reports, q/kind only where meaningful."""
@@ -179,24 +180,6 @@ class SumSpec:
 
     def closed_value(self) -> Rational:
         return evaluate(self)
-
-
-def _check_m_cost(m: int) -> None:
-    if m > MAX_M:
-        raise CostGuardError(f"m must be <= {MAX_M} (cost guard)")
-
-
-def _check_ell5_n(n: int) -> None:
-    if n > MAX_ELL5_N:
-        raise CostGuardError(f"n must be <= {MAX_ELL5_N} for the ell5 cos2/cos4 weights (cost guard)")
-
-
-def _check_mn(m: int, n: int) -> None:
-    if m < 0:
-        raise ParameterError("m must be non-negative")
-    if n < 1:
-        raise ParameterError("n must be positive")
-    _check_m_cost(m)
 
 
 def _window_pass(
@@ -222,8 +205,6 @@ def _window_pass(
     comes out too). S weights term p by (-1)^{p*n}: it equals C at even d*n,
     and at odd d*n the classes j = d (mod 2d) enter with sign -1.
     """
-    if kind not in ("cos", "sin"):
-        raise ParameterError("kind must be 'cos' or 'sin'")
     odd_sin = [kind == "sin" and d * n % 2 == 1 for d in multiples]
     size = lcm(period, *(2 * d if odd else d for d, odd in zip(multiples, odd_sin)))
     terms = binom_window(m, n)
@@ -242,21 +223,19 @@ def _window_pass(
 
 def _power_sum(kind: str, m: int, n: int) -> Rational:
     """C(m, n) or S(m, n) by ``kind``, through the public entry points."""
-    if kind not in ("cos", "sin"):
-        raise ParameterError("kind must be 'cos' or 'sin'")
     return cos_power_sum(m, n) if kind == "cos" else sin_power_sum(m, n)
 
 
 def cos_power_sum(m: int, n: int) -> Rational:
     """C(m, n) = sum_{k=0}^{n-1} cos^{2m}(k*pi/n)."""
-    _check_mn(m, n)
+    SumSpec(Family.COS_POWER, m, n).validate()
     (value,) = _window_pass("cos", m, n, (1,))
     return Fraction(value, 4**m)
 
 
 def sin_power_sum(m: int, n: int) -> Rational:
     """S(m, n) = sum_{k=0}^{n-1} sin^{2m}(k*pi/n)."""
-    _check_mn(m, n)
+    SumSpec(Family.SIN_POWER, m, n).validate()
     (value,) = _window_pass("sin", m, n, (1,))
     return Fraction(value, 4**m)
 
@@ -264,9 +243,7 @@ def sin_power_sum(m: int, n: int) -> Rational:
 def scaled_sum(kind: str, m: int, n: int, q: int) -> Rational:
     """sum_{k=0}^{q-1} trig^{2m}(k*pi/n) for n | q: the same n angles swept
     q/n times, so the value is (q/n) * C(m, n) (resp. S)."""
-    _check_mn(m, n)
-    if q < 1 or q % n:
-        raise ParameterError("scaled sum requires q a positive multiple of n")
+    SumSpec(Family.SCALED, m, n, q, kind).validate()
     return Fraction(q, n) * _power_sum(kind, m, n)
 
 
@@ -277,11 +254,7 @@ def coprime_sum(kind: str, m: int, n: int, q: int) -> Rational:
     factor kills the sign of the representative), so the value is C(m, n)
     (resp. S) independently of which coprime q is chosen.
     """
-    _check_mn(m, n)
-    if q < 1:
-        raise ParameterError("q must be positive")
-    if gcd(n, q) != 1:
-        raise ParameterError("coprime sum requires gcd(n, q) = 1")
+    SumSpec(Family.COPRIME, m, n, q, kind).validate()
     return _power_sum(kind, m, n)
 
 
@@ -292,9 +265,7 @@ def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
     lattice for denominator l exactly r times: the value is r * C(m, l)
     (resp. S). Reduces to coprime_sum when r = 1.
     """
-    _check_mn(m, n)
-    if q < 1:
-        raise ParameterError("q must be positive")
+    SumSpec(Family.GCD_REDUCED, m, n, q, kind).validate()
     r = gcd(n, q)
     return r * _power_sum(kind, m, n // r)
 
@@ -302,9 +273,7 @@ def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
 def quoniam_sum(m: int, n: int) -> Rational:
     """2^{2m} * sum_{k=1}^{floor(n/2)} cos^{2m}(k*pi/(n+1)), valid for
     1 <= m < n+1, where it equals (n+1)*binom(2m-1, m-1) - 2^{2m-1}."""
-    if m < 1 or m > n:
-        raise ParameterError("quoniam_sum requires 1 <= m < n+1")
-    _check_m_cost(m)
+    SumSpec(Family.QUONIAM, m, n).validate()
     return Fraction((n + 1) * binom(2 * m - 1, m - 1) - 2 ** (2 * m - 1))
 
 
@@ -313,9 +282,7 @@ def merca_half_sum(p: int, n: int) -> Rational:
     = -1/2 + (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} binom(2p, p+kn),
     which is (C(p, n) - 1)/2: the k = 0 term dropped, the mirror pairs
     halved."""
-    _check_mn(p, n)
-    if p < 1:
-        raise ParameterError("merca_half_sum requires p >= 1")
+    SumSpec(Family.MERCA_HALF, p, n).validate()
     return (cos_power_sum(p, n) - 1) / 2
 
 
@@ -323,9 +290,7 @@ def merca_shifted_sum(p: int, n: int) -> Rational:
     """sum_{k=1}^{floor(n/2)} cos^{2p}((k - 1/2)*pi/n)
     = (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} (-1)^k binom(2p, p+kn),
     which is shifted_cos_sum(p, n)/2 by mirror pairing."""
-    _check_mn(p, n)
-    if p < 1:
-        raise ParameterError("merca_shifted_sum requires p >= 1")
+    SumSpec(Family.MERCA_SHIFTED, p, n).validate()
     return shifted_cos_sum(p, n) / 2
 
 
@@ -339,8 +304,7 @@ def barbero_R(m: int, n: int) -> Rational:
     2^{2m} * (C(m, 2n+3) - 1)/2, the k = 0 term dropped and the mirror
     pairs of the odd period halved.
     """
-    if m < 0 or n < 0:
-        raise ParameterError("barbero_R requires m, n >= 0")
+    SumSpec(Family.BARBERO_R, m, n).validate()
     return (cos_power_sum(m, 2 * n + 3) - 1) * 4**m / 2
 
 
@@ -349,9 +313,9 @@ def barbero_R_naive(m: int, n: int) -> Rational:
     unconditionally. A known erratum: it is only valid for m < 2n+3, and at
     (m, n) = (12, 3) it yields 3780094 instead of 3798310 (short by
     9*binom(24, 3) = 18216). Kept as a regression reproducer."""
-    if m < 1 or n < 0:
-        raise ParameterError("barbero_R_naive requires m >= 1, n >= 0")
-    _check_m_cost(m)
+    SumSpec(Family.BARBERO_R, m, n).validate()
+    if m < 1:
+        raise ParameterError("barbero_R_naive requires m >= 1")
     return Fraction(2 * n + 3, 2) * binom(2 * m, m) - 2 ** (2 * m - 1)
 
 
@@ -363,9 +327,7 @@ def alternating_sum(kind: str, m: int, n: int) -> Rational:
     the explicit middle-range case tables in circulation drop a factor
     (see alternating_cos_middle_erratum).
     """
-    _check_mn(m, n)
-    if n % 2:
-        raise ParameterError("alternating_sum requires an even period")
+    SumSpec(Family.ALTERNATING, m, n, kind=kind).validate()
     half, full = _window_pass(kind, m, n // 2, (1, 2))
     return Fraction(2 * half - full, 4**m)
 
@@ -377,9 +339,10 @@ def alternating_cos_middle_erratum(m: int, n: int) -> Rational:
     Erratum reproducer: the true value is n times this (equal only at
     n = 1). The factor-n omission is asserted, not corrected, here.
     """
+    check_int("n", n)  # 2 * True would pass as N = 2
+    SumSpec(Family.ALTERNATING, m, 2 * n).validate()
     if not n <= m < 2 * n:
         raise ParameterError("middle-range expression needs n <= m < 2n")
-    _check_m_cost(m)
     (tail,) = _window_pass("cos", m, n, (), ((0,),))
     return Fraction(4 * tail, 4**m)
 
@@ -402,7 +365,7 @@ def shifted_cos_sum(m: int, n: int) -> Rational:
     the two routes are asserted equal. C(m, n) and the direct form share
     one pass over the window of (m, n); C(m, 2n) comes from its own.
     """
-    _check_mn(m, n)
+    SumSpec(Family.SHIFTED_COS, m, n).validate()
     full, odd = _window_pass("cos", m, n, (1,), ((1,),), 2)
     direct = full - 4 * n * odd  # weight (-1)^p = 1 - 2*[p odd]
     (double,) = _window_pass("cos", m, 2 * n, (1,))
@@ -420,7 +383,7 @@ def shifted_sin_sum(m: int, n: int) -> Rational:
     S(m, 2n) - S(m, n). S(m, n) and the direct form share one pass over the
     window of (m, n); S(m, 2n) comes from its own.
     """
-    _check_mn(m, n)
+    SumSpec(Family.SHIFTED_SIN, m, n).validate()
     full, odd = _window_pass("sin", m, n, (1,), ((1,),), 2)
     # the direct weight minus S's (-1)^{np} is -2*(-1)^n at odd p, 0 at even p
     direct = full - (-1) ** n * 4 * n * odd
@@ -438,7 +401,8 @@ def weight3_sum(kind: str, m: int, n: int) -> Rational:
     three-range case expression is sound for this family (the tests hold
     the two equal).
     """
-    _check_mn(m, n)
+    family = Family.WEIGHT3_SIN if kind == "sin" else Family.WEIGHT3_COS
+    SumSpec(family, m, n, kind=kind).validate()
     single, triple = _window_pass(kind, m, n, (1, 3))
     return Fraction(3 * single - triple, 2 * 4**m)
 
@@ -450,7 +414,7 @@ def weight_half_pi_sum(m: int, n: int) -> Rational:
     alternating sum over N = 2n in disguise; exposed to keep that
     reducibility a tested fact.
     """
-    _check_mn(m, n)
+    SumSpec(Family.WEIGHT_HALF_PI, m, n).validate()
     single, double = _window_pass("cos", m, n, (1, 2))
     return Fraction(2 * single - double, 4**m)
 
@@ -458,14 +422,17 @@ def weight_half_pi_sum(m: int, n: int) -> Rational:
 def weight_pi3_sum(m: int, n: int) -> Rational:
     """sum_{k=0}^{3n-1} cos(k*pi/3) * cos^{2m}(k*pi/3n) for even n:
     3*C(m, n/2) - (3/2)*C(m, n) + C(m, 3n)/2 - C(m, 3n/2)."""
-    _check_mn(m, n)
-    if n % 2:
-        raise ParameterError("weight_pi3_sum requires even n")
+    SumSpec(Family.WEIGHT_PI3, m, n).validate()
     c1, c2, c3, c6 = _window_pass("cos", m, n // 2, (1, 2, 3, 6))
     return Fraction(6 * c1 - 3 * c2 - 2 * c3 + c6, 2 * 4**m)
 
 
-_ELL5_VARIANTS = ("product", "alt-product", "cos2", "cos4")
+_ELL5_FAMILIES = {
+    "product": Family.ELL5_PRODUCT,
+    "alt-product": Family.ELL5_ALT_PRODUCT,
+    "cos2": Family.ELL5_COS2,
+    "cos4": Family.ELL5_COS4,
+}
 
 
 def ell5_sum(variant: str, m: int, n: int) -> Rational:
@@ -487,28 +454,23 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
     with p = 1 or p = -1 (mod 5), and the mirror j <-> 2m - j merges the two
     classes into the one sum over p >= 1 above. Each variant reads all its
     C and the cos2 classes from one pass over the window of (m, n) (of
-    (m, n/2) for alt-product). cos2 and cos4 refuse n > MAX_ELL5_N with
-    CostGuardError.
+    (m, n/2) for alt-product).
     """
-    _check_mn(m, n)
-    if variant in ("cos2", "cos4"):
-        _check_ell5_n(n)
+    if not isinstance(variant, str) or variant not in _ELL5_FAMILIES:
+        raise ParameterError(f"unknown ell5 variant {variant!r} (expected one of {tuple(_ELL5_FAMILIES)})")
+    SumSpec(_ELL5_FAMILIES[variant], m, n).validate()
     if variant == "product":
         c1, c5 = _window_pass("cos", m, n, (1, 5))
         return Fraction(5 * c1 - c5, 4 * 4**m)
     if variant == "alt-product":
-        if n % 2:
-            raise ParameterError("alt-product requires even n")
         c1, c2, c5, c10 = _window_pass("cos", m, n // 2, (1, 2, 5, 10))
         return Fraction(10 * c1 - 5 * c2 - 2 * c5 + c10, 4 * 4**m)
     if variant == "cos2":
         (near,) = _window_pass("cos", m, n, (), ((1, 4),), 5)  # p = +-1 (mod 5)
         return Fraction(5 * n * near, 4**m)
-    if variant == "cos4":
-        c1, c5, near = _window_pass("cos", m, n, (1, 5), ((1, 4),), 5)
-        cos2 = 5 * n * near
-        return Fraction(10 * c1 - 2 * c5 - 4 * cos2, 4 * 4**m)
-    raise ParameterError(f"unknown ell5 variant {variant!r} (expected one of {_ELL5_VARIANTS})")
+    c1, c5, near = _window_pass("cos", m, n, (1, 5), ((1, 4),), 5)  # cos4
+    cos2 = 5 * n * near
+    return Fraction(10 * c1 - 2 * c5 - 4 * cos2, 4 * 4**m)
 
 
 _DISPATCH = {
@@ -536,6 +498,8 @@ _DISPATCH = {
 
 
 def evaluate(spec: SumSpec) -> Rational:
-    """Validate ``spec`` and evaluate its closed form exactly."""
-    spec.validate()
+    """Evaluate ``spec``'s closed form exactly. The family's function
+    validates ``spec``'s parameters; an unknown family is a ParameterError."""
+    if not isinstance(spec.family, Family):
+        spec.validate()  # raises: unknown family
     return _DISPATCH[spec.family](spec)

@@ -231,6 +231,7 @@ class ByrneSmithCoefficients:
 
 
 def _build_rows(n_max: int, corrected: bool) -> tuple[tuple[Fraction, ...], ...]:
+    check_int("n_max", n_max)
     if n_max < 1:
         raise ParameterError("n_max must be positive")
     if n_max > MAX_N:
@@ -254,7 +255,7 @@ def _build_rows(n_max: int, corrected: bool) -> tuple[tuple[Fraction, ...], ...]
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def byrne_smith_coefficients(n_max: int) -> ByrneSmithCoefficients:
     """Coefficient triangle of the corrected closed form, by the recursion
 
@@ -267,7 +268,7 @@ def byrne_smith_coefficients(n_max: int) -> ByrneSmithCoefficients:
     return ByrneSmithCoefficients(rows=_build_rows(n_max, corrected=True))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def byrne_smith_coefficients_uncorrected(n_max: int) -> ByrneSmithCoefficients:
     """Erratum reproducer: the same construction with the published
     recursion denominator 2^{2(n-j)-1}. Wrong from n = 2 on."""

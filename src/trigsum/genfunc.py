@@ -27,7 +27,7 @@ from itertools import islice
 from math import factorial, gcd
 
 from .closed_forms import MAX_M
-from .errors import CostGuardError, ParameterError
+from .errors import CostGuardError, ParameterError, check_int
 from .exact_core import Rational, binom_window, scaled_power_sums
 
 __all__ = [
@@ -59,6 +59,8 @@ MAX_TABLE_INDEX = 1000
 
 
 def _check_order(n: int, order: int) -> None:
+    check_int("n", n)
+    check_int("order", order)
     if n < 1 or order < 0:
         raise ParameterError("need n >= 1 and order >= 0")
     if order > MAX_TABLE_INDEX:
@@ -66,6 +68,8 @@ def _check_order(n: int, order: int) -> None:
 
 
 def _check_sigma(k: int, n: int) -> None:
+    check_int("k", k)
+    check_int("n", n)
     if k < 0 or n < 1:
         raise ParameterError("need k >= 0 and n >= 1")
     if k > MAX_M:
@@ -106,6 +110,7 @@ def sigma_minus(k: int, n: int) -> Rational:
 def bessel_i0_coefficient(j: int) -> Rational:
     """Coefficient of z^{2j} in the modified Bessel function I0(z):
     1/(4^j * (j!)^2)."""
+    check_int("j", j)
     if j < 0:
         raise ParameterError("j must be non-negative")
     return Fraction(1, 4**j * factorial(j) ** 2)
@@ -132,6 +137,7 @@ def h1_coefficients(n: int, q: int, order: int) -> SeriesCoefficients:
     negation).
     """
     _check_order(n, order)
+    check_int("q", q)
     if q < 1 or q % 2:
         raise ParameterError("q must be a positive even integer")
     if gcd(q, n) != 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .closed_forms import cos_power_sum
-from .errors import CostGuardError, ParameterError
+from .errors import CostGuardError, ParameterError, check_int
 from .exact_core import scaled_power_sums
 from .genfunc import MAX_TABLE_INDEX
 
@@ -55,6 +55,7 @@ class GraphSpec:
     n: int
 
     def validate(self) -> None:
+        check_int("n", self.n)
         if self.kind is GraphKind.PATH:
             if self.n < 2:
                 raise ParameterError("path requires n >= 2 (at least one vertex)")
@@ -118,6 +119,7 @@ def trace_oracle(graph: GraphSpec, length: int) -> WalkCount:
     squaring). Accepts any length >= 0, odd included, so bipartite
     cancellation is itself checkable."""
     graph.validate()
+    check_int("length", length)
     if length < 0:
         raise ParameterError("length must be non-negative")
     size = graph.vertex_count
@@ -142,6 +144,7 @@ def closed_walk_counts(kind: GraphKind, n: int, m_max: int) -> list[WalkCount]:
     4^m * C(m, n), less 4^m for the path. The table holds O(m_max^2) bits,
     so m_max past MAX_TABLE_INDEX is refused with CostGuardError."""
     GraphSpec(kind, n).validate()
+    check_int("m_max", m_max)
     if m_max < 0:
         raise ParameterError("m_max must be non-negative")
     if m_max > MAX_TABLE_INDEX:

@@ -56,20 +56,17 @@ def test_sum_cost_guard_is_a_usage_error(capsys):
     assert "cost guard" in capsys.readouterr().err
 
 
-def test_ell5_weight_cost_guard_is_a_usage_error(capsys, monkeypatch):
-    """eval and verify of the ell5 cos2/cos4 weights past n = MAX_ELL5_N
-    exit 2 before any binomial."""
-    from trigsum import closed_forms
-
-    def costly(*args):
-        raise AssertionError("binomial computed")
-
-    monkeypatch.setattr(closed_forms, "binom_window", costly)
-    monkeypatch.setattr(closed_forms, "binom", costly)
-    assert main(["eval", "--family", "ell5-cos2", "--m", "1", "--n", "100000"]) == 2
-    assert "cost guard" in capsys.readouterr().err
-    assert main(["verify", "--family", "ell5-cos2,ell5-cos4", "--n-max", "5000"]) == 2
-    assert "cost guard" in capsys.readouterr().err
+def test_ell5_weight_at_large_n_is_evaluated(capsys):
+    """eval of the ell5 cos2/cos4 weights past n = 1,000 prints the value:
+    one window pass, whose cost does not grow with n."""
+    for family in (Family.ELL5_COS2, Family.ELL5_COS4):
+        value = evaluate(SumSpec(family, 2003, 1001))
+        assert value != 0
+        argv = ["eval", "--family", family.value, "--m", "2003", "--n", "1001"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{value.numerator}/{value.denominator}\n"
+    assert main(["eval", "--family", "ell5-cos2", "--m", "3000", "--n", "100000"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_digits_cost_guard_is_a_usage_error(capsys):

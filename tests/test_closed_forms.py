@@ -7,9 +7,8 @@ from math import comb, factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import closed_forms, exact_core, genfunc, walks
+from trigsum import closed_forms, cotangent, exact_core, genfunc, walks
 from trigsum.closed_forms import (
-    MAX_ELL5_N,
     MAX_M,
     Family,
     SumSpec,
@@ -34,8 +33,10 @@ from trigsum.closed_forms import (
     weight_half_pi_sum,
     weight_pi3_sum,
 )
+from trigsum.cotangent import byrne_smith_coefficients, byrne_smith_coefficients_uncorrected
 from trigsum.errors import CostGuardError, ParameterError
 from trigsum.genfunc import (
+    bessel_i0_coefficient,
     g1_coefficients,
     h1_coefficients,
     resolvent_coefficients,
@@ -44,11 +45,15 @@ from trigsum.genfunc import (
 )
 from trigsum.walks import (
     GraphKind,
+    GraphSpec,
+    adjacency_matrix,
     closed_walk_counts,
     cycle_closed_walks,
     path_closed_walks,
+    trace_oracle,
     walk_table_lines,
 )
+from trigsum.oracle import evaluate_exact
 
 F = Fraction
 
@@ -336,26 +341,17 @@ def test_cost_guard_on_m_in_every_function(name, monkeypatch):
 
 
 @pytest.mark.parametrize("family", [Family.ELL5_COS2, Family.ELL5_COS4])
-def test_ell5_weight_cost_guard_on_n(family, monkeypatch):
-    """The cos2/cos4 weights refuse n > MAX_ELL5_N before any binomial:
-    their power reduction loops over j < n (1.2 s at n = 2,000). n =
-    MAX_ELL5_N itself is admitted, and the product weights keep no bound."""
-
-    def costly(*args):
-        raise AssertionError("binomial computed")
-
-    monkeypatch.setattr(closed_forms, "binom_window", costly)
-    monkeypatch.setattr(closed_forms, "binom", costly)
+def test_ell5_weight_admits_large_n(family):
+    """The cos2/cos4 weights read one window like the product weights, so
+    their cost does not grow with n and no bound on n is kept: past n =
+    1,000 they still equal their literal binomial form."""
     variant = family.value.removeprefix("ell5-")
-    over = SumSpec(family, 1, MAX_ELL5_N + 1)
-    for call in (over.validate, lambda: evaluate(over), lambda: ell5_sum(variant, 1, MAX_ELL5_N + 1)):
-        with pytest.raises(CostGuardError, match="cost guard"):
-            call()
-    SumSpec(family, 1, MAX_ELL5_N).validate()
-    with pytest.raises(AssertionError, match="binomial computed"):
-        ell5_sum(variant, 1, MAX_ELL5_N)
-    with pytest.raises(AssertionError, match="binomial computed"):
-        ell5_sum("product", 1, MAX_ELL5_N + 1)
+    shift = {"cos2": 1, "cos4": 2}[variant]  # the weight is cos(2*pi*shift*k/5)
+    n = 1001
+    SumSpec(family, 1, 10**6).validate()
+    for m in (1, n, 2 * n + 1, 4 * n + 3):
+        expected = _lattice_sum(m, 5 * n, shift * n)
+        assert ell5_sum(variant, m, n) == evaluate(SumSpec(family, m, n)) == expected, m
 
 
 def test_quoniam_frozen():
@@ -666,6 +662,107 @@ def test_sumspec_validation_errors():
         SumSpec(Family.QUONIAM, 5, 4).validate()  # m > n
     # barbero allows n = 0
     SumSpec(Family.BARBERO_R, 3, 0).validate()
+
+
+_GRAPH = GraphSpec(GraphKind.PATH, 3)
+# every public closed-form, series, walk and coefficient-triangle function,
+# called with one bool and with one float parameter
+NON_INT_CALLS = {
+    "cos_power_sum": (lambda: cos_power_sum(True, 3), lambda: cos_power_sum(2, 3.0)),
+    "sin_power_sum": (lambda: sin_power_sum(2, True), lambda: sin_power_sum(2.0, 3)),
+    "scaled_sum": (lambda: scaled_sum("cos", 2, 3, True), lambda: scaled_sum("sin", 2, 3, 6.0)),
+    "coprime_sum": (lambda: coprime_sum("cos", True, 3, 2), lambda: coprime_sum("sin", 2, 3, 2.0)),
+    "gcd_reduced_sum": (lambda: gcd_reduced_sum("cos", 2, True, 2), lambda: gcd_reduced_sum("cos", 2, 3, 2.0)),
+    "quoniam_sum": (lambda: quoniam_sum(True, 3), lambda: quoniam_sum(2, 3.5)),
+    "merca_half_sum": (lambda: merca_half_sum(True, 3), lambda: merca_half_sum(2, 3.0)),
+    "merca_shifted_sum": (lambda: merca_shifted_sum(2, True), lambda: merca_shifted_sum(2.0, 3)),
+    "barbero_R": (lambda: barbero_R(True, 1), lambda: barbero_R(2.0, 1)),
+    "barbero_R_naive": (lambda: barbero_R_naive(2, True), lambda: barbero_R_naive(2, 1.0)),
+    "alternating_sum": (lambda: alternating_sum("cos", True, 4), lambda: alternating_sum("sin", 2, 4.0)),
+    "alternating_cos_middle_erratum": (
+        lambda: alternating_cos_middle_erratum(1, True),
+        lambda: alternating_cos_middle_erratum(2.0, 2),
+    ),
+    "alternating_sin_middle_erratum": (
+        lambda: alternating_sin_middle_erratum(True, 1),
+        lambda: alternating_sin_middle_erratum(2, 2.0),
+    ),
+    "shifted_cos_sum": (lambda: shifted_cos_sum(True, 3), lambda: shifted_cos_sum(2, 3.0)),
+    "shifted_sin_sum": (lambda: shifted_sin_sum(2, True), lambda: shifted_sin_sum(2.0, 3)),
+    "weight3_sum": (lambda: weight3_sum("cos", True, 3), lambda: weight3_sum("sin", 2, 3.0)),
+    "weight_half_pi_sum": (lambda: weight_half_pi_sum(2, True), lambda: weight_half_pi_sum(2.0, 3)),
+    "weight_pi3_sum": (lambda: weight_pi3_sum(True, 4), lambda: weight_pi3_sum(2, 4.0)),
+    "ell5_sum": (lambda: ell5_sum("product", True, 3), lambda: ell5_sum("cos2", 3, 2.0)),
+    "sigma": (lambda: sigma(True, 1), lambda: sigma(2, 1.0)),
+    "sigma_minus": (lambda: sigma_minus(2, True), lambda: sigma_minus(2.0, 1)),
+    "bessel_i0_coefficient": (lambda: bessel_i0_coefficient(True), lambda: bessel_i0_coefficient(2.0)),
+    "g1_coefficients": (lambda: g1_coefficients(3, True), lambda: g1_coefficients(3.0, 4)),
+    "h1_coefficients": (lambda: h1_coefficients(3, True, 4), lambda: h1_coefficients(3, 2.0, 4)),
+    "resolvent_coefficients": (
+        lambda: resolvent_coefficients("cos", True, 4),
+        lambda: resolvent_coefficients("sin", 3, 4.0),
+    ),
+    "path_closed_walks": (lambda: path_closed_walks(True, 2), lambda: path_closed_walks(3, 2.0)),
+    "cycle_closed_walks": (lambda: cycle_closed_walks(3, True), lambda: cycle_closed_walks(3.0, 2)),
+    "adjacency_matrix": (
+        lambda: adjacency_matrix(GraphSpec(GraphKind.CYCLE, True)),
+        lambda: adjacency_matrix(GraphSpec(GraphKind.PATH, 3.0)),
+    ),
+    "trace_oracle": (lambda: trace_oracle(_GRAPH, True), lambda: trace_oracle(_GRAPH, 2.0)),
+    "closed_walk_counts": (
+        lambda: closed_walk_counts(GraphKind.PATH, 3, True),
+        lambda: closed_walk_counts(GraphKind.CYCLE, 3.0, 4),
+    ),
+    "walk_table_lines": (
+        lambda: walk_table_lines(GraphKind.PATH, True, 4),
+        lambda: walk_table_lines(GraphKind.CYCLE, 3, 4.0),
+    ),
+    "byrne_smith_coefficients": (
+        lambda: byrne_smith_coefficients(True),
+        lambda: byrne_smith_coefficients(2.0),
+    ),
+    "byrne_smith_coefficients_uncorrected": (
+        lambda: byrne_smith_coefficients_uncorrected(True),
+        lambda: byrne_smith_coefficients_uncorrected(2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, which", [(name, which) for name in NON_INT_CALLS for which in ("bool", "float")]
+)
+def test_non_int_parameters_rejected_by_every_function(name, which, monkeypatch):
+    """Called directly, every function refuses a bool or float parameter as
+    a usage error before it builds a binomial, also once the int call with
+    the same value is cached."""
+    byrne_smith_coefficients(1), byrne_smith_coefficients(2)
+    byrne_smith_coefficients_uncorrected(1), byrne_smith_coefficients_uncorrected(2)
+
+    def costly(*args):
+        raise AssertionError("binomial computed")
+
+    for module, site in (
+        (closed_forms, "binom_window"),
+        (closed_forms, "binom"),
+        (genfunc, "binom_window"),
+        (genfunc, "scaled_power_sums"),
+        (walks, "scaled_power_sums"),
+        (cotangent, "binom"),
+    ):
+        monkeypatch.setattr(module, site, costly)
+    call = NON_INT_CALLS[name][which == "float"]
+    with pytest.raises(ParameterError, match="must be an int"):
+        call()
+
+
+@pytest.mark.parametrize("family", ["bogus", "C", None])
+def test_unknown_family_rejected(family):
+    """A family that is not a Family member is a usage error, not C's value
+    or a KeyError; its CLI token alone does not name a family here."""
+    spec = SumSpec(family, 2, 3)
+    for call in (spec.validate, lambda: evaluate(spec), lambda: evaluate_exact(spec)):
+        with pytest.raises(ParameterError, match="unknown family"):
+            call()
 
 
 @pytest.mark.parametrize(
