@@ -498,8 +498,8 @@ _DISPATCH = {
 
 
 def evaluate(spec: SumSpec) -> Rational:
-    """Evaluate ``spec``'s closed form exactly. The family's function
-    validates ``spec``'s parameters; an unknown family is a ParameterError."""
-    if not isinstance(spec.family, Family):
-        spec.validate()  # raises: unknown family
+    """Evaluate ``spec``'s closed form exactly. ``spec`` is validated whole
+    first, so a q or kind its family ignores is refused as SumSpec.validate
+    refuses it; an unknown family is a ParameterError."""
+    spec.validate()
     return _DISPATCH[spec.family](spec)

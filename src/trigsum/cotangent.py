@@ -222,11 +222,16 @@ class ByrneSmithCoefficients:
         return len(self.rows)
 
     def coefficient(self, n: int, j: int) -> Fraction:
+        check_int("n", n)
+        check_int("j", j)
         if not 1 <= j <= n <= self.n_max:
             raise ParameterError("need 1 <= j <= n <= n_max")
         return self.rows[n - 1][j - 1]
 
     def row_sum(self, n: int) -> Fraction:
+        check_int("n", n)
+        if not 1 <= n <= self.n_max:
+            raise ParameterError("need 1 <= n <= n_max")
         return sum(self.rows[n - 1], Fraction(0))
 
 

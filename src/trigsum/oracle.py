@@ -6,10 +6,15 @@ under test. Terms are computed in rigorous interval arithmetic: pi is
 enclosed with directed rounding at the working precision, angles are exact
 integer multiples of that enclosure, and every cos/sin/cot/power/add
 propagates outward-rounded bounds. The result is an interval certified to
-contain the true value. Each term fn(angle)^exponent is memoized by its
-reduced angle, exponent and precision, so the cases of a campaign that
-revisit a lattice angle share one enclosure; a hit returns exactly the
-interval a fresh evaluation would (``clear_caches`` empties the memo).
+contain the true value. Each trig enclosure fn(angle) is memoized by its
+reduced angle and the working precision rounded up to a multiple of 64
+bits, so the cases of a campaign that revisit a lattice angle at nearby
+precisions share one cos/sin/cot evaluation (the two most recently used
+64-bit steps keep their enclosures). Each term fn(angle)^exponent rounds
+that enclosure outward to its own precision, takes the power there, and
+is memoized by reduced angle, exponent and precision. A hit returns
+exactly the interval a fresh evaluation would (``clear_caches`` empties
+both memos).
 
 The exact rational is then recovered by scaling the interval with an
 a-priori denominator bound D: if the scaled interval is narrower than
@@ -161,12 +166,42 @@ def _term(fn: str, num: int, den: int, exponent: int, prec: int):
     return _reduced_term(fn, num, den, exponent, prec)
 
 
+# Trig enclosures are computed at the working precision rounded up to a
+# multiple of this many bits, so the neighbouring precisions of a campaign
+# (2m + bitlen(n + 1) + 96 moves by 2 bits per m) share one cos/sin/cot
+# evaluation per angle; each term rounds it outward to its own precision.
+_TRIG_STEP_BITS = 64
+# Angles kept per step. Only the two most recently used steps keep a table
+# (a campaign near a step boundary alternates between two), so requests
+# spread over many precisions, as at large m, hold at most two steps of
+# enclosures beside the term memo.
+_TRIG_TABLE_SIZE = 100_000
+
+
 @lru_cache(maxsize=250_000)
 def _reduced_term(fn: str, num: int, den: int, exponent: int, prec: int):
-    trig = {"cos": libmp.mpi_cos, "sin": libmp.mpi_sin, "cot": libmp.mpi_cot}.get(fn)
-    if trig is None:
-        raise ValueError(fn)
-    return libmp.mpi_pow_int(trig(_angle(num, den, prec), prec), exponent, prec)
+    lo, hi = _trig(fn, num, den, -(-prec // _TRIG_STEP_BITS) * _TRIG_STEP_BITS)
+    rounded = (libmp.mpf_pos(lo, prec, "f"), libmp.mpf_pos(hi, prec, "c"))
+    return libmp.mpi_pow_int(rounded, exponent, prec)
+
+
+@lru_cache(maxsize=2)
+def _trig_table(step_prec: int) -> dict:
+    return {}
+
+
+def _trig(fn: str, num: int, den: int, step_prec: int):
+    """Enclosure of fn(num*pi/den) at step_prec, a multiple of _TRIG_STEP_BITS."""
+    table = _trig_table(step_prec)
+    enclosure = table.get((fn, num, den))
+    if enclosure is None:
+        trig = {"cos": libmp.mpi_cos, "sin": libmp.mpi_sin, "cot": libmp.mpi_cot}.get(fn)
+        if trig is None:
+            raise ValueError(fn)
+        enclosure = trig(_angle(num, den, step_prec), step_prec)
+        if len(table) < _TRIG_TABLE_SIZE:
+            table[fn, num, den] = enclosure
+    return enclosure
 
 
 def _check_precision(precision_bits: int) -> None:
@@ -404,11 +439,13 @@ def evaluate_exact(
 
 
 def clear_caches() -> None:
-    """Drop the memoized pi enclosures and term enclosures.
+    """Drop the memoized pi, trig and term enclosures.
 
-    Campaigns deliberately share one term enclosure per reduced angle,
-    exponent and precision across cases; timing a single evaluation should
+    Campaigns deliberately share one trig enclosure per reduced angle and
+    64-bit precision step, and one term enclosure per reduced angle,
+    exponent and precision, across cases; timing a single evaluation should
     not, or the oracle's cost is understated.
     """
     _pi_interval.cache_clear()
+    _trig_table.cache_clear()
     _reduced_term.cache_clear()

@@ -55,6 +55,8 @@ class GraphSpec:
     n: int
 
     def validate(self) -> None:
+        if not isinstance(self.kind, GraphKind):
+            raise ParameterError(f"unknown graph kind {self.kind!r}")
         check_int("n", self.n)
         if self.kind is GraphKind.PATH:
             if self.n < 2:

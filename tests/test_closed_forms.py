@@ -767,6 +767,20 @@ def test_unknown_family_rejected(family):
 
 @pytest.mark.parametrize(
     "spec",
+    [SumSpec(Family.COS_POWER, 2, 3, q=2.5), SumSpec(Family.COS_POWER, 2, 3, kind="tan")],
+    ids=["float-q", "bad-kind"],
+)
+def test_evaluate_refuses_what_validate_refuses(spec):
+    """A q or kind the family ignores is still a usage error: evaluate
+    refuses the request as SumSpec.validate and the oracle do, rather than
+    returning C(2, 3) = 9/8."""
+    for call in (spec.validate, lambda: evaluate(spec), lambda: evaluate_exact(spec)):
+        with pytest.raises(ParameterError):
+            call()
+
+
+@pytest.mark.parametrize(
+    "spec",
     [
         SumSpec(Family.COS_POWER, True, 3),
         SumSpec(Family.COS_POWER, 2, True),

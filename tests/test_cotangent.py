@@ -107,6 +107,28 @@ def test_non_int_parameters_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: b.coefficient(2, 1.0),
+        lambda b: b.coefficient(True, 1),
+        lambda b: b.row_sum(2.0),
+        lambda b: b.row_sum(7),
+        lambda b: b.row_sum(0),
+        lambda b: b.row_sum(-1),
+    ],
+    ids=["float-j", "bool-n", "float-n", "past-n-max", "zero", "negative"],
+)
+def test_coefficient_table_bad_arguments_rejected(call):
+    """The triangle's accessors refuse a non-int index and a row outside
+    1..n_max instead of raising TypeError or IndexError or reading a row
+    from the end."""
+    table = byrne_smith_coefficients(3)
+    assert table.coefficient(2, 1) == F(-8, 3) and table.row_sum(3) == 2
+    with pytest.raises(ParameterError):
+        call(table)
+
+
 def test_cost_guard_on_n():
     """n beyond MAX_N is refused up front instead of running unbounded."""
     assert cot_sum_polynomial(MAX_N).degree == 2 * MAX_N

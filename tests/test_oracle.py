@@ -343,3 +343,52 @@ def test_clear_caches_restores_the_cold_cost(counting_libmp):
     counting_libmp.calls.clear()
     evaluate_exact(spec)
     assert counting_libmp.calls == cold
+
+
+def test_neighbouring_precisions_share_one_trig_enclosure(counting_libmp):
+    """C(200, 7) and C(201, 7) run at 500 and 502 bits, inside the same
+    512-bit step: the second reuses every cos enclosure of the first and
+    only takes its own powers, one per reduced angle."""
+    first, second = SumSpec(Family.COS_POWER, 200, 7), SumSpec(Family.COS_POWER, 201, 7)
+    assert (default_precision(first), default_precision(second)) == (500, 502)
+    assert evaluate_exact(first) == evaluate(first)
+    before = Counter(counting_libmp.calls)
+    assert before["mpi_cos"] == before["mpi_pow_int"] == 7
+    assert evaluate_exact(second) == evaluate(second)
+    assert counting_libmp.calls - before == Counter(mpi_pow_int=7)
+
+
+def test_trig_enclosures_kept_for_two_steps(counting_libmp):
+    """C(m, 7) at m = 100, 200, 300 runs at 300, 500 and 700 bits, three
+    64-bit steps: the last two keep their enclosures, the first is dropped,
+    so requests spread over many precisions hold at most two steps."""
+    for m in (100, 200, 300):
+        evaluate_exact(SumSpec(Family.COS_POWER, m, 7))
+    before = counting_libmp.calls["mpi_cos"]
+    evaluate_exact(SumSpec(Family.COS_POWER, 301, 7))
+    evaluate_exact(SumSpec(Family.COS_POWER, 201, 7))
+    assert counting_libmp.calls["mpi_cos"] == before
+    evaluate_exact(SumSpec(Family.COS_POWER, 101, 7))
+    assert counting_libmp.calls["mpi_cos"] == before + 7
+
+
+@pytest.mark.parametrize("prec", [512, 513])
+@pytest.mark.parametrize(
+    "fn, num, den", [("cos", 1, 7), ("cos", 11, 12), ("sin", 5, 12), ("cot", 3, 40), ("cot", 7, 8)]
+)
+def test_served_trig_enclosure_is_rounded_outward(fn, num, den, prec, counting_libmp):
+    """A term at precision p is the step enclosure rounded outward to p
+    bits: it has at most p mantissa bits, contains a fresh enclosure at
+    4p, and stays narrow at p."""
+    lo, hi = oracle._term(fn, num, den, 1, prec)
+    assert lo[3] <= prec and hi[3] <= prec  # bit counts of the mantissas
+    libmp = counting_libmp._real
+    fresh_prec = 4 * prec
+    pi = (libmp.mpf_pi(fresh_prec, "d"), libmp.mpf_pi(fresh_prec, "u"))
+    angle = libmp.mpi_div(
+        libmp.mpi_mul(pi, (libmp.from_int(num),) * 2, fresh_prec), (libmp.from_int(den),) * 2, fresh_prec
+    )
+    fresh_lo, fresh_hi = getattr(libmp, "mpi_" + fn)(angle, fresh_prec)
+    assert libmp.mpf_le(lo, fresh_lo) and libmp.mpf_le(fresh_hi, hi)
+    lower, upper = oracle._to_fraction(lo), oracle._to_fraction(hi)
+    assert upper - lower <= abs(upper) * F(1, 2 ** (prec - 8))

@@ -150,6 +150,23 @@ def test_walk_tables_match_per_index_counters():
             assert walk_table_lines(kind, n, 80) == [f"{m} {c}" for m, c in enumerate(expected)]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: closed_walk_counts("path", 3, 3),
+        lambda: walk_table_lines("cycle", 3, 3),
+        lambda: trace_oracle(GraphSpec("bogus", 3), 4),
+        lambda: GraphSpec(None, 5).validate(),
+    ],
+    ids=["counts-str", "lines-str", "trace-bogus", "none"],
+)
+def test_unknown_graph_kind_rejected(call):
+    """A kind that is not a GraphKind member is a usage error, not read as
+    a cycle."""
+    with pytest.raises(ParameterError, match="unknown graph kind"):
+        call()
+
+
 def test_walk_table_bad_arguments_rejected():
     with pytest.raises(ParameterError):
         closed_walk_counts(GraphKind.PATH, 4, -1)
