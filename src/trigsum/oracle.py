@@ -2,19 +2,22 @@
 
 Each request is evaluated from its *defining* finite sum (the literal
 left-hand side: a loop over angle indices), never from the closed form
-under test. Terms are computed in rigorous interval arithmetic: pi is
-enclosed with directed rounding at the working precision, angles are exact
-integer multiples of that enclosure, and every cos/sin/cot/power/add
-propagates outward-rounded bounds. The result is an interval certified to
-contain the true value. Each trig enclosure fn(angle) is memoized by its
-reduced angle and the working precision rounded up to a multiple of 64
-bits, so the cases of a campaign that revisit a lattice angle at nearby
-precisions share one cos/sin/cot evaluation (the two most recently used
-64-bit steps keep their enclosures). Each term fn(angle)^exponent rounds
-that enclosure outward to its own precision, takes the power there, and
-is memoized by reduced angle, exponent and precision. A hit returns
-exactly the interval a fresh evaluation would (``clear_caches`` empties
-both memos).
+under test. Each term is enclosed with mpmath interval arithmetic: pi is
+enclosed with directed rounding at the working precision p, angles are
+exact integer multiples of it, and cos/sin/cot and the power round outward.
+The term is then rounded outward onto the grid 2^-p, and the sum runs on
+those integers: weight products round outward back to the grid, odd
+alternating terms swap endpoints, and terms add and scale exactly. Each
+rounding widens an endpoint by at most one grid unit, so the result is an
+interval certified to contain the true value. Each trig enclosure
+fn(angle) is memoized by its reduced angle and the working precision
+rounded up to a multiple of 64 bits, so the cases of a campaign that
+revisit a lattice angle at nearby precisions share one cos/sin/cot
+evaluation (the two most recently used 64-bit steps keep their
+enclosures). Each term fn(angle)^exponent rounds that enclosure outward to
+its own precision, takes the power there, and is memoized on the grid by
+reduced angle, exponent and precision. A hit returns exactly the integers
+a fresh evaluation would (``clear_caches`` empties both memos).
 
 The exact rational is then recovered by scaling the interval with an
 a-priori denominator bound D: if the scaled interval is narrower than
@@ -25,11 +28,10 @@ retried at doubled precision.
 
 The interval primitives come from mpmath's stateless low-level layer
 (explicit precision arguments, no global context), so oracle calls are
-pure and safe to fan out across threads or processes. Endpoints convert
-losslessly to Fraction via the raw mantissa/exponent pairs. mpmath is
-imported by the first ``direct_sum`` call, not by importing this module:
-the closed forms need no interval arithmetic, so ``trigsum eval`` and
-``trigsum table`` never load it.
+pure and safe to fan out across threads or processes. mpmath is imported
+by the first ``direct_sum`` call, not by importing this module: the closed
+forms need no interval arithmetic, so ``trigsum eval`` and ``trigsum
+table`` never load it.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ from functools import lru_cache
 from math import ceil, floor, gcd
 from typing import NamedTuple
 
-from .closed_forms import Family, SumSpec
+from .closed_forms import MAX_M, Family, SumSpec
 from .cotangent import ByrneSmithParams, CotSumParams
 from .errors import CostGuardError, ParameterError, check_int
 
 __all__ = [
     "MAX_TERMS",
+    "MAX_PRECISION_BITS",
     "IntervalValue",
     "ReconstructionPolicy",
     "OddCosPowerParams",
@@ -101,8 +104,12 @@ class ReconstructionPolicy:
     guard_bits: int = 32
 
     def __post_init__(self) -> None:
+        check_int("denominator_bound", self.denominator_bound)
+        check_int("guard_bits", self.guard_bits)
         if self.denominator_bound < 1 or self.guard_bits < 1:
             raise ParameterError("bound and guard_bits must be positive")
+        if self.guard_bits > MAX_PRECISION_BITS:
+            raise CostGuardError(f"guard_bits must be <= {MAX_PRECISION_BITS} (cost guard)")
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,8 @@ class OddCosPowerParams:
         check_int("n", self.n)
         if self.j < 0 or self.n < 1:
             raise ParameterError("need j >= 0 and n >= 1")
+        if self.j > MAX_M:
+            raise CostGuardError(f"j must be <= {MAX_M} (cost guard)")
 
 
 # --- interval plumbing -------------------------------------------------
@@ -127,15 +136,14 @@ class OddCosPowerParams:
 libmp = None
 
 
-def _to_fraction(raw) -> Fraction:
+def _floor_on_grid(raw, prec: int) -> int:
+    """floor(raw * 2^prec), read off the mpf's mantissa and exponent."""
     sign, man, exp, _ = raw
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
+    if not man and exp:
         raise ArithmeticError("non-finite interval endpoint")
-    value = Fraction(int(man))
-    value = value * 2**exp if exp >= 0 else value / 2 ** (-exp)
-    return -value if sign else value
+    man = -int(man) if sign else int(man)
+    shift = exp + prec
+    return man << shift if shift >= 0 else man >> -shift
 
 
 def _exact(i: int):
@@ -154,11 +162,11 @@ def _angle(num: int, den: int, prec: int):
     return libmp.mpi_div(scaled, _exact(den), prec)
 
 
-def _term(fn: str, num: int, den: int, exponent: int, prec: int):
-    """Enclosure of fn(num*pi/den)^exponent, fn one of cos, sin, cot. A
-    cos/sin angle is reduced mod 2*pi and to lowest terms exactly, on the
-    integers, before the cache lookup, so every index that lands on the same
-    lattice angle shares one enclosure."""
+def _term(fn: str, num: int, den: int, exponent: int, prec: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= fn(num*pi/den)^exponent * 2^prec <= hi,
+    fn one of cos, sin, cot. A cos/sin angle is reduced mod 2*pi and to
+    lowest terms exactly, on the integers, before the cache lookup, so every
+    index that lands on the same lattice angle shares one enclosure."""
     if fn in ("cos", "sin"):
         num %= 2 * den
         g = gcd(num, den)
@@ -182,7 +190,9 @@ _TRIG_TABLE_SIZE = 100_000
 def _reduced_term(fn: str, num: int, den: int, exponent: int, prec: int):
     lo, hi = _trig(fn, num, den, -(-prec // _TRIG_STEP_BITS) * _TRIG_STEP_BITS)
     rounded = (libmp.mpf_pos(lo, prec, "f"), libmp.mpf_pos(hi, prec, "c"))
-    return libmp.mpi_pow_int(rounded, exponent, prec)
+    lo, hi = libmp.mpi_pow_int(rounded, exponent, prec)
+    # ceil(x) = -floor(-x)
+    return _floor_on_grid(lo, prec), -_floor_on_grid(libmp.mpf_neg(hi), prec)
 
 
 @lru_cache(maxsize=2)
@@ -204,11 +214,6 @@ def _trig(fn: str, num: int, den: int, step_prec: int):
     return enclosure
 
 
-def _check_precision(precision_bits: int) -> None:
-    if precision_bits < 64:
-        raise ParameterError("precision_bits must be >= 64")
-
-
 # --- defining sums ------------------------------------------------------
 
 # Cost guard on the length of a defining sum. A term costs tens of
@@ -217,6 +222,14 @@ def _check_precision(precision_bits: int) -> None:
 # seconds; longer sums are refused with CostGuardError before any term
 # is summed.
 MAX_TERMS = 100_000
+
+# Cost guard on the working precision. The largest default_precision of a
+# request direct_sum accepts is 2*MAX_M + 18 + 96 bits (m or j = MAX_M, with
+# n + 1 < 2^18 since a defining sum has at most MAX_TERMS terms; a cot sum
+# needs at most 6,896), and the four default retries double it up to 2^4
+# times. Higher precisions are refused with CostGuardError before pi is
+# enclosed.
+MAX_PRECISION_BITS = 2**4 * (2 * MAX_M + (2 * MAX_TERMS + 3).bit_length() + 96)
 
 
 class _DefiningSum(NamedTuple):
@@ -331,34 +344,39 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
     """Evaluate ``spec``'s defining sum as a certified interval.
 
     Accepts a SumSpec, CotSumParams, ByrneSmithParams, or OddCosPowerParams.
-    A sum of more than MAX_TERMS terms raises CostGuardError.
+    Against the exact sum of the terms' mpmath enclosures, rounding onto the
+    grid 2^-precision_bits moves each endpoint out by less than
+    2 * (1 + len(weights)) grid units per term, times the scale. A sum of
+    more than MAX_TERMS terms, or a precision above MAX_PRECISION_BITS,
+    raises CostGuardError.
     """
     global libmp
     if libmp is None:
         from mpmath import libmp
-    _check_precision(precision_bits)
+    check_int("precision_bits", precision_bits)
+    if precision_bits < 64:
+        raise ParameterError("precision_bits must be >= 64")
+    if precision_bits > MAX_PRECISION_BITS:
+        raise CostGuardError(f"precision_bits must be <= {MAX_PRECISION_BITS} (cost guard)")
     s = _defining_sum(spec)
     if len(s.indices) > MAX_TERMS:
         raise CostGuardError(
             f"defining sum has {len(s.indices)} terms, more than {MAX_TERMS} (cost guard)"
         )
     prec = precision_bits
-    total = (libmp.fzero, libmp.fzero)
+    lower = upper = 0
     for k in s.indices:
-        term = _term(s.fn, s.a * k + s.b, s.den, s.exponent, prec)
+        lo, hi = _term(s.fn, s.a * k + s.b, s.den, s.exponent, prec)
         for c, d in s.weights:
-            term = libmp.mpi_mul(term, _term("cos", c * k, d, 1, prec), prec)
-        if s.scale != 1:
-            term = libmp.mpi_mul(term, _exact(s.scale), prec)
+            w_lo, w_hi = _term("cos", c * k, d, 1, prec)
+            products = (lo * w_lo, lo * w_hi, hi * w_lo, hi * w_hi)
+            lo, hi = min(products) >> prec, -(-max(products) >> prec)
         if s.alternating and k % 2:
-            total = libmp.mpi_sub(total, term, prec)
-        else:
-            total = libmp.mpi_add(total, term, prec)
-    return IntervalValue(
-        lower=_to_fraction(total[0]),
-        upper=_to_fraction(total[1]),
-        precision_bits=prec,
-    )
+            lo, hi = -hi, -lo
+        lower += lo
+        upper += hi
+    unit = 2**prec
+    return IntervalValue(Fraction(lower * s.scale, unit), Fraction(upper * s.scale, unit), prec)
 
 
 # --- rational reconstruction --------------------------------------------
@@ -374,7 +392,7 @@ def reconstruct(value: IntervalValue, policy: ReconstructionPolicy) -> Fraction:
     bound = policy.denominator_bound
     if value.width * bound >= Fraction(1, 2**policy.guard_bits):
         raise AmbiguousReconstruction(
-            f"interval width {float(value.width):.3e} too wide for bound {bound}"
+            f"interval width {float(value.width):.3e} too wide for a {bound.bit_length()}-bit bound"
         )
     lo = ceil(value.lower * bound)
     if lo > floor(value.upper * bound):
@@ -421,12 +439,20 @@ def evaluate_exact(
     Ambiguous reconstructions retry (up to ``max_retries`` doublings);
     NoIntegerNearby propagates immediately since more precision cannot put
     an integer inside a certified interval that excludes all of them. A
-    defining sum of more than MAX_TERMS (10^5) terms is refused with
-    CostGuardError before any term is summed.
+    defining sum of more than MAX_TERMS (10^5) terms, or retries that could
+    climb above MAX_PRECISION_BITS, are refused with CostGuardError before
+    any term is summed.
     """
+    check_int("max_retries", max_retries)
+    if max_retries < 0:
+        raise ParameterError("max_retries must be >= 0")
     if policy is None:
         policy = ReconstructionPolicy(denominator_bound=denominator_bound_for(spec))
     prec = max(64, default_precision(spec))
+    if max_retries >= MAX_PRECISION_BITS.bit_length() or prec << max_retries > MAX_PRECISION_BITS:
+        raise CostGuardError(
+            f"{max_retries} doublings of {prec} bits pass {MAX_PRECISION_BITS} bits (cost guard)"
+        )
     for _ in range(max_retries + 1):
         interval = direct_sum(spec, prec)
         try:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigsum import oracle
-from trigsum.closed_forms import Family, SumSpec, barbero_R_naive, evaluate
+from trigsum.closed_forms import MAX_M, Family, SumSpec, barbero_R_naive, evaluate
 from trigsum.cotangent import ByrneSmithParams, CotSumParams, byrne_smith_sum, cot_power_sum
 from trigsum.errors import CostGuardError, ParameterError
 from trigsum.oracle import (
+    MAX_PRECISION_BITS,
     MAX_TERMS,
     AmbiguousReconstruction,
     IntervalValue,
@@ -129,30 +130,33 @@ def test_oracle_imports_nothing_from_the_cot_closed_form():
     assert borrowed == {"CotSumParams", "ByrneSmithParams"}
 
 
+_ONE_PER_FAMILY = [
+    SumSpec(Family.COS_POWER, 7, 5),
+    SumSpec(Family.SIN_POWER, 6, 4),
+    SumSpec(Family.SCALED, 3, 4, q=8),
+    SumSpec(Family.COPRIME, 4, 9, q=7),
+    SumSpec(Family.GCD_REDUCED, 3, 8, q=6, kind="sin"),
+    SumSpec(Family.QUONIAM, 3, 5),
+    SumSpec(Family.MERCA_HALF, 4, 7),
+    SumSpec(Family.MERCA_SHIFTED, 3, 4),
+    SumSpec(Family.BARBERO_R, 9, 2),
+    SumSpec(Family.ALTERNATING, 5, 6, kind="sin"),
+    SumSpec(Family.SHIFTED_COS, 4, 5),
+    SumSpec(Family.SHIFTED_SIN, 4, 5),
+    SumSpec(Family.WEIGHT3_COS, 3, 4),
+    SumSpec(Family.WEIGHT3_SIN, 3, 4),
+    SumSpec(Family.WEIGHT_HALF_PI, 5, 3),
+    SumSpec(Family.WEIGHT_PI3, 3, 4),
+    SumSpec(Family.ELL5_PRODUCT, 3, 3),
+    SumSpec(Family.ELL5_ALT_PRODUCT, 3, 4),
+    SumSpec(Family.ELL5_COS2, 3, 2),
+    SumSpec(Family.ELL5_COS4, 3, 2),
+]
+
+
 def test_evaluate_exact_matches_closed_forms_sampled():
-    cases = [
-        SumSpec(Family.COS_POWER, 7, 5),
-        SumSpec(Family.SIN_POWER, 6, 4),
-        SumSpec(Family.SCALED, 3, 4, q=8),
-        SumSpec(Family.COPRIME, 4, 9, q=7),
-        SumSpec(Family.GCD_REDUCED, 3, 8, q=6, kind="sin"),
-        SumSpec(Family.QUONIAM, 3, 5),
-        SumSpec(Family.MERCA_HALF, 4, 7),
-        SumSpec(Family.MERCA_SHIFTED, 3, 4),
-        SumSpec(Family.BARBERO_R, 9, 2),
-        SumSpec(Family.ALTERNATING, 5, 6, kind="sin"),
-        SumSpec(Family.SHIFTED_COS, 4, 5),
-        SumSpec(Family.SHIFTED_SIN, 4, 5),
-        SumSpec(Family.WEIGHT3_COS, 3, 4),
-        SumSpec(Family.WEIGHT3_SIN, 3, 4),
-        SumSpec(Family.WEIGHT_HALF_PI, 5, 3),
-        SumSpec(Family.WEIGHT_PI3, 3, 4),
-        SumSpec(Family.ELL5_PRODUCT, 3, 3),
-        SumSpec(Family.ELL5_ALT_PRODUCT, 3, 4),
-        SumSpec(Family.ELL5_COS2, 3, 2),
-        SumSpec(Family.ELL5_COS4, 3, 2),
-    ]
-    for spec in cases:
+    assert {spec.family for spec in _ONE_PER_FAMILY} == set(Family)
+    for spec in _ONE_PER_FAMILY:
         assert evaluate_exact(spec) == evaluate(spec), spec
 
 
@@ -378,10 +382,10 @@ def test_trig_enclosures_kept_for_two_steps(counting_libmp):
 )
 def test_served_trig_enclosure_is_rounded_outward(fn, num, den, prec, counting_libmp):
     """A term at precision p is the step enclosure rounded outward to p
-    bits: it has at most p mantissa bits, contains a fresh enclosure at
-    4p, and stays narrow at p."""
+    bits and then onto the grid 2^-p: [lo, hi] * 2^-p contains a fresh
+    enclosure at 4p, and stays narrow at p."""
     lo, hi = oracle._term(fn, num, den, 1, prec)
-    assert lo[3] <= prec and hi[3] <= prec  # bit counts of the mantissas
+    assert type(lo) is int and type(hi) is int
     libmp = counting_libmp._real
     fresh_prec = 4 * prec
     pi = (libmp.mpf_pi(fresh_prec, "d"), libmp.mpf_pi(fresh_prec, "u"))
@@ -389,6 +393,217 @@ def test_served_trig_enclosure_is_rounded_outward(fn, num, den, prec, counting_l
         libmp.mpi_mul(pi, (libmp.from_int(num),) * 2, fresh_prec), (libmp.from_int(den),) * 2, fresh_prec
     )
     fresh_lo, fresh_hi = getattr(libmp, "mpi_" + fn)(angle, fresh_prec)
-    assert libmp.mpf_le(lo, fresh_lo) and libmp.mpf_le(fresh_hi, hi)
-    lower, upper = oracle._to_fraction(lo), oracle._to_fraction(hi)
+    lower, upper = F(lo, 2**prec), F(hi, 2**prec)
+    assert lower <= _exact_value(fresh_lo) and _exact_value(fresh_hi) <= upper
     assert upper - lower <= abs(upper) * F(1, 2 ** (prec - 8))
+
+
+def _exact_value(raw) -> Fraction:
+    """The exact rational of a finite mpf (to_man_exp drops the sign)."""
+    from mpmath import libmp
+
+    man, exp = libmp.to_man_exp(raw)
+    return (-1) ** raw[0] * man * F(2) ** exp
+
+
+# --- integer accumulation on the 2^-prec grid --------------------------------
+
+
+@pytest.mark.parametrize(
+    "man, exp, prec, floor, ceil",
+    [
+        (3, -3, 2, 1, 2),  # 0.375 * 4 = 1.5
+        (-3, -3, 2, -2, -1),  # -1.5
+        (-5, -2, 4, -20, -20),  # on the grid
+        (3, -70, 64, 0, 1),  # below one grid unit
+        (-3, -70, 64, -1, 0),
+        (3, 10, 64, 3 << 74, 3 << 74),
+        (0, 0, 64, 0, 0),
+    ],
+)
+def test_floor_and_ceil_on_the_grid(man, exp, prec, floor, ceil):
+    from mpmath import libmp
+
+    raw = libmp.from_man_exp(man, exp)
+    assert oracle._floor_on_grid(raw, prec) == floor
+    assert -oracle._floor_on_grid(libmp.mpf_neg(raw), prec) == ceil
+
+
+def test_non_finite_endpoint_raises():
+    from mpmath import libmp
+
+    for raw in (libmp.finf, libmp.fninf, libmp.fnan):
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            oracle._floor_on_grid(raw, 64)
+
+
+def test_terms_below_one_grid_unit_round_outward(counting_libmp):
+    """cos(7pi/16)^200 ~ 1e-142 and cos(9pi/16)^201 ~ -1e-143 are far below
+    2^-64: each becomes the one grid cell on its side of zero. A negative
+    term of ordinary size is floored and ceiled around its true value."""
+    assert oracle._term("cos", 7, 16, 200, 64) == (0, 1)
+    assert oracle._term("cos", 9, 16, 201, 64) == (-1, 0)
+    lo, hi = oracle._term("cos", 11, 12, 1, 64)
+    libmp = counting_libmp._real
+    angle = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(256), libmp.from_int(11)), libmp.from_int(12), 256)
+    assert lo < _exact_value(libmp.mpf_cos(angle, 256)) * 2**64 < hi < 0
+    assert hi - lo <= 2**8
+
+
+def _enclosure_sum(spec, prec: int) -> tuple[Fraction, Fraction]:
+    """The exact sum of the defining sum's mpmath term enclosures, with no
+    rounding onto the grid: products of intervals by min and max, then the
+    alternating sign and the scale."""
+    from mpmath import libmp
+
+    def enclosure(fn, num, den, exponent):
+        if fn != "cot":
+            num %= 2 * den
+        step_prec = -(-prec // oracle._TRIG_STEP_BITS) * oracle._TRIG_STEP_BITS
+        lo, hi = oracle._trig(fn, num, den, step_prec)
+        rounded = (libmp.mpf_pos(lo, prec, "f"), libmp.mpf_pos(hi, prec, "c"))
+        return tuple(map(_exact_value, libmp.mpi_pow_int(rounded, exponent, prec)))
+
+    s = oracle._defining_sum(spec)
+    lower = upper = F(0)
+    for k in s.indices:
+        lo, hi = enclosure(s.fn, s.a * k + s.b, s.den, s.exponent)
+        for c, d in s.weights:
+            w_lo, w_hi = enclosure("cos", c * k, d, 1)
+            products = (lo * w_lo, lo * w_hi, hi * w_lo, hi * w_hi)
+            lo, hi = min(products), max(products)
+        if s.alternating and k % 2:
+            lo, hi = -hi, -lo
+        lower, upper = lower + lo, upper + hi
+    return lower * s.scale, upper * s.scale
+
+
+@pytest.mark.parametrize("spec", _ONE_PER_FAMILY, ids=lambda spec: spec.token)
+def test_grid_sum_within_documented_width_at_64_bits(spec):
+    """At the minimum 64 bits the integer sum contains the true value, and
+    contains the exact sum of the mpmath term enclosures with each endpoint
+    moved out by less than 2 * (1 + len(weights)) grid units per term,
+    times the scale (the bound direct_sum documents)."""
+    interval = direct_sum(spec, 64)
+    assert evaluate(spec) in interval
+    lower, upper = _enclosure_sum(spec, 64)
+    s = oracle._defining_sum(spec)
+    slack = F(2 * (1 + len(s.weights)) * len(s.indices) * s.scale, 2**64)
+    assert lower - slack < interval.lower <= lower
+    assert upper <= interval.upper < upper + slack
+
+
+def test_alternating_sign_swaps_endpoints():
+    """ALTERNATING(m, n) and C(m, n) sum the same terms, the odd ones with
+    their endpoints swapped and negated, so the two intervals have one
+    width and their midpoints differ by twice the midpoint of the odd terms."""
+    m, n = 4, 6
+    alternating = direct_sum(SumSpec(Family.ALTERNATING, m, n), 96)
+    plain = direct_sum(SumSpec(Family.COS_POWER, m, n), 96)
+    assert alternating.width == plain.width
+    assert evaluate(SumSpec(Family.ALTERNATING, m, n)) in alternating
+    odd = [oracle._term("cos", k, n, 2 * m, 96) for k in range(1, n, 2)]
+    odd_lo, odd_hi = (F(sum(ends), 2**96) for ends in zip(*odd))
+    assert plain.lower - alternating.lower == plain.upper - alternating.upper == odd_lo + odd_hi
+
+
+def test_scale_multiplies_the_total_exactly():
+    """quoniam(m, n) is 2^{2m} times the half-range sum at n + 1, term for
+    term, and the scale adds no rounding: the intervals agree exactly."""
+    m, n = 3, 7
+    scaled = direct_sum(SumSpec(Family.QUONIAM, m, n), 80)
+    unscaled = direct_sum(SumSpec(Family.MERCA_HALF, m, n + 1), 80)
+    scale = 2 ** (2 * m)
+    assert (scaled.lower, scaled.upper) == (scale * unscaled.lower, scale * unscaled.upper)
+    assert evaluate(SumSpec(Family.QUONIAM, m, n)) in scaled
+
+
+def test_weight_products_round_outward():
+    """WEIGHT_HALF_PI at odd n weighs every odd index by cos(k*pi/2) = 0,
+    whose enclosure straddles zero, and the ell5 product multiplies two
+    weights: each product interval is rounded out to the grid, and the
+    sum still contains the value within the documented width."""
+    w_lo, w_hi = oracle._term("cos", 1, 2, 1, 64)
+    assert w_lo < 0 < w_hi
+    for spec in (SumSpec(Family.WEIGHT_HALF_PI, 4, 3), SumSpec(Family.ELL5_PRODUCT, 4, 3)):
+        interval = direct_sum(spec, 64)
+        assert evaluate(spec) in interval
+        lower, upper = _enclosure_sum(spec, 64)
+        s = oracle._defining_sum(spec)
+        slack = F(2 * (1 + len(s.weights)) * len(s.indices), 2**64)
+        assert lower - slack < interval.lower <= lower and upper <= interval.upper < upper + slack
+
+
+# --- input checks and the precision cost guard -------------------------------
+
+
+def test_direct_sum_rejects_non_int_precision():
+    spec = SumSpec(Family.COS_POWER, 2, 3)
+    for bits in (100.5, "100", True):
+        with pytest.raises(ParameterError, match="must be an int"):
+            direct_sum(spec, bits)
+
+
+def test_policy_rejects_non_int_fields():
+    for kwargs in (
+        {"denominator_bound": 1.5},
+        {"denominator_bound": True},
+        {"denominator_bound": 8, "guard_bits": "3"},
+    ):
+        with pytest.raises(ParameterError, match="must be an int"):
+            ReconstructionPolicy(**kwargs)
+
+
+def test_negative_retries_rejected():
+    with pytest.raises(ParameterError, match="max_retries"):
+        evaluate_exact(SumSpec(Family.COS_POWER, 2, 3), max_retries=-1)
+    with pytest.raises(ParameterError, match="must be an int"):
+        evaluate_exact(SumSpec(Family.COS_POWER, 2, 3), max_retries=2.0)
+
+
+def test_precision_cost_guard_refuses_before_any_work(monkeypatch):
+    """A precision past MAX_PRECISION_BITS, or a retry ladder that could
+    climb past it, is refused before pi is enclosed or a term is summed."""
+    clear_caches()
+    spec = SumSpec(Family.COS_POWER, 2, 3)
+    with pytest.raises(CostGuardError, match="cost guard"):
+        direct_sum(spec, 10**9)
+    with pytest.raises(CostGuardError):
+        direct_sum(spec, MAX_PRECISION_BITS + 1)
+    assert oracle._pi_interval.cache_info().currsize == 0
+
+    def no_sum(*args):
+        raise AssertionError("direct_sum ran")
+
+    monkeypatch.setattr(oracle, "direct_sum", no_sum)
+    with pytest.raises(CostGuardError, match="cost guard"):
+        evaluate_exact(spec, ReconstructionPolicy(8, guard_bits=10**6), max_retries=40)
+    with pytest.raises(CostGuardError):
+        evaluate_exact(spec, max_retries=10**12)
+    with pytest.raises(CostGuardError):
+        ReconstructionPolicy(8, guard_bits=MAX_PRECISION_BITS + 1)
+    with pytest.raises(CostGuardError):
+        evaluate_exact(OddCosPowerParams(MAX_M + 1, 3))
+
+
+def test_precision_cost_guard_admits_every_default_request(monkeypatch):
+    """The largest default precision of a request direct_sum accepts (m =
+    MAX_M, MAX_TERMS half-range terms) climbs exactly to MAX_PRECISION_BITS
+    in the four default retries; the largest cot sums stay far below."""
+    extreme = SumSpec(Family.MERCA_HALF, MAX_M, 2 * MAX_TERMS + 2)
+    assert len(oracle._defining_sum(extreme).indices) == MAX_TERMS
+    assert default_precision(extreme) * 2**4 == MAX_PRECISION_BITS
+    assert default_precision(OddCosPowerParams(MAX_M, MAX_TERMS)) < default_precision(extreme)
+    assert default_precision(CotSumParams(100, MAX_TERMS + 1)) == 6896
+    seen = []
+
+    def too_wide(spec, precision_bits):
+        seen.append(precision_bits)
+        return IntervalValue(F(0), F(1), precision_bits)
+
+    monkeypatch.setattr(oracle, "direct_sum", too_wide)
+    with pytest.raises(oracle.PrecisionExhausted):
+        evaluate_exact(extreme)
+    assert seen[-1] == MAX_PRECISION_BITS and len(seen) == 5
+    with pytest.raises(CostGuardError):
+        evaluate_exact(extreme, max_retries=5)
