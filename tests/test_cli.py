@@ -357,6 +357,20 @@ def test_verify_expect_known_errata_all(capsys):
     assert "18216" in out
 
 
+@pytest.mark.parametrize("family", list(cli._ERRATA_FAMILIES))
+def test_every_erratum_can_fail(family, capsys, monkeypatch):
+    """A reproducer whose true values move no longer reproduces: every
+    oracle value is shifted by +1, and for cot-all-positive (never equal,
+    which a shift keeps) the oracle returns the published (-1)^n * k."""
+    evaluate_exact = cli.oc.evaluate_exact
+    if family == "cot-all-positive":
+        monkeypatch.setattr(cli.oc, "evaluate_exact", lambda req: F((-1) ** req.n * req.k))
+    else:
+        monkeypatch.setattr(cli.oc, "evaluate_exact", lambda req: evaluate_exact(req) + 1)
+    assert main(["verify", "--family", family, "--expect-known-errata"]) == 1
+    assert f"{family}: NOT reproduced as documented" in capsys.readouterr().out
+
+
 def test_verify_out_file(tmp_path, capsys):
     out_json = tmp_path / "report.json"
     assert main(
