@@ -16,9 +16,11 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from math import prod
+from typing import NamedTuple
 
 from . import closed_forms as cf
 from . import cotangent as ct
@@ -55,16 +57,51 @@ def _alternating_request(kind: str):
     return lambda m, n: SumSpec(Family.ALTERNATING, m, 2 * n, kind=kind)
 
 
-# erratum token -> (the arguments it reads; the builder of the request of the
-# sum it misstates; the published expression it evaluates, which validates
-# that request itself). An erratum is no request: _errata_run compares each
-# one with the oracle value of the sum it misstates.
+class _Erratum(NamedTuple):
+    """A documented erratum. It is no request: _errata_run compares its
+    published expression with the oracle value of the sum it misstates at
+    every point of its grid."""
+
+    names: tuple  # the arguments it reads, in report order
+    misstated: Callable  # builder of the request of the sum it misstates
+    published: Callable  # the published expression; it validates that request itself
+    grid: tuple  # the reproducer's points, as values of names
+    holds: Callable  # (printed, truth, **point) -> the documented relation holds
+    note: str  # formatted with the last point's printed, truth and difference
+
+
+# (m, n) with n <= m < 2n = N: the middle range the alternating errata misstate
+_MIDDLE_RANGE = tuple((m, n) for n in range(1, 7) for m in range(n, 2 * n))
+
 _ERRATA_FAMILIES = {
-    "barbero-naive": (("m", "n"), partial(SumSpec, Family.BARBERO_R), cf.barbero_R_naive),
-    "alt-cos-middle": (("m", "n"), _alternating_request("cos"), cf.alternating_cos_middle_erratum),
-    "alt-sin-middle": (("m", "n"), _alternating_request("sin"), cf.alternating_sin_middle_erratum),
-    "cot-all-positive": (("n", "k"), CotSumParams, ct.cot_power_sum_all_positive),
-    "byrne-smith-printed": (("n", "k"), ByrneSmithParams, ct.byrne_smith_sum_uncorrected),
+    "barbero-naive": _Erratum(
+        ("m", "n"), partial(SumSpec, Family.BARBERO_R), cf.barbero_R_naive, ((12, 3),),
+        # closed form and oracle both 3798310, the single branch 18216 short
+        lambda printed, truth, m, n: cf.barbero_R(m, n) == truth == 3798310 and printed == 3780094,
+        "corrected value {truth}, single-branch value {printed}, "
+        "difference {difference} (documented: 18216)",
+    ),
+    "alt-cos-middle": _Erratum(
+        ("m", "n"), _alternating_request("cos"), cf.alternating_cos_middle_erratum, _MIDDLE_RANGE,
+        lambda printed, truth, m, n: truth == n * printed and (truth == printed) == (n == 1),
+        "middle-range expression is off by the factor n (exact at n = 1 only)",
+    ),
+    "alt-sin-middle": _Erratum(
+        ("m", "n"), _alternating_request("sin"), cf.alternating_sin_middle_erratum, _MIDDLE_RANGE,
+        lambda printed, truth, m, n: truth == (-1) ** n * n * printed and truth != printed,
+        "middle-range expression is off by the factor n and the sign (-1)^n",
+    ),
+    "cot-all-positive": _Erratum(
+        ("n", "k"), CotSumParams, ct.cot_power_sum_all_positive,
+        tuple((n, k) for n in range(1, 5) for k in range(2, 9)),
+        lambda printed, truth, n, k: truth != printed,
+        "strictly-positive-index reading collapses to (-1)^n * k, wrong everywhere",
+    ),
+    "byrne-smith-printed": _Erratum(
+        ("n", "k"), ByrneSmithParams, ct.byrne_smith_sum_uncorrected, ((1, 2),),
+        lambda printed, truth, n, k: truth == 6 and printed == 10,
+        "published closed form gives {printed} at (n=1, k=2); true value {truth}",
+    ),
 }
 
 
@@ -202,86 +239,34 @@ def _run_cases(requests: list, jobs: int) -> list[dict]:
 
 # --- documented-errata cases ----------------------------------------------
 
-def _errata_run(family: str) -> tuple[list[dict], bool, list[str]]:
-    """Run one documented-erratum reproducer.
+def _errata_run(family: str) -> tuple[list[dict], bool, str]:
+    """Run one documented-erratum reproducer over its grid.
 
-    Returns (case records, reproduced?, notes). ``reproduced`` means the
-    discrepancy exists and has exactly its documented shape; a silent match
-    (or a differently shaped mismatch) counts as NOT reproduced.
+    Returns (case records, reproduced?, note). ``reproduced`` means the
+    documented relation between printed and true value holds at every
+    point; a silent match (or a differently shaped mismatch) counts as NOT
+    reproduced.
     """
-    if family not in _ERRATA_FAMILIES:
-        raise ParameterError(f"unknown erratum family {family!r}")
-    _, misstated, published = _ERRATA_FAMILIES[family]
+    erratum = _ERRATA_FAMILIES[family]
     cases: list[dict] = []
-    notes: list[str] = []
     reproduced = True
-
-    def record(params: dict, wrong: Fraction, truth: Fraction) -> bool:
-        match = wrong == truth
+    for values in erratum.grid:
+        point = dict(zip(erratum.names, values))
+        truth = oc.evaluate_exact(erratum.misstated(**point))
+        printed = erratum.published(**point)
         cases.append(
             {
-                "spec": {"family": family, **params},
-                "closed_form": _fraction_text(wrong),
+                "spec": {"family": family, **point},
+                "closed_form": _fraction_text(printed),
                 "oracle": _fraction_text(truth),
-                "match": match,
+                "match": printed == truth,
                 "micros_closed": 0,
                 "micros_oracle": 0,
             }
         )
-        return match
-
-    if family == "barbero-naive":
-        truth = cf.barbero_R(12, 3)
-        wrong = published(12, 3)
-        oracle_truth = oc.evaluate_exact(misstated(12, 3))
-        record({"m": 12, "n": 3}, wrong, oracle_truth)
-        reproduced = (
-            truth == oracle_truth == 3798310
-            and wrong == 3780094
-            and truth - wrong == 18216
-        )
-        notes.append(
-            f"corrected value {truth}, single-branch value {wrong}, "
-            f"difference {truth - wrong} (documented: 18216)"
-        )
-    elif family in ("alt-cos-middle", "alt-sin-middle"):
-        sin = family == "alt-sin-middle"
-        for n in range(1, 7):
-            for m in range(n, 2 * n):
-                truth = oc.evaluate_exact(misstated(m, n))
-                wrong = published(m, n)
-                matched = record({"m": m, "n": n}, wrong, truth)
-                if sin:
-                    # truth = (-1)^n * n * printed, never equal
-                    if truth != (-1) ** n * n * wrong or matched:
-                        reproduced = False
-                else:
-                    # truth = n * printed, equal exactly when n = 1
-                    if truth != n * wrong or matched != (n == 1):
-                        reproduced = False
-        notes.append(
-            "middle-range expression is off by the factor n"
-            + (" and the sign (-1)^n" if sin else " (exact at n = 1 only)")
-        )
-    elif family == "cot-all-positive":
-        for n in range(1, 5):
-            for k in range(2, 9):
-                truth = oc.evaluate_exact(misstated(n, k))
-                wrong = published(n, k)
-                if record({"n": n, "k": k}, wrong, truth):
-                    reproduced = False
-        notes.append(
-            "strictly-positive-index reading collapses to (-1)^n * k, wrong everywhere"
-        )
-    else:  # byrne-smith-printed
-        truth = oc.evaluate_exact(misstated(1, 2))
-        wrong = published(1, 2)
-        record({"n": 1, "k": 2}, wrong, truth)
-        reproduced = truth == 6 and wrong == 10
-        notes.append(
-            f"published closed form gives {wrong} at (n=1, k=2); true value {truth}"
-        )
-    return cases, reproduced, notes
+        reproduced = erratum.holds(printed, truth, **point) and reproduced
+    note = erratum.note.format(printed=printed, truth=truth, difference=truth - printed)
+    return cases, reproduced, note
 
 
 # --- subcommands -----------------------------------------------------------
@@ -298,7 +283,7 @@ def _eval_request(family: str, given: dict):
             raise ParameterError(f"--family {family} requires --{name}")
     arguments = {name: given[name] for name in names}
     if family in _ERRATA_FAMILIES:
-        return None, partial(entry[2], **arguments)
+        return None, partial(entry.published, **arguments)
     request = build(**arguments)
     return request, request.closed_value
 
@@ -343,9 +328,9 @@ def cmd_verify(args) -> int:
     all_reproduced = True
     notes: list[str] = []
     for family in errata:
-        err_cases, reproduced, err_notes = _errata_run(family)
+        err_cases, reproduced, note = _errata_run(family)
         cases.extend(err_cases)
-        notes.extend(f"{family}: {note}" for note in err_notes)
+        notes.append(f"{family}: {note}")
         if not reproduced:
             all_reproduced = False
             notes.append(f"{family}: NOT reproduced as documented")
@@ -406,64 +391,65 @@ def _write_case_csv(sink, cases: list[dict]) -> None:
         )
 
 
-_TABLE_KINDS = ("sigma", "sigma-minus", "walks-path", "walks-cycle", "cot-poly")
+class _TableKind(NamedTuple):
+    """A `table --kind`. Every kind requires --n. Its row builder looks up
+    gf, wk and ct when called."""
+
+    index: str | None  # the option bounding the row index, or None
+    bfile: bool  # whether --bfile applies
+    header: tuple
+    rows: Callable  # (n, last index) -> the rows, as tuples in header order
 
 
-def _check_table_index(name: str, value: int) -> None:
-    if value < 0:
-        raise ParameterError(f"--{name} must be non-negative")
-    if value > MAX_TABLE_INDEX:
-        raise CostGuardError(f"--{name} must be <= {MAX_TABLE_INDEX} (cost guard)")
+def _sigma_rows(name: str):
+    return lambda n, k_max: [(k, getattr(gf, name)(k, n)) for k in range(k_max + 1)]
+
+
+def _walk_rows(graph: wk.GraphKind):
+    return lambda n, m_max: enumerate(wk.closed_walk_counts(graph, n, m_max))
+
+
+_TABLE_KINDS = {
+    "sigma": _TableKind("k-max", False, ("k", "value"), _sigma_rows("sigma")),
+    "sigma-minus": _TableKind("k-max", False, ("k", "value"), _sigma_rows("sigma_minus")),
+    "walks-path": _TableKind("m-max", True, ("m", "count"), _walk_rows(wk.GraphKind.PATH)),
+    "walks-cycle": _TableKind("m-max", True, ("m", "count"), _walk_rows(wk.GraphKind.CYCLE)),
+    "cot-poly": _TableKind(
+        None, False, ("j", "coefficient"),
+        lambda n, _: enumerate(ct.cot_sum_polynomial(n).coefficients),
+    ),
+}
+
+
+def _cell_json(value):
+    return _value_json(value) if isinstance(value, Fraction) else int(value)
 
 
 def cmd_table(args) -> int:
-    kind = args.kind
-    if kind in ("sigma", "sigma-minus"):
-        if args.n is None:
-            raise ParameterError("--kind sigma requires --n")
-        _check_table_index("k-max", args.k_max)
-        rows = [
-            {"k": k, "value": gf.sigma_minus(k, args.n) if kind == "sigma-minus" else gf.sigma(k, args.n)}
-            for k in range(args.k_max + 1)
-        ]
-        header = ["k", "value"]
-    elif kind in ("walks-path", "walks-cycle"):
-        if args.n is None:
-            raise ParameterError(f"--kind {kind} requires --n")
-        _check_table_index("m-max", args.m_max)
-        graph = wk.GraphKind.PATH if kind == "walks-path" else wk.GraphKind.CYCLE
-        if args.bfile:
-            for line in wk.walk_table_lines(graph, args.n, args.m_max):
-                print(line)
-            return 0
-        counts = wk.closed_walk_counts(graph, args.n, args.m_max)
-        rows = [{"m": m, "count": count} for m, count in enumerate(counts)]
-        header = ["m", "count"]
-    elif kind == "cot-poly":
-        if args.n is None:
-            raise ParameterError("--kind cot-poly requires --n")
-        poly = ct.cot_sum_polynomial(args.n)
-        rows = [{"j": j, "coefficient": c} for j, c in enumerate(poly.coefficients)]
-        header = ["j", "coefficient"]
-    else:
-        raise ParameterError(f"unknown table kind {kind!r}")
-
-    if args.bfile:
+    """Check the kind's arguments, then build its rows once: the index
+    guard and --bfile are refused before any row is built."""
+    table = _TABLE_KINDS[args.kind]
+    if args.n is None:
+        raise ParameterError(f"--kind {args.kind} requires --n")
+    last = None
+    if table.index:
+        last = getattr(args, table.index.replace("-", "_"))
+        if last < 0:
+            raise ParameterError(f"--{table.index} must be non-negative")
+        if last > MAX_TABLE_INDEX:
+            raise CostGuardError(f"--{table.index} must be <= {MAX_TABLE_INDEX} (cost guard)")
+    if args.bfile and not table.bfile:
         raise ParameterError("--bfile only applies to walks tables")
-
-    def cell_json(value):
-        return _value_json(value) if isinstance(value, Fraction) else int(value)
-
-    if args.json:
-        text = json.dumps([{k: cell_json(v) for k, v in row.items()} for row in rows])
+    rows = table.rows(args.n, last)
+    if args.bfile:
+        text = "\n".join(f"{m} {count}" for m, count in rows)
+    elif args.json:
+        text = json.dumps([dict(zip(table.header, map(_cell_json, row))) for row in rows])
     else:
         sink = io.StringIO()
         writer = csv.writer(sink)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fraction_text(v) if isinstance(v, Fraction) else v for v in row.values()]
-            )
+        writer.writerow(table.header)
+        writer.writerows(map(_fraction_text, row) for row in rows)
         text = sink.getvalue().rstrip("\n")
     if args.out:
         with open(args.out, "w") as sink:
@@ -580,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", parents=[shared], help="emit coefficient/walk tables")
-    p_table.add_argument("--kind", required=True, choices=_TABLE_KINDS)
+    p_table.add_argument("--kind", required=True, choices=list(_TABLE_KINDS))
     p_table.add_argument("--n", type=int)
     p_table.add_argument("--k-max", type=int, default=10)
     p_table.add_argument("--m-max", type=int, default=10)

@@ -397,7 +397,7 @@ def reconstruct(value: IntervalValue, policy: ReconstructionPolicy) -> Fraction:
     lo = ceil(value.lower * bound)
     if lo > floor(value.upper * bound):
         raise NoIntegerNearby(
-            f"no multiple of 1/{bound} inside the certified interval"
+            f"no multiple of 1/bound inside the certified interval ({bound.bit_length()}-bit bound)"
         )
     return Fraction(lo, bound)
 

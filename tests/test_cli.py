@@ -525,6 +525,46 @@ def test_table_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--kind", "nope", "--n", "3"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    for kind in cli._TABLE_KINDS:
+        assert main(["table", "--kind", kind]) == 2
+        assert capsys.readouterr().err == f"error: --kind {kind} requires --n\n"
+
+
+@pytest.mark.parametrize("kind", ["sigma", "sigma-minus", "cot-poly"])
+def test_table_bfile_refused_before_building(kind, capsys, monkeypatch):
+    """--bfile on a table other than walks exits 2 before any row is built."""
+
+    def build(*args):
+        raise AssertionError("table row built")
+
+    for name in ("sigma", "sigma_minus"):
+        monkeypatch.setattr(cli.gf, name, build)
+    monkeypatch.setattr(cli.ct, "cot_sum_polynomial", build)
+    for extra in ([], ["--json"], ["--k-max", "1000"]):
+        assert main(["table", "--kind", kind, "--n", "3", "--bfile", *extra]) == 2
+        assert capsys.readouterr().err == "error: --bfile only applies to walks tables\n"
+
+
+def test_table_walks_bfile_out_file(tmp_path, capsys):
+    target = tmp_path / "walks.txt"
+    argv = ["table", "--kind", "walks-path", "--n", "4", "--m-max", "3", "--bfile"]
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == "0 3\n1 4\n2 8\n3 16\n"
+
+
+def test_parser_choices_are_the_registry_keys():
+    """A table kind or family token is in its registry and in the parser's
+    choices at once, or in neither."""
+    commands = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+
+    def choices(command, dest):
+        return next(a for a in commands[command]._actions if a.dest == dest).choices
+
+    assert choices("table", "kind") == list(cli._TABLE_KINDS)
+    assert choices("eval", "family") == [*cli._REQUEST_FAMILIES, *cli._ERRATA_FAMILIES]
+    assert choices("bench", "family") == list(cli._REQUEST_FAMILIES)
 
 
 # --- bench --------------------------------------------------------------------

@@ -2,6 +2,7 @@
 reconstruction, failure taxonomy, and independence checks against the
 closed forms."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -81,6 +82,23 @@ def test_reconstruct_no_integer_nearby_signals_formula_bug():
     interval = IntervalValue(lower=target - eps, upper=target + eps, precision_bits=90)
     with pytest.raises(NoIntegerNearby):
         reconstruct(interval, ReconstructionPolicy(denominator_bound=1))
+
+
+def test_no_integer_nearby_names_the_bound_by_bit_length():
+    """A bound past Python's default int-to-str limit (4,300 digits) still
+    raises NoIntegerNearby, not the ValueError of printing it. The CLI lifts
+    that limit process-wide, so the test restores it."""
+    eps = F(1, 2**70000)
+    interval = IntervalValue(lower=F(1, 3) - eps, upper=F(1, 3) + eps, precision_bits=70000)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(NoIntegerNearby, match="20001-bit bound"):
+            reconstruct(interval, ReconstructionPolicy(2**20000))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_policy_validation():
