@@ -195,9 +195,9 @@ def _window_pass(
     tuple in ``classes`` the tail sum of binom(2m, m - p*n) over p >= 1 with
     p mod ``period`` in that tuple.
 
-    Term p goes into bucket p mod L, L the lcm of ``period`` and of the
-    multiples, each d read as 2d for S at odd d*n. The window of (m, d*n) is
-    the terms p = 0 (mod d), so
+    Terms p = floor(m/n)..1 go into bucket p mod L, L the lcm of ``period``
+    and of the multiples, each d read as 2d for S at odd d*n; the last term,
+    p = 0, is binom(2m, m). The window of (m, d*n) is the terms p = 0 (mod d), so
 
         4^m * C(m, d*n) = d*n * (binom(2m, m) + 2 * sum_{j = 0 (mod d)} buckets[j])
 
@@ -208,10 +208,10 @@ def _window_pass(
     odd_sin = [kind == "sin" and d * n % 2 == 1 for d in multiples]
     size = lcm(period, *(2 * d if odd else d for d, odd in zip(multiples, odd_sin)))
     terms = binom_window(m, n)
-    central = next(terms)
     buckets = [0] * size
-    for p, term in enumerate(terms, 1):
+    for p, term in zip(range(m // n, 0, -1), terms):
         buckets[p % size] += term
+    central = next(terms)
     sums = []
     for d, odd in zip(multiples, odd_sin):
         tail = sum(buckets[:: 2 * d]) - sum(buckets[d :: 2 * d]) if odd else sum(buckets[::d])

@@ -1,10 +1,11 @@
 """Exact integer and rational building blocks.
 
 Everything downstream reduces to three ingredients: the binomial window
-binom(2m, m - p*n), p = 0..floor(m/n), that every power-sum closed form
-sums with its own weights; the same window sums for every j = 0, 1, 2, ...
-in turn, read off the residue rows of (1 + x)^{2j} mod (x^n - 1) at O(n)
-additions a row (scaled_power_sums); and Bernoulli numbers at even index.
+binom(2m, m - p*n), p = floor(m/n)..0, walked up from binom(2m, m mod n)
+to the central binomial, that every power-sum closed form sums with its
+own weights; the same window sums for every j = 0, 1, 2, ... in turn, read
+off the residue rows of (1 + x)^{2j} mod (x^n - 1) at O(n) additions a row
+(scaled_power_sums); and Bernoulli numbers at even index.
 All arithmetic is over arbitrary-precision rationals; nothing in this
 module touches floating point.
 """
@@ -13,14 +14,29 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, prod
+from math import comb, perm
 from itertools import count
 from operator import add
 from typing import Iterator
 
+from .errors import CostGuardError, ParameterError, check_int
+
 Rational = Fraction
 
+# Cost guards on binom and on the Bernoulli table (bernoulli and
+# BernoulliCache.get), at the largest argument a valid request passes:
+# binom(2m, m) at m = closed_forms.MAX_M, and B_{2n} at n = cotangent.MAX_N,
+# the last coefficient of the cot polynomial's series B(x)^{2n}. At these
+# bounds comb(2 * 10^5, 10^5) took 0.75 s and a fresh table to B_200 22 ms,
+# where B_2000 took 32 s (2-vCPU Xeon VM). Both modules import this one, so
+# the values are written out here and the tests pin them to those bounds.
+# Larger arguments raise CostGuardError.
+MAX_BINOM_N = 2 * 10**5
+MAX_BERNOULLI_INDEX = 200
+
 __all__ = [
+    "MAX_BERNOULLI_INDEX",
+    "MAX_BINOM_N",
     "Rational",
     "binom",
     "binom_window",
@@ -36,30 +52,33 @@ def binom(n: int, k: int) -> int:
     The zero convention is what lets truncated tail sums like
     sum_p C(2m, m - p*n) be written without explicit range clipping.
     """
+    check_int("n", n)
+    check_int("k", k)
     if n < 0:
-        raise ValueError("binom requires n >= 0")
+        raise ParameterError("binom requires n >= 0")
+    if n > MAX_BINOM_N:
+        raise CostGuardError(f"n must be <= {MAX_BINOM_N} (cost guard)")
     if k < 0 or k > n:
         return 0
     return comb(n, k)
 
 
 def binom_window(m: int, n: int) -> Iterator[int]:
-    """binom(2m, m - p*n) for p = 0, 1, ..., floor(m/n), central term first.
+    """binom(2m, m - p*n) for p = floor(m/n), ..., 1, 0, central term last.
 
-    Each term comes from the one before it by n exact ratio steps
-    binom(2m, k-1) = binom(2m, k) * k / (2m - k + 1), far cheaper at large
-    m than independent binomials. The terms are yielded one at a time: the
-    whole window at m = 10^5, n = 1 would hold gigabytes.
+    The walk starts at binom(2m, m mod n), whose k < n, and takes one exact
+    step a term, binom(2m, k + n) = binom(2m, k) * perm(2m - k, n) //
+    perm(k + n, n), so no window computes comb(2m, m). The terms are
+    yielded one at a time: the whole window at m = 10^5, n = 1 would hold
+    gigabytes.
     """
     if m < 0 or n < 1:
         raise ValueError("binom_window requires m >= 0 and n >= 1")
     two_m = 2 * m
-    current = comb(two_m, m)
+    current = comb(two_m, m % n)
     yield current
-    for k in range(m, n - 1, -n):  # binom(2m, k) -> binom(2m, k - n)
-        current = current * prod(range(k - n + 1, k + 1)) // prod(
-            range(two_m - k + 1, two_m - k + n + 1)
-        )
+    for k in range(m % n, m, n):  # binom(2m, k) -> binom(2m, k + n)
+        current = current * perm(two_m - k, n) // perm(k + n, n)
         yield current
 
 
@@ -132,8 +151,11 @@ class BernoulliCache:
         self._lock = threading.Lock()
 
     def get(self, index: int) -> Fraction:
+        check_int("index", index)
         if index < 0 or index % 2:
-            raise ValueError("BernoulliCache holds even indices only")
+            raise ParameterError("BernoulliCache holds even indices only")
+        if index > MAX_BERNOULLI_INDEX:
+            raise CostGuardError(f"index must be <= {MAX_BERNOULLI_INDEX} (cost guard)")
         j = index // 2
         if j >= len(self._even):
             with self._lock:
@@ -145,7 +167,7 @@ class BernoulliCache:
         m = len(self._even)  # computing B_{2m}
         acc = Fraction(2 * m + 1, -2)  # C(2m+1, 1) * B_1
         for i in range(m):
-            acc += binom(2 * m + 1, 2 * i) * self._even[i]
+            acc += comb(2 * m + 1, 2 * i) * self._even[i]
         self._even.append(-acc / (2 * m + 1))
 
     @property

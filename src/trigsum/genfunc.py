@@ -95,15 +95,15 @@ class SeriesCoefficients:
 def sigma(k: int, n: int) -> Rational:
     """(1/(2k)!) * sum_{p=1}^{floor(k/n)} binom(2k, k+pn); zero for k < n."""
     _check_sigma(k, n)
-    # binom(2k, k+pn) = binom(2k, k-pn), the window's term p; p = 0 is not summed
-    window = sum(islice(binom_window(k, n), 1, None))
+    # binom(2k, k+pn) = binom(2k, k-pn): window term p; the last term, p = 0, is not summed
+    window = sum(islice(binom_window(k, n), k // n))
     return Fraction(window, factorial(2 * k))
 
 
 def sigma_minus(k: int, n: int) -> Rational:
     """sigma with alternating weight (-1)^{pn}; equals sigma for even n."""
     _check_sigma(k, n)
-    window = sum((-1) ** (p * n) * b for p, b in enumerate(binom_window(k, n)) if p)
+    window = sum((-1) ** (p * n) * b for p, b in zip(range(k // n, 0, -1), binom_window(k, n)))
     return Fraction(window, factorial(2 * k))
 
 

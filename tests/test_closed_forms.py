@@ -35,6 +35,7 @@ from trigsum.closed_forms import (
 )
 from trigsum.cotangent import byrne_smith_coefficients, byrne_smith_coefficients_uncorrected
 from trigsum.errors import CostGuardError, ParameterError
+from trigsum.exact_core import BernoulliCache, bernoulli, binom
 from trigsum.genfunc import (
     bessel_i0_coefficient,
     g1_coefficients,
@@ -293,6 +294,71 @@ def test_each_window_is_summed_once(name, monkeypatch):
     assert not hasattr(walks, "binom_window")
     call()
     assert len(calls) == expected, calls
+
+
+# every (kind, multiples, classes, period) a family passes to _window_pass
+WINDOW_PASS_SHAPES = [
+    ("cos", (1,), (), 1),
+    ("sin", (1,), (), 1),
+    ("cos", (1, 2), (), 1),
+    ("sin", (1, 2), (), 1),
+    ("cos", (), ((0,),), 1),
+    ("cos", (1,), ((1,),), 2),
+    ("sin", (1,), ((1,),), 2),
+    ("cos", (1, 3), (), 1),
+    ("sin", (1, 3), (), 1),
+    ("cos", (1, 2, 3, 6), (), 1),
+    ("cos", (1, 5), (), 1),
+    ("cos", (1, 2, 5, 10), (), 1),
+    ("cos", (), ((1, 4),), 5),
+    ("cos", (1, 5), ((1, 4),), 5),
+]
+
+
+def test_window_pass_shapes_are_the_ones_the_families_use(monkeypatch):
+    """WINDOW_PASS_SHAPES lists exactly the shapes every family, kind and
+    erratum reproducer passes, so the literal test below covers them all."""
+    seen = set()
+    real_pass = closed_forms._window_pass
+
+    def recording_pass(kind, m, n, multiples, classes=(), period=1):
+        seen.add((kind, multiples, classes, period))
+        return real_pass(kind, m, n, multiples, classes, period)
+
+    monkeypatch.setattr(closed_forms, "_window_pass", recording_pass)
+    q = {Family.SCALED: 8, Family.COPRIME: 3, Family.GCD_REDUCED: 6}
+    for family in Family:
+        for kind in ("cos", "sin"):
+            evaluate(SumSpec(family, 4, 4, q=q.get(family, 1), kind=kind))
+    alternating_cos_middle_erratum(3, 2)
+    assert seen == set(WINDOW_PASS_SHAPES)
+
+
+def _literal_window_pass(kind, m, n, multiples, classes, period):
+    """_window_pass's result written term by term with math.comb:
+    4^m * X(m, d*n) = d*n * (binom(2m, m) + 2 * sum_{p >= 1} e_p binom(2m, m - p*d*n)),
+    e_p = (-1)^{p*d*n} for S, then the class tails of the window of (m, n)."""
+    out = []
+    for d in multiples:
+        sign = -1 if kind == "sin" and d * n % 2 else 1
+        tail = sum(sign**p * comb(2 * m, m - p * d * n) for p in range(1, m // (d * n) + 1))
+        out.append(d * n * (comb(2 * m, m) + 2 * tail))
+    for wanted in classes:
+        out.append(
+            sum(comb(2 * m, m - p * n) for p in range(1, m // n + 1) if p % period in wanted)
+        )
+    return out
+
+
+@pytest.mark.parametrize("shape", WINDOW_PASS_SHAPES, ids=str)
+def test_window_pass_matches_literal_comb_bucketing(shape):
+    """The buckets of the upward window give the literal sums at m < n,
+    m = n, n | m, n = 1, and odd n (where S differs from C)."""
+    kind, multiples, classes, period = shape
+    for n in (1, 2, 3, 5, 6, 7, 11):
+        for m in range(25):
+            got = closed_forms._window_pass(kind, m, n, multiples, classes, period)
+            assert got == _literal_window_pass(kind, m, n, multiples, classes, period), (m, n)
 
 
 _BEYOND = MAX_M + 1
@@ -666,7 +732,8 @@ def test_sumspec_validation_errors():
 
 _GRAPH = GraphSpec(GraphKind.PATH, 3)
 # every public closed-form, series, walk and coefficient-triangle function,
-# called with one bool and with one float parameter
+# and the public binom and Bernoulli table, called with one bool and with one
+# float parameter
 NON_INT_CALLS = {
     "cos_power_sum": (lambda: cos_power_sum(True, 3), lambda: cos_power_sum(2, 3.0)),
     "sin_power_sum": (lambda: sin_power_sum(2, True), lambda: sin_power_sum(2.0, 3)),
@@ -725,6 +792,9 @@ NON_INT_CALLS = {
         lambda: byrne_smith_coefficients_uncorrected(True),
         lambda: byrne_smith_coefficients_uncorrected(2.0),
     ),
+    "binom": (lambda: binom(True, 1), lambda: binom(2.5, 1)),
+    "bernoulli": (lambda: bernoulli(True), lambda: bernoulli(2.0)),
+    "BernoulliCache.get": (lambda: BernoulliCache().get(True), lambda: BernoulliCache().get(2.0)),
 }
 
 

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import exact_core
+from trigsum import closed_forms, cotangent, exact_core
 from trigsum.exact_core import (
     BernoulliCache,
     bernoulli,
@@ -16,6 +16,7 @@ from trigsum.exact_core import (
     binom_window,
     scaled_power_sums,
 )
+from trigsum.errors import CostGuardError
 
 
 def test_binom_frozen_values():
@@ -34,6 +35,16 @@ def test_binom_out_of_range_is_zero():
 def test_binom_negative_n_rejected():
     with pytest.raises(ValueError):
         binom(-1, 0)
+
+
+def test_binom_cost_guard():
+    """n beyond 2 * MAX_M, the largest binom(2m, m) a request reads, is
+    refused at once: binom(10**9, 5 * 10**8) was still running after 100 s."""
+    assert exact_core.MAX_BINOM_N == 2 * closed_forms.MAX_M
+    assert binom(exact_core.MAX_BINOM_N, 3) == comb(exact_core.MAX_BINOM_N, 3)
+    for n, k in ((exact_core.MAX_BINOM_N + 1, 0), (10**9, 5 * 10**8)):
+        with pytest.raises(CostGuardError):
+            binom(n, k)
 
 
 @given(st.integers(min_value=2, max_value=60), st.data())
@@ -55,15 +66,34 @@ def test_binom_symmetry(n, data):
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=40))
 @settings(max_examples=200)
 def test_binom_window_matches_comb(m, n):
-    """Property: the ratio-step window is binom(2m, m - p*n), p = 0..m//n,
+    """Property: the ratio-step window is binom(2m, m - p*n), p = m//n..0,
     including m < n (the central term alone) and n = 1 (every term)."""
-    assert list(binom_window(m, n)) == [comb(2 * m, m - p * n) for p in range(m // n + 1)]
+    assert list(binom_window(m, n)) == [comb(2 * m, m - p * n) for p in range(m // n, -1, -1)]
 
 
 def test_binom_window_edges():
     assert list(binom_window(0, 1)) == [1]
-    assert list(binom_window(3, 1)) == [20, 15, 6, 1]
+    assert list(binom_window(3, 1)) == [1, 6, 15, 20]
     assert list(binom_window(2, 5)) == [6]
+
+
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=40))
+@settings(max_examples=100)
+def test_binom_window_calls_comb_once_below_n(m, n):
+    """Property: a window computes one binomial with comb, binom(2m, m mod n)
+    with k < n, and reaches every other term, the central one included, by
+    ratio steps."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_core, "comb", spy)
+        terms = list(binom_window(m, n))
+    assert calls == [(2 * m, m % n)]
+    assert terms[-1] == comb(2 * m, m)
 
 
 @pytest.mark.parametrize("m, n", [(-1, 1), (3, 0), (3, -2)])
@@ -145,6 +175,37 @@ def test_bernoulli_odd_or_negative_rejected():
     for index in (1, 3, 7, -2):
         with pytest.raises(ValueError):
             bernoulli(index)
+
+
+def test_bernoulli_cost_guard_refuses_before_building(monkeypatch):
+    """An index past MAX_BERNOULLI_INDEX is refused before the table grows:
+    bernoulli(2000) took 32 s."""
+    cache = BernoulliCache()
+    monkeypatch.setattr(exact_core, "_SHARED_CACHE", cache)
+    for index in (exact_core.MAX_BERNOULLI_INDEX + 2, 2000, 10**9):
+        for call in (bernoulli, cache.get):
+            with pytest.raises(CostGuardError):
+                call(index)
+    assert len(cache) == 1
+    assert bernoulli(exact_core.MAX_BERNOULLI_INDEX) == cache.get(exact_core.MAX_BERNOULLI_INDEX)
+
+
+def test_bernoulli_bound_is_what_the_cot_polynomial_reads(monkeypatch):
+    """MAX_BERNOULLI_INDEX is the largest index cot_sum_polynomial reads at
+    cotangent.MAX_N, so every valid cot request stays under the guard."""
+    read = []
+
+    def recording(index):
+        read.append(index)
+        return bernoulli(index)
+
+    cotangent.clear_caches()
+    monkeypatch.setattr(cotangent, "bernoulli", recording)
+    try:
+        cotangent.cot_sum_polynomial(cotangent.MAX_N)
+    finally:
+        cotangent.clear_caches()
+    assert max(read) == exact_core.MAX_BERNOULLI_INDEX == 2 * cotangent.MAX_N
 
 
 def _akiyama_tanigawa(n_max):
