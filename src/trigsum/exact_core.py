@@ -70,10 +70,15 @@ def binom_window(m: int, n: int) -> Iterator[int]:
     step a term, binom(2m, k + n) = binom(2m, k) * perm(2m - k, n) //
     perm(k + n, n), so no window computes comb(2m, m). The terms are
     yielded one at a time: the whole window at m = 10^5, n = 1 would hold
-    gigabytes.
+    gigabytes. The arguments are checked once, when the first term is
+    taken; 2m past MAX_BINOM_N raises CostGuardError, as binom does.
     """
+    check_int("m", m)
+    check_int("n", n)
     if m < 0 or n < 1:
-        raise ValueError("binom_window requires m >= 0 and n >= 1")
+        raise ParameterError("binom_window requires m >= 0 and n >= 1")
+    if 2 * m > MAX_BINOM_N:
+        raise CostGuardError(f"2m must be <= {MAX_BINOM_N} (cost guard)")
     two_m = 2 * m
     current = comb(two_m, m % n)
     yield current
@@ -96,11 +101,13 @@ def scaled_power_sums(kind: str, n: int) -> Iterator[int]:
     The iterator never ends; the caller takes what it needs. No row is
     built before j = n, so a caller that stops below n pays nothing for a
     large n, and one that reads to j >= n holds rows of at most 2j entries.
+    The arguments are checked once, when the first term is taken.
     """
+    check_int("n", n)
     if kind not in ("cos", "sin"):
-        raise ValueError("kind must be 'cos' or 'sin'")
+        raise ParameterError("kind must be 'cos' or 'sin'")
     if n < 1:
-        raise ValueError("scaled_power_sums requires n >= 1")
+        raise ParameterError("scaled_power_sums requires n >= 1")
     central = 1
     for j in range(n):
         yield central

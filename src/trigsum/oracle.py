@@ -9,15 +9,20 @@ The term is then rounded outward onto the grid 2^-p, and the sum runs on
 those integers: weight products round outward back to the grid, odd
 alternating terms swap endpoints, and terms add and scale exactly. Each
 rounding widens an endpoint by at most one grid unit, so the result is an
-interval certified to contain the true value. Each trig enclosure
-fn(angle) is memoized by its reduced angle and the working precision
-rounded up to a multiple of 64 bits, so the cases of a campaign that
-revisit a lattice angle at nearby precisions share one cos/sin/cot
+interval certified to contain the true value. Before any lookup each
+angle is folded onto [0, pi/2], exactly and on the integers, by the
+period and the mirrors x -> 2*pi - x and x -> pi - x, which at most change
+the sign of fn; an odd power then negates and swaps its endpoints. So the
+lattice angles k*pi/n and (n - k)*pi/n share one evaluation. Each trig
+enclosure fn(angle) is memoized by its folded angle and the working
+precision rounded up to a multiple of 64 bits, so the cases of a campaign
+that revisit a lattice angle at nearby precisions share one cos/sin/cot
 evaluation (the two most recently used 64-bit steps keep their
 enclosures). Each term fn(angle)^exponent rounds that enclosure outward to
 its own precision, takes the power there, and is memoized on the grid by
-reduced angle, exponent and precision. A hit returns exactly the integers
-a fresh evaluation would (``clear_caches`` empties both memos).
+folded angle, exponent and precision. A hit returns exactly the integers
+a fresh evaluation of the folded angle would (``clear_caches`` empties
+both memos).
 
 The exact rational is then recovered by scaling the interval with an
 a-priori denominator bound D: if the scaled interval is narrower than
@@ -39,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd
+from math import gcd
 from typing import NamedTuple
 
 from .closed_forms import MAX_M, Family, SumSpec
@@ -164,14 +169,31 @@ def _angle(num: int, den: int, prec: int):
 
 def _term(fn: str, num: int, den: int, exponent: int, prec: int) -> tuple[int, int]:
     """Integers (lo, hi) with lo <= fn(num*pi/den)^exponent * 2^prec <= hi,
-    fn one of cos, sin, cot. A cos/sin angle is reduced mod 2*pi and to
-    lowest terms exactly, on the integers, before the cache lookup, so every
-    index that lands on the same lattice angle shares one enclosure."""
-    if fn in ("cos", "sin"):
+    fn one of cos, sin, cot.
+
+    Before the cache lookup the angle x is folded onto [0, pi/2] exactly,
+    on the integers: cos/sin reduce mod 2*pi and map x -> 2*pi - x (sin
+    changes sign) past pi, cot reduces mod pi; then x -> pi - x past pi/2
+    (cos and cot change sign). The folded angle, in lowest terms, is
+    enclosed and powered; a sign change applies to odd exponents only, as
+    (lo, hi) -> (-hi, -lo), which stays outward because floor and ceil on
+    the grid mirror each other. So k and n - k, and every index on the same
+    lattice angle, share one enclosure, and a memo hit returns exactly the
+    integers a fresh evaluation of the folded angle would."""
+    flip = False
+    if fn == "cot":
+        num %= den
+    else:
         num %= 2 * den
-        g = gcd(num, den)
-        num, den = num // g, den // g
-    return _reduced_term(fn, num, den, exponent, prec)
+        if num > den:  # x -> 2*pi - x
+            num = 2 * den - num
+            flip = fn == "sin"
+    if 2 * num > den:  # x -> pi - x
+        num = den - num
+        flip ^= fn != "sin"
+    g = gcd(num, den)
+    lo, hi = _reduced_term(fn, num // g, den // g, exponent, prec)
+    return (-hi, -lo) if flip and exponent % 2 else (lo, hi)
 
 
 # Trig enclosures are computed at the working precision rounded up to a
@@ -388,14 +410,20 @@ def reconstruct(value: IntervalValue, policy: ReconstructionPolicy) -> Fraction:
     that established the scaled interval holds at most one integer; zero
     integers means the denominator bound is not a multiple of the true
     denominator (a bug worth surfacing, not retrying).
+
+    The tests run on the endpoints' numerators and denominators, cross-
+    multiplied, so no intermediate Fraction pays a gcd.
     """
     bound = policy.denominator_bound
-    if value.width * bound >= Fraction(1, 2**policy.guard_bits):
+    lo_num, lo_den = value.lower.numerator, value.lower.denominator
+    hi_num, hi_den = value.upper.numerator, value.upper.denominator
+    # width * bound >= 2^-guard_bits
+    if (hi_num * lo_den - lo_num * hi_den) * bound << policy.guard_bits >= lo_den * hi_den:
         raise AmbiguousReconstruction(
             f"interval width {float(value.width):.3e} too wide for a {bound.bit_length()}-bit bound"
         )
-    lo = ceil(value.lower * bound)
-    if lo > floor(value.upper * bound):
+    lo = -(-lo_num * bound // lo_den)  # ceil(lower * bound)
+    if lo > hi_num * bound // hi_den:
         raise NoIntegerNearby(
             f"no multiple of 1/bound inside the certified interval ({bound.bit_length()}-bit bound)"
         )
@@ -467,8 +495,8 @@ def evaluate_exact(
 def clear_caches() -> None:
     """Drop the memoized pi, trig and term enclosures.
 
-    Campaigns deliberately share one trig enclosure per reduced angle and
-    64-bit precision step, and one term enclosure per reduced angle,
+    Campaigns deliberately share one trig enclosure per folded angle and
+    64-bit precision step, and one term enclosure per folded angle,
     exponent and precision, across cases; timing a single evaluation should
     not, or the oracle's cost is understated.
     """

@@ -35,7 +35,7 @@ from trigsum.closed_forms import (
 )
 from trigsum.cotangent import byrne_smith_coefficients, byrne_smith_coefficients_uncorrected
 from trigsum.errors import CostGuardError, ParameterError
-from trigsum.exact_core import BernoulliCache, bernoulli, binom
+from trigsum.exact_core import BernoulliCache, bernoulli, binom, binom_window, scaled_power_sums
 from trigsum.genfunc import (
     bessel_i0_coefficient,
     g1_coefficients,
@@ -732,8 +732,8 @@ def test_sumspec_validation_errors():
 
 _GRAPH = GraphSpec(GraphKind.PATH, 3)
 # every public closed-form, series, walk and coefficient-triangle function,
-# and the public binom and Bernoulli table, called with one bool and with one
-# float parameter
+# and the public binom, binomial window, scaled power sums and Bernoulli
+# table, called with one bool and with one float parameter
 NON_INT_CALLS = {
     "cos_power_sum": (lambda: cos_power_sum(True, 3), lambda: cos_power_sum(2, 3.0)),
     "sin_power_sum": (lambda: sin_power_sum(2, True), lambda: sin_power_sum(2.0, 3)),
@@ -793,6 +793,11 @@ NON_INT_CALLS = {
         lambda: byrne_smith_coefficients_uncorrected(2.0),
     ),
     "binom": (lambda: binom(True, 1), lambda: binom(2.5, 1)),
+    "binom_window": (lambda: next(binom_window(True, 1)), lambda: next(binom_window(2.5, 1))),
+    "scaled_power_sums": (
+        lambda: next(scaled_power_sums("cos", True)),
+        lambda: next(scaled_power_sums("sin", 2.0)),
+    ),
     "bernoulli": (lambda: bernoulli(True), lambda: bernoulli(2.0)),
     "BernoulliCache.get": (lambda: BernoulliCache().get(True), lambda: BernoulliCache().get(2.0)),
 }

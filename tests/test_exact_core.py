@@ -16,7 +16,7 @@ from trigsum.exact_core import (
     binom_window,
     scaled_power_sums,
 )
-from trigsum.errors import CostGuardError
+from trigsum.errors import CostGuardError, ParameterError
 
 
 def test_binom_frozen_values():
@@ -96,10 +96,28 @@ def test_binom_window_calls_comb_once_below_n(m, n):
     assert terms[-1] == comb(2 * m, m)
 
 
-@pytest.mark.parametrize("m, n", [(-1, 1), (3, 0), (3, -2)])
+@pytest.mark.parametrize("m, n", [(-1, 1), (3, 0), (3, -2), (True, 1), (2.5, 1), (3, 1.0)])
 def test_binom_window_bad_arguments_rejected(m, n):
-    with pytest.raises(ValueError):
-        list(binom_window(m, n))
+    """A bool or float, or an m or n out of range, is a ParameterError when
+    the first term is taken (True used to walk the window of m = 1)."""
+    with pytest.raises(ParameterError):
+        next(binom_window(m, n))
+
+
+def test_binom_window_cost_guard(monkeypatch):
+    """The window of binom(2m, .) has binom's guard: 2m past MAX_BINOM_N is
+    refused before any binomial is computed."""
+
+    def costly(*args):
+        raise AssertionError("binomial computed")
+
+    largest = closed_forms.MAX_M
+    assert 2 * largest == exact_core.MAX_BINOM_N
+    assert next(binom_window(largest, largest)) == 1
+    monkeypatch.setattr(exact_core, "comb", costly)
+    for m, n in ((largest + 1, 1), (10**9, 7)):
+        with pytest.raises(CostGuardError):
+            next(binom_window(m, n))
 
 
 def _literal_window_sum(kind, j, n):
@@ -136,8 +154,8 @@ def test_scaled_power_sums_edges():
     assert list(islice(scaled_power_sums("sin", 1), 4)) == [1, 0, 0, 0]  # sin(0) = 0
     # a huge n: central binomials only, no row of n entries
     assert list(islice(scaled_power_sums("sin", 10**9 + 1), 4)) == [1, 2, 6, 20]
-    for kind, n in (("tan", 3), ("cos", 0)):
-        with pytest.raises(ValueError):
+    for kind, n in (("tan", 3), ("cos", 0), ("sin", -2), (None, 3), ("cos", True), ("sin", 2.0)):
+        with pytest.raises(ParameterError):
             next(scaled_power_sums(kind, n))
 
 

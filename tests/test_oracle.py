@@ -5,6 +5,7 @@ closed forms."""
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,72 @@ def test_no_integer_nearby_names_the_bound_by_bit_length():
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+def _fraction_reconstruct(value, policy):
+    """The Fraction formula reconstruct computed before it ran on integers."""
+    bound = policy.denominator_bound
+    if value.width * bound >= F(1, 2**policy.guard_bits):
+        raise AmbiguousReconstruction
+    lo = ceil(value.lower * bound)
+    if lo > floor(value.upper * bound):
+        raise NoIntegerNearby
+    return F(lo, bound)
+
+
+def _outcome(reconstruction, value, policy):
+    try:
+        return reconstruction(value, policy)
+    except (AmbiguousReconstruction, NoIntegerNearby) as error:
+        return type(error)
+
+
+_BOUND = 9 * 2**6
+_EPS = F(1, 2**80)
+
+
+@pytest.mark.parametrize(
+    "lower, upper, bound, guard_bits, expected",
+    [
+        # width * bound exactly 2^-guard_bits, and just below it
+        (F(2, 9), F(2, 9) + F(1, _BOUND * 2**32), _BOUND, 32, AmbiguousReconstruction),
+        (F(2, 9), F(2, 9) + F(1, _BOUND * 2**32) - _EPS, _BOUND, 32, F(2, 9)),
+        # an endpoint exactly on a multiple of 1/bound
+        (F(5, _BOUND), F(5, _BOUND) + _EPS, _BOUND, 32, F(5, _BOUND)),
+        (F(5, _BOUND) - _EPS, F(5, _BOUND), _BOUND, 32, F(5, _BOUND)),
+        # negative, on and off the lattice, and straddling zero
+        (F(-7, 3) - _EPS, F(-7, 3) + _EPS, 3, 32, F(-7, 3)),
+        (F(-7, 3), F(-7, 3), 3, 32, F(-7, 3)),
+        (F(-5, 2) - _EPS, F(-5, 2) + _EPS, 3, 32, NoIntegerNearby),
+        (-_EPS, _EPS, 2**10, 32, F(0)),
+        (-_EPS, _EPS, 2**60, 32, AmbiguousReconstruction),
+        # non-dyadic endpoints
+        (F(2, 9) - F(1, 3**60), F(2, 9) + F(1, 7**40), _BOUND, 32, F(2, 9)),
+        (F(1, 7) - F(1, 3**60), F(1, 7) + F(1, 5**50), _BOUND, 32, NoIntegerNearby),
+        (F(1, 3), F(1, 3) + F(1, _BOUND * 2**40), _BOUND, 40, AmbiguousReconstruction),
+        # an empty interval holds no integer
+        (F(1, 2), F(1, 3), 6, 32, NoIntegerNearby),
+    ],
+)
+def test_integer_reconstruct_matches_the_fraction_formula(lower, upper, bound, guard_bits, expected):
+    value = IntervalValue(lower, upper, 80)
+    policy = ReconstructionPolicy(bound, guard_bits)
+    assert _outcome(reconstruct, value, policy) == expected
+    assert _outcome(_fraction_reconstruct, value, policy) == expected
+    if expected is NoIntegerNearby:
+        with pytest.raises(NoIntegerNearby, match=f"\\({bound.bit_length()}-bit bound\\)"):
+            reconstruct(value, policy)
+
+
+@given(
+    st.fractions(), st.fractions(min_value=0), st.integers(1, 2**70), st.integers(1, 80)
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_reconstruct_property(lower, width, bound, guard_bits):
+    """Property: reconstruct and the Fraction formula agree on any interval."""
+    value = IntervalValue(lower, lower + width * F(1, 2**guard_bits), 80)
+    policy = ReconstructionPolicy(bound, guard_bits)
+    assert _outcome(reconstruct, value, policy) == _outcome(_fraction_reconstruct, value, policy)
 
 
 def test_policy_validation():
@@ -306,9 +373,7 @@ def test_campaign_shares_one_enclosure_per_reduced_angle(counting_libmp):
     """The gcd-reduced sums of every q in 1..2n+1 land on the angles
     j*pi/n mod 2*pi, j < 2n, that the scaled sum with q = 2n visits, at the
     same exponent and precision, so after it they make no trig or power
-    call. (C(m, n) alone visits only j < n: an angle in [pi, 2*pi) is
-    enclosed from itself, not folded onto [0, pi), so its bits stay those
-    of a direct evaluation.)"""
+    call: each folds onto an angle of [0, pi/2] the scaled sum enclosed."""
     m, n = 5, 6
     warm = SumSpec(Family.SCALED, m, n, q=2 * n, kind="cos")
     assert evaluate_exact(warm) == evaluate(warm)
@@ -338,7 +403,7 @@ def test_campaign_shares_one_enclosure_per_reduced_angle(counting_libmp):
 )
 def test_direct_sum_same_interval_cold_and_warm(spec, campaign, counting_libmp):
     """The memo changes no bit: a sum served entirely from enclosures that
-    other requests computed, at other indices of the same reduced angles,
+    other requests computed, at other indices of the same folded angles,
     has the exact endpoints it has right after clear_caches()."""
     prec = default_precision(spec)
     cold = direct_sum(spec, prec)
@@ -370,20 +435,22 @@ def test_clear_caches_restores_the_cold_cost(counting_libmp):
 def test_neighbouring_precisions_share_one_trig_enclosure(counting_libmp):
     """C(200, 7) and C(201, 7) run at 500 and 502 bits, inside the same
     512-bit step: the second reuses every cos enclosure of the first and
-    only takes its own powers, one per reduced angle."""
+    only takes its own powers, one per folded angle (k*pi/7 for k and 7 - k
+    fold onto one angle of [0, pi/2], so 4 for 7 indices)."""
     first, second = SumSpec(Family.COS_POWER, 200, 7), SumSpec(Family.COS_POWER, 201, 7)
     assert (default_precision(first), default_precision(second)) == (500, 502)
     assert evaluate_exact(first) == evaluate(first)
     before = Counter(counting_libmp.calls)
-    assert before["mpi_cos"] == before["mpi_pow_int"] == 7
+    assert before["mpi_cos"] == before["mpi_pow_int"] == 4
     assert evaluate_exact(second) == evaluate(second)
-    assert counting_libmp.calls - before == Counter(mpi_pow_int=7)
+    assert counting_libmp.calls - before == Counter(mpi_pow_int=4)
 
 
 def test_trig_enclosures_kept_for_two_steps(counting_libmp):
     """C(m, 7) at m = 100, 200, 300 runs at 300, 500 and 700 bits, three
     64-bit steps: the last two keep their enclosures, the first is dropped,
-    so requests spread over many precisions hold at most two steps."""
+    so requests spread over many precisions hold at most two steps. Each
+    step holds the 4 folded angles of k*pi/7, k < 7."""
     for m in (100, 200, 300):
         evaluate_exact(SumSpec(Family.COS_POWER, m, 7))
     before = counting_libmp.calls["mpi_cos"]
@@ -391,7 +458,48 @@ def test_trig_enclosures_kept_for_two_steps(counting_libmp):
     evaluate_exact(SumSpec(Family.COS_POWER, 201, 7))
     assert counting_libmp.calls["mpi_cos"] == before
     evaluate_exact(SumSpec(Family.COS_POWER, 101, 7))
-    assert counting_libmp.calls["mpi_cos"] == before + 7
+    assert counting_libmp.calls["mpi_cos"] == before + 4
+
+
+def test_fold_encloses_the_literal_angle(counting_libmp):
+    """The fold is exact: for every angle num*pi/den, den <= 24, num in
+    [-2*den, 4*den), and exponents 1, 2, 3 and 400, the term of the folded
+    angle, signed, contains a fresh enclosure of fn(num*pi/den)^exponent
+    taken at the literal angle at 4p bits (cot skips its poles). A multiple
+    of pi folds onto 0, where the term is the exact value, +-1 or 0, which
+    is narrower than any fresh enclosure of the literal angle. The memo
+    holds the folded angles alone."""
+    prec = 64
+    libmp = counting_libmp._real
+    for fn in ("cos", "sin", "cot"):
+        for den in range(1, 25):
+            for num in range(-2 * den, 4 * den):
+                if fn == "cot" and num % den == 0:
+                    continue
+                fresh = _fresh_enclosure(fn, num, den, 4 * prec)
+                for exponent in (1, 2, 3, 400):
+                    lo, hi = oracle._term(fn, num, den, exponent, prec)
+                    if fn != "cot" and num % den == 0:
+                        exact = (0 if fn == "sin" else 1 - 2 * (num // den % 2)) ** exponent
+                        assert (lo, hi) == (exact << prec, exact << prec)
+                        continue
+                    fresh_lo, fresh_hi = libmp.mpi_pow_int(fresh, exponent, 4 * prec)
+                    assert lo <= _exact_value(fresh_lo) * 2**prec, (fn, num, den, exponent)
+                    assert _exact_value(fresh_hi) * 2**prec <= hi, (fn, num, den, exponent)
+    # one memo entry per fn, exponent and angle of [0, pi/2] (cot without 0)
+    folded = {F(num, den) for den in range(1, 25) for num in range(den // 2 + 1)}
+    assert oracle._reduced_term.cache_info().currsize == 4 * (3 * len(folded) - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 12, 24])
+def test_power_sum_fills_one_term_per_folded_angle(n):
+    """C(m, n) visits k*pi/n, k < n; k and n - k fold onto one angle of
+    [0, pi/2], so the term memo holds floor(n/2) + 1 entries."""
+    clear_caches()
+    spec = SumSpec(Family.COS_POWER, 9, n)
+    assert evaluate_exact(spec) == evaluate(spec)
+    assert oracle._reduced_term.cache_info().currsize == n // 2 + 1
+    clear_caches()
 
 
 @pytest.mark.parametrize("prec", [512, 513])
@@ -404,16 +512,20 @@ def test_served_trig_enclosure_is_rounded_outward(fn, num, den, prec, counting_l
     enclosure at 4p, and stays narrow at p."""
     lo, hi = oracle._term(fn, num, den, 1, prec)
     assert type(lo) is int and type(hi) is int
-    libmp = counting_libmp._real
-    fresh_prec = 4 * prec
-    pi = (libmp.mpf_pi(fresh_prec, "d"), libmp.mpf_pi(fresh_prec, "u"))
-    angle = libmp.mpi_div(
-        libmp.mpi_mul(pi, (libmp.from_int(num),) * 2, fresh_prec), (libmp.from_int(den),) * 2, fresh_prec
-    )
-    fresh_lo, fresh_hi = getattr(libmp, "mpi_" + fn)(angle, fresh_prec)
+    fresh_lo, fresh_hi = _fresh_enclosure(fn, num, den, 4 * prec)
     lower, upper = F(lo, 2**prec), F(hi, 2**prec)
     assert lower <= _exact_value(fresh_lo) and _exact_value(fresh_hi) <= upper
     assert upper - lower <= abs(upper) * F(1, 2 ** (prec - 8))
+
+
+def _fresh_enclosure(fn, num, den, prec):
+    """fn(num*pi/den) enclosed by mpmath at the literal angle, no memo."""
+    from mpmath import libmp
+
+    pi = (libmp.mpf_pi(prec, "d"), libmp.mpf_pi(prec, "u"))
+    scaled = libmp.mpi_mul(pi, (libmp.from_int(num),) * 2, prec)
+    angle = libmp.mpi_div(scaled, (libmp.from_int(den),) * 2, prec)
+    return getattr(libmp, "mpi_" + fn)(angle, prec)
 
 
 def _exact_value(raw) -> Fraction:
@@ -468,19 +580,35 @@ def test_terms_below_one_grid_unit_round_outward(counting_libmp):
     assert hi - lo <= 2**8
 
 
+def _folded_angle(fn, num, den):
+    """(num', den', sign) with fn(num*pi/den) = sign * fn(num'*pi/den'),
+    num'/den' in [0, 1/2] in lowest terms: the angle direct_sum encloses.
+    cos/sin have period 2*pi and cot pi; past pi, x -> 2*pi - x negates
+    sin; past pi/2, x -> pi - x negates cos and cot."""
+    num %= den if fn == "cot" else 2 * den
+    sign = 1
+    if num > den:
+        num, sign = 2 * den - num, -1 if fn == "sin" else 1
+    if 2 * num > den:
+        num, sign = den - num, sign if fn == "sin" else -sign
+    g = gcd(num, den)
+    return num // g, den // g, sign
+
+
 def _enclosure_sum(spec, prec: int) -> tuple[Fraction, Fraction]:
     """The exact sum of the defining sum's mpmath term enclosures, with no
-    rounding onto the grid: products of intervals by min and max, then the
-    alternating sign and the scale."""
+    rounding onto the grid: each term the enclosure of its folded angle,
+    negated for a sign change at an odd exponent, products of intervals by
+    min and max, then the alternating sign and the scale."""
     from mpmath import libmp
 
     def enclosure(fn, num, den, exponent):
-        if fn != "cot":
-            num %= 2 * den
+        num, den, sign = _folded_angle(fn, num, den)
         step_prec = -(-prec // oracle._TRIG_STEP_BITS) * oracle._TRIG_STEP_BITS
         lo, hi = oracle._trig(fn, num, den, step_prec)
         rounded = (libmp.mpf_pos(lo, prec, "f"), libmp.mpf_pos(hi, prec, "c"))
-        return tuple(map(_exact_value, libmp.mpi_pow_int(rounded, exponent, prec)))
+        lo, hi = map(_exact_value, libmp.mpi_pow_int(rounded, exponent, prec))
+        return (-hi, -lo) if sign < 0 and exponent % 2 else (lo, hi)
 
     s = oracle._defining_sum(spec)
     lower = upper = F(0)
