@@ -222,22 +222,36 @@ def _window_pass(
 
 
 def _power_sum(kind: str, m: int, n: int) -> Rational:
-    """C(m, n) or S(m, n) by ``kind``, through the public entry points."""
-    return cos_power_sum(m, n) if kind == "cos" else sin_power_sum(m, n)
+    """C(m, n) or S(m, n) by ``kind``, for a caller that has validated
+    m >= 0 and n >= 1 (evaluate, and every public function here)."""
+    (value,) = _window_pass(kind, m, n, (1,))
+    return _dyadic(value, 2 * m)
+
+
+def _dyadic(numerator: int, bits: int) -> Rational:
+    """numerator / 2^bits in lowest terms, without Fraction's gcd of two
+    2m-bit integers: the common factor is a power of two, read off the
+    numerator's trailing zero bits. The Fraction is assembled from its two
+    slots, _numerator and _denominator, as the fractions module builds one
+    from integers already coprime; the tests hold it equal to
+    Fraction(numerator, 2**bits)."""
+    shift = min((numerator & -numerator).bit_length() - 1, bits) if numerator else bits
+    value = object.__new__(Fraction)
+    value._numerator = numerator >> shift
+    value._denominator = 1 << (bits - shift)
+    return value
 
 
 def cos_power_sum(m: int, n: int) -> Rational:
     """C(m, n) = sum_{k=0}^{n-1} cos^{2m}(k*pi/n)."""
     SumSpec(Family.COS_POWER, m, n).validate()
-    (value,) = _window_pass("cos", m, n, (1,))
-    return Fraction(value, 4**m)
+    return _power_sum("cos", m, n)
 
 
 def sin_power_sum(m: int, n: int) -> Rational:
     """S(m, n) = sum_{k=0}^{n-1} sin^{2m}(k*pi/n)."""
     SumSpec(Family.SIN_POWER, m, n).validate()
-    (value,) = _window_pass("sin", m, n, (1,))
-    return Fraction(value, 4**m)
+    return _power_sum("sin", m, n)
 
 
 def scaled_sum(kind: str, m: int, n: int, q: int) -> Rational:
@@ -474,8 +488,8 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
 
 
 _DISPATCH = {
-    Family.COS_POWER: lambda s: cos_power_sum(s.m, s.n),
-    Family.SIN_POWER: lambda s: sin_power_sum(s.m, s.n),
+    Family.COS_POWER: lambda s: _power_sum("cos", s.m, s.n),
+    Family.SIN_POWER: lambda s: _power_sum("sin", s.m, s.n),
     Family.SCALED: lambda s: scaled_sum(s.kind, s.m, s.n, s.q),
     Family.COPRIME: lambda s: coprime_sum(s.kind, s.m, s.n, s.q),
     Family.GCD_REDUCED: lambda s: gcd_reduced_sum(s.kind, s.m, s.n, s.q),

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import ceil, floor, gcd
 from typing import NamedTuple
 
 from .closed_forms import MAX_M, Family, SumSpec
@@ -410,20 +410,14 @@ def reconstruct(value: IntervalValue, policy: ReconstructionPolicy) -> Fraction:
     that established the scaled interval holds at most one integer; zero
     integers means the denominator bound is not a multiple of the true
     denominator (a bug worth surfacing, not retrying).
-
-    The tests run on the endpoints' numerators and denominators, cross-
-    multiplied, so no intermediate Fraction pays a gcd.
     """
     bound = policy.denominator_bound
-    lo_num, lo_den = value.lower.numerator, value.lower.denominator
-    hi_num, hi_den = value.upper.numerator, value.upper.denominator
-    # width * bound >= 2^-guard_bits
-    if (hi_num * lo_den - lo_num * hi_den) * bound << policy.guard_bits >= lo_den * hi_den:
+    if value.width * bound >= Fraction(1, 2**policy.guard_bits):
         raise AmbiguousReconstruction(
             f"interval width {float(value.width):.3e} too wide for a {bound.bit_length()}-bit bound"
         )
-    lo = -(-lo_num * bound // lo_den)  # ceil(lower * bound)
-    if lo > hi_num * bound // hi_den:
+    lo = ceil(value.lower * bound)
+    if lo > floor(value.upper * bound):
         raise NoIntegerNearby(
             f"no multiple of 1/bound inside the certified interval ({bound.bit_length()}-bit bound)"
         )

@@ -692,6 +692,37 @@ def test_evaluate_matches_direct_functions():
     assert evaluate(SumSpec(Family.ELL5_COS4, 3, 2)) == ell5_sum("cos4", 3, 2)
 
 
+@pytest.mark.parametrize("family", [Family.COS_POWER, Family.SIN_POWER])
+def test_evaluate_validates_a_power_sum_once(family, monkeypatch):
+    """evaluate() of C and S runs SumSpec.validate once; the public
+    functions run it once too."""
+    calls = []
+    validate = SumSpec.validate
+    monkeypatch.setattr(SumSpec, "validate", lambda spec: calls.append(spec) or validate(spec))
+    value = evaluate(SumSpec(family, 200, 7))
+    assert len(calls) == 1
+    direct = cos_power_sum if family is Family.COS_POWER else sin_power_sum
+    assert direct(200, 7) == value
+    assert len(calls) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.just(0), st.integers(-(2**80), 2**80), st.integers(1, 2**20).map(lambda x: x << 300)),
+    st.integers(0, 420),
+)
+def test_dyadic_equals_fraction(numerator, bits):
+    """_dyadic builds numerator / 2^bits without a gcd; it must be the
+    same normalised Fraction: equal, with equal numerator, denominator and
+    hash, and usable in further arithmetic."""
+    expected = F(numerator, 2**bits)
+    value = closed_forms._dyadic(numerator, bits)
+    assert type(value) is F
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert value == expected and hash(value) == hash(expected)
+    assert value + F(1, 3) == expected + F(1, 3)
+
+
 def test_sumspec_params_only_carry_used_fields():
     assert SumSpec(Family.COS_POWER, 2, 3).params() == {"m": 2, "n": 3}
     assert SumSpec(Family.SCALED, 2, 3, q=6).params() == {

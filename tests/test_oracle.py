@@ -5,7 +5,7 @@ closed forms."""
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,20 +102,9 @@ def test_no_integer_nearby_names_the_bound_by_bit_length():
             sys.set_int_max_str_digits(limit)
 
 
-def _fraction_reconstruct(value, policy):
-    """The Fraction formula reconstruct computed before it ran on integers."""
-    bound = policy.denominator_bound
-    if value.width * bound >= F(1, 2**policy.guard_bits):
-        raise AmbiguousReconstruction
-    lo = ceil(value.lower * bound)
-    if lo > floor(value.upper * bound):
-        raise NoIntegerNearby
-    return F(lo, bound)
-
-
-def _outcome(reconstruction, value, policy):
+def _outcome(value, policy):
     try:
-        return reconstruction(value, policy)
+        return reconstruct(value, policy)
     except (AmbiguousReconstruction, NoIntegerNearby) as error:
         return type(error)
 
@@ -147,25 +136,13 @@ _EPS = F(1, 2**80)
         (F(1, 2), F(1, 3), 6, 32, NoIntegerNearby),
     ],
 )
-def test_integer_reconstruct_matches_the_fraction_formula(lower, upper, bound, guard_bits, expected):
+def test_reconstruct_edge_cases(lower, upper, bound, guard_bits, expected):
     value = IntervalValue(lower, upper, 80)
     policy = ReconstructionPolicy(bound, guard_bits)
-    assert _outcome(reconstruct, value, policy) == expected
-    assert _outcome(_fraction_reconstruct, value, policy) == expected
+    assert _outcome(value, policy) == expected
     if expected is NoIntegerNearby:
         with pytest.raises(NoIntegerNearby, match=f"\\({bound.bit_length()}-bit bound\\)"):
             reconstruct(value, policy)
-
-
-@given(
-    st.fractions(), st.fractions(min_value=0), st.integers(1, 2**70), st.integers(1, 80)
-)
-@settings(max_examples=200, deadline=None)
-def test_integer_reconstruct_property(lower, width, bound, guard_bits):
-    """Property: reconstruct and the Fraction formula agree on any interval."""
-    value = IntervalValue(lower, lower + width * F(1, 2**guard_bits), 80)
-    policy = ReconstructionPolicy(bound, guard_bits)
-    assert _outcome(reconstruct, value, policy) == _outcome(_fraction_reconstruct, value, policy)
 
 
 def test_policy_validation():
