@@ -25,12 +25,16 @@ one place a second route still runs: their direct form weights the window
 of (m, n) by (-1)^p, the difference C(m, 2n) - C(m, n) reads C(m, 2n) from
 its own window, and the two are compared at every call.
 
-All values are exact rationals. Any value times 2^{2m+2} is an integer for
-the families here except the degree-5 weighted family, where 2^{2m+4}
-suffices.
+All values are exact rationals with a power-of-two denominator. Any value
+times 2^{2m+2} is an integer for the families here except the degree-5
+weighted family, where 2^{2m+4} suffices. So each family combines the
+window's integers into one integer numerator and every value leaves
+through _dyadic, the one place a Fraction is built (the Barbero erratum
+reproducer keeps its published formula).
 
 SumSpec.validate() is the one domain check: each public function starts by
-validating the SumSpec of its own family, so a call and an evaluate() of
+validating the SumSpec of its own family, and no public function calls
+another, so a direct call validates once and a call and an evaluate() of
 the same request accept and refuse the same arguments. The erratum
 reproducers validate the sum they misstate, then check only the range their
 published expression claims.
@@ -221,11 +225,11 @@ def _window_pass(
     return sums
 
 
-def _power_sum(kind: str, m: int, n: int) -> Rational:
-    """C(m, n) or S(m, n) by ``kind``, for a caller that has validated
-    m >= 0 and n >= 1 (evaluate, and every public function here)."""
+def _power_sum(kind: str, m: int, n: int, times: int = 1) -> Rational:
+    """``times`` C(m, n) or S(m, n) by ``kind``, for a caller that has
+    validated m >= 0 and n >= 1 (evaluate, and every public function here)."""
     (value,) = _window_pass(kind, m, n, (1,))
-    return _dyadic(value, 2 * m)
+    return _dyadic(times * value, 2 * m)
 
 
 def _dyadic(numerator: int, bits: int) -> Rational:
@@ -258,7 +262,7 @@ def scaled_sum(kind: str, m: int, n: int, q: int) -> Rational:
     """sum_{k=0}^{q-1} trig^{2m}(k*pi/n) for n | q: the same n angles swept
     q/n times, so the value is (q/n) * C(m, n) (resp. S)."""
     SumSpec(Family.SCALED, m, n, q, kind).validate()
-    return Fraction(q, n) * _power_sum(kind, m, n)
+    return _power_sum(kind, m, n, q // n)
 
 
 def coprime_sum(kind: str, m: int, n: int, q: int) -> Rational:
@@ -281,14 +285,14 @@ def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
     """
     SumSpec(Family.GCD_REDUCED, m, n, q, kind).validate()
     r = gcd(n, q)
-    return r * _power_sum(kind, m, n // r)
+    return _power_sum(kind, m, n // r, r)
 
 
 def quoniam_sum(m: int, n: int) -> Rational:
     """2^{2m} * sum_{k=1}^{floor(n/2)} cos^{2m}(k*pi/(n+1)), valid for
     1 <= m < n+1, where it equals (n+1)*binom(2m-1, m-1) - 2^{2m-1}."""
     SumSpec(Family.QUONIAM, m, n).validate()
-    return Fraction((n + 1) * binom(2 * m - 1, m - 1) - 2 ** (2 * m - 1))
+    return _dyadic((n + 1) * binom(2 * m - 1, m - 1) - 2 ** (2 * m - 1), 0)
 
 
 def merca_half_sum(p: int, n: int) -> Rational:
@@ -297,7 +301,7 @@ def merca_half_sum(p: int, n: int) -> Rational:
     which is (C(p, n) - 1)/2: the k = 0 term dropped, the mirror pairs
     halved."""
     SumSpec(Family.MERCA_HALF, p, n).validate()
-    return (cos_power_sum(p, n) - 1) / 2
+    return _dyadic(_window_pass("cos", p, n, (1,))[0] - 4**p, 2 * p + 1)
 
 
 def merca_shifted_sum(p: int, n: int) -> Rational:
@@ -305,7 +309,7 @@ def merca_shifted_sum(p: int, n: int) -> Rational:
     = (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} (-1)^k binom(2p, p+kn),
     which is shifted_cos_sum(p, n)/2 by mirror pairing."""
     SumSpec(Family.MERCA_SHIFTED, p, n).validate()
-    return shifted_cos_sum(p, n) / 2
+    return _dyadic(_shifted("cos", p, n), 2 * p + 1)
 
 
 def barbero_R(m: int, n: int) -> Rational:
@@ -319,7 +323,7 @@ def barbero_R(m: int, n: int) -> Rational:
     pairs of the odd period halved.
     """
     SumSpec(Family.BARBERO_R, m, n).validate()
-    return (cos_power_sum(m, 2 * n + 3) - 1) * 4**m / 2
+    return _dyadic(_window_pass("cos", m, 2 * n + 3, (1,))[0] - 4**m, 1)
 
 
 def barbero_R_naive(m: int, n: int) -> Rational:
@@ -343,7 +347,18 @@ def alternating_sum(kind: str, m: int, n: int) -> Rational:
     """
     SumSpec(Family.ALTERNATING, m, n, kind=kind).validate()
     half, full = _window_pass(kind, m, n // 2, (1, 2))
-    return Fraction(2 * half - full, 4**m)
+    return _dyadic(2 * half - full, 2 * m)
+
+
+def _middle_erratum(m: int, n: int) -> Rational:
+    """2^{2-2m} * sum_{p >= 1} binom(2m, m-pn), the published middle-range
+    expression of both alternating errata."""
+    check_int("n", n)  # 2 * True would pass as N = 2
+    SumSpec(Family.ALTERNATING, m, 2 * n).validate()
+    if not n <= m < 2 * n:
+        raise ParameterError("middle-range expression needs n <= m < 2n")
+    (tail,) = _window_pass("cos", m, n, (), ((0,),))
+    return _dyadic(tail, 2 * m - 2)
 
 
 def alternating_cos_middle_erratum(m: int, n: int) -> Rational:
@@ -353,12 +368,7 @@ def alternating_cos_middle_erratum(m: int, n: int) -> Rational:
     Erratum reproducer: the true value is n times this (equal only at
     n = 1). The factor-n omission is asserted, not corrected, here.
     """
-    check_int("n", n)  # 2 * True would pass as N = 2
-    SumSpec(Family.ALTERNATING, m, 2 * n).validate()
-    if not n <= m < 2 * n:
-        raise ParameterError("middle-range expression needs n <= m < 2n")
-    (tail,) = _window_pass("cos", m, n, (), ((0,),))
-    return Fraction(4 * tail, 4**m)
+    return _middle_erratum(m, n)
 
 
 def alternating_sin_middle_erratum(m: int, n: int) -> Rational:
@@ -369,23 +379,32 @@ def alternating_sin_middle_erratum(m: int, n: int) -> Rational:
     sign, so the true value is (-1)^n * n times this and the two never
     coincide (at n = 1 the sign still differs).
     """
-    return alternating_cos_middle_erratum(m, n)
+    return _middle_erratum(m, n)
+
+
+def _shifted(kind: str, m: int, n: int) -> int:
+    """4^m times the half-shift sum of ``kind`` over (k + 1/2)*pi/n, k < n,
+    from its direct form, asserted equal to 4^m * (X(m, 2n) - X(m, n)).
+    X(m, n) and the direct form share one pass over the window of (m, n);
+    X(m, 2n) comes from its own."""
+    full, odd = _window_pass(kind, m, n, (1,), ((1,),), 2)
+    # the direct weight less X's is -2 at odd p for cos, whose weight is
+    # (-1)^p, and -2*(-1)^n at odd p for sin
+    direct = full - (1 if kind == "cos" else (-1) ** n) * 4 * n * odd
+    (double,) = _window_pass(kind, m, 2 * n, (1,))
+    if double - full != direct:
+        raise ArithmeticError(f"shifted_{kind}_sum: evaluation routes disagree")
+    return direct
 
 
 def shifted_cos_sum(m: int, n: int) -> Rational:
     """sum_{k=0}^{n-1} cos^{2m}((k + 1/2)*pi/n) = C(m, 2n) - C(m, n).
 
     Also 2^{1-2m} * n * (binom(2m-1, m-1) + sum_p (-1)^p binom(2m, m-pn));
-    the two routes are asserted equal. C(m, n) and the direct form share
-    one pass over the window of (m, n); C(m, 2n) comes from its own.
+    the two routes are asserted equal (see _shifted).
     """
     SumSpec(Family.SHIFTED_COS, m, n).validate()
-    full, odd = _window_pass("cos", m, n, (1,), ((1,),), 2)
-    direct = full - 4 * n * odd  # weight (-1)^p = 1 - 2*[p odd]
-    (double,) = _window_pass("cos", m, 2 * n, (1,))
-    if double - full != direct:
-        raise ArithmeticError("shifted_cos_sum: evaluation routes disagree")
-    return Fraction(direct, 4**m)
+    return _dyadic(_shifted("cos", m, n), 2 * m)
 
 
 def shifted_sin_sum(m: int, n: int) -> Rational:
@@ -394,17 +413,10 @@ def shifted_sin_sum(m: int, n: int) -> Rational:
     Direct form 2^{1-2m} * n * (binom(2m-1, m-1)
     + sum_p (1 + (-1)^p - (-1)^{np}) * binom(2m, m-pn)): the weight reduces
     to +1 for odd n and to (-1)^p for even n. Asserted equal to
-    S(m, 2n) - S(m, n). S(m, n) and the direct form share one pass over the
-    window of (m, n); S(m, 2n) comes from its own.
+    S(m, 2n) - S(m, n) (see _shifted).
     """
     SumSpec(Family.SHIFTED_SIN, m, n).validate()
-    full, odd = _window_pass("sin", m, n, (1,), ((1,),), 2)
-    # the direct weight minus S's (-1)^{np} is -2*(-1)^n at odd p, 0 at even p
-    direct = full - (-1) ** n * 4 * n * odd
-    (double,) = _window_pass("sin", m, 2 * n, (1,))
-    if double - full != direct:
-        raise ArithmeticError("shifted_sin_sum: evaluation routes disagree")
-    return Fraction(direct, 4**m)
+    return _dyadic(_shifted("sin", m, n), 2 * m)
 
 
 def weight3_sum(kind: str, m: int, n: int) -> Rational:
@@ -418,7 +430,7 @@ def weight3_sum(kind: str, m: int, n: int) -> Rational:
     family = Family.WEIGHT3_SIN if kind == "sin" else Family.WEIGHT3_COS
     SumSpec(family, m, n, kind=kind).validate()
     single, triple = _window_pass(kind, m, n, (1, 3))
-    return Fraction(3 * single - triple, 2 * 4**m)
+    return _dyadic(3 * single - triple, 2 * m + 1)
 
 
 def weight_half_pi_sum(m: int, n: int) -> Rational:
@@ -430,7 +442,7 @@ def weight_half_pi_sum(m: int, n: int) -> Rational:
     """
     SumSpec(Family.WEIGHT_HALF_PI, m, n).validate()
     single, double = _window_pass("cos", m, n, (1, 2))
-    return Fraction(2 * single - double, 4**m)
+    return _dyadic(2 * single - double, 2 * m)
 
 
 def weight_pi3_sum(m: int, n: int) -> Rational:
@@ -438,7 +450,7 @@ def weight_pi3_sum(m: int, n: int) -> Rational:
     3*C(m, n/2) - (3/2)*C(m, n) + C(m, 3n)/2 - C(m, 3n/2)."""
     SumSpec(Family.WEIGHT_PI3, m, n).validate()
     c1, c2, c3, c6 = _window_pass("cos", m, n // 2, (1, 2, 3, 6))
-    return Fraction(6 * c1 - 3 * c2 - 2 * c3 + c6, 2 * 4**m)
+    return _dyadic(6 * c1 - 3 * c2 - 2 * c3 + c6, 2 * m + 1)
 
 
 _ELL5_FAMILIES = {
@@ -475,16 +487,15 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
     SumSpec(_ELL5_FAMILIES[variant], m, n).validate()
     if variant == "product":
         c1, c5 = _window_pass("cos", m, n, (1, 5))
-        return Fraction(5 * c1 - c5, 4 * 4**m)
+        return _dyadic(5 * c1 - c5, 2 * m + 2)
     if variant == "alt-product":
         c1, c2, c5, c10 = _window_pass("cos", m, n // 2, (1, 2, 5, 10))
-        return Fraction(10 * c1 - 5 * c2 - 2 * c5 + c10, 4 * 4**m)
+        return _dyadic(10 * c1 - 5 * c2 - 2 * c5 + c10, 2 * m + 2)
     if variant == "cos2":
         (near,) = _window_pass("cos", m, n, (), ((1, 4),), 5)  # p = +-1 (mod 5)
-        return Fraction(5 * n * near, 4**m)
+        return _dyadic(5 * n * near, 2 * m)
     c1, c5, near = _window_pass("cos", m, n, (1, 5), ((1, 4),), 5)  # cos4
-    cos2 = 5 * n * near
-    return Fraction(10 * c1 - 2 * c5 - 4 * cos2, 4 * 4**m)
+    return _dyadic(10 * c1 - 2 * c5 - 20 * n * near, 2 * m + 2)
 
 
 _DISPATCH = {

@@ -31,8 +31,10 @@ has the closed form (-1)^n * k + sum_{j=1}^{n} b_{n,j} * k^{2j} with a
 rational coefficient triangle b built by recursion. The widely circulated
 statement of that closed form contains two transcription errors (sign
 (-1)^k instead of (-1)^n, recursion denominator 2^{2(n-j)-1} instead of
-2^{2(n-j)} - 1); the corrected form is used, and the uncorrected one is
-kept as a documented-erratum reproducer. A literal reading of the
+2^{2(n-j)} - 1); the corrected triangle is kept, and the uncorrected one is
+kept as a documented-erratum reproducer. A value of U is read off the T
+polynomial instead, as (T(n, 4k) - T(n, 2k))/2, which equals the corrected
+closed form (the tests hold the two equal). A literal reading of the
 multi-index expansion with all indices strictly positive is likewise kept
 only as a counterexample generator (the index set is empty, so it returns
 (-1)^n * k, which is wrong for every n >= 1, k >= 2).
@@ -282,12 +284,16 @@ def byrne_smith_coefficients_uncorrected(n_max: int) -> ByrneSmithCoefficients:
 
 def byrne_smith_sum(n: int, k: int) -> Rational:
     """U(n, k) = sum_{r=1}^{k} cot^{2n}((r - 1/2)*pi/2k)
-    = (-1)^n * k + sum_{j=1}^{n} b[n][j] * k^{2j}. Always an integer."""
+    = (-1)^n * k + sum_{j=1}^{n} b[n][j] * k^{2j}. Always an integer.
+
+    Read off the T polynomial: U(n, k) = (T(n, 4k) - T(n, 2k))/2. The odd
+    multiples of pi/4k in (0, pi) are its multiples less those of pi/2k,
+    and the mirror x -> pi - x counts each half-shift angle twice. So
+    b[n][j] = 2^{2j-1} * (4^j - 1) * [k^{2j}] T(n, k), and no coefficient
+    triangle is built."""
     ByrneSmithParams(n, k).validate()
-    rows = byrne_smith_coefficients(n).rows
-    return (-1) ** n * k + sum(
-        b * Fraction(k) ** (2 * j) for j, b in enumerate(rows[n - 1], start=1)
-    )
+    p = cot_sum_polynomial(n)
+    return (p(4 * k) - p(2 * k)) / 2
 
 
 def byrne_smith_sum_uncorrected(n: int, k: int) -> Rational:

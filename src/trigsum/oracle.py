@@ -24,12 +24,15 @@ folded angle, exponent and precision. A hit returns exactly the integers
 a fresh evaluation of the folded angle would (``clear_caches`` empties
 both memos).
 
-The exact rational is then recovered by scaling the interval with an
-a-priori denominator bound D: if the scaled interval is narrower than
-2^-guard_bits it contains at most one integer p, and the value is p/D.
-A missing integer means the bound (or the formula being compared) is wrong
-and is reported as such rather than retried; an over-wide interval is
-retried at doubled precision.
+The interval stays on the grid: an IntervalValue holds the integer
+endpoints lo and hi and the precision p, and no Fraction is built until
+the exit. The exact rational is recovered by scaling the endpoints with an
+a-priori denominator bound D: if (hi - lo) * D * 2^-p is narrower than
+2^-guard_bits, [lo * D, hi * D] * 2^-p contains at most one integer N, found
+by integer shifts, and the value is the one Fraction N/D. A missing
+integer means the bound (or the formula being compared) is wrong and is
+reported as such rather than retried; an over-wide interval is retried at
+doubled precision.
 
 The interval primitives come from mpmath's stateless low-level layer
 (explicit precision arguments, no global context), so oracle calls are
@@ -44,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd
+from math import gcd
 from typing import NamedTuple
 
 from .closed_forms import MAX_M, Family, SumSpec
@@ -82,21 +85,28 @@ class PrecisionExhausted(ArithmeticError):
 
 @dataclass(frozen=True)
 class IntervalValue:
-    """A certified enclosure: lower <= true value <= upper.
-
-    Endpoints are the exact dyadic rationals of the binary interval bounds.
+    """A certified enclosure on the grid 2^-precision_bits: the true value
+    lies in [lo, hi] * 2^-precision_bits, with lo, hi and precision_bits
+    ints. ``width`` and ``in`` are exact; ``in`` takes an int or Fraction.
     """
 
-    lower: Fraction
-    upper: Fraction
+    lo: int
+    hi: int
     precision_bits: int
+
+    def __post_init__(self) -> None:
+        for name in ("lo", "hi", "precision_bits"):
+            check_int(name, getattr(self, name))
+        if self.precision_bits < 0:
+            raise ParameterError("precision_bits must be >= 0")
 
     @property
     def width(self) -> Fraction:
-        return self.upper - self.lower
+        return Fraction(self.hi - self.lo, 1 << self.precision_bits)
 
     def __contains__(self, value) -> bool:
-        return self.lower <= value <= self.upper
+        scaled, den = value.numerator << self.precision_bits, value.denominator
+        return self.lo * den <= scaled <= self.hi * den
 
 
 @dataclass(frozen=True)
@@ -277,52 +287,52 @@ class _DefiningSum(NamedTuple):
     alternating: bool = False
 
 
-# Weighted families: f -> (L, weights). The sum runs over k < L*n at the
-# angles k*pi/(L*n), each term times prod cos(c*k*pi/d) over (c, d).
-_WEIGHTED = {
-    Family.WEIGHT3_COS: (3, ((2, 3),)),
-    Family.WEIGHT3_SIN: (3, ((2, 3),)),
-    Family.WEIGHT_HALF_PI: (4, ((1, 2),)),
-    Family.WEIGHT_PI3: (3, ((1, 3),)),
-    Family.ELL5_PRODUCT: (5, ((2, 5), (4, 5))),
-    Family.ELL5_ALT_PRODUCT: (5, ((1, 5), (2, 5))),
-    Family.ELL5_COS2: (5, ((2, 5),)),
-    Family.ELL5_COS4: (5, ((4, 5),)),
+def _lattice(period: int, fn: str, *weights: tuple[int, int]):
+    # k < period*n at the angles k*pi/(period*n), each term times the
+    # product of cos(c*k*pi/d) over the weights (c, d)
+    return lambda n, q, kind: (range(period * n), fn, 1, 0, period * n, weights)
+
+
+# Each family's defining sum, from (n, q, kind): (indices, fn, a, b, den,
+# weights) of _DefiningSum.
+_SUM_SPEC_SUMS = {
+    Family.COS_POWER: _lattice(1, "cos"),
+    Family.SIN_POWER: _lattice(1, "sin"),
+    Family.SCALED: lambda n, q, kind: (range(q), kind, 1, 0, n, ()),
+    Family.COPRIME: lambda n, q, kind: (range(n), kind, q, 0, n, ()),
+    Family.GCD_REDUCED: lambda n, q, kind: (range(n), kind, q, 0, n, ()),
+    Family.QUONIAM: lambda n, q, kind: (range(1, n // 2 + 1), "cos", 1, 0, n + 1, ()),
+    Family.MERCA_HALF: lambda n, q, kind: (range(1, (n - 1) // 2 + 1), "cos", 1, 0, n, ()),
+    Family.MERCA_SHIFTED: lambda n, q, kind: (range(1, n // 2 + 1), "cos", 2, -1, 2 * n, ()),
+    Family.BARBERO_R: lambda n, q, kind: (range(1, n + 2), "cos", 1, 0, 2 * n + 3, ()),
+    Family.ALTERNATING: lambda n, q, kind: (range(n), kind, 1, 0, n, ()),
+    Family.SHIFTED_COS: lambda n, q, kind: (range(n), "cos", 2, 1, 2 * n, ()),
+    Family.SHIFTED_SIN: lambda n, q, kind: (range(n), "sin", 2, 1, 2 * n, ()),
+    Family.WEIGHT3_COS: _lattice(3, "cos", (2, 3)),
+    Family.WEIGHT3_SIN: _lattice(3, "sin", (2, 3)),
+    Family.WEIGHT_HALF_PI: _lattice(4, "cos", (1, 2)),
+    Family.WEIGHT_PI3: _lattice(3, "cos", (1, 3)),
+    Family.ELL5_PRODUCT: _lattice(5, "cos", (2, 5), (4, 5)),
+    Family.ELL5_ALT_PRODUCT: _lattice(5, "cos", (1, 5), (2, 5)),
+    Family.ELL5_COS2: _lattice(5, "cos", (2, 5)),
+    Family.ELL5_COS4: _lattice(5, "cos", (4, 5)),
 }
-_SINE = frozenset({Family.SIN_POWER, Family.SHIFTED_SIN, Family.WEIGHT3_SIN})
 # scaled by 2^{2m}, which makes their values integers
 _INTEGRAL = frozenset({Family.QUONIAM, Family.BARBERO_R})
+# the degree-5 weighted families, whose bound takes 4 more bits
+_DEGREE_5 = frozenset({Family.ELL5_PRODUCT, Family.ELL5_ALT_PRODUCT, Family.ELL5_COS2, Family.ELL5_COS4})
 
 
 def _sum_spec_sum(spec: SumSpec) -> _DefiningSum:
-    f, m, n, q, kind = spec.family, spec.m, spec.n, spec.q, spec.kind
-    fn = "sin" if f in _SINE else "cos"
-    period, weights = _WEIGHTED.get(f, (1, ()))
-    # indices, fn, a, b, den
-    if f is Family.SCALED:
-        shape = range(q), kind, 1, 0, n
-    elif f in (Family.COPRIME, Family.GCD_REDUCED):
-        shape = range(n), kind, q, 0, n
-    elif f is Family.ALTERNATING:
-        shape = range(n), kind, 1, 0, n
-    elif f is Family.QUONIAM:
-        shape = range(1, n // 2 + 1), fn, 1, 0, n + 1
-    elif f is Family.MERCA_HALF:
-        shape = range(1, (n - 1) // 2 + 1), fn, 1, 0, n
-    elif f is Family.MERCA_SHIFTED:
-        shape = range(1, n // 2 + 1), fn, 2, -1, 2 * n
-    elif f is Family.BARBERO_R:
-        shape = range(1, n + 2), fn, 1, 0, 2 * n + 3
-    elif f in (Family.SHIFTED_COS, Family.SHIFTED_SIN):
-        shape = range(n), fn, 2, 1, 2 * n
-    else:  # C, S and the weighted families
-        shape = range(period * n), fn, 1, 0, period * n
+    f, m, n = spec.family, spec.m, spec.n
+    indices, fn, a, b, den, weights = _SUM_SPEC_SUMS[f](n, spec.q, spec.kind)
     integral = f in _INTEGRAL
-    bound = 1 if integral else 2 ** (2 * m + 2 + (4 if period == 5 else 0))
+    bound = 1 if integral else 2 ** (2 * m + 2 + (4 if f in _DEGREE_5 else 0))
     precision = 2 * m + (n + 1).bit_length() + 96
     scale = 2 ** (2 * m) if integral else 1
-    alternating = f is Family.ALTERNATING
-    return _DefiningSum(*shape, 2 * m, bound, precision, weights, scale, alternating)
+    return _DefiningSum(
+        indices, fn, a, b, den, 2 * m, bound, precision, weights, scale, f is Family.ALTERNATING
+    )
 
 
 def _cot_sum(spec: CotSumParams) -> _DefiningSum:
@@ -363,7 +373,8 @@ def _defining_sum(spec) -> _DefiningSum:
 
 
 def direct_sum(spec, precision_bits: int) -> IntervalValue:
-    """Evaluate ``spec``'s defining sum as a certified interval.
+    """Evaluate ``spec``'s defining sum as a certified interval, returned
+    as its integer endpoints on the grid 2^-precision_bits.
 
     Accepts a SumSpec, CotSumParams, ByrneSmithParams, or OddCosPowerParams.
     Against the exact sum of the terms' mpmath enclosures, rounding onto the
@@ -397,8 +408,7 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
             lo, hi = -hi, -lo
         lower += lo
         upper += hi
-    unit = 2**prec
-    return IntervalValue(Fraction(lower * s.scale, unit), Fraction(upper * s.scale, unit), prec)
+    return IntervalValue(lower * s.scale, upper * s.scale, prec)
 
 
 # --- rational reconstruction --------------------------------------------
@@ -406,22 +416,25 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
 def reconstruct(value: IntervalValue, policy: ReconstructionPolicy) -> Fraction:
     """Recover the exact rational p/denominator_bound inside ``value``.
 
-    Requires the scaled interval to be narrower than 2^-guard_bits. With
-    that established the scaled interval holds at most one integer; zero
-    integers means the denominator bound is not a multiple of the true
-    denominator (a bug worth surfacing, not retrying).
+    Requires the scaled interval [L, H] * 2^-prec, L = lo * bound and
+    H = hi * bound, to be narrower than 2^-guard_bits. With that
+    established it holds at most one integer, p = ceil(L * 2^-prec); none,
+    p > floor(H * 2^-prec), means the denominator bound is not a multiple of
+    the true denominator (a bug worth surfacing, not retrying). All three
+    tests are integer shifts on the grid.
     """
-    bound = policy.denominator_bound
-    if value.width * bound >= Fraction(1, 2**policy.guard_bits):
+    bound, prec = policy.denominator_bound, value.precision_bits
+    low, high = value.lo * bound, value.hi * bound
+    if (high - low) << policy.guard_bits >= 1 << prec:
         raise AmbiguousReconstruction(
             f"interval width {float(value.width):.3e} too wide for a {bound.bit_length()}-bit bound"
         )
-    lo = ceil(value.lower * bound)
-    if lo > floor(value.upper * bound):
+    p = -(-low >> prec)
+    if p > high >> prec:
         raise NoIntegerNearby(
             f"no multiple of 1/bound inside the certified interval ({bound.bit_length()}-bit bound)"
         )
-    return Fraction(lo, bound)
+    return Fraction(p, bound)
 
 
 def denominator_bound_for(spec) -> int:

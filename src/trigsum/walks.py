@@ -37,7 +37,6 @@ __all__ = [
     "adjacency_matrix",
     "trace_oracle",
     "closed_walk_counts",
-    "walk_table_lines",
 ]
 
 
@@ -156,9 +155,3 @@ def closed_walk_counts(kind: GraphKind, n: int, m_max: int) -> list[WalkCount]:
         WalkCount(n * sums - (4**m if path else 0))
         for m, sums in zip(range(m_max + 1), scaled_power_sums("cos", n))
     ]
-
-
-def walk_table_lines(kind: GraphKind, n: int, m_max: int) -> list[str]:
-    """Plain-text sequence listing, one "m count" pair per line, for
-    eyeball comparison against published integer-sequence archives."""
-    return [f"{m} {count}" for m, count in enumerate(closed_walk_counts(kind, n, m_max))]

@@ -288,6 +288,31 @@ def test_byrne_smith_row_sum_constraint(n):
     assert table.row_sum(n) == 1 + (-1) ** (n - 1)
 
 
+def test_half_shift_sum_is_read_off_the_t_polynomial():
+    """U(n, k) = (T(n, 4k) - T(n, 2k))/2, the route byrne_smith_sum takes,
+    equals the corrected closed form (-1)^n * k + sum_j b[n][j] * k^{2j}
+    built from the recursion triangle, for n <= 12 and k <= 40."""
+    rows = byrne_smith_coefficients(12).rows
+    for n in range(1, 13):
+        for k in range(1, 41):
+            triangle = (-1) ** n * k + sum(
+                b * F(k) ** (2 * j) for j, b in enumerate(rows[n - 1], start=1)
+            )
+            assert byrne_smith_sum(n, k) == triangle, (n, k)
+
+
+def test_triangle_rows_are_scaled_t_coefficients():
+    """Coefficient by coefficient: b[n][j] = 2^{2j-1} * (4^j - 1) *
+    [k^{2j}] T(n, k), since (4k)^{2j} - (2k)^{2j} = 4^j (4^j - 1) k^{2j};
+    the linear terms give (-1)^n * k and the constants cancel. Every row
+    n <= 40."""
+    rows = byrne_smith_coefficients(40).rows
+    for n in range(1, 41):
+        coefficients = cot_sum_polynomial(n).coefficients
+        scaled = tuple(2 ** (2 * j - 1) * (4**j - 1) * coefficients[2 * j] for j in range(1, n + 1))
+        assert rows[n - 1] == scaled, n
+
+
 def test_byrne_smith_values_are_integers():
     for n in range(1, 5):
         for k in range(1, 13):

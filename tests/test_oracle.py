@@ -5,7 +5,7 @@ closed forms."""
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,25 +52,22 @@ def test_interval_width_shrinks_with_precision():
 
 
 def test_reconstruct_example_two_ninths():
-    """An interval around 0.2222... with denominator bound 9*2^6 recovers
-    exactly 2/9."""
-    target = F(2, 9)
-    eps = F(1, 2**80)
-    interval = IntervalValue(lower=target - eps, upper=target + eps, precision_bits=80)
+    """The grid cell around 0.2222... at 80 bits, with denominator bound
+    9*2^6, recovers exactly 2/9."""
+    lo = (2 << 80) // 9  # floor(2/9 * 2^80)
+    interval = IntervalValue(lo=lo, hi=lo + 1, precision_bits=80)
     policy = ReconstructionPolicy(denominator_bound=9 * 2**6)
     assert reconstruct(interval, policy) == F(2, 9)
 
 
 def test_reconstruct_integer_bound():
-    interval = IntervalValue(
-        lower=F(7) - F(1, 2**70), upper=F(7) + F(1, 2**70), precision_bits=70
-    )
+    interval = IntervalValue(lo=(7 << 70) - 1, hi=(7 << 70) + 1, precision_bits=70)
     assert reconstruct(interval, ReconstructionPolicy(denominator_bound=1)) == 7
 
 
 def test_reconstruct_ambiguous_when_interval_too_wide():
     """A wide interval cannot be certified against a fine lattice."""
-    interval = IntervalValue(lower=F(0), upper=F(1, 4), precision_bits=64)
+    interval = IntervalValue(lo=0, hi=1 << 62, precision_bits=64)  # [0, 1/4]
     with pytest.raises(AmbiguousReconstruction):
         reconstruct(interval, ReconstructionPolicy(denominator_bound=2**40))
 
@@ -78,9 +75,7 @@ def test_reconstruct_ambiguous_when_interval_too_wide():
 def test_reconstruct_no_integer_nearby_signals_formula_bug():
     """A certified-narrow interval around a non-lattice value proves the
     denominator bound wrong: that is a formula bug, not a precision issue."""
-    target = F(9, 8)
-    eps = F(1, 2**90)
-    interval = IntervalValue(lower=target - eps, upper=target + eps, precision_bits=90)
+    interval = IntervalValue(lo=(9 << 87) - 1, hi=(9 << 87) + 1, precision_bits=90)  # 9/8
     with pytest.raises(NoIntegerNearby):
         reconstruct(interval, ReconstructionPolicy(denominator_bound=1))
 
@@ -89,8 +84,8 @@ def test_no_integer_nearby_names_the_bound_by_bit_length():
     """A bound past Python's default int-to-str limit (4,300 digits) still
     raises NoIntegerNearby, not the ValueError of printing it. The CLI lifts
     that limit process-wide, so the test restores it."""
-    eps = F(1, 2**70000)
-    interval = IntervalValue(lower=F(1, 3) - eps, upper=F(1, 3) + eps, precision_bits=70000)
+    lo = (1 << 70000) // 3  # the grid cell around 1/3
+    interval = IntervalValue(lo=lo, hi=lo + 1, precision_bits=70000)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(4300)
@@ -110,39 +105,128 @@ def _outcome(value, policy):
 
 
 _BOUND = 9 * 2**6
-_EPS = F(1, 2**80)
+_EPS = F(1, 2**80)  # one grid unit at the 80 bits of the edge cases
+
+
+def _below(value):
+    """The grid point at or just below ``value``."""
+    return F(floor(value / _EPS)) * _EPS
+
+
+def _ambiguous_units(bound, guard_bits):
+    """The fewest grid units whose width times bound reaches 2^-guard_bits."""
+    return -(-(2**80) // (bound << guard_bits))
 
 
 @pytest.mark.parametrize(
     "lower, upper, bound, guard_bits, expected",
     [
-        # width * bound exactly 2^-guard_bits, and just below it
-        (F(2, 9), F(2, 9) + F(1, _BOUND * 2**32), _BOUND, 32, AmbiguousReconstruction),
-        (F(2, 9), F(2, 9) + F(1, _BOUND * 2**32) - _EPS, _BOUND, 32, F(2, 9)),
+        # the narrowest grid width whose width * bound reaches 2^-guard_bits,
+        # and one unit less (at 576 = 9 * 2^6 no grid width hits it exactly)
+        (_below(F(2, 9)), _below(F(2, 9)) + _ambiguous_units(_BOUND, 32) * _EPS,
+         _BOUND, 32, AmbiguousReconstruction),
+        (_below(F(2, 9)), _below(F(2, 9)) + (_ambiguous_units(_BOUND, 32) - 1) * _EPS,
+         _BOUND, 32, F(2, 9)),
         # an endpoint exactly on a multiple of 1/bound
-        (F(5, _BOUND), F(5, _BOUND) + _EPS, _BOUND, 32, F(5, _BOUND)),
-        (F(5, _BOUND) - _EPS, F(5, _BOUND), _BOUND, 32, F(5, _BOUND)),
+        (F(9, _BOUND), F(9, _BOUND) + _EPS, _BOUND, 32, F(9, _BOUND)),
+        (F(9, _BOUND) - _EPS, F(9, _BOUND), _BOUND, 32, F(9, _BOUND)),
         # negative, on and off the lattice, and straddling zero
-        (F(-7, 3) - _EPS, F(-7, 3) + _EPS, 3, 32, F(-7, 3)),
-        (F(-7, 3), F(-7, 3), 3, 32, F(-7, 3)),
+        (_below(F(-7, 3)), _below(F(-7, 3)) + _EPS, 3, 32, F(-7, 3)),
+        (F(-3), F(-3), 3, 32, F(-3)),
         (F(-5, 2) - _EPS, F(-5, 2) + _EPS, 3, 32, NoIntegerNearby),
         (-_EPS, _EPS, 2**10, 32, F(0)),
         (-_EPS, _EPS, 2**60, 32, AmbiguousReconstruction),
-        # non-dyadic endpoints
-        (F(2, 9) - F(1, 3**60), F(2, 9) + F(1, 7**40), _BOUND, 32, F(2, 9)),
-        (F(1, 7) - F(1, 3**60), F(1, 7) + F(1, 5**50), _BOUND, 32, NoIntegerNearby),
-        (F(1, 3), F(1, 3) + F(1, _BOUND * 2**40), _BOUND, 40, AmbiguousReconstruction),
-        # an empty interval holds no integer
-        (F(1, 2), F(1, 3), 6, 32, NoIntegerNearby),
+        # a non-dyadic value several grid units inside either endpoint
+        (_below(F(2, 9)) - 3 * _EPS, _below(F(2, 9)) + 5 * _EPS, _BOUND, 32, F(2, 9)),
+        (_below(F(1, 7)) - 3 * _EPS, _below(F(1, 7)) + 5 * _EPS, _BOUND, 32, NoIntegerNearby),
+        # the narrowest grid width that reaches 2^-guard_bits at 40 guard bits
+        (_below(F(1, 3)), _below(F(1, 3)) + _ambiguous_units(_BOUND, 40) * _EPS,
+         _BOUND, 40, AmbiguousReconstruction),
+        # an empty interval holds no integer, though 1/3 lies between its ends
+        (F(1, 2), F(1, 4), 6, 32, NoIntegerNearby),
+        # width * bound exactly 2^-guard_bits at a power-of-two bound, and
+        # one grid unit less
+        (F(3, 2**10), F(3, 2**10) + F(1, 2**42), 2**10, 32, AmbiguousReconstruction),
+        (F(3, 2**10), F(3, 2**10) + F(1, 2**42) - _EPS, 2**10, 32, F(3, 2**10)),
     ],
 )
 def test_reconstruct_edge_cases(lower, upper, bound, guard_bits, expected):
-    value = IntervalValue(lower, upper, 80)
+    """Each case's endpoints are grid points at 80 bits, written as
+    rationals; the interval holds their integers."""
+    lo, hi = lower / _EPS, upper / _EPS
+    assert lo.denominator == hi.denominator == 1
+    value = IntervalValue(int(lo), int(hi), 80)
     policy = ReconstructionPolicy(bound, guard_bits)
     assert _outcome(value, policy) == expected
     if expected is NoIntegerNearby:
         with pytest.raises(NoIntegerNearby, match=f"\\({bound.bit_length()}-bit bound\\)"):
             reconstruct(value, policy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(2**90), 2**90),
+    st.one_of(st.integers(-4, 16), st.integers(-4, 2**40)),
+    st.integers(64, 90),
+    st.integers(1, 2**40),
+    st.integers(1, 40),
+)
+def test_reconstruct_matches_the_rational_definition(lo, units, prec, bound, guard_bits):
+    """The integer shifts decide as the rationals do: ambiguous when
+    width * bound >= 2^-guard_bits, else ceil(lower * bound) / bound, or
+    NoIntegerNearby past floor(upper * bound). Empty intervals included."""
+    value = IntervalValue(lo, lo + units, prec)
+    lower, upper = F(lo, 2**prec), F(lo + units, 2**prec)
+    if (upper - lower) * bound >= F(1, 2**guard_bits):
+        expected = AmbiguousReconstruction
+    elif ceil(lower * bound) > floor(upper * bound):
+        expected = NoIntegerNearby
+    else:
+        expected = F(ceil(lower * bound), bound)
+    assert _outcome(value, ReconstructionPolicy(bound, guard_bits)) == expected
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [(1.0, 2, 64), (F(1), 2, 64), (1, F(2), 64), (True, 2, 64), (1, 2, 64.0), (1, 2, None)],
+)
+def test_interval_rejects_non_int_fields(fields):
+    """The endpoints are grid integers: a float or Fraction endpoint, or a
+    non-int precision, is refused rather than scaled."""
+    with pytest.raises(ParameterError, match="must be an int"):
+        IntervalValue(*fields)
+
+
+def test_interval_membership_is_exact():
+    """``in`` holds exactly the rationals of [lo, hi] * 2^-prec, both ends
+    included: half a grid unit outside either end is out."""
+    interval = IntervalValue(-3, 5, 4)
+    assert F(-3, 16) in interval and F(5, 16) in interval and 0 in interval
+    assert F(-7, 32) not in interval and F(11, 32) not in interval
+    assert 1 not in interval and -1 not in interval
+
+
+def test_interval_rejects_negative_precision():
+    with pytest.raises(ParameterError, match="precision_bits"):
+        IntervalValue(0, 1, -1)
+
+
+def test_default_grid_leaves_guard_bits_of_slack():
+    """Every case of the default verify grid resolves at its starting
+    precision with guard_bits to spare, (hi - lo) * D << guard_bits < 2^prec
+    (slack_bits >= guard_bits), and the integer p = ceil(lo * D * 2^-prec)
+    re-derived from the grid endpoints gives evaluate_exact's p / D."""
+    from trigsum import cli
+
+    requests = cli._grid_requests(list(cli._REQUEST_FAMILIES), cli._build_parser().parse_args(["verify"]))
+    assert len(requests) == 2547
+    guard_bits = ReconstructionPolicy(1).guard_bits
+    for spec in requests:
+        bound = denominator_bound_for(spec)
+        interval = direct_sum(spec, max(64, default_precision(spec)))
+        lo, hi, prec = interval.lo, interval.hi, interval.precision_bits
+        assert (hi - lo) * bound << guard_bits < 1 << prec, spec
+        assert F(-(-lo * bound >> prec), bound) == evaluate_exact(spec), spec
 
 
 def test_policy_validation():
@@ -390,7 +474,7 @@ def test_direct_sum_same_interval_cold_and_warm(spec, campaign, counting_libmp):
     calls = sum(counting_libmp.calls.values())
     warm = direct_sum(spec, prec)
     assert sum(counting_libmp.calls.values()) == calls  # every term was a hit
-    assert (warm.lower, warm.upper, warm.precision_bits) == (cold.lower, cold.upper, prec)
+    assert warm == cold and warm.precision_bits == prec
     assert evaluate(spec) in warm
 
 
@@ -609,11 +693,11 @@ def test_grid_sum_within_documented_width_at_64_bits(spec):
     times the scale (the bound direct_sum documents)."""
     interval = direct_sum(spec, 64)
     assert evaluate(spec) in interval
-    lower, upper = _enclosure_sum(spec, 64)
+    lower, upper = (end * 2**64 for end in _enclosure_sum(spec, 64))
     s = oracle._defining_sum(spec)
-    slack = F(2 * (1 + len(s.weights)) * len(s.indices) * s.scale, 2**64)
-    assert lower - slack < interval.lower <= lower
-    assert upper <= interval.upper < upper + slack
+    slack = 2 * (1 + len(s.weights)) * len(s.indices) * s.scale
+    assert lower - slack < interval.lo <= lower
+    assert upper <= interval.hi < upper + slack
 
 
 def test_alternating_sign_swaps_endpoints():
@@ -626,8 +710,8 @@ def test_alternating_sign_swaps_endpoints():
     assert alternating.width == plain.width
     assert evaluate(SumSpec(Family.ALTERNATING, m, n)) in alternating
     odd = [oracle._term("cos", k, n, 2 * m, 96) for k in range(1, n, 2)]
-    odd_lo, odd_hi = (F(sum(ends), 2**96) for ends in zip(*odd))
-    assert plain.lower - alternating.lower == plain.upper - alternating.upper == odd_lo + odd_hi
+    odd_lo, odd_hi = (sum(ends) for ends in zip(*odd))
+    assert plain.lo - alternating.lo == plain.hi - alternating.hi == odd_lo + odd_hi
 
 
 def test_scale_multiplies_the_total_exactly():
@@ -637,7 +721,7 @@ def test_scale_multiplies_the_total_exactly():
     scaled = direct_sum(SumSpec(Family.QUONIAM, m, n), 80)
     unscaled = direct_sum(SumSpec(Family.MERCA_HALF, m, n + 1), 80)
     scale = 2 ** (2 * m)
-    assert (scaled.lower, scaled.upper) == (scale * unscaled.lower, scale * unscaled.upper)
+    assert (scaled.lo, scaled.hi) == (scale * unscaled.lo, scale * unscaled.hi)
     assert evaluate(SumSpec(Family.QUONIAM, m, n)) in scaled
 
 
@@ -651,10 +735,10 @@ def test_weight_products_round_outward():
     for spec in (SumSpec(Family.WEIGHT_HALF_PI, 4, 3), SumSpec(Family.ELL5_PRODUCT, 4, 3)):
         interval = direct_sum(spec, 64)
         assert evaluate(spec) in interval
-        lower, upper = _enclosure_sum(spec, 64)
+        lower, upper = (end * 2**64 for end in _enclosure_sum(spec, 64))
         s = oracle._defining_sum(spec)
-        slack = F(2 * (1 + len(s.weights)) * len(s.indices), 2**64)
-        assert lower - slack < interval.lower <= lower and upper <= interval.upper < upper + slack
+        slack = 2 * (1 + len(s.weights)) * len(s.indices)
+        assert lower - slack < interval.lo <= lower and upper <= interval.hi < upper + slack
 
 
 # --- input checks and the precision cost guard -------------------------------
@@ -722,7 +806,7 @@ def test_precision_cost_guard_admits_every_default_request(monkeypatch):
 
     def too_wide(spec, precision_bits):
         seen.append(precision_bits)
-        return IntervalValue(F(0), F(1), precision_bits)
+        return IntervalValue(0, 1 << precision_bits, precision_bits)
 
     monkeypatch.setattr(oracle, "direct_sum", too_wide)
     with pytest.raises(oracle.PrecisionExhausted):

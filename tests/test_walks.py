@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigsum import exact_core
+from trigsum.cli import main
 from trigsum.closed_forms import cos_power_sum
 from trigsum.errors import CostGuardError, ParameterError
 from trigsum.genfunc import MAX_TABLE_INDEX
@@ -18,7 +19,6 @@ from trigsum.walks import (
     cycle_closed_walks,
     path_closed_walks,
     trace_oracle,
-    walk_table_lines,
 )
 
 
@@ -147,18 +147,16 @@ def test_walk_tables_match_per_index_counters():
         for kind, counter in kinds:
             expected = [counter(n, m) for m in range(81)]
             assert closed_walk_counts(kind, n, 80) == expected, (kind, n)
-            assert walk_table_lines(kind, n, 80) == [f"{m} {c}" for m, c in enumerate(expected)]
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: closed_walk_counts("path", 3, 3),
-        lambda: walk_table_lines("cycle", 3, 3),
         lambda: trace_oracle(GraphSpec("bogus", 3), 4),
         lambda: GraphSpec(None, 5).validate(),
     ],
-    ids=["counts-str", "lines-str", "trace-bogus", "none"],
+    ids=["counts-str", "trace-bogus", "none"],
 )
 def test_unknown_graph_kind_rejected(call):
     """A kind that is not a GraphKind member is a usage error, not read as
@@ -187,12 +185,14 @@ def test_walk_tables_for_n_past_m_max_build_no_row(monkeypatch):
     n = 999_999_999
     assert closed_walk_counts(GraphKind.CYCLE, n, 0) == [n]
     assert closed_walk_counts(GraphKind.CYCLE, n, 3) == [n, 2 * n, 6 * n, 20 * n]
-    assert walk_table_lines(GraphKind.PATH, n + 1, 2) == [f"0 {n}", f"1 {2 * n - 2}", f"2 {6 * n - 10}"]
+    assert closed_walk_counts(GraphKind.PATH, n + 1, 2) == [n, 2 * n - 2, 6 * n - 10]
     assert len(closed_walk_counts(GraphKind.PATH, n + 1, MAX_TABLE_INDEX)) == MAX_TABLE_INDEX + 1
 
 
-def test_walk_table_lines_format():
-    lines = walk_table_lines(GraphKind.PATH, 4, 3)
-    assert lines == ["0 3", "1 4", "2 8", "3 16"]
-    lines = walk_table_lines(GraphKind.CYCLE, 3, 2)
-    assert lines == ["0 3", "1 6", "2 18"]
+def test_walk_table_lines_format(capsys):
+    """The --bfile listing is one "m count" pair per line, for eyeball
+    comparison against published integer-sequence archives."""
+    assert main(["table", "--kind", "walks-path", "--n", "4", "--m-max", "3", "--bfile"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 3", "1 4", "2 8", "3 16"]
+    assert main(["table", "--kind", "walks-cycle", "--n", "3", "--m-max", "2", "--bfile"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 3", "1 6", "2 18"]
