@@ -401,8 +401,8 @@ class _TableKind(NamedTuple):
     rows: Callable  # (n, last index) -> the rows, as tuples in header order
 
 
-def _sigma_rows(name: str):
-    return lambda n, k_max: [(k, getattr(gf, name)(k, n)) for k in range(k_max + 1)]
+def _sigma_rows(kind: str):
+    return lambda n, k_max: enumerate(gf.sigma_table(kind, n, k_max))
 
 
 def _walk_rows(graph: wk.GraphKind):
@@ -410,8 +410,8 @@ def _walk_rows(graph: wk.GraphKind):
 
 
 _TABLE_KINDS = {
-    "sigma": _TableKind("k-max", False, ("k", "value"), _sigma_rows("sigma")),
-    "sigma-minus": _TableKind("k-max", False, ("k", "value"), _sigma_rows("sigma_minus")),
+    "sigma": _TableKind("k-max", False, ("k", "value"), _sigma_rows("cos")),
+    "sigma-minus": _TableKind("k-max", False, ("k", "value"), _sigma_rows("sin")),
     "walks-path": _TableKind("m-max", True, ("m", "count"), _walk_rows(wk.GraphKind.PATH)),
     "walks-cycle": _TableKind("m-max", True, ("m", "count"), _walk_rows(wk.GraphKind.CYCLE)),
     "cot-poly": _TableKind(

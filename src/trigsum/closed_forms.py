@@ -42,12 +42,11 @@ published expression claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CostGuardError, ParameterError, check_int
+from .errors import CostGuardError, ParameterError, Record, check_int, set_field
 from .exact_core import Rational, binom, binom_window
 
 __all__ = [
@@ -116,8 +115,7 @@ _USES_KIND = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(Record):
     """One evaluable sum: a family plus its parameters.
 
     ``m`` is the half-power (the trig factor is raised to 2m), ``n`` the
@@ -129,11 +127,14 @@ class SumSpec:
     only place that does: each public function of the family runs it.
     """
 
-    family: Family
-    m: int
-    n: int
-    q: int = 1
-    kind: str = "cos"
+    __slots__ = ("family", "m", "n", "q", "kind")
+
+    def __init__(self, family: Family, m: int, n: int, q: int = 1, kind: str = "cos") -> None:
+        set_field(self, "family", family)
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "q", q)
+        set_field(self, "kind", kind)
 
     def validate(self) -> None:
         f = self.family

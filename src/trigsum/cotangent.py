@@ -42,12 +42,11 @@ only as a counterexample generator (the index set is empty, so it returns
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .errors import CostGuardError, ParameterError, check_int
+from .errors import CostGuardError, ParameterError, Record, check_int, set_field
 from .exact_core import Rational, bernoulli, binom
 
 __all__ = [
@@ -82,12 +81,14 @@ def _check_n(n) -> None:
         raise CostGuardError(f"n must be <= {MAX_N} (cost guard)")
 
 
-@dataclass(frozen=True)
-class CotSumParams:
+class CotSumParams(Record):
     """Parameters of the integer-shift sum: exponent 2n, angle r*pi/k."""
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
+
+    def __init__(self, n: int, k: int) -> None:
+        set_field(self, "n", n)
+        set_field(self, "k", k)
 
     token = "cot"
 
@@ -107,12 +108,11 @@ class CotSumParams:
         return cot_power_sum(self.n, self.k)
 
 
-@dataclass(frozen=True)
-class ByrneSmithParams:
+class ByrneSmithParams(Record):
     """Parameters of the half-shift sum: exponent 2n, angles (r-1/2)*pi/2k."""
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
+    __init__ = CotSumParams.__init__
 
     token = "byrne-smith"
 
@@ -129,12 +129,14 @@ class ByrneSmithParams:
         return byrne_smith_sum(self.n, self.k)
 
 
-@dataclass(frozen=True)
-class CotPolynomial:
+class CotPolynomial(Record):
     """T(n, -) as a polynomial in k; coefficients[j] multiplies k**j."""
 
-    n: int
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("n", "coefficients")
+
+    def __init__(self, n: int, coefficients: tuple[Fraction, ...]) -> None:
+        set_field(self, "n", n)
+        set_field(self, "coefficients", coefficients)
 
     def __call__(self, k: int) -> Fraction:
         acc = Fraction(0)
@@ -213,11 +215,13 @@ def cot_power_sum_all_positive(n: int, k: int) -> Rational:
     return Fraction((-1) ** n * k)
 
 
-@dataclass(frozen=True)
-class ByrneSmithCoefficients:
+class ByrneSmithCoefficients(Record):
     """Triangular table b[n][j], 1 <= j <= n, of the half-shift closed form."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[Fraction, ...], ...]) -> None:
+        set_field(self, "rows", rows)
 
     @property
     def n_max(self) -> int:

@@ -17,17 +17,19 @@ big-integer additions a coefficient, not a fresh binomial window each. Each also
 
 which sums the same binomial window as C(k, n) (resp. S) with the same
 weights; the tests assert that identity, the constructors do not repeat it.
+A single sigma value sums its window; sigma_table reads a whole table off
+scaled_power_sums, whose term 4^k * C(k, n)/n is the central binomial plus
+twice that window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd
 
 from .closed_forms import MAX_M
-from .errors import CostGuardError, ParameterError, check_int
+from .errors import CostGuardError, ParameterError, Record, check_int, set_field
 from .exact_core import Rational, binom_window, scaled_power_sums
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "SeriesCoefficients",
     "sigma",
     "sigma_minus",
+    "sigma_table",
     "bessel_i0_coefficient",
     "g1_coefficients",
     "h1_coefficients",
@@ -50,11 +53,12 @@ __all__ = [
 # resolvent_coefficients('sin', 501, 1000), an n past the last index 14 ms
 # (one central binomial an index), and a `trigsum table --kind walks-path
 # --n 3 --m-max 1000` run 0.01 s past start-up. The table itself still holds
-# O(index^2) bits. Each sigma row is a fresh binomial window, so a sigma
-# table's cost grows about as the 2.4th power of the last index, and it sets
-# the bound: at n = 1 a whole `trigsum table` run took 1.1 to 1.3 s at index
-# 1,000 and 6.9 s at 2,000 (in-process, 2-vCPU Xeon VM). Longer ones are
-# refused with CostGuardError before any coefficient or row is built.
+# O(index^2) bits. Sigma tables read their rows off the same sums, and their
+# rows are the largest, each a fraction over 2*(2k)!. At n = 1 a whole
+# `trigsum table --kind sigma` run took 0.36 s at index 1,000 (0.05 s of it
+# building the rows, the rest printing them in decimal) and 2.6 s at 2,000
+# (in-process, 2-vCPU Xeon VM). Longer ones are refused with CostGuardError
+# before any coefficient or row is built.
 MAX_TABLE_INDEX = 1000
 
 
@@ -76,16 +80,16 @@ def _check_sigma(k: int, n: int) -> None:
         raise CostGuardError(f"k must be <= {MAX_M} (cost guard)")
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
+class SeriesCoefficients(Record):
     """Truncated power series: coeffs[j] is the coefficient of z^j,
     len(coeffs) == order + 1."""
 
-    coeffs: tuple[Fraction, ...]
-    order: int
+    __slots__ = ("coeffs", "order")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, coeffs: tuple[Fraction, ...], order: int) -> None:
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "order", order)
+        if len(coeffs) != order + 1:
             raise ValueError("need exactly order+1 coefficients")
 
     def __getitem__(self, j: int) -> Fraction:
@@ -105,6 +109,23 @@ def sigma_minus(k: int, n: int) -> Rational:
     _check_sigma(k, n)
     window = sum((-1) ** (p * n) * b for p, b in zip(range(k // n, 0, -1), binom_window(k, n)))
     return Fraction(window, factorial(2 * k))
+
+
+def sigma_table(kind: str, n: int, k_max: int) -> list[Rational]:
+    """[sigma(k, n) for k = 0..k_max] for kind "cos", sigma_minus for
+    "sin". With s_k = 4^k * X(k, n)/n from scaled_power_sums (X = C, S),
+    the window is symmetric about its central term binom(2k, k), so
+    sigma(k, n) = (s_k - binom(2k, k)) / (2 * (2k)!)."""
+    _check_sigma(k_max, n)
+    if k_max > MAX_TABLE_INDEX:
+        raise CostGuardError(f"k_max must be <= {MAX_TABLE_INDEX} (cost guard)")
+    rows = []
+    central = factorial_2k = 1
+    for k, s in zip(range(k_max + 1), scaled_power_sums(kind, n)):
+        rows.append(Fraction(s - central, 2 * factorial_2k))
+        central = central * 2 * (2 * k + 1) // (k + 1)
+        factorial_2k *= (2 * k + 1) * (2 * k + 2)
+    return rows
 
 
 def bessel_i0_coefficient(j: int) -> Rational:

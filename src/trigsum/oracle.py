@@ -44,7 +44,6 @@ table`` never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -52,7 +51,7 @@ from typing import NamedTuple
 
 from .closed_forms import MAX_M, Family, SumSpec
 from .cotangent import ByrneSmithParams, CotSumParams
-from .errors import CostGuardError, ParameterError, check_int
+from .errors import CostGuardError, ParameterError, Record, check_int, set_field
 
 __all__ = [
     "MAX_TERMS",
@@ -83,21 +82,22 @@ class PrecisionExhausted(ArithmeticError):
     """Reconstruction stayed ambiguous through all precision retries."""
 
 
-@dataclass(frozen=True)
-class IntervalValue:
+class IntervalValue(Record):
     """A certified enclosure on the grid 2^-precision_bits: the true value
     lies in [lo, hi] * 2^-precision_bits, with lo, hi and precision_bits
     ints. ``width`` and ``in`` are exact; ``in`` takes an int or Fraction.
     """
 
-    lo: int
-    hi: int
-    precision_bits: int
+    __slots__ = ("lo", "hi", "precision_bits")
 
-    def __post_init__(self) -> None:
-        for name in ("lo", "hi", "precision_bits"):
-            check_int(name, getattr(self, name))
-        if self.precision_bits < 0:
+    def __init__(self, lo: int, hi: int, precision_bits: int) -> None:
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "precision_bits", precision_bits)
+        check_int("lo", lo)
+        check_int("hi", hi)
+        check_int("precision_bits", precision_bits)
+        if precision_bits < 0:
             raise ParameterError("precision_bits must be >= 0")
 
     @property
@@ -109,31 +109,33 @@ class IntervalValue:
         return self.lo * den <= scaled <= self.hi * den
 
 
-@dataclass(frozen=True)
-class ReconstructionPolicy:
+class ReconstructionPolicy(Record):
     """``denominator_bound`` must be a positive multiple of the true
     denominator; ``guard_bits`` sets how much narrower than the integer
     lattice the scaled interval must be."""
 
-    denominator_bound: int
-    guard_bits: int = 32
+    __slots__ = ("denominator_bound", "guard_bits")
 
-    def __post_init__(self) -> None:
-        check_int("denominator_bound", self.denominator_bound)
-        check_int("guard_bits", self.guard_bits)
-        if self.denominator_bound < 1 or self.guard_bits < 1:
+    def __init__(self, denominator_bound: int, guard_bits: int = 32) -> None:
+        set_field(self, "denominator_bound", denominator_bound)
+        set_field(self, "guard_bits", guard_bits)
+        check_int("denominator_bound", denominator_bound)
+        check_int("guard_bits", guard_bits)
+        if denominator_bound < 1 or guard_bits < 1:
             raise ParameterError("bound and guard_bits must be positive")
-        if self.guard_bits > MAX_PRECISION_BITS:
+        if guard_bits > MAX_PRECISION_BITS:
             raise CostGuardError(f"guard_bits must be <= {MAX_PRECISION_BITS} (cost guard)")
 
 
-@dataclass(frozen=True)
-class OddCosPowerParams:
+class OddCosPowerParams(Record):
     """Request for sum_{k=0}^{n-1} cos^{2j+1}(k*pi/n) (always exactly 1:
     the k <-> n-k pairing cancels everything but the k=0 term)."""
 
-    j: int
-    n: int
+    __slots__ = ("j", "n")
+
+    def __init__(self, j: int, n: int) -> None:
+        set_field(self, "j", j)
+        set_field(self, "n", n)
 
     def validate(self) -> None:
         check_int("j", self.j)

@@ -20,11 +20,10 @@ any of this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .closed_forms import cos_power_sum
-from .errors import CostGuardError, ParameterError, check_int
+from .errors import CostGuardError, ParameterError, Record, check_int, set_field
 from .exact_core import scaled_power_sums
 from .genfunc import MAX_TABLE_INDEX
 
@@ -45,13 +44,15 @@ class GraphKind(Enum):
     CYCLE = "cycle"
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(Record):
     """A path or cycle. For PATH, n is the spectral parameter: the graph
     has n-1 vertices. For CYCLE, the graph has n vertices, n odd."""
 
-    kind: GraphKind
-    n: int
+    __slots__ = ("kind", "n")
+
+    def __init__(self, kind: GraphKind, n: int) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "n", n)
 
     def validate(self) -> None:
         if not isinstance(self.kind, GraphKind):

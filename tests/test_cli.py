@@ -455,8 +455,9 @@ def test_table_out_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "kind, bound, builder",
     [
-        ("sigma", "--k-max", "gf.sigma"),
-        ("sigma-minus", "--k-max", "gf.sigma_minus"),
+        # the per-value functions and the table builder, which builds every row
+        ("sigma", "--k-max", "gf.sigma,gf.sigma_table"),
+        ("sigma-minus", "--k-max", "gf.sigma_minus,gf.sigma_table"),
         # the per-value counter and the table builder, which builds every row
         ("walks-path", "--m-max", "wk.path_closed_walks,wk.closed_walk_counts"),
         ("walks-cycle", "--m-max", "wk.cycle_closed_walks,wk.closed_walk_counts"),
@@ -494,7 +495,7 @@ def test_table_negative_last_index_is_refused(kind, bound, n, capsys, monkeypatc
     def build(*args):
         raise AssertionError("table row built")
 
-    for name in ("sigma", "sigma_minus"):
+    for name in ("sigma", "sigma_minus", "sigma_table"):
         monkeypatch.setattr(cli.gf, name, build)
     for name in ("path_closed_walks", "cycle_closed_walks", "closed_walk_counts"):
         monkeypatch.setattr(cli.wk, name, build)
@@ -538,7 +539,7 @@ def test_table_bfile_refused_before_building(kind, capsys, monkeypatch):
     def build(*args):
         raise AssertionError("table row built")
 
-    for name in ("sigma", "sigma_minus"):
+    for name in ("sigma", "sigma_minus", "sigma_table"):
         monkeypatch.setattr(cli.gf, name, build)
     monkeypatch.setattr(cli.ct, "cot_sum_polynomial", build)
     for extra in ([], ["--json"], ["--k-max", "1000"]):
@@ -698,7 +699,8 @@ _START_UP_PROBE = """
 import sys
 
 def loaded():
-    return sorted(m for m in ("mpmath", "multiprocessing", "trigsum.oracle") if m in sys.modules)
+    watched = ("dataclasses", "inspect", "mpmath", "multiprocessing", "trigsum.oracle")
+    return sorted(m for m in watched if m in sys.modules)
 
 import trigsum.cli
 print(loaded())
@@ -715,7 +717,8 @@ print(loaded())
 def test_start_up_imports_neither_mpmath_nor_multiprocessing():
     """Importing the CLI and running eval or table loads the oracle module
     but not mpmath (loaded by the first oracle sum) or multiprocessing
-    (loaded when verify starts a pool)."""
+    (loaded when verify starts a pool); dataclasses and inspect are never
+    loaded, not even by the oracle's first sum."""
     proc = _run_python("-c", _START_UP_PROBE)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

@@ -43,6 +43,7 @@ from trigsum.genfunc import (
     resolvent_coefficients,
     sigma,
     sigma_minus,
+    sigma_table,
 )
 from trigsum.walks import (
     GraphKind,
@@ -846,6 +847,7 @@ NON_INT_CALLS = {
     "ell5_sum": (lambda: ell5_sum("product", True, 3), lambda: ell5_sum("cos2", 3, 2.0)),
     "sigma": (lambda: sigma(True, 1), lambda: sigma(2, 1.0)),
     "sigma_minus": (lambda: sigma_minus(2, True), lambda: sigma_minus(2.0, 1)),
+    "sigma_table": (lambda: sigma_table("cos", True, 4), lambda: sigma_table("sin", 3, 4.0)),
     "bessel_i0_coefficient": (lambda: bessel_i0_coefficient(True), lambda: bessel_i0_coefficient(2.0)),
     "g1_coefficients": (lambda: g1_coefficients(3, True), lambda: g1_coefficients(3.0, 4)),
     "h1_coefficients": (lambda: h1_coefficients(3, True, 4), lambda: h1_coefficients(3, 2.0, 4)),

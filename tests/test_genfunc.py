@@ -19,6 +19,7 @@ from trigsum.genfunc import (
     resolvent_coefficients,
     sigma,
     sigma_minus,
+    sigma_table,
 )
 
 F = Fraction
@@ -49,6 +50,44 @@ def test_sigma_cost_guard_refuses_before_the_window(monkeypatch):
     for fn in (sigma, sigma_minus):
         with pytest.raises(CostGuardError, match="cost guard"):
             fn(MAX_M + 1, 3)
+
+
+def _sigma_literal(k: int, n: int, sign: int) -> Fraction:
+    """sum_{p=1}^{floor(k/n)} sign^{pn} * comb(2k, k+pn) / (2k)!, term by term."""
+    window = sum(sign ** (p * n) * comb(2 * k, k + p * n) for p in range(1, k // n + 1))
+    return F(window, factorial(2 * k))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sigma_table_equals_single_values_and_literal_form(n):
+    """The table read off the residue rows equals the window form of sigma
+    and sigma_minus and the math.comb literal form, row by row, k <= 200."""
+    for kind, single, sign in (("cos", sigma, 1), ("sin", sigma_minus, -1)):
+        table = sigma_table(kind, n, 200)
+        assert len(table) == 201
+        for k, value in enumerate(table):
+            assert type(value) is Fraction
+            assert value == single(k, n) == _sigma_literal(k, n, sign), (kind, k)
+
+
+def test_sigma_table_validation_and_cost_guard(monkeypatch):
+    """Bad arguments raise the single values' errors; a last index past
+    MAX_TABLE_INDEX is refused before any power sum is taken."""
+    with pytest.raises(ParameterError, match="need k >= 0 and n >= 1"):
+        sigma_table("cos", 0, 3)
+    with pytest.raises(ParameterError, match="need k >= 0 and n >= 1"):
+        sigma_table("sin", 3, -1)
+    with pytest.raises(ParameterError, match="n must be an int"):
+        sigma_table("cos", True, 3)
+    with pytest.raises(ParameterError, match="kind must be"):
+        sigma_table("tan", 3, 3)
+
+    def costly(*args):
+        raise AssertionError("power sums taken")
+
+    monkeypatch.setattr(genfunc, "scaled_power_sums", costly)
+    with pytest.raises(CostGuardError, match="cost guard"):
+        sigma_table("cos", 3, MAX_TABLE_INDEX + 1)
 
 
 @given(

@@ -265,7 +265,7 @@ def test_cot_bound_is_k_to_the_2n():
 
 
 def test_oracle_imports_nothing_from_the_cot_closed_form():
-    """Independence: the oracle module sees only the request dataclasses
+    """Independence: the oracle module sees only the request records
     of the cotangent module."""
     import trigsum.cotangent as ct
     import trigsum.oracle as oc
