@@ -17,13 +17,16 @@ with low-order cosines only reindexes the same lattice of angles. Composite
 families are therefore computed from C/S compositions, never from per-case
 expansions.
 
-Every C(m, d*n) a value combines lies on one window: its terms are the
-terms p = 0 (mod d) of the window of (m, n). So each value walks the window
-of (m, n) once, adds term p into a bucket chosen by p mod L, and reads each
-C and S it needs off the buckets (_window_pass). The shifted sums are the
-one place a second route still runs: their direct form weights the window
-of (m, n) by (-1)^p, the difference C(m, 2n) - C(m, n) reads C(m, 2n) from
-its own window, and the two are compared at every call.
+C and S, and the scaled, coprime and gcd families (multiples of one C or
+S), sum the window of (m, n) as it streams (_power_sum). Every C(m, d*n) a
+composite value combines lies on one window: its terms are the terms
+p = 0 (mod d) of the window of (m, n). So each composite value walks the
+window of (m, n) once, adds term p into a bucket chosen by p mod L, and
+reads each C and S it needs off the buckets (_window_pass). The shifted
+sums are the one place a second route still runs: their direct form
+weights the window of (m, n) by (-1)^p, the difference C(m, 2n) - C(m, n)
+reads C(m, 2n) from its own window, and the two are compared at every
+call.
 
 All values are exact rationals with a power-of-two denominator. Any value
 times 2^{2m+2} is an integer for the families here except the degree-5
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .errors import CostGuardError, ParameterError, Record, check_int, set_field
@@ -228,9 +232,16 @@ def _window_pass(
 
 def _power_sum(kind: str, m: int, n: int, times: int = 1) -> Rational:
     """``times`` C(m, n) or S(m, n) by ``kind``, for a caller that has
-    validated m >= 0 and n >= 1 (evaluate, and every public function here)."""
-    (value,) = _window_pass(kind, m, n, (1,))
-    return _dyadic(times * value, 2 * m)
+    validated m >= 0 and n >= 1 (evaluate, and every public function here).
+
+    Sums the window as it streams, tail first, and needs no buckets: S at
+    odd n weights term p by (-1)^p."""
+    terms, count = binom_window(m, n), m // n
+    if kind == "sin" and n % 2:
+        tail = sum(-t if p % 2 else t for p, t in zip(range(count, 0, -1), terms))
+    else:
+        tail = sum(islice(terms, count))
+    return _dyadic(times * n * (next(terms) + 2 * tail), 2 * m)
 
 
 def _dyadic(numerator: int, bits: int) -> Rational:

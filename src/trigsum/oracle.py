@@ -6,23 +6,26 @@ under test. Each term is enclosed with mpmath interval arithmetic: pi is
 enclosed with directed rounding at the working precision p, angles are
 exact integer multiples of it, and cos/sin/cot and the power round outward.
 The term is then rounded outward onto the grid 2^-p, and the sum runs on
-those integers: weight products round outward back to the grid, odd
-alternating terms swap endpoints, and terms add and scale exactly. Each
-rounding widens an endpoint by at most one grid unit, so the result is an
-interval certified to contain the true value. Before any lookup each
-angle is folded onto [0, pi/2], exactly and on the integers, by the
-period and the mirrors x -> 2*pi - x and x -> pi - x, which at most change
-the sign of fn; an odd power then negates and swaps its endpoints. So the
-lattice angles k*pi/n and (n - k)*pi/n share one evaluation. Each trig
-enclosure fn(angle) is memoized by its folded angle and the working
-precision rounded up to a multiple of 64 bits, so the cases of a campaign
-that revisit a lattice angle at nearby precisions share one cos/sin/cot
-evaluation (the two most recently used 64-bit steps keep their
-enclosures). Each term fn(angle)^exponent rounds that enclosure outward to
-its own precision, takes the power there, and is memoized on the grid by
-folded angle, exponent and precision. A hit returns exactly the integers
-a fresh evaluation of the folded angle would (``clear_caches`` empties
-both memos).
+those integers: odd alternating terms swap endpoints, and terms add and
+scale exactly. A weighted sum adds its terms into one class per weight
+residue and multiplies each class total by each weight once, rounding
+outward back to the grid. Each rounding widens an endpoint by at most one
+grid unit, so the result is an interval certified to contain the true
+value. evaluate_exact builds (and validates) a request's defining sum once
+and hands the built sum to denominator_bound_for and direct_sum. Before
+any lookup each angle is folded onto [0, pi/2], exactly and on the
+integers, by the period and the mirrors x -> 2*pi - x and x -> pi - x,
+which at most change the sign of fn; an odd power then negates and swaps
+its endpoints. So the lattice angles k*pi/n and (n - k)*pi/n share one
+evaluation. Each trig enclosure fn(angle) is memoized by its folded angle
+and the working precision rounded up to a multiple of 64 bits, so the
+cases of a campaign that revisit a lattice angle at nearby precisions
+share one cos/sin/cot evaluation (the two most recently used 64-bit steps
+keep their enclosures). Each term fn(angle)^exponent rounds that
+enclosure outward to its own precision, takes the power there, and is
+memoized on the grid by folded angle, exponent and precision. A hit
+returns exactly the integers a fresh evaluation of the folded angle would
+(``clear_caches`` empties both memos).
 
 The interval stays on the grid: an IntervalValue holds the integer
 endpoints lo and hi and the precision p, and no Fraction is built until
@@ -367,6 +370,9 @@ _DEFINING_SUMS = {
 
 
 def _defining_sum(spec) -> _DefiningSum:
+    """Validate and build ``spec``'s defining sum; a built one is returned as is."""
+    if type(spec) is _DefiningSum:
+        return spec
     define = _DEFINING_SUMS.get(type(spec))
     if define is None:
         raise ParameterError(f"unsupported oracle request {type(spec).__name__}")
@@ -378,10 +384,15 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
     """Evaluate ``spec``'s defining sum as a certified interval, returned
     as its integer endpoints on the grid 2^-precision_bits.
 
-    Accepts a SumSpec, CotSumParams, ByrneSmithParams, or OddCosPowerParams.
-    Against the exact sum of the terms' mpmath enclosures, rounding onto the
-    grid 2^-precision_bits moves each endpoint out by less than
-    2 * (1 + len(weights)) grid units per term, times the scale. A sum of
+    Accepts a SumSpec, CotSumParams, ByrneSmithParams, or OddCosPowerParams,
+    or the defining sum built from one. A weighted sum adds its terms into
+    one class per weight residue, (c*k mod 2d) over its weights (c, d), and
+    multiplies each class total by each weight once: every term of a class
+    shares the weights' values, and rounding a total outward is never wider
+    than rounding its terms one by one. Against the exact sum of the terms'
+    mpmath enclosures, rounding onto the grid 2^-precision_bits therefore
+    still moves each endpoint out by less than 2 * (1 + len(weights)) grid
+    units per term, times the scale. A sum of
     more than MAX_TERMS terms, or a precision above MAX_PRECISION_BITS,
     raises CostGuardError.
     """
@@ -398,16 +409,25 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
         raise CostGuardError(
             f"defining sum has {len(s.indices)} terms, more than {MAX_TERMS} (cost guard)"
         )
-    prec = precision_bits
+    prec, weights = precision_bits, s.weights
     lower = upper = 0
+    classes = {}  # weight residues (c*k mod 2d, ...) -> summed term enclosure
     for k in s.indices:
         lo, hi = _term(s.fn, s.a * k + s.b, s.den, s.exponent, prec)
-        for c, d in s.weights:
-            w_lo, w_hi = _term("cos", c * k, d, 1, prec)
-            products = (lo * w_lo, lo * w_hi, hi * w_lo, hi * w_hi)
-            lo, hi = min(products) >> prec, -(-max(products) >> prec)
         if s.alternating and k % 2:
             lo, hi = -hi, -lo
+        if weights:
+            key = tuple(c * k % (2 * d) for c, d in weights)
+            c_lo, c_hi = classes.get(key, (0, 0))
+            classes[key] = (c_lo + lo, c_hi + hi)
+        else:
+            lower += lo
+            upper += hi
+    for key, (lo, hi) in classes.items():
+        for r, (_, d) in zip(key, weights):
+            w_lo, w_hi = _term("cos", r, d, 1, prec)
+            products = (lo * w_lo, lo * w_hi, hi * w_lo, hi * w_hi)
+            lo, hi = min(products) >> prec, -(-max(products) >> prec)
         lower += lo
         upper += hi
     return IntervalValue(lower * s.scale, upper * s.scale, prec)
@@ -483,15 +503,16 @@ def evaluate_exact(
     check_int("max_retries", max_retries)
     if max_retries < 0:
         raise ParameterError("max_retries must be >= 0")
+    built = _defining_sum(spec)
     if policy is None:
-        policy = ReconstructionPolicy(denominator_bound=denominator_bound_for(spec))
-    prec = max(64, default_precision(spec))
+        policy = ReconstructionPolicy(denominator_bound=denominator_bound_for(built))
+    prec = max(64, built.precision)
     if max_retries >= MAX_PRECISION_BITS.bit_length() or prec << max_retries > MAX_PRECISION_BITS:
         raise CostGuardError(
             f"{max_retries} doublings of {prec} bits pass {MAX_PRECISION_BITS} bits (cost guard)"
         )
     for _ in range(max_retries + 1):
-        interval = direct_sum(spec, prec)
+        interval = direct_sum(built, prec)
         try:
             return reconstruct(interval, policy)
         except AmbiguousReconstruction:

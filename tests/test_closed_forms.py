@@ -1,6 +1,7 @@
 """Closed-form sum families: frozen values, composition identities, and the
 documented-discrepancy regressions."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -91,6 +92,36 @@ def test_power_sums_against_literal_binomial_form():
             assert sin_power_sum(m, n) == F(
                 n * (lead + signed_tail), 2 ** (2 * m - 1)
             )
+
+
+def test_power_sums_stream_the_signed_window():
+    """C and S sum the window as it streams, S at odd n with the sign
+    (-1)^p counted down from p = floor(m/n): pinned to the math.comb
+    literal form over all integers p, for both parities of floor(m/n)."""
+    parities = set()
+    for n in range(1, 10):
+        for m in [*range(61), *range(200, 204)]:
+            literal_cos = F(n * _symmetric(m, n, lambda p: 1), 4**m)
+            literal_sin = F(n * _symmetric(m, n, lambda p: (-1) ** (p * n % 2)), 4**m)
+            assert cos_power_sum(m, n) == literal_cos
+            assert sin_power_sum(m, n) == literal_sin, (m, n)
+            assert closed_forms._power_sum("sin", m, n, 3) == 3 * literal_sin
+            parities.add((n % 2, m // n % 2))
+    assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("call, m, n", [(cos_power_sum, 5000, 1), (sin_power_sum, 5001, 3)])
+def test_power_sums_hold_one_window_term_at_a_time(call, m, n):
+    """C and S stream the window: their peak allocation stays far below
+    the window's total size, which a list of its terms would hold."""
+    window_bytes = sum(term.bit_length() for term in binom_window(m, n)) // 8
+    tracemalloc.start()
+    try:
+        call(m, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak * 50 < window_bytes, (peak, window_bytes)
 
 
 def _symmetric(p, n, weight):

@@ -395,6 +395,63 @@ def test_unsupported_request_rejected():
         direct_sum(42, 128)
 
 
+# --- one build per request ---------------------------------------------------
+
+_REQUESTS = [
+    SumSpec(Family.ELL5_PRODUCT, 4, 3),
+    CotSumParams(2, 9),
+    ByrneSmithParams(2, 6),
+    OddCosPowerParams(5, 9),
+]
+
+
+@pytest.mark.parametrize("spec", _REQUESTS, ids=lambda spec: type(spec).__name__)
+def test_evaluate_exact_builds_and_validates_once(spec, monkeypatch):
+    """One evaluate_exact validates the request once and builds its
+    defining sum once; the bound, the precision and every direct_sum try
+    read that one build."""
+    builds, validations = [], []
+    build, validate = oracle._DEFINING_SUMS[type(spec)], type(spec).validate
+    monkeypatch.setitem(oracle._DEFINING_SUMS, type(spec), lambda s: builds.append(s) or build(s))
+    monkeypatch.setattr(type(spec), "validate", lambda s: validations.append(s) or validate(s))
+    expected = evaluate(spec) if isinstance(spec, SumSpec) else evaluate_exact(spec)
+    builds.clear()
+    validations.clear()
+    assert evaluate_exact(spec) == expected
+    assert builds == [spec] and validations == [spec]
+
+
+@pytest.mark.parametrize("spec", _REQUESTS, ids=lambda spec: type(spec).__name__)
+def test_evaluate_exact_calls_its_steps_by_module_name(spec, monkeypatch):
+    """evaluate_exact looks up direct_sum, denominator_bound_for and
+    reconstruct as module globals, so wrapping them by name sees every call:
+    the bound once, and direct_sum (with the precision as its second
+    argument) and reconstruct once per try. A forced first miss retries
+    once, at doubled precision."""
+    calls = Counter()
+    precisions = []
+    real = {name: getattr(oracle, name) for name in ("direct_sum", "denominator_bound_for", "reconstruct")}
+
+    def counted(name):
+        def call(*args):
+            calls[name] += 1
+            if name == "direct_sum":
+                precisions.append(args[1])
+            if name == "reconstruct" and calls[name] == 1 and miss_first:
+                raise AmbiguousReconstruction("forced")
+            return real[name](*args)
+        return call
+
+    for name in real:
+        monkeypatch.setattr(oracle, name, counted(name))
+    for miss_first, tries in ((False, 1), (True, 2)):
+        calls.clear()
+        precisions.clear()
+        evaluate_exact(spec)
+        assert calls == {"denominator_bound_for": 1, "direct_sum": tries, "reconstruct": tries}
+        assert precisions == [default_precision(spec) << t for t in range(tries)]
+
+
 # --- the term memo -------------------------------------------------------
 
 _COUNTED = ("mpi_cos", "mpi_sin", "mpi_cot", "mpi_pow_int")
@@ -739,6 +796,60 @@ def test_weight_products_round_outward():
         s = oracle._defining_sum(spec)
         slack = 2 * (1 + len(s.weights)) * len(s.indices)
         assert lower - slack < interval.lo <= lower and upper <= interval.hi < upper + slack
+
+
+def _per_term_grid_sum(spec, prec: int) -> tuple[int, int]:
+    """The grid sum with every term multiplied by its own weights and each
+    product rounded outward onto the grid: the per-term rounding that the
+    weight classes of direct_sum replace."""
+    s = oracle._defining_sum(spec)
+    lower = upper = 0
+    for k in s.indices:
+        lo, hi = oracle._term(s.fn, s.a * k + s.b, s.den, s.exponent, prec)
+        for c, d in s.weights:
+            w_lo, w_hi = oracle._term("cos", c * k, d, 1, prec)
+            products = (lo * w_lo, lo * w_hi, hi * w_lo, hi * w_hi)
+            lo, hi = min(products) >> prec, -(-max(products) >> prec)
+        lower, upper = lower + lo, upper + hi
+    return lower * s.scale, upper * s.scale
+
+
+_WEIGHTED = [family for family in Family if oracle._SUM_SPEC_SUMS[family](2, 1, "cos")[5]]
+_EVEN_N = {Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT}
+
+
+def _weighted_cases(ms, n_max):
+    return [
+        SumSpec(family, m, n)
+        for family in _WEIGHTED
+        for m in ms
+        for n in range(1, n_max + 1)
+        if n % 2 == 0 or family not in _EVEN_N
+    ]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [_weighted_cases(range(11), 12), _weighted_cases((200,), 24)],
+    ids=["m<=10", "m=200"],
+)
+def test_weight_classes_are_no_wider_than_per_term_products(cases):
+    """direct_sum multiplies each weight into a class total, one class per
+    weight residue, not into each term. The interval still contains the
+    closed value and, at n <= 4, the exact sum of the per-term
+    products of the mpmath enclosures (its terms are nonnegative, so the
+    class product loses nothing); and it lies inside the per-term grid
+    rounding."""
+    assert len(_WEIGHTED) == 8
+    for spec in cases:
+        prec = max(64, default_precision(spec))
+        interval = direct_sum(spec, prec)
+        assert evaluate(spec) in interval, spec
+        lower, upper = _per_term_grid_sum(spec, prec)
+        assert lower <= interval.lo <= interval.hi <= upper, spec
+        if spec.n <= 4:
+            exact_lo, exact_hi = (end * 2**prec for end in _enclosure_sum(spec, prec))
+            assert interval.lo <= exact_lo and exact_hi <= interval.hi, spec
 
 
 # --- input checks and the precision cost guard -------------------------------
