@@ -22,11 +22,29 @@ S), sum the window of (m, n) as it streams (_power_sum). Every C(m, d*n) a
 composite value combines lies on one window: its terms are the terms
 p = 0 (mod d) of the window of (m, n). So each composite value walks the
 window of (m, n) once, adds term p into a bucket chosen by p mod L, and
-reads each C and S it needs off the buckets (_window_pass). The shifted
-sums are the one place a second route still runs: their direct form
-weights the window of (m, n) by (-1)^p, the difference C(m, 2n) - C(m, n)
-reads C(m, 2n) from its own window, and the two are compared at every
-call.
+reads each C and S it needs off the buckets (_window_pass).
+
+The window sum over all integers p is also entry m mod n of the residue
+row of (1 + x)^{2m} mod (x^n - 1), the closed-walk count of the n-cycle
+with a loop at each vertex (exact_core.residue_row). A row mod
+(x^{L*n} - 1) holds every bucket class too, over both sides of the centre.
+So each call reads its sums off that row instead, with L = 2 for S at odd
+n and L the bucket period of _window_pass, wherever _row_is_cheaper prices
+the row below the window; the row's last squaring is done only for the
+entries read (_row_pass). The price is a cost model fitted to timings of
+the two routes (its docstring has the constants and their source): the
+window's floor(m/n) ratio steps on 2m-bit integers against the row's
+Karatsuba squarings of an L*n*m-bit integer. The row wins at small n and
+large m (C(10^5, 7) in 0.10 against 2.7 s); the window keeps m = 200
+at n >= 6, criterion 9's C(200, 7) among them, and every call whose window
+has few terms.
+
+The shifted sums are the one place a second route still runs: their
+direct form weights the window of (m, n) by (-1)^p, the difference
+C(m, 2n) - C(m, n) reads C(m, 2n) from the window of (m, 2n), which is
+walked whatever the cost model says, so a direct form read off a row is
+checked against a route that shares no arithmetic with it; the two are
+compared at every call.
 
 All values are exact rationals with a power-of-two denominator. Any value
 times 2^{2m+2} is an integer for the families here except the degree-5
@@ -51,7 +69,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from .errors import CostGuardError, ParameterError, Record, check_int, set_field
-from .exact_core import Rational, binom, binom_window
+from .exact_core import Rational, binom, binom_window, residue_row
 
 __all__ = [
     "MAX_M",
@@ -107,9 +125,12 @@ class Family(str, Enum):
 
 # Cost guard on the half-power m of a SumSpec and of every public function
 # here (the walk counters inherit it through C). A closed form sums a window
-# of up to m binomials of 2m bits each (several seconds at m = 10^5 for the
-# composite families), and the oracle's precision grows like 2m bits;
-# larger m is rejected with CostGuardError.
+# of up to m binomials of 2m bits each, or reads a residue row of L*n*2m
+# bits where the cost model prices it lower. At m = 10^5 a value took up to
+# 2.6 s (ell5-alt-product at n = 14: the window of (m, 7), priced below a
+# row of 70 slots), and a shifted sum, which also walks the window of
+# (m, 2n) for its check, up to 6.2 s (n = 1; 2-vCPU Xeon VM). The oracle's
+# precision grows like 2m bits. Larger m is rejected with CostGuardError.
 MAX_M = 10**5
 
 # Families whose definition reads the q parameter / the cos-sin kind switch.
@@ -198,24 +219,35 @@ def _window_pass(
     multiples: tuple[int, ...],
     classes: tuple[tuple[int, ...], ...] = (),
     period: int = 1,
+    *,
+    walk: bool = False,
 ) -> list[int]:
-    """One pass over binom_window(m, n). Returns 4^m * X(m, d*n) for each d
-    in ``multiples`` (X = C for kind "cos", S for "sin"), then for each
-    tuple in ``classes`` the tail sum of binom(2m, m - p*n) over p >= 1 with
-    p mod ``period`` in that tuple.
+    """One pass over the window of (m, n), or one residue row. Returns
+    4^m * X(m, d*n) for each d in ``multiples`` (X = C for kind "cos", S
+    for "sin"), then for each tuple in ``classes`` the tail sum of
+    binom(2m, m - p*n) over p >= 1 with p mod ``period`` in that tuple;
+    each tuple is closed under c -> -c mod ``period``.
 
-    Terms p = floor(m/n)..1 go into bucket p mod L, L the lcm of ``period``
-    and of the multiples, each d read as 2d for S at odd d*n; the last term,
-    p = 0, is binom(2m, m). The window of (m, d*n) is the terms p = 0 (mod d), so
+    Term p of the window lands in class p mod L, L the lcm of ``period`` and
+    of the multiples, each d read as 2d for S at odd d*n. The window of
+    (m, d*n) is the terms p = 0 (mod d), so
 
-        4^m * C(m, d*n) = d*n * (binom(2m, m) + 2 * sum_{j = 0 (mod d)} buckets[j])
+        4^m * C(m, d*n) = d*n * (binom(2m, m) + 2 * sum_{j = 0 (mod d)} tail_j)
 
     (binom(2m-1, m-1) = binom(2m, m)/2 for m >= 1, and the m = 0 value d*n
     comes out too). S weights term p by (-1)^{p*n}: it equals C at even d*n,
     and at odd d*n the classes j = d (mod 2d) enter with sign -1.
+
+    The classes come from the cheaper of two routes (_row_is_cheaper): the
+    window's terms, walked and added into L buckets, or the residue row of
+    (1 + x)^{2m} mod (x^{L*n} - 1), whose entry r sums the terms
+    binom(2m, i), i = r (mod L*n), over all integers p, both sides of the
+    centre. ``walk`` takes the window whatever the cost.
     """
     odd_sin = [kind == "sin" and d * n % 2 == 1 for d in multiples]
     size = lcm(period, *(2 * d if odd else d for d, odd in zip(multiples, odd_sin)))
+    if not walk and _row_is_cheaper(m, n, size):
+        return _row_pass(m, n, multiples, odd_sin, classes, period, size)
     terms = binom_window(m, n)
     buckets = [0] * size
     for p, term in zip(range(m // n, 0, -1), terms):
@@ -230,14 +262,88 @@ def _window_pass(
     return sums
 
 
+def _row_pass(
+    m: int,
+    n: int,
+    multiples: tuple[int, ...],
+    odd_sin: list[bool],
+    classes: tuple[tuple[int, ...], ...],
+    period: int,
+    size: int,
+) -> list[int]:
+    """_window_pass's sums read off the residue row of (1 + x)^{2m}
+    mod (x^{size*n} - 1). Folded to dn entries, the row's entry m mod dn is
+    the whole window sum of (m, d*n), so 4^m * C(m, d*n) is dn times it; S
+    at odd dn is the fold to 2dn at m less the one at m - dn. A class tail
+    is half the entries m - c*n (mod period*n), c in the class, over both
+    sides of the centre, less binom(2m, m) when c = 0 is in the class.
+
+    The row's last squaring is done only for the entries read. The row is
+    H^2 for H the row of (1 + x)^m, so its fold to a span s | size*n at r
+    is sum_j F[j] * F[r - j], indices mod s, F the fold of H to s: s
+    products of m-bit integers, where squaring all of H is one product of
+    (2*size*n*m)-bit ones. H is symmetric, F[j] = F[m - j], so the entry at
+    r = m - lag is sum_j F[j] * F[j + lag]."""
+    half = residue_row(m, size * n)
+
+    def fold(lag: int, span: int) -> int:  # the row folded to span, at m - lag
+        folded = [sum(half[j::span]) for j in range(span)]
+        return sum(f * folded[(j + lag) % span] for j, f in enumerate(folded))
+
+    sums = []
+    for d, odd in zip(multiples, odd_sin):
+        span = d * n
+        total = fold(0, 2 * span) - fold(span, 2 * span) if odd else fold(0, span)
+        sums.append(span * total)
+    for wanted in classes:
+        both_sides = sum(fold(c * n, period * n) for c in wanted)
+        sums.append((both_sides - (binom(2 * m, m) if 0 in wanted else 0)) // 2)
+    return sums
+
+
+def _row_is_cheaper(m: int, n: int, size: int) -> bool:
+    """Whether _row_pass, on the residue row of size*n slots, costs less
+    than walking the window of (m, n), by the cost model below, in ns.
+
+    The window is floor(m/n) ratio steps on 2m-bit integers, each with two
+    products of n small factors. The row is one widening and one squaring
+    a bit of m, each touching its size*n slots, and the squarings of the
+    last levels, which dominate: Karatsuba squares an x-bit integer in
+    about 3^{log2 x} word products, taken here at x = size*n*m and
+    interpolated linearly between powers of two. The constants are least
+    squares fits to the relative error of the two routes timed alone, C's
+    window of (m, n) and _row_pass at L = n, over m = 10..10^5 and n =
+    1..100 (152 window and 149 row timings, each the least of up to 200
+    runs; 2-vCPU Xeon VM, Python 3.11, no gmpy2). The window model is
+    within 0.4-1.3x of its timings, the row model within 0.6-1.6x at
+    L >= 3; the rows at L = 1 and 2, powers of two and their halves, square
+    up to 6x faster than modelled at m >= 40000. Of the 149 pairs, the
+    model picks the slower route at 2, each within 10% of the faster.
+    """
+    steps, span = m // n, size * n
+    window = 1100 + steps * (250 + 30 * n + m * (560 + 105 * n) // 1000)
+    work = span * m + 1
+    top = work.bit_length() - 1
+    karatsuba = 3**top * (2 * work - (1 << top)) >> top
+    row = (m.bit_length() + 1) * (1600 + 120 * span) + 44 * karatsuba // 1000
+    return row < window
+
+
 def _power_sum(kind: str, m: int, n: int, times: int = 1) -> Rational:
     """``times`` C(m, n) or S(m, n) by ``kind``, for a caller that has
     validated m >= 0 and n >= 1 (evaluate, and every public function here).
 
-    Sums the window as it streams, tail first, and needs no buckets: S at
-    odd n weights term p by (-1)^p."""
+    Reads the residue row of (1 + x)^{2m} mod (x^n - 1) at m mod n where
+    that is cheaper (mod x^{2n} - 1 for S at odd n, whose sum is the entry
+    at m less the one at m - n); otherwise sums the window as it streams,
+    tail first, with no buckets: S at odd n weights term p by (-1)^p."""
+    odd_sin = kind == "sin" and n % 2 == 1
+    size = 2 if odd_sin else 1
+    if _row_is_cheaper(m, n, size):
+        (total,) = _row_pass(m, n, (1,), [odd_sin], (), 1, size)
+        return _dyadic(times * total, 2 * m)
     terms, count = binom_window(m, n), m // n
-    if kind == "sin" and n % 2:
+    if odd_sin:
         tail = sum(-t if p % 2 else t for p, t in zip(range(count, 0, -1), terms))
     else:
         tail = sum(islice(terms, count))
@@ -403,7 +509,7 @@ def _shifted(kind: str, m: int, n: int) -> int:
     # the direct weight less X's is -2 at odd p for cos, whose weight is
     # (-1)^p, and -2*(-1)^n at odd p for sin
     direct = full - (1 if kind == "cos" else (-1) ** n) * 4 * n * odd
-    (double,) = _window_pass(kind, m, 2 * n, (1,))
+    (double,) = _window_pass(kind, m, 2 * n, (1,), walk=True)
     if double - full != direct:
         raise ArithmeticError(f"shifted_{kind}_sum: evaluation routes disagree")
     return direct

@@ -1,11 +1,14 @@
 """Exact integer and rational building blocks.
 
-Everything downstream reduces to three ingredients: the binomial window
+Everything downstream reduces to four ingredients: the binomial window
 binom(2m, m - p*n), p = floor(m/n)..0, walked up from binom(2m, m mod n)
 to the central binomial, that every power-sum closed form sums with its
-own weights; the same window sums for every j = 0, 1, 2, ... in turn, read
-off the residue rows of (1 + x)^{2j} mod (x^n - 1) at O(n) additions a row
-(scaled_power_sums); and Bernoulli numbers at even index.
+own weights; the residue row of (1 + x)^e mod (x^L - 1) for one e, built
+by squaring one Kronecker-packed integer (residue_row), whose entries are
+the same window sums over all p at once and which the closed forms read
+where it is cheaper than the window; the window sums for every j = 0, 1,
+2, ... in turn, read off the rows of (1 + x)^{2j} mod (x^n - 1) at O(n)
+additions a row (scaled_power_sums); and Bernoulli numbers at even index.
 All arithmetic is over arbitrary-precision rationals; nothing in this
 module touches floating point.
 """
@@ -33,6 +36,12 @@ Rational = Fraction
 # Larger arguments raise CostGuardError.
 MAX_BINOM_N = 2 * 10**5
 MAX_BERNOULLI_INDEX = 200
+# Cost guard on residue_row: L slots of e + 1 bits, 2 MiB packed. A row
+# this size (L = 64) took 10.6 s, where the row C(10^5, 7) reads (L = 7,
+# e = 10^5) took 0.07 s. A closed form reads a row only where the cost
+# model of closed_forms prices it below the window, and every window up to
+# closed_forms.MAX_M is priced below any row past this guard.
+MAX_ROW_BITS = 2**24
 
 __all__ = [
     "MAX_BERNOULLI_INDEX",
@@ -40,6 +49,7 @@ __all__ = [
     "Rational",
     "binom",
     "binom_window",
+    "residue_row",
     "scaled_power_sums",
     "BernoulliCache",
     "bernoulli",
@@ -85,6 +95,47 @@ def binom_window(m: int, n: int) -> Iterator[int]:
     for k in range(m % n, m, n):  # binom(2m, k) -> binom(2m, k + n)
         current = current * perm(two_m - k, n) // perm(k + n, n)
         yield current
+
+
+def residue_row(e: int, L: int) -> tuple[int, ...]:
+    """The coefficients of (1 + x)^e mod (x^L - 1): entry r is the sum of
+    binom(e, i) over i = r (mod L), r < L.
+
+    Square and multiply on one Kronecker-packed integer: entry r sits in
+    slot r, ``width`` bytes wide. Squaring the integer squares the row as a
+    polynomial, and its 2L - 1 slots fold onto L by adding the integer's
+    top L slots to its bottom L; times (1 + x) adds the integer shifted up
+    one slot, folded the same way. No slot carries into the next: the
+    unfolded product that reaches (1 + x)^k sums to 2^k, so none of its
+    slots exceeds 2^k, and each squaring first widens the slots to k + 1
+    bits or more. The widening slices the integer's bytes (shifting the
+    slots out one by one was 3-10x slower). The row holds O(L * e) bits and
+    costs about 3^{log2(L * e)} word products, most of them in the last
+    squaring.
+    """
+    check_int("e", e)
+    check_int("L", L)
+    if e < 0 or L < 1:
+        raise ParameterError("residue_row requires e >= 0 and L >= 1")
+    if L * (e + 1) > MAX_ROW_BITS:
+        raise CostGuardError(f"L * (e + 1) must be <= {MAX_ROW_BITS} (cost guard)")
+    packed, width, k = 1, 1, 0  # (1 + x)^0, one byte a slot
+    for bit in bin(e)[2:]:
+        k = 2 * k + (bit == "1")
+        if k >= 8 * width:  # widen every slot to k + 1 bits or more
+            raw = packed.to_bytes(L * width, "little")
+            pad = bytes(k // 8 + 1 - width)
+            packed = int.from_bytes(pad.join(raw[r : r + width] for r in range(0, len(raw), width)), "little")
+            width += len(pad)
+        bits = 8 * width * L
+        low = (1 << bits) - 1
+        packed *= packed
+        packed = (packed & low) + (packed >> bits)
+        if bit == "1":
+            packed += packed << 8 * width
+            packed = (packed & low) + (packed >> bits)
+    raw = packed.to_bytes(L * width, "little")
+    return tuple(int.from_bytes(raw[r : r + width], "little") for r in range(0, len(raw), width))
 
 
 def scaled_power_sums(kind: str, n: int) -> Iterator[int]:

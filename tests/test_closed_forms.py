@@ -110,18 +110,43 @@ def test_power_sums_stream_the_signed_window():
     assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
-@pytest.mark.parametrize("call, m, n", [(cos_power_sum, 5000, 1), (sin_power_sum, 5001, 3)])
-def test_power_sums_hold_one_window_term_at_a_time(call, m, n):
-    """C and S stream the window: their peak allocation stays far below
-    the window's total size, which a list of its terms would hold."""
-    window_bytes = sum(term.bit_length() for term in binom_window(m, n)) // 8
+def _force_route(monkeypatch, row):
+    """Take the residue row (row=True) or the window (row=False) at every
+    choice the closed forms make, whatever the cost model says."""
+    monkeypatch.setattr(closed_forms, "_row_is_cheaper", lambda m, n, size: row)
+
+
+def _peak_bytes(call, *args):
     tracemalloc.start()
     try:
-        call(m, n)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call, m, n", [(cos_power_sum, 5000, 1), (sin_power_sum, 5001, 3)])
+def test_power_sums_hold_one_window_term_at_a_time(call, m, n, monkeypatch):
+    """On the window route, C and S stream the window: their peak
+    allocation stays far below the window's total size, which a list of
+    its terms would hold."""
+    window_bytes = sum(term.bit_length() for term in binom_window(m, n)) // 8
+    _force_route(monkeypatch, row=False)
+    peak = _peak_bytes(call, m, n)
     assert peak * 50 < window_bytes, (peak, window_bytes)
+
+
+@pytest.mark.parametrize("call, m, n, span", [(cos_power_sum, 5000, 1, 1), (sin_power_sum, 5001, 3, 6)])
+def test_power_sums_hold_one_residue_row(call, m, n, span, monkeypatch):
+    """On the row route, C and S hold O(L * m) bits: the packed row of
+    (1 + x)^m, L = span slots of m + 1 bits, its square and their byte
+    images, a small multiple of it (about 10 times), and far below the
+    window's total size."""
+    window_bytes = sum(term.bit_length() for term in binom_window(m, n)) // 8
+    row_bytes = span * (m + 1) // 8
+    _force_route(monkeypatch, row=True)
+    peak = _peak_bytes(call, m, n)
+    assert peak < 16 * row_bytes and peak * 20 < window_bytes, (peak, row_bytes, window_bytes)
 
 
 def _symmetric(p, n, weight):
@@ -255,9 +280,11 @@ def test_window_sites_against_literal_binomial_form(name):
 
 @pytest.mark.parametrize("name", WINDOW_SITES)
 def test_window_sites_make_a_constant_number_of_comb_calls(name, monkeypatch):
-    """Each window comes from binom_window's ratio steps, so the number of
-    math.comb calls does not grow with the window's floor(m/n) terms."""
+    """On the window route, each window comes from binom_window's ratio
+    steps, so the number of math.comb calls does not grow with the window's
+    floor(m/n) terms."""
     fn = WINDOW_SITES[name][0]
+    _force_route(monkeypatch, row=False)
     calls = []
     real_comb = exact_core.comb
 
@@ -351,9 +378,9 @@ def test_window_pass_shapes_are_the_ones_the_families_use(monkeypatch):
     seen = set()
     real_pass = closed_forms._window_pass
 
-    def recording_pass(kind, m, n, multiples, classes=(), period=1):
+    def recording_pass(kind, m, n, multiples, classes=(), period=1, **route):
         seen.add((kind, multiples, classes, period))
-        return real_pass(kind, m, n, multiples, classes, period)
+        return real_pass(kind, m, n, multiples, classes, period, **route)
 
     monkeypatch.setattr(closed_forms, "_window_pass", recording_pass)
     q = {Family.SCALED: 8, Family.COPRIME: 3, Family.GCD_REDUCED: 6}
@@ -380,15 +407,121 @@ def _literal_window_pass(kind, m, n, multiples, classes, period):
     return out
 
 
-@pytest.mark.parametrize("shape", WINDOW_PASS_SHAPES, ids=str)
-def test_window_pass_matches_literal_comb_bucketing(shape):
-    """The buckets of the upward window give the literal sums at m < n,
-    m = n, n | m, n = 1, and odd n (where S differs from C)."""
+def _window_pass_against_literal(shape):
     kind, multiples, classes, period = shape
     for n in (1, 2, 3, 5, 6, 7, 11):
         for m in range(25):
             got = closed_forms._window_pass(kind, m, n, multiples, classes, period)
             assert got == _literal_window_pass(kind, m, n, multiples, classes, period), (m, n)
+
+
+@pytest.mark.parametrize("shape", WINDOW_PASS_SHAPES, ids=str)
+def test_window_pass_matches_literal_comb_bucketing(shape, monkeypatch):
+    """The buckets of the upward window give the literal sums at m < n,
+    m = n, n | m, n = 1, and odd n (where S differs from C)."""
+    _force_route(monkeypatch, row=False)
+    _window_pass_against_literal(shape)
+
+
+@pytest.mark.parametrize("shape", WINDOW_PASS_SHAPES, ids=str)
+def test_row_pass_matches_literal_comb_bucketing(shape, monkeypatch):
+    """The residue row gives the same sums, read on both sides of the
+    centre: the class tails halved (less the central binomial for the
+    erratum's class 0), S at odd d*n with the entries at m - d*n taken
+    away, and rows with more slots than the m + 1 binomials of
+    (1 + x)^m."""
+    _force_route(monkeypatch, row=True)
+    _window_pass_against_literal(shape)
+
+
+# every site of closed_forms and walks; sigma and sigma_minus keep the window
+ROUTED_SITES = [name for name in WINDOW_SITES if not name.startswith("sigma")]
+
+
+@pytest.mark.parametrize("name", ROUTED_SITES)
+def test_window_sites_take_both_routes_across_the_switch(name, monkeypatch):
+    """On m = 120, 250, 500 and n <= 9 the cost model reads the residue row
+    at small n and walks the window at larger n for every site, and both
+    routes give the docstring formula written with math.comb. A call reads
+    a row or walks its own window, not both; the shifted sums also walk
+    the window of (m, 2n) for their check."""
+    fn, reference = WINDOW_SITES[name]
+    rows, windows, routes = [], [], set()
+    real_row, real_window = closed_forms.residue_row, closed_forms.binom_window
+    monkeypatch.setattr(closed_forms, "residue_row", lambda e, L: rows.append(L) or real_row(e, L))
+    monkeypatch.setattr(closed_forms, "binom_window", lambda m, n: windows.append(n) or real_window(m, n))
+    for m in (120, 250, 500):
+        for n in set(range(1, 10)) - WINDOW_SITE_SKIPS.get(name, set()):
+            rows.clear()
+            windows.clear()
+            assert fn(m, n) == reference(m, n), (name, m, n)
+            assert len(rows) + len(windows) - name.startswith(("shifted", "merca_shifted")) == 1
+            routes.add("row" if rows else "window")
+    assert routes == {"row", "window"}
+
+
+def test_cost_model_pins():
+    """Criterion 9's C(200, 7) keeps the window; C and S at m = 10^5 and
+    n <= 7 read the row; and a window of no steps is never traded for a
+    row, so C(3000, 10^5) builds no row of 10^5 slots."""
+    cheaper = closed_forms._row_is_cheaper
+    assert not cheaper(200, 7, 1)
+    assert all(cheaper(10**5, n, size) for n in range(1, 8) for size in (1, 2))
+    assert not cheaper(3000, 10**5, 1)
+    assert not cheaper(0, 10**9, 1)
+
+
+def test_cost_model_never_reaches_the_row_guard():
+    """A row past exact_core.MAX_ROW_BITS costs more than the costliest
+    window, that of (MAX_M, 1), so no valid request reaches residue_row's
+    cost guard; a row at m < MAX_M needs more slots to pass the guard and
+    faces a cheaper window."""
+    for m in (MAX_M, MAX_M // 3, 5000):
+        size = exact_core.MAX_ROW_BITS // (m + 1) + 1
+        assert not closed_forms._row_is_cheaper(m, 1, size), m
+
+
+@pytest.mark.parametrize("row", [False, True], ids=["window", "row"])
+def test_both_routes_match_the_oracle(row, monkeypatch):
+    """Either route, taken at every choice, gives evaluate_exact's value for
+    every family that sums a window, at m = 700."""
+    _force_route(monkeypatch, row)
+    q = {Family.SCALED: 8, Family.COPRIME: 3, Family.GCD_REDUCED: 6}
+    for family in Family:
+        if family is Family.QUONIAM:  # one binomial, no window
+            continue
+        for kind in ("cos", "sin"):
+            spec = SumSpec(family, 700, 4, q=q.get(family, 1), kind=kind)
+            assert evaluate(spec) == evaluate_exact(spec), (family, kind)
+
+
+@pytest.mark.parametrize("fn, n", [(shifted_cos_sum, 4), (shifted_sin_sum, 3), (merca_shifted_sum, 2)])
+def test_shifted_check_walks_a_window_when_the_value_reads_a_row(fn, n, monkeypatch):
+    """Where the shifted value reads the residue row, the check still takes
+    C(m, 2n) from the window of (m, 2n), never from that row, and a
+    corrupted entry anywhere in the row raises ArithmeticError. (For cos
+    the value reads H, the row of (1 + x)^m mod (x^{2n} - 1): its direct
+    form is n * sum_{j<n} (H[j] - H[j+n])^2 and C(m, n) is n * sum_{j<n}
+    (H[j] + H[j+n])^2, so the two sides of the check differ by 2n times the
+    change in sum_j H[j]^2.)"""
+    m = 3000
+    assert closed_forms._row_is_cheaper(m, n, 2)
+    rows, windows = [], []
+    real_row, real_window = closed_forms.residue_row, closed_forms.binom_window
+    monkeypatch.setattr(closed_forms, "residue_row", lambda e, L: rows.append((e, L)) or real_row(e, L))
+    monkeypatch.setattr(closed_forms, "binom_window", lambda m, n: windows.append((m, n)) or real_window(m, n))
+    fn(m, n)
+    assert rows == [(m, 2 * n)] and windows == [(m, 2 * n)]
+    for index in range(2 * n):
+
+        def corrupted(e, L):
+            row = list(real_row(e, L))
+            row[index] += 1
+            return tuple(row)
+
+        monkeypatch.setattr(closed_forms, "residue_row", corrupted)
+        with pytest.raises(ArithmeticError, match="routes disagree"):
+            fn(m, n)
 
 
 _BEYOND = MAX_M + 1

@@ -6,7 +6,7 @@ from itertools import islice
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trigsum import closed_forms, cotangent, exact_core
 from trigsum.exact_core import (
@@ -14,6 +14,7 @@ from trigsum.exact_core import (
     bernoulli,
     binom,
     binom_window,
+    residue_row,
     scaled_power_sums,
 )
 from trigsum.errors import CostGuardError, ParameterError
@@ -118,6 +119,47 @@ def test_binom_window_cost_guard(monkeypatch):
     for m, n in ((largest + 1, 1), (10**9, 7)):
         with pytest.raises(CostGuardError):
             next(binom_window(m, n))
+
+
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=40))
+@settings(max_examples=200)
+@example(0, 1)
+@example(300, 1)
+@example(7, 40)
+@example(255, 3)
+@example(256, 7)
+def test_residue_row_matches_folded_comb(e, L):
+    """Property: entry r of the row is the sum of binom(e, i) over
+    i = r (mod L), written with math.comb: L = 1 folds the whole row to
+    2^e, L > e + 1 leaves the binomials unfolded with zeros after them, and
+    e = 255, 256 cross a byte of slot width."""
+    literal = [0] * L
+    for i in range(e + 1):
+        literal[i % L] += comb(e, i)
+    assert residue_row(e, L) == tuple(literal)
+
+
+def test_residue_row_edges():
+    assert residue_row(0, 1) == (1,)
+    assert residue_row(0, 3) == (1, 0, 0)
+    assert residue_row(5, 1) == (32,)
+    assert residue_row(3, 6) == (1, 3, 3, 1, 0, 0)
+    assert residue_row(4, 2) == (8, 8)
+
+
+@pytest.mark.parametrize("e, L", [(-1, 1), (3, 0), (3, -2), (True, 1), (2.5, 1), (3, 1.0), (3, False)])
+def test_residue_row_bad_arguments_rejected(e, L):
+    with pytest.raises(ParameterError):
+        residue_row(e, L)
+
+
+def test_residue_row_cost_guard():
+    """A row of more than MAX_ROW_BITS slot bits is refused before it is
+    built, the row of 10^5 slots at e = 2 * 10^5 among them."""
+    largest = exact_core.MAX_ROW_BITS
+    for e, L in ((largest, 1), (0, largest + 1), (2 * 10**5, 10**5)):
+        with pytest.raises(CostGuardError):
+            residue_row(e, L)
 
 
 def _literal_window_sum(kind, j, n):
