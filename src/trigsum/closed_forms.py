@@ -17,12 +17,12 @@ with low-order cosines only reindexes the same lattice of angles. Composite
 families are therefore computed from C/S compositions, never from per-case
 expansions.
 
-C and S, and the scaled, coprime and gcd families (multiples of one C or
-S), sum the window of (m, n) as it streams (_power_sum). Every C(m, d*n) a
-composite value combines lies on one window: its terms are the terms
-p = 0 (mod d) of the window of (m, n). So each composite value walks the
-window of (m, n) once, adds term p into a bucket chosen by p mod L, and
-reads each C and S it needs off the buckets (_window_pass).
+Every C(m, d*n) a composite value combines lies on one window: its terms
+are the terms p = 0 (mod d) of the window of (m, n). So each value walks
+the window of (m, n) once, adds term p into a bucket chosen by p mod L,
+and reads each C and S it needs off the buckets (_window_pass); with one
+bucket, as for C, S and their multiples, the window is summed as it
+streams.
 
 The window sum over all integers p is also entry m mod n of the residue
 row of (1 + x)^{2m} mod (x^n - 1), the closed-walk count of the n-cycle
@@ -53,12 +53,15 @@ window's integers into one integer numerator and every value leaves
 through _dyadic, the one place a Fraction is built (the Barbero erratum
 reproducer keeps its published formula).
 
-SumSpec.validate() is the one domain check: each public function starts by
-validating the SumSpec of its own family, and no public function calls
-another, so a direct call validates once and a call and an evaluate() of
-the same request accept and refuse the same arguments. The erratum
-reproducers validate the sum they misstate, then check only the range their
-published expression claims.
+Sixteen families are one row each of the table _ROWS, which _windowed
+evaluates; quoniam (one binomial) and the shifted sums (their check) stay
+bespoke. SumSpec.validate() is the one domain check: evaluate() runs it
+once, then reads a table family off _windowed or calls a bespoke family's
+public function. Each public function validates the SumSpec of its own
+family and calls no other, so a direct call validates once and a call and
+an evaluate() of the same request accept and refuse the same arguments.
+The erratum reproducers validate the sum they misstate, then check only
+the range their published expression claims.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 
 from .errors import CostGuardError, ParameterError, Record, check_int, set_field
 from .exact_core import Rational, binom, binom_window, residue_row
@@ -239,22 +243,27 @@ def _window_pass(
     and at odd d*n the classes j = d (mod 2d) enter with sign -1.
 
     The classes come from the cheaper of two routes (_row_is_cheaper): the
-    window's terms, walked and added into L buckets, or the residue row of
-    (1 + x)^{2m} mod (x^{L*n} - 1), whose entry r sums the terms
-    binom(2m, i), i = r (mod L*n), over all integers p, both sides of the
-    centre. ``walk`` takes the window whatever the cost.
+    window's terms, walked and added into L buckets (summed as they stream
+    at L = 1), or the residue row of (1 + x)^{2m} mod (x^{L*n} - 1), whose
+    entry r sums the terms binom(2m, i), i = r (mod L*n), over all integers
+    p, both sides of the centre. ``walk`` takes the window whatever the cost.
     """
-    odd_sin = [kind == "sin" and d * n % 2 == 1 for d in multiples]
-    size = lcm(period, *(2 * d if odd else d for d, odd in zip(multiples, odd_sin)))
+    size = lcm(period, *multiples)
+    if kind == "sin" and multiples and n * size % 2:  # S at odd d*n: L even
+        size *= 2
     if not walk and _row_is_cheaper(m, n, size):
-        return _row_pass(m, n, multiples, odd_sin, classes, period, size)
+        return _row_pass(kind, m, n, multiples, classes, period, size)
     terms = binom_window(m, n)
-    buckets = [0] * size
-    for p, term in zip(range(m // n, 0, -1), terms):
-        buckets[p % size] += term
+    if size == 1:
+        buckets = [sum(islice(terms, m // n))]
+    else:
+        buckets = [0] * size
+        for p, term in zip(range(m // n, 0, -1), terms):
+            buckets[p % size] += term
     central = next(terms)
     sums = []
-    for d, odd in zip(multiples, odd_sin):
+    for d in multiples:
+        odd = kind == "sin" and d * n % 2
         tail = sum(buckets[:: 2 * d]) - sum(buckets[d :: 2 * d]) if odd else sum(buckets[::d])
         sums.append(d * n * (central + 2 * tail))
     for wanted in classes:
@@ -263,10 +272,10 @@ def _window_pass(
 
 
 def _row_pass(
+    kind: str,
     m: int,
     n: int,
     multiples: tuple[int, ...],
-    odd_sin: list[bool],
     classes: tuple[tuple[int, ...], ...],
     period: int,
     size: int,
@@ -291,8 +300,9 @@ def _row_pass(
         return sum(f * folded[(j + lag) % span] for j, f in enumerate(folded))
 
     sums = []
-    for d, odd in zip(multiples, odd_sin):
+    for d in multiples:
         span = d * n
+        odd = kind == "sin" and span % 2
         total = fold(0, 2 * span) - fold(span, 2 * span) if odd else fold(0, span)
         sums.append(span * total)
     for wanted in classes:
@@ -329,27 +339,6 @@ def _row_is_cheaper(m: int, n: int, size: int) -> bool:
     return row < window
 
 
-def _power_sum(kind: str, m: int, n: int, times: int = 1) -> Rational:
-    """``times`` C(m, n) or S(m, n) by ``kind``, for a caller that has
-    validated m >= 0 and n >= 1 (evaluate, and every public function here).
-
-    Reads the residue row of (1 + x)^{2m} mod (x^n - 1) at m mod n where
-    that is cheaper (mod x^{2n} - 1 for S at odd n, whose sum is the entry
-    at m less the one at m - n); otherwise sums the window as it streams,
-    tail first, with no buckets: S at odd n weights term p by (-1)^p."""
-    odd_sin = kind == "sin" and n % 2 == 1
-    size = 2 if odd_sin else 1
-    if _row_is_cheaper(m, n, size):
-        (total,) = _row_pass(m, n, (1,), [odd_sin], (), 1, size)
-        return _dyadic(times * total, 2 * m)
-    terms, count = binom_window(m, n), m // n
-    if odd_sin:
-        tail = sum(-t if p % 2 else t for p, t in zip(range(count, 0, -1), terms))
-    else:
-        tail = sum(islice(terms, count))
-    return _dyadic(times * n * (next(terms) + 2 * tail), 2 * m)
-
-
 def _dyadic(numerator: int, bits: int) -> Rational:
     """numerator / 2^bits in lowest terms, without Fraction's gcd of two
     2m-bit integers: the common factor is a power of two, read off the
@@ -364,23 +353,66 @@ def _dyadic(numerator: int, bits: int) -> Rational:
     return value
 
 
+# One row per windowed family, a function of (m, n, q, kind) giving (kind,
+# window n, multiples, coefficients, constant, bits, classes, period): the
+# value is the coefficients' dot product with the sums _window_pass returns,
+# plus constant * 4^m, over 2^bits.
+_ROWS = {
+    Family.COS_POWER: lambda m, n, q, kind: ("cos", n, (1,), (1,), 0, 2 * m, (), 1),
+    Family.SIN_POWER: lambda m, n, q, kind: ("sin", n, (1,), (1,), 0, 2 * m, (), 1),
+    Family.SCALED: lambda m, n, q, kind: (kind, n, (1,), (q // n,), 0, 2 * m, (), 1),
+    Family.COPRIME: lambda m, n, q, kind: (kind, n, (1,), (1,), 0, 2 * m, (), 1),
+    Family.GCD_REDUCED: lambda m, n, q, kind: (kind, n // gcd(n, q), (1,), (gcd(n, q),), 0, 2 * m, (), 1),
+    Family.MERCA_HALF: lambda m, n, q, kind: ("cos", n, (1,), (1,), -1, 2 * m + 1, (), 1),
+    Family.BARBERO_R: lambda m, n, q, kind: ("cos", 2 * n + 3, (1,), (1,), -1, 1, (), 1),
+    Family.ALTERNATING: lambda m, n, q, kind: (kind, n // 2, (1, 2), (2, -1), 0, 2 * m, (), 1),
+    Family.WEIGHT3_COS: lambda m, n, q, kind: ("cos", n, (1, 3), (3, -1), 0, 2 * m + 1, (), 1),
+    Family.WEIGHT3_SIN: lambda m, n, q, kind: ("sin", n, (1, 3), (3, -1), 0, 2 * m + 1, (), 1),
+    Family.WEIGHT_HALF_PI: lambda m, n, q, kind: ("cos", n, (1, 2), (2, -1), 0, 2 * m, (), 1),
+    Family.WEIGHT_PI3: lambda m, n, q, kind: (
+        "cos", n // 2, (1, 2, 3, 6), (6, -3, -2, 1), 0, 2 * m + 1, (), 1
+    ),
+    Family.ELL5_PRODUCT: lambda m, n, q, kind: ("cos", n, (1, 5), (5, -1), 0, 2 * m + 2, (), 1),
+    Family.ELL5_ALT_PRODUCT: lambda m, n, q, kind: (
+        "cos", n // 2, (1, 2, 5, 10), (10, -5, -2, 1), 0, 2 * m + 2, (), 1
+    ),
+    # the classes p = +-1 (mod 5) of the cos2 weight (ell5_sum)
+    Family.ELL5_COS2: lambda m, n, q, kind: ("cos", n, (), (5 * n,), 0, 2 * m, ((1, 4),), 5),
+    Family.ELL5_COS4: lambda m, n, q, kind: ("cos", n, (1, 5), (10, -2, -20 * n), 0, 2 * m + 2, ((1, 4),), 5),
+}
+
+
+def _valid(spec: SumSpec) -> SumSpec:
+    spec.validate()
+    return spec
+
+
+def _windowed(spec: SumSpec) -> Rational:
+    """The value of a validated ``spec`` of a family in _ROWS: one window
+    pass or residue row, and one _dyadic of the row's integer combination."""
+    m = spec.m
+    row = _ROWS[spec.family](m, spec.n, spec.q, spec.kind)
+    kind, n, multiples, coefficients, constant, bits, classes, period = row
+    numerator = sum(map(mul, coefficients, _window_pass(kind, m, n, multiples, classes, period)))
+    if constant:
+        numerator += constant * 4**m
+    return _dyadic(numerator, bits)
+
+
 def cos_power_sum(m: int, n: int) -> Rational:
     """C(m, n) = sum_{k=0}^{n-1} cos^{2m}(k*pi/n)."""
-    SumSpec(Family.COS_POWER, m, n).validate()
-    return _power_sum("cos", m, n)
+    return _windowed(_valid(SumSpec(Family.COS_POWER, m, n)))
 
 
 def sin_power_sum(m: int, n: int) -> Rational:
     """S(m, n) = sum_{k=0}^{n-1} sin^{2m}(k*pi/n)."""
-    SumSpec(Family.SIN_POWER, m, n).validate()
-    return _power_sum("sin", m, n)
+    return _windowed(_valid(SumSpec(Family.SIN_POWER, m, n)))
 
 
 def scaled_sum(kind: str, m: int, n: int, q: int) -> Rational:
     """sum_{k=0}^{q-1} trig^{2m}(k*pi/n) for n | q: the same n angles swept
     q/n times, so the value is (q/n) * C(m, n) (resp. S)."""
-    SumSpec(Family.SCALED, m, n, q, kind).validate()
-    return _power_sum(kind, m, n, q // n)
+    return _windowed(_valid(SumSpec(Family.SCALED, m, n, q, kind)))
 
 
 def coprime_sum(kind: str, m: int, n: int, q: int) -> Rational:
@@ -390,8 +422,7 @@ def coprime_sum(kind: str, m: int, n: int, q: int) -> Rational:
     factor kills the sign of the representative), so the value is C(m, n)
     (resp. S) independently of which coprime q is chosen.
     """
-    SumSpec(Family.COPRIME, m, n, q, kind).validate()
-    return _power_sum(kind, m, n)
+    return _windowed(_valid(SumSpec(Family.COPRIME, m, n, q, kind)))
 
 
 def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
@@ -401,9 +432,7 @@ def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
     lattice for denominator l exactly r times: the value is r * C(m, l)
     (resp. S). Reduces to coprime_sum when r = 1.
     """
-    SumSpec(Family.GCD_REDUCED, m, n, q, kind).validate()
-    r = gcd(n, q)
-    return _power_sum(kind, m, n // r, r)
+    return _windowed(_valid(SumSpec(Family.GCD_REDUCED, m, n, q, kind)))
 
 
 def quoniam_sum(m: int, n: int) -> Rational:
@@ -418,8 +447,7 @@ def merca_half_sum(p: int, n: int) -> Rational:
     = -1/2 + (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} binom(2p, p+kn),
     which is (C(p, n) - 1)/2: the k = 0 term dropped, the mirror pairs
     halved."""
-    SumSpec(Family.MERCA_HALF, p, n).validate()
-    return _dyadic(_window_pass("cos", p, n, (1,))[0] - 4**p, 2 * p + 1)
+    return _windowed(_valid(SumSpec(Family.MERCA_HALF, p, n)))
 
 
 def merca_shifted_sum(p: int, n: int) -> Rational:
@@ -440,8 +468,7 @@ def barbero_R(m: int, n: int) -> Rational:
     2^{2m} * (C(m, 2n+3) - 1)/2, the k = 0 term dropped and the mirror
     pairs of the odd period halved.
     """
-    SumSpec(Family.BARBERO_R, m, n).validate()
-    return _dyadic(_window_pass("cos", m, 2 * n + 3, (1,))[0] - 4**m, 1)
+    return _windowed(_valid(SumSpec(Family.BARBERO_R, m, n)))
 
 
 def barbero_R_naive(m: int, n: int) -> Rational:
@@ -463,9 +490,7 @@ def alternating_sum(kind: str, m: int, n: int) -> Rational:
     the explicit middle-range case tables in circulation drop a factor
     (see alternating_cos_middle_erratum).
     """
-    SumSpec(Family.ALTERNATING, m, n, kind=kind).validate()
-    half, full = _window_pass(kind, m, n // 2, (1, 2))
-    return _dyadic(2 * half - full, 2 * m)
+    return _windowed(_valid(SumSpec(Family.ALTERNATING, m, n, kind=kind)))
 
 
 def _middle_erratum(m: int, n: int) -> Rational:
@@ -546,9 +571,7 @@ def weight3_sum(kind: str, m: int, n: int) -> Rational:
     the two equal).
     """
     family = Family.WEIGHT3_SIN if kind == "sin" else Family.WEIGHT3_COS
-    SumSpec(family, m, n, kind=kind).validate()
-    single, triple = _window_pass(kind, m, n, (1, 3))
-    return _dyadic(3 * single - triple, 2 * m + 1)
+    return _windowed(_valid(SumSpec(family, m, n, kind=kind)))
 
 
 def weight_half_pi_sum(m: int, n: int) -> Rational:
@@ -558,17 +581,13 @@ def weight_half_pi_sum(m: int, n: int) -> Rational:
     alternating sum over N = 2n in disguise; exposed to keep that
     reducibility a tested fact.
     """
-    SumSpec(Family.WEIGHT_HALF_PI, m, n).validate()
-    single, double = _window_pass("cos", m, n, (1, 2))
-    return _dyadic(2 * single - double, 2 * m)
+    return _windowed(_valid(SumSpec(Family.WEIGHT_HALF_PI, m, n)))
 
 
 def weight_pi3_sum(m: int, n: int) -> Rational:
     """sum_{k=0}^{3n-1} cos(k*pi/3) * cos^{2m}(k*pi/3n) for even n:
     3*C(m, n/2) - (3/2)*C(m, n) + C(m, 3n)/2 - C(m, 3n/2)."""
-    SumSpec(Family.WEIGHT_PI3, m, n).validate()
-    c1, c2, c3, c6 = _window_pass("cos", m, n // 2, (1, 2, 3, 6))
-    return _dyadic(6 * c1 - 3 * c2 - 2 * c3 + c6, 2 * m + 1)
+    return _windowed(_valid(SumSpec(Family.WEIGHT_PI3, m, n)))
 
 
 _ELL5_FAMILIES = {
@@ -598,45 +617,21 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
     with p = 1 or p = -1 (mod 5), and the mirror j <-> 2m - j merges the two
     classes into the one sum over p >= 1 above. Each variant reads all its
     C and the cos2 classes from one pass over the window of (m, n) (of
-    (m, n/2) for alt-product).
+    (m, n/2) for alt-product): the row of its family in _ROWS.
     """
     if not isinstance(variant, str) or variant not in _ELL5_FAMILIES:
         raise ParameterError(f"unknown ell5 variant {variant!r} (expected one of {tuple(_ELL5_FAMILIES)})")
-    SumSpec(_ELL5_FAMILIES[variant], m, n).validate()
-    if variant == "product":
-        c1, c5 = _window_pass("cos", m, n, (1, 5))
-        return _dyadic(5 * c1 - c5, 2 * m + 2)
-    if variant == "alt-product":
-        c1, c2, c5, c10 = _window_pass("cos", m, n // 2, (1, 2, 5, 10))
-        return _dyadic(10 * c1 - 5 * c2 - 2 * c5 + c10, 2 * m + 2)
-    if variant == "cos2":
-        (near,) = _window_pass("cos", m, n, (), ((1, 4),), 5)  # p = +-1 (mod 5)
-        return _dyadic(5 * n * near, 2 * m)
-    c1, c5, near = _window_pass("cos", m, n, (1, 5), ((1, 4),), 5)  # cos4
-    return _dyadic(10 * c1 - 2 * c5 - 20 * n * near, 2 * m + 2)
+    return _windowed(_valid(SumSpec(_ELL5_FAMILIES[variant], m, n)))
 
 
-_DISPATCH = {
-    Family.COS_POWER: lambda s: _power_sum("cos", s.m, s.n),
-    Family.SIN_POWER: lambda s: _power_sum("sin", s.m, s.n),
-    Family.SCALED: lambda s: scaled_sum(s.kind, s.m, s.n, s.q),
-    Family.COPRIME: lambda s: coprime_sum(s.kind, s.m, s.n, s.q),
-    Family.GCD_REDUCED: lambda s: gcd_reduced_sum(s.kind, s.m, s.n, s.q),
+# The families not in _ROWS, dispatched to their public functions, looked up
+# by name at each call so that bench/tracer.py, which rebinds the names,
+# times them.
+_BESPOKE = {
     Family.QUONIAM: lambda s: quoniam_sum(s.m, s.n),
-    Family.MERCA_HALF: lambda s: merca_half_sum(s.m, s.n),
     Family.MERCA_SHIFTED: lambda s: merca_shifted_sum(s.m, s.n),
-    Family.BARBERO_R: lambda s: barbero_R(s.m, s.n),
-    Family.ALTERNATING: lambda s: alternating_sum(s.kind, s.m, s.n),
     Family.SHIFTED_COS: lambda s: shifted_cos_sum(s.m, s.n),
     Family.SHIFTED_SIN: lambda s: shifted_sin_sum(s.m, s.n),
-    Family.WEIGHT3_COS: lambda s: weight3_sum("cos", s.m, s.n),
-    Family.WEIGHT3_SIN: lambda s: weight3_sum("sin", s.m, s.n),
-    Family.WEIGHT_HALF_PI: lambda s: weight_half_pi_sum(s.m, s.n),
-    Family.WEIGHT_PI3: lambda s: weight_pi3_sum(s.m, s.n),
-    Family.ELL5_PRODUCT: lambda s: ell5_sum("product", s.m, s.n),
-    Family.ELL5_ALT_PRODUCT: lambda s: ell5_sum("alt-product", s.m, s.n),
-    Family.ELL5_COS2: lambda s: ell5_sum("cos2", s.m, s.n),
-    Family.ELL5_COS4: lambda s: ell5_sum("cos4", s.m, s.n),
 }
 
 
@@ -645,4 +640,5 @@ def evaluate(spec: SumSpec) -> Rational:
     first, so a q or kind its family ignores is refused as SumSpec.validate
     refuses it; an unknown family is a ParameterError."""
     spec.validate()
-    return _DISPATCH[spec.family](spec)
+    bespoke = _BESPOKE.get(spec.family)
+    return bespoke(spec) if bespoke else _windowed(spec)

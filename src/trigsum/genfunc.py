@@ -17,20 +17,19 @@ big-integer additions a coefficient, not a fresh binomial window each. Each also
 
 which sums the same binomial window as C(k, n) (resp. S) with the same
 weights; the tests assert that identity, the constructors do not repeat it.
-A single sigma value sums its window; sigma_table reads a whole table off
-scaled_power_sums, whose term 4^k * C(k, n)/n is the central binomial plus
-twice that window.
+A single sigma value reads the tail classes of its window off _window_pass;
+sigma_table reads a whole table off scaled_power_sums, whose term
+4^k * C(k, n)/n is the central binomial plus twice that window.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import factorial, gcd
 
-from .closed_forms import MAX_M
+from .closed_forms import MAX_M, _window_pass
 from .errors import CostGuardError, ParameterError, Record, check_int, set_field
-from .exact_core import Rational, binom_window, scaled_power_sums
+from .exact_core import Rational, scaled_power_sums
 
 __all__ = [
     "MAX_TABLE_INDEX",
@@ -99,16 +98,15 @@ class SeriesCoefficients(Record):
 def sigma(k: int, n: int) -> Rational:
     """(1/(2k)!) * sum_{p=1}^{floor(k/n)} binom(2k, k+pn); zero for k < n."""
     _check_sigma(k, n)
-    # binom(2k, k+pn) = binom(2k, k-pn): window term p; the last term, p = 0, is not summed
-    window = sum(islice(binom_window(k, n), k // n))
-    return Fraction(window, factorial(2 * k))
+    (tail,) = _window_pass("cos", k, n, (), ((0,),))  # binom(2k, k+pn) = binom(2k, k-pn)
+    return Fraction(tail, factorial(2 * k))
 
 
 def sigma_minus(k: int, n: int) -> Rational:
     """sigma with alternating weight (-1)^{pn}; equals sigma for even n."""
     _check_sigma(k, n)
-    window = sum((-1) ** (p * n) * b for p, b in zip(range(k // n, 0, -1), binom_window(k, n)))
-    return Fraction(window, factorial(2 * k))
+    even, odd = _window_pass("cos", k, n, (), ((0,), (1,)), 2)  # the tails at even and odd p
+    return Fraction(even + (-1) ** n * odd, factorial(2 * k))
 
 
 def sigma_table(kind: str, n: int, k_max: int) -> list[Rational]:

@@ -105,7 +105,7 @@ def test_power_sums_stream_the_signed_window():
             literal_sin = F(n * _symmetric(m, n, lambda p: (-1) ** (p * n % 2)), 4**m)
             assert cos_power_sum(m, n) == literal_cos
             assert sin_power_sum(m, n) == literal_sin, (m, n)
-            assert closed_forms._power_sum("sin", m, n, 3) == 3 * literal_sin
+            assert scaled_sum("sin", m, n, 3 * n) == 3 * literal_sin
             parities.add((n % 2, m // n % 2))
     assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -346,9 +346,8 @@ def test_each_window_is_summed_once(name, monkeypatch):
         calls.append((m, n))
         return real_window(m, n)
 
-    for module in (closed_forms, genfunc):
-        monkeypatch.setattr(module, "binom_window", counting_window)
-    assert not hasattr(walks, "binom_window")
+    monkeypatch.setattr(closed_forms, "binom_window", counting_window)
+    assert not hasattr(walks, "binom_window") and not hasattr(genfunc, "binom_window")
     call()
     assert len(calls) == expected, calls
 
@@ -434,7 +433,8 @@ def test_row_pass_matches_literal_comb_bucketing(shape, monkeypatch):
     _window_pass_against_literal(shape)
 
 
-# every site of closed_forms and walks; sigma and sigma_minus keep the window
+# every site of closed_forms and walks; test_genfunc pins sigma and sigma_minus
+# on both routes
 ROUTED_SITES = [name for name in WINDOW_SITES if not name.startswith("sigma")]
 
 
@@ -909,10 +909,11 @@ _DIRECT_CALLS = {
 @pytest.mark.parametrize("family", list(Family))
 def test_evaluate_validates_a_power_sum_once(family, monkeypatch):
     """A direct call of a public function runs SumSpec.validate once, as no
-    public function calls another. evaluate() of C and S runs it once too;
-    of the other families twice, its own check and the public function's,
-    until evaluate dispatches to private bodies (ROADMAP item 1: the bench
-    tracer times the public functions by name)."""
+    public function calls another. evaluate() runs it once for the sixteen
+    families of the row table, which it reads off _windowed itself, and
+    twice only for the four bespoke families, its own check and that of the
+    public function it dispatches to by name (the bench tracer times those
+    functions by name)."""
     spec, direct = _DIRECT_CALLS[family]
     calls = []
     validate = SumSpec.validate
@@ -921,7 +922,43 @@ def test_evaluate_validates_a_power_sum_once(family, monkeypatch):
     assert len(calls) == 1
     calls.clear()
     assert evaluate(spec) == value
-    assert len(calls) == (1 if family in (Family.COS_POWER, Family.SIN_POWER) else 2)
+    assert len(calls) == (2 if family in closed_forms._BESPOKE else 1)
+
+
+def test_every_family_has_one_table_row_or_one_bespoke_entry():
+    """evaluate reads each Family off exactly one of the row table and the
+    bespoke map."""
+    rows, bespoke = set(closed_forms._ROWS), set(closed_forms._BESPOKE)
+    assert rows | bespoke == set(Family) and not rows & bespoke
+    assert len(rows) == 16
+
+
+def _grid_spec(family, m, n, kind):
+    # a spec of ``family`` at (m, n), or (m, 2n) for an even-period family
+    if family in (Family.ALTERNATING, Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT):
+        n *= 2
+    q = {Family.SCALED: 3 * n, Family.COPRIME: n + 1, Family.GCD_REDUCED: 6}.get(family, 1)
+    return SumSpec(family, m, n, q, kind)
+
+
+@pytest.mark.parametrize("family", list(closed_forms._ROWS))
+def test_evaluate_equals_the_public_function_across_the_table(family, monkeypatch):
+    """For every family of the row table, evaluate() equals the family's
+    public function at m = 120, 250, 500, n <= 9 and both kinds, a grid on
+    which the cost model reads the residue row at some points and walks
+    the window at others."""
+    direct = _DIRECT_CALLS[family][1]
+    rows, routes = [], set()
+    real_row = closed_forms.residue_row
+    monkeypatch.setattr(closed_forms, "residue_row", lambda e, L: rows.append(L) or real_row(e, L))
+    for m in (120, 250, 500):
+        for n in range(1, 10):
+            for kind in ("cos", "sin"):
+                spec = _grid_spec(family, m, n, kind)
+                rows.clear()
+                assert evaluate(spec) == direct(spec), spec
+                routes.add("row" if rows else "window")
+    assert routes == {"row", "window"}
 
 
 @settings(max_examples=300, deadline=None)
@@ -1065,7 +1102,7 @@ def test_non_int_parameters_rejected_by_every_function(name, which, monkeypatch)
     for module, site in (
         (closed_forms, "binom_window"),
         (closed_forms, "binom"),
-        (genfunc, "binom_window"),
+        (genfunc, "_window_pass"),
         (genfunc, "scaled_power_sums"),
         (walks, "scaled_power_sums"),
         (cotangent, "binom"),

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import exact_core, genfunc
+from trigsum import closed_forms, exact_core, genfunc
 from trigsum.closed_forms import MAX_M, cos_power_sum, sin_power_sum
 from trigsum.errors import CostGuardError, ParameterError
 from trigsum.genfunc import (
@@ -46,7 +46,7 @@ def test_sigma_cost_guard_refuses_before_the_window(monkeypatch):
     def costly(*args):
         raise AssertionError("window summed")
 
-    monkeypatch.setattr(genfunc, "binom_window", costly)
+    monkeypatch.setattr(genfunc, "_window_pass", costly)
     for fn in (sigma, sigma_minus):
         with pytest.raises(CostGuardError, match="cost guard"):
             fn(MAX_M + 1, 3)
@@ -58,10 +58,27 @@ def _sigma_literal(k: int, n: int, sign: int) -> Fraction:
     return F(window, factorial(2 * k))
 
 
+@pytest.mark.parametrize("row", [False, True], ids=["window", "row"])
+def test_sigma_matches_literal_comb_on_both_routes(row, monkeypatch):
+    """sigma and sigma_minus read their tail classes off the window or the
+    residue row, as _row_is_cheaper says; forced either way, both equal the
+    math.comb literal form at k < n, k = n, n | k, n = 1 and odd n, where
+    sigma_minus takes the odd-p class away instead of adding it."""
+    monkeypatch.setattr(closed_forms, "_row_is_cheaper", lambda m, n, size: row)
+    rows = []
+    real_row = closed_forms.residue_row
+    monkeypatch.setattr(closed_forms, "residue_row", lambda e, L: rows.append(L) or real_row(e, L))
+    for n in (1, 2, 3, 5, 6, 7, 11):
+        for k in range(40):
+            assert sigma(k, n) == _sigma_literal(k, n, 1), (k, n)
+            assert sigma_minus(k, n) == _sigma_literal(k, n, -1), (k, n)
+    assert bool(rows) == row
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sigma_table_equals_single_values_and_literal_form(n):
-    """The table read off the residue rows equals the window form of sigma
-    and sigma_minus and the math.comb literal form, row by row, k <= 200."""
+    """The table read off the residue rows equals sigma and sigma_minus
+    and the math.comb literal form, row by row, k <= 200."""
     for kind, single, sign in (("cos", sigma, 1), ("sin", sigma_minus, -1)):
         table = sigma_table(kind, n, 200)
         assert len(table) == 201
