@@ -105,18 +105,14 @@ _ERRATA_FAMILIES = {
 }
 
 
-# Cost guard on --digits. Rendering is quadratic in the digit count once
-# the int-to-str limit is lifted: 10^5 places took 0.3 s and 10^6 places
-# 19 s for a whole `trigsum eval` run on a 2-vCPU Xeon VM.
+# Cost guard on --digits, checked before the value is computed. Rendering is
+# quadratic in the digit count once the int-to-str limit is lifted: 10^5 places
+# took 0.3 s and 10^6 places 19 s for a whole `trigsum eval` run (2-vCPU Xeon VM).
 MAX_DIGITS = 10**5
 
 
 def _decimal_string(value: Fraction, digits: int) -> str:
     """Exact decimal rendering to ``digits`` places, rounding half to even."""
-    if digits < 0:
-        raise ParameterError("digits must be non-negative")
-    if digits > MAX_DIGITS:
-        raise CostGuardError(f"digits must be <= {MAX_DIGITS} (cost guard)")
     sign = "-" if value < 0 else ""
     num, den = abs(value).numerator, abs(value).denominator
     q, r = divmod(num * 10**digits, den)
@@ -291,6 +287,10 @@ def _eval_request(family: str, given: dict):
 def cmd_eval(args) -> int:
     given = {key: getattr(args, key) for key in ("m", "n", "q", "k", "kind")}
     _, thunk = _eval_request(args.family, given)
+    if (args.digits or 0) < 0:
+        raise ParameterError("digits must be non-negative")
+    if (args.digits or 0) > MAX_DIGITS:
+        raise CostGuardError(f"digits must be <= {MAX_DIGITS} (cost guard)")
     value = thunk()
     if args.json:
         payload = {
@@ -309,6 +309,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ParameterError("--jobs must be at least 1")
     families = args.family.split(",") if args.family else list(_REQUEST_FAMILIES)
     for family in families:
         if family not in _REQUEST_FAMILIES and family not in _ERRATA_FAMILIES:
@@ -554,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k-min", type=int, default=1, help="cot/byrne-smith k lower bound")
     p_verify.add_argument("--k-max", type=int, default=8, help="cot/byrne-smith k upper bound")
     p_verify.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at most the CPU count"
+        "--jobs", type=int, default=1, help="worker processes, at least 1 and at most the CPU count"
     )
     p_verify.add_argument("--out", help="write the report to FILE (.csv or JSON)")
     p_verify.add_argument(

@@ -40,8 +40,8 @@ at n >= 6, criterion 9's C(200, 7) among them, and every call whose window
 has few terms.
 
 The shifted sums are the one place a second route still runs: their
-direct form weights the window of (m, n) by (-1)^p, the difference
-C(m, 2n) - C(m, n) reads C(m, 2n) from the window of (m, 2n), which is
+direct form weights the window of (m, n) by (-1)^p, and the difference
+C(m, 2n) - C(m, n) reads C(m, 2n) straight off the window of (m, 2n),
 walked whatever the cost model says, so a direct form read off a row is
 checked against a route that shares no arithmetic with it; the two are
 compared at every call.
@@ -53,13 +53,13 @@ window's integers into one integer numerator and every value leaves
 through _dyadic, the one place a Fraction is built (the Barbero erratum
 reproducer keeps its published formula).
 
-Sixteen families are one row each of the table _ROWS, which _windowed
-evaluates; quoniam (one binomial) and the shifted sums (their check) stay
-bespoke. SumSpec.validate() is the one domain check: evaluate() runs it
-once, then reads a table family off _windowed or calls a bespoke family's
-public function. Each public function validates the SumSpec of its own
-family and calls no other, so a direct call validates once and a call and
-an evaluate() of the same request accept and refuse the same arguments.
+Seventeen families are one row each of the table _ROWS, which _windowed
+evaluates; the three half-shift sums (their check) stay bespoke.
+SumSpec.validate() is the one domain check: evaluate() runs it once, then
+reads a table family off _windowed or calls a bespoke family's public
+function. Each public function validates the SumSpec of its own family
+and calls no other, so a direct call validates once and a call and an
+evaluate() of the same request accept and refuse the same arguments.
 The erratum reproducers validate the sum they misstate, then check only
 the range their published expression claims.
 """
@@ -223,8 +223,6 @@ def _window_pass(
     multiples: tuple[int, ...],
     classes: tuple[tuple[int, ...], ...] = (),
     period: int = 1,
-    *,
-    walk: bool = False,
 ) -> list[int]:
     """One pass over the window of (m, n), or one residue row. Returns
     4^m * X(m, d*n) for each d in ``multiples`` (X = C for kind "cos", S
@@ -246,12 +244,11 @@ def _window_pass(
     window's terms, walked and added into L buckets (summed as they stream
     at L = 1), or the residue row of (1 + x)^{2m} mod (x^{L*n} - 1), whose
     entry r sums the terms binom(2m, i), i = r (mod L*n), over all integers
-    p, both sides of the centre. ``walk`` takes the window whatever the cost.
-    """
+    p, both sides of the centre."""
     size = lcm(period, *multiples)
     if kind == "sin" and multiples and n * size % 2:  # S at odd d*n: L even
         size *= 2
-    if not walk and _row_is_cheaper(m, n, size):
+    if _row_is_cheaper(m, n, size):
         return _row_pass(kind, m, n, multiples, classes, period, size)
     terms = binom_window(m, n)
     if size == 1:
@@ -364,6 +361,7 @@ _ROWS = {
     Family.COPRIME: lambda m, n, q, kind: (kind, n, (1,), (1,), 0, 2 * m, (), 1),
     Family.GCD_REDUCED: lambda m, n, q, kind: (kind, n // gcd(n, q), (1,), (gcd(n, q),), 0, 2 * m, (), 1),
     Family.MERCA_HALF: lambda m, n, q, kind: ("cos", n, (1,), (1,), -1, 2 * m + 1, (), 1),
+    Family.QUONIAM: lambda m, n, q, kind: ("cos", n + 1, (1,), (1,), -1, 1, (), 1),
     Family.BARBERO_R: lambda m, n, q, kind: ("cos", 2 * n + 3, (1,), (1,), -1, 1, (), 1),
     Family.ALTERNATING: lambda m, n, q, kind: (kind, n // 2, (1, 2), (2, -1), 0, 2 * m, (), 1),
     Family.WEIGHT3_COS: lambda m, n, q, kind: ("cos", n, (1, 3), (3, -1), 0, 2 * m + 1, (), 1),
@@ -436,10 +434,9 @@ def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
 
 
 def quoniam_sum(m: int, n: int) -> Rational:
-    """2^{2m} * sum_{k=1}^{floor(n/2)} cos^{2m}(k*pi/(n+1)), valid for
-    1 <= m < n+1, where it equals (n+1)*binom(2m-1, m-1) - 2^{2m-1}."""
-    SumSpec(Family.QUONIAM, m, n).validate()
-    return _dyadic((n + 1) * binom(2 * m - 1, m - 1) - 2 ** (2 * m - 1), 0)
+    """2^{2m} * sum_{k=1}^{floor(n/2)} cos^{2m}(k*pi/(n+1)) = 4^m * (C(m, n+1) - 1)/2,
+    valid for 1 <= m < n+1, a window of no tail: (n+1)*binom(2m-1, m-1) - 2^{2m-1}."""
+    return _windowed(_valid(SumSpec(Family.QUONIAM, m, n)))
 
 
 def merca_half_sum(p: int, n: int) -> Rational:
@@ -529,12 +526,13 @@ def _shifted(kind: str, m: int, n: int) -> int:
     """4^m times the half-shift sum of ``kind`` over (k + 1/2)*pi/n, k < n,
     from its direct form, asserted equal to 4^m * (X(m, 2n) - X(m, n)).
     X(m, n) and the direct form share one pass over the window of (m, n);
-    X(m, 2n) comes from its own."""
+    X(m, 2n), equal for C and S at the even 2n, is walked off its own."""
     full, odd = _window_pass(kind, m, n, (1,), ((1,),), 2)
     # the direct weight less X's is -2 at odd p for cos, whose weight is
     # (-1)^p, and -2*(-1)^n at odd p for sin
     direct = full - (1 if kind == "cos" else (-1) ** n) * 4 * n * odd
-    (double,) = _window_pass(kind, m, 2 * n, (1,), walk=True)
+    terms = binom_window(m, 2 * n)  # the tail, then the central term
+    double = 2 * n * (2 * sum(islice(terms, m // (2 * n))) + next(terms))
     if double - full != direct:
         raise ArithmeticError(f"shifted_{kind}_sum: evaluation routes disagree")
     return direct
@@ -624,11 +622,9 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
     return _windowed(_valid(SumSpec(_ELL5_FAMILIES[variant], m, n)))
 
 
-# The families not in _ROWS, dispatched to their public functions, looked up
-# by name at each call so that bench/tracer.py, which rebinds the names,
-# times them.
+# The half-shift families, which check their value by a second route: their
+# public functions, looked up by name so that bench/tracer.py times them.
 _BESPOKE = {
-    Family.QUONIAM: lambda s: quoniam_sum(s.m, s.n),
     Family.MERCA_SHIFTED: lambda s: merca_shifted_sum(s.m, s.n),
     Family.SHIFTED_COS: lambda s: shifted_cos_sum(s.m, s.n),
     Family.SHIFTED_SIN: lambda s: shifted_sin_sum(s.m, s.n),

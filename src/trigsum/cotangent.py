@@ -72,6 +72,11 @@ __all__ = [
 # CostGuardError.
 MAX_N = 100
 
+# Cost guard on k: 2n * bit_length(4k), the bits of (4k)^{2n} (U reads T at
+# 4k), may not pass 2 * 10^5, as 4^m at MAX_M. At the bound T took 0.07 s and
+# U 0.14 s at most (n = 1..100), T(100, 2^100000) 11.9 s (2-vCPU Xeon VM).
+MAX_POWER_BITS = 2 * 10**5
+
 
 def _check_n(n) -> None:
     check_int("n", n)
@@ -79,6 +84,15 @@ def _check_n(n) -> None:
         raise ParameterError("n must be positive")
     if n > MAX_N:
         raise CostGuardError(f"n must be <= {MAX_N} (cost guard)")
+
+
+def _check_n_k(n, k, k_min: int, too_small: str) -> None:
+    _check_n(n)
+    check_int("k", k)
+    if k < k_min:
+        raise ParameterError(too_small)
+    if 2 * n * (4 * k).bit_length() > MAX_POWER_BITS:
+        raise CostGuardError(f"2n * bit_length(4k) must be <= {MAX_POWER_BITS} (cost guard)")
 
 
 class CotSumParams(Record):
@@ -93,10 +107,7 @@ class CotSumParams(Record):
     token = "cot"
 
     def validate(self) -> None:
-        _check_n(self.n)
-        check_int("k", self.k)
-        if self.k < 2:
-            raise ParameterError("k must be >= 2 (the sum over r=1..k-1 is empty otherwise)")
+        _check_n_k(self.n, self.k, 2, "k must be >= 2 (the sum over r=1..k-1 is empty otherwise)")
 
     def params(self) -> dict[str, int]:
         return {"n": self.n, "k": self.k}
@@ -117,10 +128,7 @@ class ByrneSmithParams(Record):
     token = "byrne-smith"
 
     def validate(self) -> None:
-        _check_n(self.n)
-        check_int("k", self.k)
-        if self.k < 1:
-            raise ParameterError("k must be positive")
+        _check_n_k(self.n, self.k, 1, "k must be positive")
 
     params = CotSumParams.params
     sort_key = CotSumParams.sort_key
@@ -197,7 +205,6 @@ def cot_sum_polynomial(n: int) -> CotPolynomial:
     return poly
 
 
-@lru_cache(maxsize=None, typed=True)
 def cot_power_sum(n: int, k: int) -> Rational:
     """T(n, k) = sum_{r=1}^{k-1} cot^{2n}(r*pi/k), evaluated from the
     polynomial ``cot_sum_polynomial(n)``."""
@@ -312,10 +319,9 @@ def byrne_smith_sum_uncorrected(n: int, k: int) -> Rational:
 
 
 def clear_caches() -> None:
-    """Drop memoized sums, polynomials, and coefficient tables (so a timing
-    run measures evaluation, not a cache hit)."""
+    """Drop memoized Bernoulli ratios, polynomials, and coefficient tables
+    (so a timing run measures evaluation, not a cache hit)."""
     _bf.cache_clear()
-    cot_power_sum.cache_clear()
     cot_sum_polynomial.cache_clear()
     byrne_smith_coefficients.cache_clear()
     byrne_smith_coefficients_uncorrected.cache_clear()

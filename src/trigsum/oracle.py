@@ -6,12 +6,12 @@ under test. Each term is enclosed with mpmath interval arithmetic: pi is
 enclosed with directed rounding at the working precision p, angles are
 exact integer multiples of it, and cos/sin/cot and the power round outward.
 The term is then rounded outward onto the grid 2^-p, and the sum runs on
-those integers: odd alternating terms swap endpoints, and terms add and
-scale exactly. A weighted sum adds its terms into one class per weight
-residue and multiplies each class total by each weight once, rounding
-outward back to the grid. Each rounding widens an endpoint by at most one
-grid unit, so the result is an interval certified to contain the true
-value. evaluate_exact builds (and validates) a request's defining sum once
+those integers: terms add and scale exactly. A weighted sum adds its terms
+into one class per weight residue and multiplies each class total by each
+weight once, rounding outward back to the grid; a sign (-1)^k is the
+weight cos(k*pi), exactly +-1 there. Each rounding widens an endpoint by at
+most one grid unit, so the result is an interval certified to contain the
+true value. evaluate_exact builds (and validates) a request's defining sum once
 and hands the built sum to denominator_bound_for and direct_sum. Before
 any lookup each angle is folded onto [0, pi/2], exactly and on the
 integers, by the period and the mirrors x -> 2*pi - x and x -> pi - x,
@@ -272,12 +272,12 @@ MAX_PRECISION_BITS = 2**4 * (2 * MAX_M + (2 * MAX_TERMS + 3).bit_length() + 96)
 class _DefiningSum(NamedTuple):
     """A request's defining sum
 
-        sum_{k in indices} (-1)^k [only if alternating]
-            * prod_{(c, d) in weights} cos(c*k*pi/d)
+        sum_{k in indices} prod_{(c, d) in weights} cos(c*k*pi/d)
             * fn((a*k + b)*pi/den)^exponent * scale,
 
     with the request's denominator bound and starting working precision
-    (see denominator_bound_for and default_precision)."""
+    (see denominator_bound_for and default_precision). A sign (-1)^k =
+    cos(k*pi) is the weight (1, 1)."""
 
     indices: range
     fn: str
@@ -289,7 +289,6 @@ class _DefiningSum(NamedTuple):
     precision: int
     weights: tuple[tuple[int, int], ...] = ()
     scale: int = 1
-    alternating: bool = False
 
 
 def _lattice(period: int, fn: str, *weights: tuple[int, int]):
@@ -310,7 +309,7 @@ _SUM_SPEC_SUMS = {
     Family.MERCA_HALF: lambda n, q, kind: (range(1, (n - 1) // 2 + 1), "cos", 1, 0, n, ()),
     Family.MERCA_SHIFTED: lambda n, q, kind: (range(1, n // 2 + 1), "cos", 2, -1, 2 * n, ()),
     Family.BARBERO_R: lambda n, q, kind: (range(1, n + 2), "cos", 1, 0, 2 * n + 3, ()),
-    Family.ALTERNATING: lambda n, q, kind: (range(n), kind, 1, 0, n, ()),
+    Family.ALTERNATING: lambda n, q, kind: (range(n), kind, 1, 0, n, ((1, 1),)),
     Family.SHIFTED_COS: lambda n, q, kind: (range(n), "cos", 2, 1, 2 * n, ()),
     Family.SHIFTED_SIN: lambda n, q, kind: (range(n), "sin", 2, 1, 2 * n, ()),
     Family.WEIGHT3_COS: _lattice(3, "cos", (2, 3)),
@@ -335,9 +334,7 @@ def _sum_spec_sum(spec: SumSpec) -> _DefiningSum:
     bound = 1 if integral else 2 ** (2 * m + 2 + (4 if f in _DEGREE_5 else 0))
     precision = 2 * m + (n + 1).bit_length() + 96
     scale = 2 ** (2 * m) if integral else 1
-    return _DefiningSum(
-        indices, fn, a, b, den, 2 * m, bound, precision, weights, scale, f is Family.ALTERNATING
-    )
+    return _DefiningSum(indices, fn, a, b, den, 2 * m, bound, precision, weights, scale)
 
 
 def _cot_sum(spec: CotSumParams) -> _DefiningSum:
@@ -389,12 +386,12 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
     one class per weight residue, (c*k mod 2d) over its weights (c, d), and
     multiplies each class total by each weight once: every term of a class
     shares the weights' values, and rounding a total outward is never wider
-    than rounding its terms one by one. Against the exact sum of the terms'
+    than rounding its terms one by one (a sign (-1)^k is the weight
+    cos(k*pi), exactly +-1 on the grid). Against the exact sum of the terms'
     mpmath enclosures, rounding onto the grid 2^-precision_bits therefore
-    still moves each endpoint out by less than 2 * (1 + len(weights)) grid
-    units per term, times the scale. A sum of
-    more than MAX_TERMS terms, or a precision above MAX_PRECISION_BITS,
-    raises CostGuardError.
+    moves each endpoint out by less than 2 * (1 + len(weights)) grid units
+    per term, times the scale. A sum of more than MAX_TERMS terms, or a
+    precision above MAX_PRECISION_BITS, raises CostGuardError.
     """
     global libmp
     if libmp is None:
@@ -414,8 +411,6 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
     classes = {}  # weight residues (c*k mod 2d, ...) -> summed term enclosure
     for k in s.indices:
         lo, hi = _term(s.fn, s.a * k + s.b, s.den, s.exponent, prec)
-        if s.alternating and k % 2:
-            lo, hi = -hi, -lo
         if weights:
             key = tuple(c * k % (2 * d) for c, d in weights)
             c_lo, c_hi = classes.get(key, (0, 0))

@@ -78,6 +78,23 @@ def test_digits_cost_guard_is_a_usage_error(capsys):
     assert "cost guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "digits, message",
+    [("-1", "digits must be non-negative"), (str(cli.MAX_DIGITS + 1), "(cost guard)")],
+)
+def test_digits_are_checked_before_the_value_is_computed(digits, message, capsys, monkeypatch):
+    """A negative or oversized --digits exits 2 with nothing on stdout, and
+    the value is never computed."""
+
+    def computed(spec):
+        raise AssertionError("value computed")
+
+    monkeypatch.setattr(SumSpec, "closed_value", computed)
+    assert main(["eval", "--family", "C", "--m", "2", "--n", "3", "--digits", digits]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 def test_verify_grid_cost_guard_refuses_before_building(capsys, monkeypatch):
     """A grid past MAX_CASES exits 2 from its range lengths alone; no point
     of the 6*10^8 is built."""
@@ -318,13 +335,23 @@ def test_verify_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     args = ["verify", "--family", "C", "--m-max", "1", "--n-max", "2"]
     assert main(args + ["--jobs", "10000"]) == 0
     assert pools == [2]
-    for jobs in ("1", "0", "-3"):
-        assert main(args + ["--jobs", jobs]) == 0
+    assert main(args + ["--jobs", "1"]) == 0
     assert pools == [2]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert main(args + ["--jobs", "4"]) == 0
     assert pools == [2]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_a_usage_error(jobs, capsys, monkeypatch):
+    """--jobs below 1 exits 2 before any case runs; the help says so."""
+    monkeypatch.setattr(cli, "_verify_case", lambda req: pytest.fail("case ran"))
+    assert main(["verify", "--family", "C", "--m-max", "1", "--n-max", "2", "--jobs", jobs]) == 2
+    assert capsys.readouterr() == ("", "error: --jobs must be at least 1\n")
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--jobs JOBS worker processes, at least 1" in " ".join(capsys.readouterr().out.split())
 
 
 def test_verify_unknown_family_is_usage_error(capsys):

@@ -484,14 +484,14 @@ def test_cost_model_never_reaches_the_row_guard():
 @pytest.mark.parametrize("row", [False, True], ids=["window", "row"])
 def test_both_routes_match_the_oracle(row, monkeypatch):
     """Either route, taken at every choice, gives evaluate_exact's value for
-    every family that sums a window, at m = 700."""
+    every family at m = 700: n = 4, or n = 700 for quoniam, which needs
+    m <= n and whose window there has no tail term."""
     _force_route(monkeypatch, row)
     q = {Family.SCALED: 8, Family.COPRIME: 3, Family.GCD_REDUCED: 6}
     for family in Family:
-        if family is Family.QUONIAM:  # one binomial, no window
-            continue
+        n = 700 if family is Family.QUONIAM else 4
         for kind in ("cos", "sin"):
-            spec = SumSpec(family, 700, 4, q=q.get(family, 1), kind=kind)
+            spec = SumSpec(family, 700, n, q=q.get(family, 1), kind=kind)
             assert evaluate(spec) == evaluate_exact(spec), (family, kind)
 
 
@@ -909,11 +909,11 @@ _DIRECT_CALLS = {
 @pytest.mark.parametrize("family", list(Family))
 def test_evaluate_validates_a_power_sum_once(family, monkeypatch):
     """A direct call of a public function runs SumSpec.validate once, as no
-    public function calls another. evaluate() runs it once for the sixteen
-    families of the row table, which it reads off _windowed itself, and
-    twice only for the four bespoke families, its own check and that of the
-    public function it dispatches to by name (the bench tracer times those
-    functions by name)."""
+    public function calls another. evaluate() runs it once for the
+    seventeen families of the row table, quoniam among them, which it reads
+    off _windowed itself, and twice only for the three half-shift families,
+    its own check and that of the public function it dispatches to by name
+    (the bench tracer times those functions by name)."""
     spec, direct = _DIRECT_CALLS[family]
     calls = []
     validate = SumSpec.validate
@@ -927,16 +927,20 @@ def test_evaluate_validates_a_power_sum_once(family, monkeypatch):
 
 def test_every_family_has_one_table_row_or_one_bespoke_entry():
     """evaluate reads each Family off exactly one of the row table and the
-    bespoke map."""
+    bespoke map, which holds only the three half-shift families."""
     rows, bespoke = set(closed_forms._ROWS), set(closed_forms._BESPOKE)
     assert rows | bespoke == set(Family) and not rows & bespoke
-    assert len(rows) == 16
+    assert len(rows) == 17
+    assert bespoke == {Family.MERCA_SHIFTED, Family.SHIFTED_COS, Family.SHIFTED_SIN}
 
 
 def _grid_spec(family, m, n, kind):
-    # a spec of ``family`` at (m, n), or (m, 2n) for an even-period family
+    # a spec of ``family`` at (m, n), or (m, 2n) for an even-period family,
+    # or (m, m + n - 1) for quoniam, which needs n >= m
     if family in (Family.ALTERNATING, Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT):
         n *= 2
+    if family is Family.QUONIAM:
+        n += m - 1
     q = {Family.SCALED: 3 * n, Family.COPRIME: n + 1, Family.GCD_REDUCED: 6}.get(family, 1)
     return SumSpec(family, m, n, q, kind)
 
@@ -946,7 +950,8 @@ def test_evaluate_equals_the_public_function_across_the_table(family, monkeypatc
     """For every family of the row table, evaluate() equals the family's
     public function at m = 120, 250, 500, n <= 9 and both kinds, a grid on
     which the cost model reads the residue row at some points and walks
-    the window at others."""
+    the window at others. quoniam, at n = m..m+8, has windows of no tail
+    term, which the cost model never prices above a row."""
     direct = _DIRECT_CALLS[family][1]
     rows, routes = [], set()
     real_row = closed_forms.residue_row
@@ -958,7 +963,7 @@ def test_evaluate_equals_the_public_function_across_the_table(family, monkeypatc
                 rows.clear()
                 assert evaluate(spec) == direct(spec), spec
                 routes.add("row" if rows else "window")
-    assert routes == {"row", "window"}
+    assert routes == ({"window"} if family is Family.QUONIAM else {"row", "window"})
 
 
 @settings(max_examples=300, deadline=None)

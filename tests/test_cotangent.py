@@ -143,6 +143,30 @@ def test_cost_guard_on_n():
             call()
 
 
+@pytest.mark.parametrize("n", [1, MAX_N])
+def test_cost_guard_on_k_bits(n):
+    """k is refused once 2n * bit_length(4k) passes MAX_POWER_BITS: at the
+    bound both request types validate, and one past it they, both sums and
+    the oracle raise CostGuardError before any value is computed."""
+    bound = cotangent.MAX_POWER_BITS
+    bits = bound // (2 * n)  # the largest bit_length(4k) allowed
+    at, past = (1 << (bits - 2)) - 1, 1 << (bits - 2)
+    assert 2 * n * (4 * at).bit_length() == bound < 2 * n * (4 * past).bit_length()
+    for params in (CotSumParams, ByrneSmithParams):
+        params(n, at).validate()
+    if n == 1:
+        assert cot_power_sum(1, at) == F((at - 1) * (at - 2), 3)
+    for call in (
+        lambda: CotSumParams(n, past).validate(),
+        lambda: ByrneSmithParams(n, past).validate(),
+        lambda: cot_power_sum(n, past),
+        lambda: byrne_smith_sum(n, past),
+        lambda: evaluate_exact(CotSumParams(n, past)),
+    ):
+        with pytest.raises(CostGuardError, match="cost guard"):
+            call()
+
+
 def test_coefficient_triangle_cost_guard_refuses_before_building(monkeypatch):
     """n_max beyond MAX_N is refused before any row is built:
     byrne_smith_coefficients(150) took 9.9 s."""

@@ -713,8 +713,9 @@ def _folded_angle(fn, num, den):
 def _enclosure_sum(spec, prec: int) -> tuple[Fraction, Fraction]:
     """The exact sum of the defining sum's mpmath term enclosures, with no
     rounding onto the grid: each term the enclosure of its folded angle,
-    negated for a sign change at an odd exponent, products of intervals by
-    min and max, then the alternating sign and the scale."""
+    negated for a sign change at an odd exponent, products of intervals
+    (the alternating sign's weight among them) by min and max, then the
+    scale."""
     from mpmath import libmp
 
     def enclosure(fn, num, den, exponent):
@@ -733,8 +734,6 @@ def _enclosure_sum(spec, prec: int) -> tuple[Fraction, Fraction]:
             w_lo, w_hi = enclosure("cos", c * k, d, 1)
             products = (lo * w_lo, lo * w_hi, hi * w_lo, hi * w_hi)
             lo, hi = min(products), max(products)
-        if s.alternating and k % 2:
-            lo, hi = -hi, -lo
         lower, upper = lower + lo, upper + hi
     return lower * s.scale, upper * s.scale
 
@@ -755,9 +754,14 @@ def test_grid_sum_within_documented_width_at_64_bits(spec):
 
 
 def test_alternating_sign_swaps_endpoints():
-    """ALTERNATING(m, n) and C(m, n) sum the same terms, the odd ones with
-    their endpoints swapped and negated, so the two intervals have one
-    width and their midpoints differ by twice the midpoint of the odd terms."""
+    """ALTERNATING(m, n) and C(m, n) sum the same terms. The sign is the
+    weight cos(k*pi), whose enclosure is exactly +-1 on the grid, so the
+    odd terms' class has its endpoints swapped and negated without
+    rounding: the two intervals have one width and their midpoints differ
+    by twice the midpoint of the odd terms."""
+    assert oracle._defining_sum(SumSpec(Family.ALTERNATING, 4, 6)).weights == ((1, 1),)
+    assert oracle._term("cos", 0, 1, 1, 96) == (2**96, 2**96)
+    assert oracle._term("cos", 1, 1, 1, 96) == (-(2**96), -(2**96))
     m, n = 4, 6
     alternating = direct_sum(SumSpec(Family.ALTERNATING, m, n), 96)
     plain = direct_sum(SumSpec(Family.COS_POWER, m, n), 96)
@@ -812,7 +816,7 @@ def _per_term_grid_sum(spec, prec: int) -> tuple[int, int]:
 
 
 _WEIGHTED = [spec.family for spec in _ONE_PER_FAMILY if oracle._defining_sum(spec).weights]
-_EVEN_N = {Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT}
+_EVEN_N = {Family.ALTERNATING, Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT}
 
 
 def _weighted_cases(ms, n_max):
@@ -837,7 +841,7 @@ def test_weight_classes_are_no_wider_than_per_term_products(cases):
     products of the mpmath enclosures (its terms are nonnegative, so the
     class product loses nothing); and it lies inside the per-term grid
     rounding."""
-    assert len(_WEIGHTED) == 8
+    assert len(_WEIGHTED) == 9
     for spec in cases:
         prec = max(64, default_precision(spec))
         interval = direct_sum(spec, prec)
