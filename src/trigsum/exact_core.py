@@ -78,8 +78,11 @@ def binom_window(m: int, n: int) -> Iterator[int]:
 
     The walk starts at binom(2m, m mod n), whose k < n, and takes one exact
     step a term, binom(2m, k + n) = binom(2m, k) * perm(2m - k, n) //
-    perm(k + n, n), so no window computes comb(2m, m). The terms are
-    yielded one at a time: the whole window at m = 10^5, n = 1 would hold
+    perm(k + n, n), so a window of many steps never computes comb(2m, m).
+    A window of one step (n <= m < 2n) reads both terms with comb instead:
+    its step would multiply out two products of n factors, about twice
+    the cost of comb(2m, m) when n is close to m. The terms are yielded
+    one at a time: the whole window at m = 10^5, n = 1 would hold
     gigabytes. The arguments are checked once, when the first term is
     taken; 2m past MAX_BINOM_N raises CostGuardError, as binom does.
     """
@@ -90,6 +93,10 @@ def binom_window(m: int, n: int) -> Iterator[int]:
     if 2 * m > MAX_BINOM_N:
         raise CostGuardError(f"2m must be <= {MAX_BINOM_N} (cost guard)")
     two_m = 2 * m
+    if m // n == 1:
+        yield comb(two_m, m - n)
+        yield comb(two_m, m)
+        return
     current = comb(two_m, m % n)
     yield current
     for k in range(m % n, m, n):  # binom(2m, k) -> binom(2m, k + n)

@@ -2,30 +2,44 @@
 
 Each request is evaluated from its *defining* finite sum (the literal
 left-hand side: a loop over angle indices), never from the closed form
-under test. Each term is enclosed with mpmath interval arithmetic: pi is
-enclosed with directed rounding at the working precision p, angles are
-exact integer multiples of it, and cos/sin/cot and the power round outward.
-The term is then rounded outward onto the grid 2^-p, and the sum runs on
-those integers: terms add and scale exactly. A weighted sum adds its terms
-into one class per weight residue and multiplies each class total by each
-weight once, rounding outward back to the grid; a sign (-1)^k is the
-weight cos(k*pi), exactly +-1 there. Each rounding widens an endpoint by at
-most one grid unit, so the result is an interval certified to contain the
-true value. evaluate_exact builds (and validates) a request's defining sum once
-and hands the built sum to denominator_bound_for and direct_sum. Before
-any lookup each angle is folded onto [0, pi/2], exactly and on the
+under test. mpmath interval arithmetic encloses pi, with directed
+rounding, and cos/sin/cot of each angle, an exact integer multiple of it;
+nothing else in the oracle uses mpmath. Each term fn(angle)^exponent is
+then taken on the integers: the trig enclosure's endpoints are floored and
+ceiled onto a grid finer than 2^-p by guard bits that grow with the
+exponent and the enclosure's magnitude, powered there with every product
+floored on the low end and ceiled on the high end, and shifted outward
+onto the grid 2^-p of the working precision p. Each end of a term so lies
+less than 2 grid units outside the exact power of its trig enclosure's
+endpoints. The sum runs on those integers: terms add and scale exactly. A
+weighted sum adds its terms into one class per weight residue and
+multiplies each class total by each weight once, rounding outward back to
+the grid; a sign (-1)^k is the weight cos(k*pi), exactly +-1 there. So the
+result is an interval certified to contain the true value. evaluate_exact
+builds (and validates) a request's defining sum once and hands the built
+sum to denominator_bound_for and direct_sum.
+
+Before any lookup each angle is folded onto [0, pi/2], exactly and on the
 integers, by the period and the mirrors x -> 2*pi - x and x -> pi - x,
 which at most change the sign of fn; an odd power then negates and swaps
 its endpoints. So the lattice angles k*pi/n and (n - k)*pi/n share one
-evaluation. Each trig enclosure fn(angle) is memoized by its folded angle
-and the working precision rounded up to a multiple of 64 bits, so the
-cases of a campaign that revisit a lattice angle at nearby precisions
-share one cos/sin/cot evaluation (the two most recently used 64-bit steps
-keep their enclosures). Each term fn(angle)^exponent rounds that
-enclosure outward to its own precision, takes the power there, and is
-memoized on the grid by folded angle, exponent and precision. A hit
-returns exactly the integers a fresh evaluation of the folded angle would
-(``clear_caches`` empties both memos).
+evaluation. Three memos sit on the fold:
+
+- trig enclosures, by folded angle and the working precision rounded up
+  to a multiple of 64 bits, so the cases of a campaign that revisit a
+  lattice angle at nearby precisions share one evaluation (the two most
+  recently used 64-bit steps keep theirs); one mpi_cos_sin call fills
+  both the cos and the sin entry of an angle;
+- term integers on the grid, by folded angle, exponent and precision;
+- lattice rows: direct_sum reads each index's signed term from one row
+  per (fn, den, exponent, precision), den slots for cot and 2*den for
+  cos and sin, at the numerator a*k + b modulo the row length. A slot is
+  filled once, through the term memo, when a sum first reads it. The
+  1,024 most recently used rows of at most 1,024 slots are kept; a longer
+  row lasts one sum.
+
+A hit returns exactly the integers a fresh evaluation of the folded angle
+would, and ``clear_caches`` empties every memo.
 
 The interval stays on the grid: an IntervalValue holds the integer
 endpoints lo and hi and the precision p, and no Fraction is built until
@@ -37,9 +51,11 @@ integer means the bound (or the formula being compared) is wrong and is
 reported as such rather than retried; an over-wide interval is retried at
 doubled precision.
 
-The interval primitives come from mpmath's stateless low-level layer
-(explicit precision arguments, no global context), so oracle calls are
-pure and safe to fan out across threads or processes. mpmath is imported
+The trig enclosures come from mpmath's stateless low-level layer
+(explicit precision arguments, no global context), and a memo entry or
+row slot, once written, never changes; two threads that fill the same
+slot write the same integers. So oracle calls are pure and safe to fan
+out across threads or processes. mpmath is imported
 by the first ``direct_sum`` call, not by importing this module: the closed
 forms need no interval arithmetic, so ``trigsum eval`` and ``trigsum
 table`` never load it.
@@ -49,7 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .closed_forms import MAX_M, Family, SumSpec
@@ -214,7 +230,7 @@ def _term(fn: str, num: int, den: int, exponent: int, prec: int) -> tuple[int, i
 # Trig enclosures are computed at the working precision rounded up to a
 # multiple of this many bits, so the neighbouring precisions of a campaign
 # (2m + bitlen(n + 1) + 96 moves by 2 bits per m) share one cos/sin/cot
-# evaluation per angle; each term rounds it outward to its own precision.
+# evaluation per angle; each term powers it onto its own grid.
 _TRIG_STEP_BITS = 64
 # Angles kept per step. Only the two most recently used steps keep a table
 # (a campaign near a step boundary alternates between two), so requests
@@ -226,10 +242,57 @@ _TRIG_TABLE_SIZE = 100_000
 @lru_cache(maxsize=250_000)
 def _reduced_term(fn: str, num: int, den: int, exponent: int, prec: int):
     lo, hi = _trig(fn, num, den, -(-prec // _TRIG_STEP_BITS) * _TRIG_STEP_BITS)
-    rounded = (libmp.mpf_pos(lo, prec, "f"), libmp.mpf_pos(hi, prec, "c"))
-    lo, hi = libmp.mpi_pow_int(rounded, exponent, prec)
-    # ceil(x) = -floor(-x)
-    return _floor_on_grid(lo, prec), -_floor_on_grid(libmp.mpf_neg(hi), prec)
+    return _grid_power(lo, hi, exponent, prec)
+
+
+def _grid_power(lo, hi, exponent: int, prec: int) -> tuple[int, int]:
+    """Integers (low, high) on the grid 2^-prec around [lo, hi]^exponent,
+    lo <= hi mpf endpoints with hi >= 0 (the enclosure of a folded angle's
+    cos, sin or cot, which is >= 0); each end lies less than 2 grid units
+    outside the exact power of the endpoints.
+
+    The endpoints are floored and ceiled onto the finer grid 2^-(prec + g)
+    and powered there by squaring and multiplying, each product floored on
+    the low end and ceiled on the high end. With |x| <= M = 2^bits on
+    [lo, hi] and u the fine unit, x^j computed so is off by at most
+    (4j - 3) * M^{j-1} * u: the start is off by less than u, a squaring
+    doubles the error and adds a unit (and its square, far below one), a
+    product by the base adds the base's error times M^j and a unit. So
+    g = bitlen(4 * exponent) + (exponent - 1) * bits guard bits keep the
+    error below one unit of 2^-prec, and the shift outward onto that grid
+    adds less than one more. An enclosure that straddles 0 is powered as
+    mpi_pow_int powers it: an odd power keeps the signs of the ends, an
+    even power runs from 0 to the larger end's power.
+    """
+    if exponent == 0:
+        return 1 << prec, 1 << prec
+    # an mpf is man * 2^exp with man odd and bc bits, so |x| < 2^(exp + bc),
+    # or |x| = 2^exp when man is 1
+    bits = max(0, *(exp + bc - (man == 1) for _, man, exp, bc in (lo, hi)))
+    guard = (4 * exponent).bit_length() + (exponent - 1) * bits
+    fine = prec + guard
+    low, high = _floor_on_grid(lo, fine), -_floor_on_grid(libmp.mpf_neg(hi), fine)
+    if low >= 0:
+        low, high = _powers(low, high, exponent, fine)
+    elif exponent % 2:
+        low, high = -_powers(0, -low, exponent, fine)[1], _powers(0, high, exponent, fine)[1]
+    else:
+        low, high = 0, _powers(0, max(-low, high), exponent, fine)[1]
+    return low >> guard, -(-high >> guard)
+
+
+def _powers(a: int, b: int, exponent: int, fine: int) -> tuple[int, int]:
+    """(a^exponent floored, b^exponent ceiled) on the grid 2^-fine, for
+    0 <= a <= b on that grid: left-to-right binary powering, every product
+    rounded onto the grid in its own direction, so exact powers stay exact."""
+    lo, hi = a, b
+    for bit in bin(exponent)[3:]:
+        lo = lo * lo >> fine
+        hi = -(-hi * hi >> fine)
+        if bit == "1":
+            lo = lo * a >> fine
+            hi = -(-hi * b >> fine)
+    return lo, hi
 
 
 @lru_cache(maxsize=2)
@@ -238,17 +301,45 @@ def _trig_table(step_prec: int) -> dict:
 
 
 def _trig(fn: str, num: int, den: int, step_prec: int):
-    """Enclosure of fn(num*pi/den) at step_prec, a multiple of _TRIG_STEP_BITS."""
+    """Enclosure of fn(num*pi/den) at step_prec, a multiple of _TRIG_STEP_BITS.
+    One mpi_cos_sin call fills both the cos and the sin entry of an angle."""
     table = _trig_table(step_prec)
     enclosure = table.get((fn, num, den))
     if enclosure is None:
-        trig = {"cos": libmp.mpi_cos, "sin": libmp.mpi_sin, "cot": libmp.mpi_cot}.get(fn)
-        if trig is None:
+        if fn == "cot":
+            found = {"cot": libmp.mpi_cot(_angle(num, den, step_prec), step_prec)}
+        elif fn in ("cos", "sin"):
+            found = dict(zip(("cos", "sin"), libmp.mpi_cos_sin(_angle(num, den, step_prec), step_prec)))
+        else:
             raise ValueError(fn)
-        enclosure = trig(_angle(num, den, step_prec), step_prec)
         if len(table) < _TRIG_TABLE_SIZE:
-            table[fn, num, den] = enclosure
+            table.update({(name, num, den): value for name, value in found.items()})
+        enclosure = found[fn]
     return enclosure
+
+
+# Rows kept, and the longest row kept: a row is den slots for cot and 2*den
+# for cos/sin, and a defining sum of MAX_TERMS terms can take about
+# 4*MAX_TERMS slots, so only rows of at most _ROW_SLOTS slots are kept
+# (8 MiB of slots at most, beside the term memo). The 20 SumSpec families at
+# three m near 200 and n <= 24 fill 561 rows.
+_ROWS = 1024
+_ROW_SLOTS = 1024
+
+
+def _lattice_row(fn: str, den: int, exponent: int, prec: int) -> list:
+    """The signed terms fn(j*pi/den)^exponent on the grid 2^-prec, slot j
+    for j below fn's period in units of pi/den (2*den for cos and sin, den
+    for cot), filled by the caller through _term on first read."""
+    slots = den if fn == "cot" else 2 * den
+    if slots > _ROW_SLOTS:
+        return [None] * slots
+    return _kept_row(fn, den, exponent, prec, slots)
+
+
+@lru_cache(maxsize=_ROWS)
+def _kept_row(fn: str, den: int, exponent: int, prec: int, slots: int) -> list:
+    return [None] * slots
 
 
 # --- defining sums ------------------------------------------------------
@@ -382,16 +473,28 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
     as its integer endpoints on the grid 2^-precision_bits.
 
     Accepts a SumSpec, CotSumParams, ByrneSmithParams, or OddCosPowerParams,
-    or the defining sum built from one. A weighted sum adds its terms into
-    one class per weight residue, (c*k mod 2d) over its weights (c, d), and
-    multiplies each class total by each weight once: every term of a class
+    or the defining sum built from one. Index k reads its signed term
+    fn((a*k + b)*pi/den)^exponent from the lattice row of (fn, den,
+    exponent, precision_bits), filling an empty slot through the term memo.
+    A weighted sum adds its terms into one class per weight residue and
+    multiplies each class total by each weight once: the residues c*k
+    mod 2d over its weights (c, d) fix k modulo their common period and are
+    fixed by it, so a class is that residue of k. Every term of a class
     shares the weights' values, and rounding a total outward is never wider
     than rounding its terms one by one (a sign (-1)^k is the weight
-    cos(k*pi), exactly +-1 on the grid). Against the exact sum of the terms'
-    mpmath enclosures, rounding onto the grid 2^-precision_bits therefore
-    moves each endpoint out by less than 2 * (1 + len(weights)) grid units
-    per term, times the scale. A sum of more than MAX_TERMS terms, or a
-    precision above MAX_PRECISION_BITS, raises CostGuardError.
+    cos(k*pi), exactly +-1 on the grid).
+
+    Against the exact sum of the terms made from the exact powers of their
+    trig enclosures' endpoints, each endpoint moves out by less than
+    2 * (1 + len(weights)) grid units per term, times the scale: a term
+    lies less than 2 units outside its exact power (less than 1 from the
+    integer powering on the finer grid, less than 1 from the shift onto
+    2^-precision_bits); a weight, its enclosure floored and ceiled straight
+    onto the grid, less than 1, times a term of at most 1 in magnitude (the
+    weighted families sum cos powers); and each class product rounds out
+    by less than 1, once per class and weight. A sum of more than
+    MAX_TERMS terms, or a precision above MAX_PRECISION_BITS, raises
+    CostGuardError.
     """
     global libmp
     if libmp is None:
@@ -407,20 +510,28 @@ def direct_sum(spec, precision_bits: int) -> IntervalValue:
             f"defining sum has {len(s.indices)} terms, more than {MAX_TERMS} (cost guard)"
         )
     prec, weights = precision_bits, s.weights
+    fn, a, b, den, exponent = s.fn, s.a, s.b, s.den, s.exponent
+    row = _lattice_row(fn, den, exponent, prec)
+    period = len(row)
+    # k mod cycle fixes every weight residue c*k mod 2d, and is fixed by them
+    cycle = lcm(*(2 * d // gcd(c, 2 * d) for c, d in weights))
     lower = upper = 0
-    classes = {}  # weight residues (c*k mod 2d, ...) -> summed term enclosure
+    classes = {}  # k mod cycle -> summed term enclosure
     for k in s.indices:
-        lo, hi = _term(s.fn, s.a * k + s.b, s.den, s.exponent, prec)
+        j = (a * k + b) % period
+        term = row[j]
+        if term is None:
+            term = row[j] = _term(fn, j, den, exponent, prec)
+        lo, hi = term
         if weights:
-            key = tuple(c * k % (2 * d) for c, d in weights)
-            c_lo, c_hi = classes.get(key, (0, 0))
-            classes[key] = (c_lo + lo, c_hi + hi)
+            c_lo, c_hi = classes.get(k % cycle, (0, 0))
+            classes[k % cycle] = (c_lo + lo, c_hi + hi)
         else:
             lower += lo
             upper += hi
     for key, (lo, hi) in classes.items():
-        for r, (_, d) in zip(key, weights):
-            w_lo, w_hi = _term("cos", r, d, 1, prec)
+        for c, d in weights:
+            w_lo, w_hi = _term("cos", c * key % (2 * d), d, 1, prec)
             products = (lo * w_lo, lo * w_hi, hi * w_lo, hi * w_hi)
             lo, hi = min(products) >> prec, -(-max(products) >> prec)
         lower += lo
@@ -518,13 +629,17 @@ def evaluate_exact(
 
 
 def clear_caches() -> None:
-    """Drop the memoized pi, trig and term enclosures.
+    """Drop the memoized pi and trig enclosures, term integers and lattice
+    rows.
 
-    Campaigns deliberately share one trig enclosure per folded angle and
-    64-bit precision step, and one term enclosure per folded angle,
-    exponent and precision, across cases; timing a single evaluation should
-    not, or the oracle's cost is understated.
+    Campaigns deliberately share, across cases, one trig enclosure per
+    folded angle and 64-bit precision step, one term per folded angle,
+    exponent and precision, and one lattice row per fn, denominator,
+    exponent and precision; timing a single evaluation should not, or the
+    oracle's cost is understated. After this call every trig enclosure and
+    integer power is computed again.
     """
     _pi_interval.cache_clear()
     _trig_table.cache_clear()
     _reduced_term.cache_clear()
+    _kept_row.cache_clear()

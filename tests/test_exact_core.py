@@ -81,9 +81,10 @@ def test_binom_window_edges():
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=40))
 @settings(max_examples=100)
 def test_binom_window_calls_comb_once_below_n(m, n):
-    """Property: a window computes one binomial with comb, binom(2m, m mod n)
-    with k < n, and reaches every other term, the central one included, by
-    ratio steps."""
+    """Property: a window computes one binomial with comb below n,
+    binom(2m, m mod n) with k < n. A window of two or more steps reaches
+    every other term, the central one included, by ratio steps; a window
+    of one step (n <= m < 2n) reads its central term with comb too."""
     calls = []
 
     def spy(a, b):
@@ -93,8 +94,17 @@ def test_binom_window_calls_comb_once_below_n(m, n):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact_core, "comb", spy)
         terms = list(binom_window(m, n))
-    assert calls == [(2 * m, m % n)]
+    assert calls == [(2 * m, m % n)] + ([(2 * m, m)] if m // n == 1 else [])
     assert terms[-1] == comb(2 * m, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 50, 20_000])
+def test_binom_window_at_and_below_one_step(m):
+    """n = m and m - 1 give windows of one step, read with comb; n =
+    ceil(m/2) gives one step at odd m and two at even m. Every window
+    equals math.comb term for term."""
+    for n in {m, m - 1, -(-m // 2)} - {0}:
+        assert list(binom_window(m, n)) == [comb(2 * m, m - p * n) for p in range(m // n, -1, -1)]
 
 
 @pytest.mark.parametrize("m, n", [(-1, 1), (3, 0), (3, -2), (True, 1), (2.5, 1), (3, 1.0)])

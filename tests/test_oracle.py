@@ -5,6 +5,7 @@ closed forms."""
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor, gcd
 
 import pytest
@@ -451,11 +452,13 @@ def test_evaluate_exact_calls_its_steps_by_module_name(spec, monkeypatch):
 
 # --- the term memo -------------------------------------------------------
 
-_COUNTED = ("mpi_cos", "mpi_sin", "mpi_cot", "mpi_pow_int")
+_COUNTED = ("mpi_cos_sin", "mpi_cot")
 
 
 class _CountingLibmp:
-    """Stands in for ``oracle.libmp`` and counts its trig and power calls."""
+    """Stands in for ``oracle.libmp`` and counts its trig calls; the
+    counting_libmp fixture also counts the integer power kernel's calls,
+    one per term memo miss, as "power"."""
 
     def __init__(self):
         from mpmath import libmp
@@ -480,6 +483,13 @@ def counting_libmp(monkeypatch):
     clear_caches()
     counter = _CountingLibmp()
     monkeypatch.setattr(oracle, "libmp", counter)
+    power = oracle._grid_power
+
+    def counted_power(*args):
+        counter.calls["power"] += 1
+        return power(*args)
+
+    monkeypatch.setattr(oracle, "_grid_power", counted_power)
     yield counter
     clear_caches()
 
@@ -538,7 +548,7 @@ def test_clear_caches_restores_the_cold_cost(counting_libmp):
     spec = SumSpec(Family.ELL5_COS2, 9, 4)
     evaluate_exact(spec)
     cold = Counter(counting_libmp.calls)
-    assert cold["mpi_cos"] > 0 and cold["mpi_pow_int"] > 0
+    assert cold["mpi_cos_sin"] > 0 and cold["power"] > 0
     evaluate_exact(spec)
     assert counting_libmp.calls == cold  # warm: served from the memo
     clear_caches()
@@ -556,9 +566,9 @@ def test_neighbouring_precisions_share_one_trig_enclosure(counting_libmp):
     assert (default_precision(first), default_precision(second)) == (500, 502)
     assert evaluate_exact(first) == evaluate(first)
     before = Counter(counting_libmp.calls)
-    assert before["mpi_cos"] == before["mpi_pow_int"] == 4
+    assert before["mpi_cos_sin"] == before["power"] == 4
     assert evaluate_exact(second) == evaluate(second)
-    assert counting_libmp.calls - before == Counter(mpi_pow_int=4)
+    assert counting_libmp.calls - before == Counter(power=4)
 
 
 def test_trig_enclosures_kept_for_two_steps(counting_libmp):
@@ -568,22 +578,26 @@ def test_trig_enclosures_kept_for_two_steps(counting_libmp):
     step holds the 4 folded angles of k*pi/7, k < 7."""
     for m in (100, 200, 300):
         evaluate_exact(SumSpec(Family.COS_POWER, m, 7))
-    before = counting_libmp.calls["mpi_cos"]
+    before = counting_libmp.calls["mpi_cos_sin"]
     evaluate_exact(SumSpec(Family.COS_POWER, 301, 7))
     evaluate_exact(SumSpec(Family.COS_POWER, 201, 7))
-    assert counting_libmp.calls["mpi_cos"] == before
+    assert counting_libmp.calls["mpi_cos_sin"] == before
     evaluate_exact(SumSpec(Family.COS_POWER, 101, 7))
-    assert counting_libmp.calls["mpi_cos"] == before + 4
+    assert counting_libmp.calls["mpi_cos_sin"] == before + 4
 
 
 def test_fold_encloses_the_literal_angle(counting_libmp):
     """The fold is exact: for every angle num*pi/den, den <= 24, num in
     [-2*den, 4*den), and exponents 1, 2, 3 and 400, the term of the folded
-    angle, signed, contains a fresh enclosure of fn(num*pi/den)^exponent
-    taken at the literal angle at 4p bits (cot skips its poles). A multiple
-    of pi folds onto 0, where the term is the exact value, +-1 or 0, which
-    is narrower than any fresh enclosure of the literal angle. The memo
-    holds the folded angles alone."""
+    angle, signed, contains the exact power of a fresh enclosure of
+    fn(num*pi/den) taken at the literal angle at 4p bits (cot skips its
+    poles). A multiple of pi folds onto 0, where the term is the exact
+    value, +-1 or 0, which is narrower than any fresh enclosure of the
+    literal angle. The memo holds the folded angles alone.
+
+    mpi_pow_int's outward rounding at 4p bits contains the exact power, so
+    a term that contains it contains the exact power too; only where it
+    does not is the exact power (10^5 bits at exponent 400) taken."""
     prec = 64
     libmp = counting_libmp._real
     for fn in ("cos", "sin", "cot"):
@@ -598,9 +612,12 @@ def test_fold_encloses_the_literal_angle(counting_libmp):
                         exact = (0 if fn == "sin" else 1 - 2 * (num // den % 2)) ** exponent
                         assert (lo, hi) == (exact << prec, exact << prec)
                         continue
-                    fresh_lo, fresh_hi = libmp.mpi_pow_int(fresh, exponent, 4 * prec)
-                    assert lo <= _exact_value(fresh_lo) * 2**prec, (fn, num, den, exponent)
-                    assert _exact_value(fresh_hi) * 2**prec <= hi, (fn, num, den, exponent)
+                    outer_lo, outer_hi = map(_dyadic, libmp.mpi_pow_int(fresh, exponent, 4 * prec))
+                    if lo <= _grid_floor(outer_lo, prec) and _grid_ceil(outer_hi, prec) <= hi:
+                        continue
+                    fresh_lo, fresh_hi = _exact_power(fresh, exponent)
+                    assert lo <= _grid_floor(fresh_lo, prec), (fn, num, den, exponent)
+                    assert _grid_ceil(fresh_hi, prec) <= hi, (fn, num, den, exponent)
     # one memo entry per fn, exponent and angle of [0, pi/2] (cot without 0)
     folded = {F(num, den) for den in range(1, 25) for num in range(den // 2 + 1)}
     assert oracle._reduced_term.cache_info().currsize == 4 * (3 * len(folded) - 1)
@@ -649,6 +666,215 @@ def _exact_value(raw) -> Fraction:
 
     man, exp = libmp.to_man_exp(raw)
     return (-1) ** raw[0] * man * F(2) ** exp
+
+
+# Exact dyadic rationals as pairs (n, s), the value n * 2^-s with s >= 0:
+# exact powers of mpf endpoints run to 10^5 bits, where Fraction's gcd on
+# every operation would dominate the tests that use them.
+
+
+def _dyadic(raw) -> tuple[int, int]:
+    """The exact value of a finite mpf as a dyadic pair."""
+    from mpmath import libmp
+
+    man, exp = libmp.to_man_exp(raw)
+    man = -man if raw[0] else man
+    return (man << exp, 0) if exp >= 0 else (man, -exp)
+
+
+def _hull(*values: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The smallest and the largest of dyadic pairs."""
+    s = max(t for _, t in values)
+    scaled = [n << (s - t) for n, t in values]
+    return (min(scaled), s), (max(scaled), s)
+
+
+def _grid_floor(value: tuple[int, int], prec: int) -> int:
+    """floor(value * 2^prec); against an integer X, X <= v and v < X hold
+    exactly when they hold for this floor."""
+    n, s = value
+    return n << (prec - s) if prec >= s else n >> (s - prec)
+
+
+def _grid_ceil(value: tuple[int, int], prec: int) -> int:
+    """ceil(value * 2^prec); against an integer X, v <= X and X < v hold
+    exactly when they hold for this ceiling."""
+    return -_grid_floor((-value[0], value[1]), prec)
+
+
+def _exact_power(enclosure, exponent: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The exact interval power of an mpf enclosure's endpoints, as dyadic
+    pairs: as mpi_pow_int takes it but without rounding, so never wider (an
+    even power of an enclosure that straddles 0 runs from 0)."""
+    (lo, s), (hi, t) = map(_dyadic, enclosure)
+    if exponent % 2 or lo >= 0 or exponent == 0:
+        return (lo**exponent, s * exponent), (hi**exponent, t * exponent)
+    if hi <= 0:
+        return (hi**exponent, t * exponent), (lo**exponent, s * exponent)
+    return (0, 0), _hull(((-lo) ** exponent, s * exponent), (hi**exponent, t * exponent))[1]
+
+
+# --- the integer power kernel ------------------------------------------------
+
+
+def _check_grid_power(enclosure, exponent: int, prec: int) -> tuple[int, int]:
+    """The kernel's (lo, hi) on the grid 2^-prec contains the exact power
+    of the enclosure's endpoints, and each end lies less than 2 grid units
+    outside it (the per-term bound direct_sum documents)."""
+    oracle.direct_sum(SumSpec(Family.COS_POWER, 0, 1), 64)  # binds oracle.libmp
+    lo, hi = oracle._grid_power(*enclosure, exponent, prec)
+    exact_lo, exact_hi = _exact_power(enclosure, exponent)
+    assert lo <= _grid_floor(exact_lo, prec) < lo + 2
+    assert hi - 2 < _grid_ceil(exact_hi, prec) <= hi
+    return lo, hi
+
+
+def _cot_request_base(data):
+    """cot(pi/k), the largest term base of T(n, k), with the exponent 2n,
+    for any n, k the cotangent cost guard 2n * bit_length(4k) <= 2 * 10^5
+    admits."""
+    from trigsum.cotangent import MAX_N, MAX_POWER_BITS
+
+    n = data.draw(st.integers(1, MAX_N), label="n")
+    k = data.draw(st.integers(2, 2 ** (MAX_POWER_BITS // (2 * n) - 2) - 1), label="k")
+    assert 2 * n * (4 * k).bit_length() <= MAX_POWER_BITS
+    prec = data.draw(st.integers(64, 256), label="prec")
+    return _fresh_enclosure("cot", 1, k, prec), 2 * n, prec
+
+
+def _lattice_base(data):
+    """fn of a folded lattice angle num*pi/den, num/den in [0, 1/2] (cot
+    without 0), at exponents 1..400: the cos(pi/2) and cot(pi/2) enclosures
+    straddle 0."""
+    fn = data.draw(st.sampled_from(["cos", "sin", "cot"]), label="fn")
+    den = data.draw(st.integers(1 + (fn == "cot"), 48), label="den")
+    num = data.draw(st.integers(int(fn == "cot"), den // 2), label="num")
+    prec = data.draw(st.integers(64, 1024), label="prec")
+    exponent = data.draw(st.integers(1, 400), label="exponent")
+    return _fresh_enclosure(fn, num, den, prec), exponent, prec
+
+
+def _dyadic_base(data):
+    """Any dyadic interval with hi >= 0, |x| up to 2^40, straddling 0 or
+    not, at exponents 1..400."""
+    from mpmath import libmp
+
+    exp = data.draw(st.integers(-120, 16), label="exp")
+    hi = data.draw(st.integers(0, 2**24), label="hi")
+    lo = hi - data.draw(st.integers(0, 2**24), label="width")
+    enclosure = (libmp.from_man_exp(lo, exp), libmp.from_man_exp(hi, exp))
+    return enclosure, data.draw(st.integers(1, 400), label="exponent"), data.draw(st.integers(64, 256))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grid_power_contains_the_exact_power_within_two_units(data):
+    """Property: for lattice trig enclosures at exponents 1..400, cot bases
+    far above 1 up to the cotangent cost guard, and dyadic intervals that
+    straddle 0, the integer kernel contains the exact power of the
+    enclosure's endpoints with each end less than 2 grid units out."""
+    base = data.draw(st.sampled_from([_lattice_base, _cot_request_base, _dyadic_base]), label="kind")
+    _check_grid_power(*base(data))
+
+
+@pytest.mark.parametrize("exponent", [1, 2, 3, 4, 399, 400])
+@pytest.mark.parametrize("fn", ["cos", "cot"])
+def test_grid_power_of_a_base_straddling_zero(fn, exponent):
+    """fn(pi/2) = 0 is enclosed across 0. An odd power keeps both signs
+    (the cos(pi/2) weight at exponent 1 has w_lo < 0 < w_hi); an even power
+    runs from exactly 0, as mpi_pow_int takes it."""
+    enclosure = _fresh_enclosure(fn, 1, 2, 128)
+    assert _dyadic(enclosure[0])[0] < 0 < _dyadic(enclosure[1])[0]
+    lo, hi = _check_grid_power(enclosure, exponent, 128)
+    assert (lo < 0 if exponent % 2 else lo == 0) and hi > 0
+
+
+# --- lattice rows --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec", [SumSpec(Family.SHIFTED_COS, 9, 7), SumSpec(Family.MERCA_SHIFTED, 9, 7), ByrneSmithParams(3, 7)],
+    ids=["shifted-cos", "merca-shifted", "byrne-smith"],
+)
+def test_shifted_sum_fills_only_its_odd_slots(spec, counting_libmp):
+    """A shifted sum reads the odd numerators 2k - 1 or 2k + 1 of its row
+    alone: the even slots stay empty, and the sum makes one trig call and
+    one power per folded angle of the odd numerators, the calls a loop of
+    per-index terms makes."""
+    s = oracle._defining_sum(spec)
+    prec = s.precision
+    interval = direct_sum(s, prec)
+    row = oracle._lattice_row(s.fn, s.den, s.exponent, prec)
+    odd = {(s.a * k + s.b) % len(row) for k in s.indices}
+    assert all(j % 2 for j in odd)
+    assert [j for j, term in enumerate(row) if term is not None] == sorted(odd)
+    folded = {_folded_angle(s.fn, j, s.den)[:2] for j in odd}
+    trig = "mpi_cot" if s.fn == "cot" else "mpi_cos_sin"
+    assert counting_libmp.calls == Counter({trig: len(folded), "power": len(folded)})
+    per_index = [oracle._term(s.fn, s.a * k + s.b, s.den, s.exponent, prec) for k in s.indices]
+    assert (interval.lo, interval.hi) == tuple(sum(ends) * s.scale for ends in zip(*per_index))
+
+
+def test_clear_caches_empties_the_lattice_rows(counting_libmp):
+    """clear_caches() drops every row with the memos, so the next sum pays
+    the cold trig and power calls again (run_bench and acceptance criterion
+    9 time C(200, 7) so) and fills the same integers."""
+    spec = SumSpec(Family.COS_POWER, 200, 7)
+    cold = direct_sum(spec, default_precision(spec))
+    calls = Counter(counting_libmp.calls)
+    assert calls == Counter(mpi_cos_sin=4, power=4)
+    assert oracle._kept_row.cache_info().currsize == 1
+    assert direct_sum(spec, default_precision(spec)) == cold
+    assert counting_libmp.calls == calls  # warm: every slot read from the row
+    clear_caches()
+    assert oracle._kept_row.cache_info().currsize == 0
+    counting_libmp.calls.clear()
+    assert direct_sum(spec, default_precision(spec)) == cold
+    assert counting_libmp.calls == calls
+
+
+def test_rows_longer_than_the_kept_length_last_one_sum():
+    """A row of more than _ROW_SLOTS slots is built for its sum and not
+    kept, so long sums cannot pile up rows; the term memo still serves it."""
+    clear_caches()
+    spec = SumSpec(Family.COS_POWER, 3, oracle._ROW_SLOTS // 2 + 1)
+    assert evaluate_exact(spec) == evaluate(spec)
+    assert oracle._kept_row.cache_info().currsize == 0
+    clear_caches()
+
+
+def test_threads_summing_one_spec_agree():
+    """Four threads (more than the cores) that sum one spec at once,
+    filling the same row and memos from cold with the interpreter switching
+    threads every microsecond, each get the interval a single cold sum
+    gets: a slot written twice is written with the same integers."""
+    import threading
+
+    spec = SumSpec(Family.ELL5_PRODUCT, 40, 24)
+    prec = default_precision(spec)
+    clear_caches()
+    alone = direct_sum(spec, prec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            clear_caches()
+            barrier, results = threading.Barrier(4), []
+
+            def run():
+                barrier.wait(timeout=30)
+                results.append(direct_sum(spec, prec))
+
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert results == [alone] * 4
+    finally:
+        sys.setswitchinterval(interval)
+        clear_caches()
 
 
 # --- integer accumulation on the 2^-prec grid --------------------------------
@@ -710,32 +936,42 @@ def _folded_angle(fn, num, den):
     return num // g, den // g, sign
 
 
-def _enclosure_sum(spec, prec: int) -> tuple[Fraction, Fraction]:
-    """The exact sum of the defining sum's mpmath term enclosures, with no
-    rounding onto the grid: each term the enclosure of its folded angle,
-    negated for a sign change at an odd exponent, products of intervals
-    (the alternating sign's weight among them) by min and max, then the
-    scale."""
-    from mpmath import libmp
+@lru_cache(maxsize=None)
+def _exact_folded_term(fn, num, den, exponent, prec):
+    """The exact power of the oracle's trig enclosure of a folded angle,
+    taken once per angle: a trig enclosure is the same bits every time."""
+    step_prec = -(-prec // oracle._TRIG_STEP_BITS) * oracle._TRIG_STEP_BITS
+    return _exact_power(oracle._trig(fn, num, den, step_prec), exponent)
+
+
+def _enclosure_sum(spec, prec: int) -> tuple[int, int]:
+    """The exact sum of the defining sum's term enclosures, with no
+    rounding: each term the exact power of the endpoints of its folded
+    angle's mpmath trig enclosure, negated for a sign change at an odd
+    exponent, products of intervals (the alternating sign's weight among
+    them) by min and max, then the scale. Returned as floor(lower * 2^prec)
+    and ceil(upper * 2^prec), which compare with grid integers as the exact
+    ends do (see _grid_floor and _grid_ceil)."""
 
     def enclosure(fn, num, den, exponent):
         num, den, sign = _folded_angle(fn, num, den)
-        step_prec = -(-prec // oracle._TRIG_STEP_BITS) * oracle._TRIG_STEP_BITS
-        lo, hi = oracle._trig(fn, num, den, step_prec)
-        rounded = (libmp.mpf_pos(lo, prec, "f"), libmp.mpf_pos(hi, prec, "c"))
-        lo, hi = map(_exact_value, libmp.mpi_pow_int(rounded, exponent, prec))
-        return (-hi, -lo) if sign < 0 and exponent % 2 else (lo, hi)
+        lo, hi = _exact_folded_term(fn, num, den, exponent, prec)
+        return ((-hi[0], hi[1]), (-lo[0], lo[1])) if sign < 0 and exponent % 2 else (lo, hi)
+
+    def total(values):
+        shift = max(t for _, t in values)
+        return sum(n << (shift - t) for n, t in values) * s.scale, shift
 
     s = oracle._defining_sum(spec)
-    lower = upper = F(0)
+    lower, upper = [], []
     for k in s.indices:
         lo, hi = enclosure(s.fn, s.a * k + s.b, s.den, s.exponent)
         for c, d in s.weights:
             w_lo, w_hi = enclosure("cos", c * k, d, 1)
-            products = (lo * w_lo, lo * w_hi, hi * w_lo, hi * w_hi)
-            lo, hi = min(products), max(products)
-        lower, upper = lower + lo, upper + hi
-    return lower * s.scale, upper * s.scale
+            lo, hi = _hull(*((x * y, t + u) for x, t in (lo, hi) for y, u in (w_lo, w_hi)))
+        lower.append(lo)
+        upper.append(hi)
+    return _grid_floor(total(lower), prec), _grid_ceil(total(upper), prec)
 
 
 @pytest.mark.parametrize("spec", _ONE_PER_FAMILY, ids=lambda spec: spec.token)
@@ -746,7 +982,7 @@ def test_grid_sum_within_documented_width_at_64_bits(spec):
     times the scale (the bound direct_sum documents)."""
     interval = direct_sum(spec, 64)
     assert evaluate(spec) in interval
-    lower, upper = (end * 2**64 for end in _enclosure_sum(spec, 64))
+    lower, upper = _enclosure_sum(spec, 64)
     s = oracle._defining_sum(spec)
     slack = 2 * (1 + len(s.weights)) * len(s.indices) * s.scale
     assert lower - slack < interval.lo <= lower
@@ -793,7 +1029,7 @@ def test_weight_products_round_outward():
     for spec in (SumSpec(Family.WEIGHT_HALF_PI, 4, 3), SumSpec(Family.ELL5_PRODUCT, 4, 3)):
         interval = direct_sum(spec, 64)
         assert evaluate(spec) in interval
-        lower, upper = (end * 2**64 for end in _enclosure_sum(spec, 64))
+        lower, upper = _enclosure_sum(spec, 64)
         s = oracle._defining_sum(spec)
         slack = 2 * (1 + len(s.weights)) * len(s.indices)
         assert lower - slack < interval.lo <= lower and upper <= interval.hi < upper + slack
@@ -849,7 +1085,7 @@ def test_weight_classes_are_no_wider_than_per_term_products(cases):
         lower, upper = _per_term_grid_sum(spec, prec)
         assert lower <= interval.lo <= interval.hi <= upper, spec
         if spec.n <= 4:
-            exact_lo, exact_hi = (end * 2**prec for end in _enclosure_sum(spec, prec))
+            exact_lo, exact_hi = _enclosure_sum(spec, prec)
             assert interval.lo <= exact_lo and exact_hi <= interval.hi, spec
 
 
