@@ -36,10 +36,11 @@ from .genfunc import MAX_TABLE_INDEX
 __all__ = ["main", "run_bench"]
 
 # token -> (the arguments its request reads, in report order; the request
-# type built from them). Each request type answers token, params(),
-# sort_key(), validate() and closed_value().
+# type built from them). Each request type checks its arguments when it is
+# built, raising ParameterError, and answers token, params(), sort_key()
+# and closed_value().
 _REQUEST_FAMILIES = {
-    **{f.value: (tuple(SumSpec(f, 0, 1).params()), partial(SumSpec, f)) for f in Family},
+    **{f.value: (f.param_names, partial(SumSpec, f)) for f in Family},
     "cot": (("n", "k"), CotSumParams),
     "byrne-smith": (("n", "k"), ByrneSmithParams),
 }
@@ -64,7 +65,7 @@ class _Erratum(NamedTuple):
 
     names: tuple  # the arguments it reads, in report order
     misstated: Callable  # builder of the request of the sum it misstates
-    published: Callable  # the published expression; it validates that request itself
+    published: Callable  # the published expression; it builds that request itself
     grid: tuple  # the reproducer's points, as values of names
     holds: Callable  # (printed, truth, **point) -> the documented relation holds
     note: str  # formatted with the last point's printed, truth and difference
@@ -187,7 +188,8 @@ def _grid_requests(families: list[str], args) -> list:
     """
     ranges = {
         "m": range(args.m_min, args.m_max + 1),
-        "n": range(max(args.n_min, 1), args.n_max + 1),
+        # n = 0 is barbero's; _grid_size's q count needs n >= 0
+        "n": range(max(args.n_min, 0), args.n_max + 1),
         "k": range(args.k_min, args.k_max + 1),
         "kind": ("cos", "sin"),
     }
@@ -205,14 +207,12 @@ def _grid_requests(families: list[str], args) -> list:
                 for value in (range(1, 2 * point["n"] + 2) if name == "q" else ranges[name])
             ]
         for point in points:
-            request = build(**point)
             try:
-                request.validate()
+                requests.append(build(**point))
             except CostGuardError:
                 raise
-            except ParameterError:
+            except ParameterError:  # outside the family's domain
                 continue
-            requests.append(request)
     return requests
 
 
@@ -311,7 +311,8 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ParameterError("--jobs must be at least 1")
-    families = args.family.split(",") if args.family else list(_REQUEST_FAMILIES)
+    # a repeated token runs once, at its first place
+    families = list(dict.fromkeys(args.family.split(","))) if args.family else list(_REQUEST_FAMILIES)
     for family in families:
         if family not in _REQUEST_FAMILIES and family not in _ERRATA_FAMILIES:
             raise ParameterError(f"unknown family {family!r}")

@@ -55,12 +55,13 @@ reproducer keeps its published formula).
 
 Seventeen families are one row each of the table _ROWS, which _windowed
 evaluates; the three half-shift sums (their check) stay bespoke.
-SumSpec.validate() is the one domain check: evaluate() runs it once, then
-reads a table family off _windowed or calls a bespoke family's public
-function. Each public function validates the SumSpec of its own family
-and calls no other, so a direct call validates once and a call and an
-evaluate() of the same request accept and refuse the same arguments.
-The erratum reproducers validate the sum they misstate, then check only
+SumSpec's constructor is the one domain check, so a SumSpec that exists is
+valid: evaluate() checks nothing more, and reads a table family off
+_windowed or calls a bespoke family's public function. Each public
+function builds the SumSpec of its own family and calls no other, so a
+direct call checks its arguments once, and a call and an evaluate() of the
+same request accept and refuse the same arguments. The erratum
+reproducers build the SumSpec of the sum they misstate, then check only
 the range their published expression claims.
 """
 
@@ -126,6 +127,11 @@ class Family(str, Enum):
     ELL5_COS2 = "ell5-cos2"
     ELL5_COS4 = "ell5-cos4"
 
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        """The parameters the family reads, in report order."""
+        return ("m", "n") + ("q",) * (self in _USES_Q) + ("kind",) * (self in _USES_KIND)
+
 
 # Cost guard on the half-power m of a SumSpec and of every public function
 # here (the walk counters inherit it through C). A closed form sums a window
@@ -152,8 +158,8 @@ class SumSpec(Record):
     N). ``q`` and ``kind`` are read only by the families in _USES_Q and
     _USES_KIND and ignored elsewhere.
 
-    validate() holds every family's domain and cost guard, and it is the
-    only place that does: each public function of the family runs it.
+    The constructor holds every family's domain and cost guard, and it is
+    the only place that does: a SumSpec that exists is a valid request.
     """
 
     __slots__ = ("family", "m", "n", "q", "kind")
@@ -164,46 +170,38 @@ class SumSpec(Record):
         set_field(self, "n", n)
         set_field(self, "q", q)
         set_field(self, "kind", kind)
-
-    def validate(self) -> None:
-        f = self.family
-        if not isinstance(f, Family):
-            raise ParameterError(f"unknown family {f!r}")
-        check_int("m", self.m)
-        check_int("n", self.n)
-        check_int("q", self.q)
-        if self.m < 0:
+        if not isinstance(family, Family):
+            raise ParameterError(f"unknown family {family!r}")
+        check_int("m", m)
+        check_int("n", n)
+        check_int("q", q)
+        if m < 0:
             raise ParameterError("m must be non-negative")
-        if self.m > MAX_M:
+        if m > MAX_M:
             raise CostGuardError(f"m must be <= {MAX_M} (cost guard)")
-        min_n = 0 if f is Family.BARBERO_R else 1
-        if self.n < min_n:
-            raise ParameterError(f"n must be >= {min_n} for {f.value}")
-        if self.kind not in ("cos", "sin"):
+        min_n = 0 if family is Family.BARBERO_R else 1
+        if n < min_n:
+            raise ParameterError(f"n must be >= {min_n} for {family.value}")
+        if kind not in ("cos", "sin"):
             raise ParameterError("kind must be 'cos' or 'sin'")
-        # each public function runs this, so the cheap value tests go first
-        if f in _USES_Q:
-            if self.q < 1:
+        # every public function builds one, so the cheap value tests go first
+        if family in _USES_Q:
+            if q < 1:
                 raise ParameterError("q must be positive")
-            if f is Family.SCALED and self.q % self.n:
+            if family is Family.SCALED and q % n:
                 raise ParameterError("scaled family requires n | q")
-            if f is Family.COPRIME and gcd(self.n, self.q) != 1:
+            if family is Family.COPRIME and gcd(n, q) != 1:
                 raise ParameterError("coprime family requires gcd(n, q) = 1")
-        if not 1 <= self.m <= self.n and f is Family.QUONIAM:
+        if not 1 <= m <= n and family is Family.QUONIAM:
             raise ParameterError("quoniam requires 1 <= m < n+1")
-        if self.m < 1 and f in (Family.MERCA_HALF, Family.MERCA_SHIFTED):
+        if m < 1 and family in (Family.MERCA_HALF, Family.MERCA_SHIFTED):
             raise ParameterError("half-range families require m >= 1")
-        if self.n % 2 and f in (Family.ALTERNATING, Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT):
-            raise ParameterError(f"{f.value} requires even n")
+        if n % 2 and family in (Family.ALTERNATING, Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT):
+            raise ParameterError(f"{family.value} requires even n")
 
     def params(self) -> dict[str, int | str]:
         """Parameter mapping for reports, q/kind only where meaningful."""
-        out: dict[str, int | str] = {"m": self.m, "n": self.n}
-        if self.family in _USES_Q:
-            out["q"] = self.q
-        if self.family in _USES_KIND:
-            out["kind"] = self.kind
-        return out
+        return {name: getattr(self, name) for name in self.family.param_names}
 
     @property
     def token(self) -> str:
@@ -380,13 +378,8 @@ _ROWS = {
 }
 
 
-def _valid(spec: SumSpec) -> SumSpec:
-    spec.validate()
-    return spec
-
-
 def _windowed(spec: SumSpec) -> Rational:
-    """The value of a validated ``spec`` of a family in _ROWS: one window
+    """The value of ``spec``, of a family in _ROWS: one window
     pass or residue row, and one _dyadic of the row's integer combination."""
     m = spec.m
     row = _ROWS[spec.family](m, spec.n, spec.q, spec.kind)
@@ -399,18 +392,18 @@ def _windowed(spec: SumSpec) -> Rational:
 
 def cos_power_sum(m: int, n: int) -> Rational:
     """C(m, n) = sum_{k=0}^{n-1} cos^{2m}(k*pi/n)."""
-    return _windowed(_valid(SumSpec(Family.COS_POWER, m, n)))
+    return _windowed(SumSpec(Family.COS_POWER, m, n))
 
 
 def sin_power_sum(m: int, n: int) -> Rational:
     """S(m, n) = sum_{k=0}^{n-1} sin^{2m}(k*pi/n)."""
-    return _windowed(_valid(SumSpec(Family.SIN_POWER, m, n)))
+    return _windowed(SumSpec(Family.SIN_POWER, m, n))
 
 
 def scaled_sum(kind: str, m: int, n: int, q: int) -> Rational:
     """sum_{k=0}^{q-1} trig^{2m}(k*pi/n) for n | q: the same n angles swept
     q/n times, so the value is (q/n) * C(m, n) (resp. S)."""
-    return _windowed(_valid(SumSpec(Family.SCALED, m, n, q, kind)))
+    return _windowed(SumSpec(Family.SCALED, m, n, q, kind))
 
 
 def coprime_sum(kind: str, m: int, n: int, q: int) -> Rational:
@@ -420,7 +413,7 @@ def coprime_sum(kind: str, m: int, n: int, q: int) -> Rational:
     factor kills the sign of the representative), so the value is C(m, n)
     (resp. S) independently of which coprime q is chosen.
     """
-    return _windowed(_valid(SumSpec(Family.COPRIME, m, n, q, kind)))
+    return _windowed(SumSpec(Family.COPRIME, m, n, q, kind))
 
 
 def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
@@ -430,13 +423,13 @@ def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
     lattice for denominator l exactly r times: the value is r * C(m, l)
     (resp. S). Reduces to coprime_sum when r = 1.
     """
-    return _windowed(_valid(SumSpec(Family.GCD_REDUCED, m, n, q, kind)))
+    return _windowed(SumSpec(Family.GCD_REDUCED, m, n, q, kind))
 
 
 def quoniam_sum(m: int, n: int) -> Rational:
     """2^{2m} * sum_{k=1}^{floor(n/2)} cos^{2m}(k*pi/(n+1)) = 4^m * (C(m, n+1) - 1)/2,
     valid for 1 <= m < n+1, a window of no tail: (n+1)*binom(2m-1, m-1) - 2^{2m-1}."""
-    return _windowed(_valid(SumSpec(Family.QUONIAM, m, n)))
+    return _windowed(SumSpec(Family.QUONIAM, m, n))
 
 
 def merca_half_sum(p: int, n: int) -> Rational:
@@ -444,14 +437,14 @@ def merca_half_sum(p: int, n: int) -> Rational:
     = -1/2 + (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} binom(2p, p+kn),
     which is (C(p, n) - 1)/2: the k = 0 term dropped, the mirror pairs
     halved."""
-    return _windowed(_valid(SumSpec(Family.MERCA_HALF, p, n)))
+    return _windowed(SumSpec(Family.MERCA_HALF, p, n))
 
 
 def merca_shifted_sum(p: int, n: int) -> Rational:
     """sum_{k=1}^{floor(n/2)} cos^{2p}((k - 1/2)*pi/n)
     = (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} (-1)^k binom(2p, p+kn),
     which is shifted_cos_sum(p, n)/2 by mirror pairing."""
-    SumSpec(Family.MERCA_SHIFTED, p, n).validate()
+    SumSpec(Family.MERCA_SHIFTED, p, n)
     return _dyadic(_shifted("cos", p, n), 2 * p + 1)
 
 
@@ -465,7 +458,7 @@ def barbero_R(m: int, n: int) -> Rational:
     2^{2m} * (C(m, 2n+3) - 1)/2, the k = 0 term dropped and the mirror
     pairs of the odd period halved.
     """
-    return _windowed(_valid(SumSpec(Family.BARBERO_R, m, n)))
+    return _windowed(SumSpec(Family.BARBERO_R, m, n))
 
 
 def barbero_R_naive(m: int, n: int) -> Rational:
@@ -473,7 +466,7 @@ def barbero_R_naive(m: int, n: int) -> Rational:
     unconditionally. A known erratum: it is only valid for m < 2n+3, and at
     (m, n) = (12, 3) it yields 3780094 instead of 3798310 (short by
     9*binom(24, 3) = 18216). Kept as a regression reproducer."""
-    SumSpec(Family.BARBERO_R, m, n).validate()
+    SumSpec(Family.BARBERO_R, m, n)
     if m < 1:
         raise ParameterError("barbero_R_naive requires m >= 1")
     return Fraction(2 * n + 3, 2) * binom(2 * m, m) - 2 ** (2 * m - 1)
@@ -487,14 +480,14 @@ def alternating_sum(kind: str, m: int, n: int) -> Rational:
     the explicit middle-range case tables in circulation drop a factor
     (see alternating_cos_middle_erratum).
     """
-    return _windowed(_valid(SumSpec(Family.ALTERNATING, m, n, kind=kind)))
+    return _windowed(SumSpec(Family.ALTERNATING, m, n, kind=kind))
 
 
 def _middle_erratum(m: int, n: int) -> Rational:
     """2^{2-2m} * sum_{p >= 1} binom(2m, m-pn), the published middle-range
     expression of both alternating errata."""
     check_int("n", n)  # 2 * True would pass as N = 2
-    SumSpec(Family.ALTERNATING, m, 2 * n).validate()
+    SumSpec(Family.ALTERNATING, m, 2 * n)
     if not n <= m < 2 * n:
         raise ParameterError("middle-range expression needs n <= m < 2n")
     (tail,) = _window_pass("cos", m, n, (), ((0,),))
@@ -544,7 +537,7 @@ def shifted_cos_sum(m: int, n: int) -> Rational:
     Also 2^{1-2m} * n * (binom(2m-1, m-1) + sum_p (-1)^p binom(2m, m-pn));
     the two routes are asserted equal (see _shifted).
     """
-    SumSpec(Family.SHIFTED_COS, m, n).validate()
+    SumSpec(Family.SHIFTED_COS, m, n)
     return _dyadic(_shifted("cos", m, n), 2 * m)
 
 
@@ -556,7 +549,7 @@ def shifted_sin_sum(m: int, n: int) -> Rational:
     to +1 for odd n and to (-1)^p for even n. Asserted equal to
     S(m, 2n) - S(m, n) (see _shifted).
     """
-    SumSpec(Family.SHIFTED_SIN, m, n).validate()
+    SumSpec(Family.SHIFTED_SIN, m, n)
     return _dyadic(_shifted("sin", m, n), 2 * m)
 
 
@@ -569,7 +562,7 @@ def weight3_sum(kind: str, m: int, n: int) -> Rational:
     the two equal).
     """
     family = Family.WEIGHT3_SIN if kind == "sin" else Family.WEIGHT3_COS
-    return _windowed(_valid(SumSpec(family, m, n, kind=kind)))
+    return _windowed(SumSpec(family, m, n, kind=kind))
 
 
 def weight_half_pi_sum(m: int, n: int) -> Rational:
@@ -579,13 +572,13 @@ def weight_half_pi_sum(m: int, n: int) -> Rational:
     alternating sum over N = 2n in disguise; exposed to keep that
     reducibility a tested fact.
     """
-    return _windowed(_valid(SumSpec(Family.WEIGHT_HALF_PI, m, n)))
+    return _windowed(SumSpec(Family.WEIGHT_HALF_PI, m, n))
 
 
 def weight_pi3_sum(m: int, n: int) -> Rational:
     """sum_{k=0}^{3n-1} cos(k*pi/3) * cos^{2m}(k*pi/3n) for even n:
     3*C(m, n/2) - (3/2)*C(m, n) + C(m, 3n)/2 - C(m, 3n/2)."""
-    return _windowed(_valid(SumSpec(Family.WEIGHT_PI3, m, n)))
+    return _windowed(SumSpec(Family.WEIGHT_PI3, m, n))
 
 
 _ELL5_FAMILIES = {
@@ -619,7 +612,7 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
     """
     if not isinstance(variant, str) or variant not in _ELL5_FAMILIES:
         raise ParameterError(f"unknown ell5 variant {variant!r} (expected one of {tuple(_ELL5_FAMILIES)})")
-    return _windowed(_valid(SumSpec(_ELL5_FAMILIES[variant], m, n)))
+    return _windowed(SumSpec(_ELL5_FAMILIES[variant], m, n))
 
 
 # The half-shift families, which check their value by a second route: their
@@ -632,9 +625,8 @@ _BESPOKE = {
 
 
 def evaluate(spec: SumSpec) -> Rational:
-    """Evaluate ``spec``'s closed form exactly. ``spec`` is validated whole
-    first, so a q or kind its family ignores is refused as SumSpec.validate
-    refuses it; an unknown family is a ParameterError."""
-    spec.validate()
+    """Evaluate ``spec``'s closed form exactly. ``spec`` was checked whole
+    when it was built, a q or kind its family ignores included, so this
+    runs no check of its own."""
     bespoke = _BESPOKE.get(spec.family)
     return bespoke(spec) if bespoke else _windowed(spec)

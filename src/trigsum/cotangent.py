@@ -96,18 +96,18 @@ def _check_n_k(n, k, k_min: int, too_small: str) -> None:
 
 
 class CotSumParams(Record):
-    """Parameters of the integer-shift sum: exponent 2n, angle r*pi/k."""
+    """Parameters of the integer-shift sum: exponent 2n, angle r*pi/k.
+    The constructor checks n and k against the domain and the cost guards."""
 
     __slots__ = ("n", "k")
 
     def __init__(self, n: int, k: int) -> None:
         set_field(self, "n", n)
         set_field(self, "k", k)
+        _check_n_k(n, k, *self._k_floor)
 
     token = "cot"
-
-    def validate(self) -> None:
-        _check_n_k(self.n, self.k, 2, "k must be >= 2 (the sum over r=1..k-1 is empty otherwise)")
+    _k_floor = (2, "k must be >= 2 (the sum over r=1..k-1 is empty otherwise)")
 
     def params(self) -> dict[str, int]:
         return {"n": self.n, "k": self.k}
@@ -126,9 +126,7 @@ class ByrneSmithParams(Record):
     __init__ = CotSumParams.__init__
 
     token = "byrne-smith"
-
-    def validate(self) -> None:
-        _check_n_k(self.n, self.k, 1, "k must be positive")
+    _k_floor = (1, "k must be positive")
 
     params = CotSumParams.params
     sort_key = CotSumParams.sort_key
@@ -208,7 +206,7 @@ def cot_sum_polynomial(n: int) -> CotPolynomial:
 def cot_power_sum(n: int, k: int) -> Rational:
     """T(n, k) = sum_{r=1}^{k-1} cot^{2n}(r*pi/k), evaluated from the
     polynomial ``cot_sum_polynomial(n)``."""
-    CotSumParams(n, k).validate()
+    CotSumParams(n, k)
     return cot_sum_polynomial(n)(k)
 
 
@@ -218,7 +216,7 @@ def cot_power_sum_all_positive(n: int, k: int) -> Rational:
     is empty and the result collapses to (-1)^n * k, which disagrees with
     the true T(n, k) for every k >= 2 (T is non-negative, this alternates).
     """
-    CotSumParams(n, k).validate()
+    CotSumParams(n, k)
     return Fraction((-1) ** n * k)
 
 
@@ -302,7 +300,7 @@ def byrne_smith_sum(n: int, k: int) -> Rational:
     and the mirror x -> pi - x counts each half-shift angle twice. So
     b[n][j] = 2^{2j-1} * (4^j - 1) * [k^{2j}] T(n, k), and no coefficient
     triangle is built."""
-    ByrneSmithParams(n, k).validate()
+    ByrneSmithParams(n, k)
     p = cot_sum_polynomial(n)
     return (p(4 * k) - p(2 * k)) / 2
 
@@ -311,7 +309,7 @@ def byrne_smith_sum_uncorrected(n: int, k: int) -> Rational:
     """Erratum reproducer: the published closed form, with linear term
     (-1)^k * k and the uncorrected coefficient triangle. Already wrong at
     (n, k) = (1, 2): yields 10 where the true value is 6."""
-    ByrneSmithParams(n, k).validate()
+    ByrneSmithParams(n, k)
     rows = byrne_smith_coefficients_uncorrected(n).rows
     return (-1) ** k * k + sum(
         b * Fraction(k) ** (2 * j) for j, b in enumerate(rows[n - 1], start=1)

@@ -1,5 +1,7 @@
-"""Shared exception types, the integer check every request runs, and the
-Record base of the frozen request and value types."""
+"""Shared exception types, the integer check the record constructors run,
+and the Record base of the frozen request and value types. Each record
+checks its arguments in its constructor, raising ParameterError, so a
+record that exists is valid and no caller checks it again."""
 
 
 class ParameterError(ValueError):
@@ -30,7 +32,8 @@ class Record:
     frozen dataclass would: equality only between records of the same class
     with equal fields, a hash of the fields, the dataclass repr, pickling
     (``__reduce__`` calls the class with the fields, since a slotted record
-    has no ``__dict__`` to restore) and AttributeError on assignment. It
+    has no ``__dict__`` to restore, so unpickling runs the checks again)
+    and AttributeError on assignment. It
     does so without importing ``dataclasses``, which loads ``inspect`` and
     ``ast`` and generates each class's methods at import time.
     """

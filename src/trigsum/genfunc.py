@@ -80,16 +80,20 @@ def _check_sigma(k: int, n: int) -> None:
 
 
 class SeriesCoefficients(Record):
-    """Truncated power series: coeffs[j] is the coefficient of z^j,
-    len(coeffs) == order + 1."""
+    """Truncated power series: coeffs[j], kept as a tuple, is the
+    coefficient of z^j, len(coeffs) == order + 1."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: tuple[Fraction, ...], order: int) -> None:
+        coeffs = tuple(coeffs)
         set_field(self, "coeffs", coeffs)
         set_field(self, "order", order)
+        check_int("order", order)
+        if order < 0:
+            raise ParameterError("order must be non-negative")
         if len(coeffs) != order + 1:
-            raise ValueError("need exactly order+1 coefficients")
+            raise ParameterError("need exactly order+1 coefficients")
 
     def __getitem__(self, j: int) -> Fraction:
         return self.coeffs[j]
@@ -173,7 +177,7 @@ def _exponential_series(sums, n: int, order: int, odd: int) -> SeriesCoefficient
         else Fraction(n * next(sums), 4 ** (idx // 2) * factorial(idx))
         for idx in range(order + 1)
     ]
-    return SeriesCoefficients(coeffs=tuple(coeffs), order=order)
+    return SeriesCoefficients(coeffs=coeffs, order=order)
 
 
 def resolvent_coefficients(kind: str, n: int, order: int) -> SeriesCoefficients:
@@ -187,4 +191,4 @@ def resolvent_coefficients(kind: str, n: int, order: int) -> SeriesCoefficients:
         raise ParameterError("kind must be 'cos' or 'sin'")
     sums = scaled_power_sums(kind, n)
     coeffs = [Fraction(s, 4**j) for j, s in zip(range(order + 1), sums)]
-    return SeriesCoefficients(coeffs=tuple(coeffs), order=order)
+    return SeriesCoefficients(coeffs=coeffs, order=order)

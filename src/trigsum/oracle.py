@@ -16,8 +16,10 @@ weighted sum adds its terms into one class per weight residue and
 multiplies each class total by each weight once, rounding outward back to
 the grid; a sign (-1)^k is the weight cos(k*pi), exactly +-1 there. So the
 result is an interval certified to contain the true value. evaluate_exact
-builds (and validates) a request's defining sum once and hands the built
-sum to denominator_bound_for and direct_sum.
+builds a request's defining sum once and hands the built sum to
+denominator_bound_for and direct_sum. It checks no request: each request
+type checks its arguments when it is built, so any request that exists is
+valid.
 
 Before any lookup each angle is folded onto [0, pi/2], exactly and on the
 integers, by the period and the mirrors x -> 2*pi - x and x -> pi - x,
@@ -155,13 +157,11 @@ class OddCosPowerParams(Record):
     def __init__(self, j: int, n: int) -> None:
         set_field(self, "j", j)
         set_field(self, "n", n)
-
-    def validate(self) -> None:
-        check_int("j", self.j)
-        check_int("n", self.n)
-        if self.j < 0 or self.n < 1:
+        check_int("j", j)
+        check_int("n", n)
+        if j < 0 or n < 1:
             raise ParameterError("need j >= 0 and n >= 1")
-        if self.j > MAX_M:
+        if j > MAX_M:
             raise CostGuardError(f"j must be <= {MAX_M} (cost guard)")
 
 
@@ -458,13 +458,12 @@ _DEFINING_SUMS = {
 
 
 def _defining_sum(spec) -> _DefiningSum:
-    """Validate and build ``spec``'s defining sum; a built one is returned as is."""
+    """Build ``spec``'s defining sum; a built one is returned as is."""
     if type(spec) is _DefiningSum:
         return spec
     define = _DEFINING_SUMS.get(type(spec))
     if define is None:
         raise ParameterError(f"unsupported oracle request {type(spec).__name__}")
-    spec.validate()
     return define(spec)
 
 

@@ -53,15 +53,13 @@ class GraphSpec(Record):
     def __init__(self, kind: GraphKind, n: int) -> None:
         set_field(self, "kind", kind)
         set_field(self, "n", n)
-
-    def validate(self) -> None:
-        if not isinstance(self.kind, GraphKind):
-            raise ParameterError(f"unknown graph kind {self.kind!r}")
-        check_int("n", self.n)
-        if self.kind is GraphKind.PATH:
-            if self.n < 2:
+        if not isinstance(kind, GraphKind):
+            raise ParameterError(f"unknown graph kind {kind!r}")
+        check_int("n", n)
+        if kind is GraphKind.PATH:
+            if n < 2:
                 raise ParameterError("path requires n >= 2 (at least one vertex)")
-        elif self.n < 3 or self.n % 2 == 0:
+        elif n < 3 or n % 2 == 0:
             raise ParameterError(
                 "cycle requires odd n >= 3 (the even-cycle count is not this formula)"
             )
@@ -72,11 +70,12 @@ class GraphSpec(Record):
 
 
 class WalkCount(int):
-    """A count of closed walks: a plain non-negative integer."""
+    """A count of closed walks: a plain non-negative int, else ParameterError."""
 
     def __new__(cls, value: int) -> "WalkCount":
+        check_int("walk count", value)
         if value < 0:
-            raise ValueError("walk counts are non-negative")
+            raise ParameterError("walk counts are non-negative")
         return super().__new__(cls, value)
 
 
@@ -84,7 +83,7 @@ def path_closed_walks(n: int, m: int) -> WalkCount:
     """Closed walks of length 2m on the (n-1)-vertex path:
     2n*(binom(2m-1, m-1) + sum_{k=1}^{floor(m/n)} binom(2m, m-kn)) - 2^{2m};
     n-1 (one trivial walk per vertex) at m = 0."""
-    GraphSpec(GraphKind.PATH, n).validate()
+    GraphSpec(GraphKind.PATH, n)
     return WalkCount(int((cos_power_sum(m, n) - 1) * 4**m))
 
 
@@ -92,13 +91,12 @@ def cycle_closed_walks(n: int, m: int) -> WalkCount:
     """Closed walks of length 2m on the n-cycle, n odd:
     2n*(binom(2m-1, m-1) + sum_{k=1}^{floor(m/n)} binom(2m, m-kn));
     n at m = 0."""
-    GraphSpec(GraphKind.CYCLE, n).validate()
+    GraphSpec(GraphKind.CYCLE, n)
     return WalkCount(int(cos_power_sum(m, n) * 4**m))
 
 
 def adjacency_matrix(graph: GraphSpec) -> list[list[int]]:
     """Exact 0/1 adjacency matrix."""
-    graph.validate()
     size = graph.vertex_count
     mat = [[0] * size for _ in range(size)]
     for i in range(size - 1):
@@ -120,7 +118,6 @@ def trace_oracle(graph: GraphSpec, length: int) -> WalkCount:
     """trace(A^length) by exact integer matrix powering (repeated
     squaring). Accepts any length >= 0, odd included, so bipartite
     cancellation is itself checkable."""
-    graph.validate()
     check_int("length", length)
     if length < 0:
         raise ParameterError("length must be non-negative")
@@ -145,7 +142,7 @@ def closed_walk_counts(kind: GraphKind, n: int, m_max: int) -> list[WalkCount]:
     parameter n, as path_closed_walks and cycle_closed_walks count them:
     4^m * C(m, n), less 4^m for the path. The table holds O(m_max^2) bits,
     so m_max past MAX_TABLE_INDEX is refused with CostGuardError."""
-    GraphSpec(kind, n).validate()
+    GraphSpec(kind, n)
     check_int("m_max", m_max)
     if m_max < 0:
         raise ParameterError("m_max must be non-negative")

@@ -253,6 +253,38 @@ def test_verify_degenerate_grid(capsys):
     assert "total=5 mismatches=0" in out
 
 
+@pytest.mark.parametrize(
+    "family, errata",
+    [("C,C", False), ("cot,cot", False), ("S,C,S", False), ("barbero-naive,barbero-naive", True)],
+)
+def test_verify_runs_a_repeated_family_once(family, errata, capsys):
+    """A token given twice runs once, at its first place: the report equals
+    that of the tokens without repeats."""
+    grid = ["--m-max", "1", "--n-max", "1", "--k-min", "2", "--k-max", "3"]
+    flags = ["--expect-known-errata"] if errata else []
+    once = ",".join(dict.fromkeys(family.split(",")))
+    assert main(["verify", "--family", once, *grid, *flags]) == 0
+    expected = capsys.readouterr().out
+    assert main(["verify", "--family", family, *grid, *flags]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["verify", "--family", "C,C", "--m-max", "1", "--n-max", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total=2 mismatches=0"
+
+
+def test_verify_grid_reaches_barbero_at_n_zero(capsys):
+    """--n-min 0 reaches barbero's n = 0, the one family defined there, and
+    other families drop the point; a negative --n-min is clamped to 0."""
+    argv = ["verify", "--family", "barbero,C", "--m-max", "3", "--n-max", "0", "--n-min"]
+    assert main([*argv, "0"]) == 0
+    out = capsys.readouterr().out
+    assert main([*argv, "-5"]) == 0
+    assert capsys.readouterr().out == out
+    lines = out.splitlines()
+    assert lines[-1] == "total=4 mismatches=0"
+    assert all(line.split()[:3] == ["barbero", f"m={m}", "n=0"] for m, line in enumerate(lines[:4]))
+    assert "closed=1 oracle=1 [ok]" in lines[0]
+
+
 def test_verify_report_schema(capsys):
     assert main(
         ["verify", "--family", "C,S", "--m-max", "2", "--n-max", "2", "--json"]

@@ -577,7 +577,7 @@ def test_ell5_weight_admits_large_n(family):
     variant = family.value.removeprefix("ell5-")
     shift = {"cos2": 1, "cos4": 2}[variant]  # the weight is cos(2*pi*shift*k/5)
     n = 1001
-    SumSpec(family, 1, 10**6).validate()
+    SumSpec(family, 1, 10**6)  # built, so admitted
     for m in (1, n, 2 * n + 1, 4 * n + 3):
         expected = _lattice_sum(m, 5 * n, shift * n)
         assert ell5_sum(variant, m, n) == evaluate(SumSpec(family, m, n)) == expected, m
@@ -908,21 +908,22 @@ _DIRECT_CALLS = {
 
 @pytest.mark.parametrize("family", list(Family))
 def test_evaluate_validates_a_power_sum_once(family, monkeypatch):
-    """A direct call of a public function runs SumSpec.validate once, as no
-    public function calls another. evaluate() runs it once for the
-    seventeen families of the row table, quoniam among them, which it reads
-    off _windowed itself, and twice only for the three half-shift families,
-    its own check and that of the public function it dispatches to by name
-    (the bench tracer times those functions by name)."""
+    """A SumSpec checks its arguments when it is built, so a request is
+    checked once per SumSpec built. A direct call of a public function
+    builds one, as no public function calls another. evaluate() builds none
+    for the seventeen families of the row table, quoniam among them, which
+    it reads off _windowed itself, and one only for the three half-shift
+    families, that of the public function it dispatches to by name (the
+    bench tracer times those functions by name)."""
     spec, direct = _DIRECT_CALLS[family]
-    calls = []
-    validate = SumSpec.validate
-    monkeypatch.setattr(SumSpec, "validate", lambda spec: calls.append(spec) or validate(spec))
+    builds = []
+    build = SumSpec.__init__
+    monkeypatch.setattr(SumSpec, "__init__", lambda s, *a, **k: builds.append(a) or build(s, *a, **k))
     value = direct(spec)
-    assert len(calls) == 1
-    calls.clear()
+    assert len(builds) == 1
+    builds.clear()
     assert evaluate(spec) == value
-    assert len(calls) == (2 if family in closed_forms._BESPOKE else 1)
+    assert len(builds) == (1 if family in closed_forms._BESPOKE else 0)
 
 
 def test_every_family_has_one_table_row_or_one_bespoke_entry():
@@ -999,26 +1000,24 @@ def test_sumspec_params_only_carry_used_fields():
 
 
 def test_sumspec_validation_errors():
-    with pytest.raises(ParameterError):
-        SumSpec(Family.COS_POWER, -1, 3).validate()
-    with pytest.raises(ParameterError):
-        SumSpec(Family.COS_POWER, 2, 0).validate()
-    with pytest.raises(ParameterError):
-        SumSpec(Family.COS_POWER, 2, 3, kind="tan").validate()
-    with pytest.raises(ParameterError):
-        SumSpec(Family.ALTERNATING, 2, 3).validate()  # odd n
-    with pytest.raises(ParameterError):
-        SumSpec(Family.WEIGHT_PI3, 2, 5).validate()  # odd n
-    with pytest.raises(ParameterError):
-        SumSpec(Family.ELL5_ALT_PRODUCT, 2, 3).validate()  # odd n
-    with pytest.raises(ParameterError):
-        SumSpec(Family.SCALED, 2, 3, q=5).validate()  # q not a multiple
-    with pytest.raises(ParameterError):
-        SumSpec(Family.COPRIME, 2, 6, q=4).validate()  # shared factor
-    with pytest.raises(ParameterError):
-        SumSpec(Family.QUONIAM, 5, 4).validate()  # m > n
+    """Each domain check refuses at construction, with its message."""
+    for args, kwargs, message in [
+        ((Family.COS_POWER, -1, 3), {}, "m must be non-negative"),
+        ((Family.COS_POWER, 2, 0), {}, "n must be >= 1 for C"),
+        ((Family.COS_POWER, 2, 3), {"kind": "tan"}, "kind must be 'cos' or 'sin'"),
+        ((Family.ALTERNATING, 2, 3), {}, "alternating requires even n"),
+        ((Family.WEIGHT_PI3, 2, 5), {}, "weight-pi3 requires even n"),
+        ((Family.ELL5_ALT_PRODUCT, 2, 3), {}, "ell5-alt-product requires even n"),
+        ((Family.SCALED, 2, 3), {"q": 5}, "scaled family requires n \\| q"),
+        ((Family.COPRIME, 2, 6), {"q": 4}, "coprime family requires gcd\\(n, q\\) = 1"),
+        ((Family.QUONIAM, 5, 4), {}, "quoniam requires 1 <= m < n\\+1"),
+        ((Family.MERCA_SHIFTED, 0, 4), {}, "half-range families require m >= 1"),
+        ((Family.GCD_REDUCED, 2, 4), {"q": 0}, "q must be positive"),
+    ]:
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SumSpec(*args, **kwargs)
     # barbero allows n = 0
-    SumSpec(Family.BARBERO_R, 3, 0).validate()
+    assert SumSpec(Family.BARBERO_R, 3, 0).n == 0
 
 
 _GRAPH = GraphSpec(GraphKind.PATH, 3)
@@ -1121,54 +1120,55 @@ def test_non_int_parameters_rejected_by_every_function(name, which, monkeypatch)
 @pytest.mark.parametrize("family", ["bogus", "C", None])
 def test_unknown_family_rejected(family):
     """A family that is not a Family member is a usage error, not C's value
-    or a KeyError; its CLI token alone does not name a family here."""
-    spec = SumSpec(family, 2, 3)
-    for call in (spec.validate, lambda: evaluate(spec), lambda: evaluate_exact(spec)):
-        with pytest.raises(ParameterError, match="unknown family"):
-            call()
+    or a KeyError, and no request of it is ever built, so neither evaluate
+    nor the oracle can see one; its CLI token alone does not name a family
+    here."""
+    with pytest.raises(ParameterError, match=f"^unknown family {family!r}$"):
+        SumSpec(family, 2, 3)
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [SumSpec(Family.COS_POWER, 2, 3, q=2.5), SumSpec(Family.COS_POWER, 2, 3, kind="tan")],
+    "kwargs, message",
+    [({"q": 2.5}, "q must be an int, not float"), ({"kind": "tan"}, "kind must be 'cos' or 'sin'")],
     ids=["float-q", "bad-kind"],
 )
-def test_evaluate_refuses_what_validate_refuses(spec):
-    """A q or kind the family ignores is still a usage error: evaluate
-    refuses the request as SumSpec.validate and the oracle do, rather than
-    returning C(2, 3) = 9/8."""
-    for call in (spec.validate, lambda: evaluate(spec), lambda: evaluate_exact(spec)):
-        with pytest.raises(ParameterError):
-            call()
+def test_evaluate_refuses_what_validate_refuses(kwargs, message):
+    """A q or kind the family ignores is still a usage error: the SumSpec is
+    refused when it is built, so there is no request for evaluate or the
+    oracle to turn into C(2, 3) = 9/8."""
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        SumSpec(Family.COS_POWER, 2, 3, **kwargs)
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        SumSpec(Family.COS_POWER, True, 3),
-        SumSpec(Family.COS_POWER, 2, True),
-        SumSpec(Family.COS_POWER, 2.0, 3),
-        SumSpec(Family.SIN_POWER, 2, 3.0),
-        SumSpec(Family.SCALED, 2, 3, q=6.0),
-        SumSpec(Family.COPRIME, 2, 3, q=False),
-        SumSpec(Family.QUONIAM, "2", 4),
+        ((Family.COS_POWER, True, 3), {}, "m must be an int, not bool"),
+        ((Family.COS_POWER, 2, True), {}, "n must be an int, not bool"),
+        ((Family.COS_POWER, 2.0, 3), {}, "m must be an int, not float"),
+        ((Family.SIN_POWER, 2, 3.0), {}, "n must be an int, not float"),
+        ((Family.SCALED, 2, 3), {"q": 6.0}, "q must be an int, not float"),
+        ((Family.COPRIME, 2, 3), {"q": False}, "q must be an int, not bool"),
+        ((Family.QUONIAM, "2", 4), {}, "m must be an int, not str"),
     ],
 )
 def test_non_int_parameters_rejected(spec):
-    """bool and non-int m, n, q are usage errors, not m = 1 or a TypeError."""
-    with pytest.raises(ParameterError, match="must be an int"):
-        evaluate(spec)
+    """bool and non-int m, n, q are usage errors, not m = 1 or a TypeError:
+    the SumSpec of (args, kwargs) is refused when it is built."""
+    args, kwargs, message = spec
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        SumSpec(*args, **kwargs)
 
 
 def test_cost_guard_on_m():
     """m beyond MAX_M is refused up front: C(10^9, 1) would hang in the
     central binomial of 2*10^9."""
-    SumSpec(Family.COS_POWER, MAX_M, 7).validate()
+    assert SumSpec(Family.COS_POWER, MAX_M, 7).m == MAX_M
     for family in (Family.COS_POWER, Family.MERCA_HALF, Family.SHIFTED_COS):
-        with pytest.raises(CostGuardError, match="cost guard"):
-            evaluate(SumSpec(family, MAX_M + 1, 7))
+        with pytest.raises(CostGuardError, match=f"^m must be <= {MAX_M} \\(cost guard\\)$"):
+            SumSpec(family, MAX_M + 1, 7)
     with pytest.raises(CostGuardError):
-        evaluate(SumSpec(Family.COS_POWER, 10**9, 1))
+        SumSpec(Family.COS_POWER, 10**9, 1)
 
 
 def test_sort_key_orders_by_family_then_params():

@@ -136,34 +136,35 @@ def test_cost_guard_on_n():
         lambda: cot_power_sum(MAX_N + 1, 4),
         lambda: cot_sum_polynomial(MAX_N + 1),
         lambda: byrne_smith_sum(MAX_N + 1, 2),
-        lambda: CotSumParams(MAX_N + 1, 4).validate(),
-        lambda: ByrneSmithParams(MAX_N + 1, 4).validate(),
+        lambda: CotSumParams(MAX_N + 1, 4),
+        lambda: ByrneSmithParams(MAX_N + 1, 4),
     ):
-        with pytest.raises(ParameterError):
+        with pytest.raises(CostGuardError, match=f"^n must be <= {MAX_N} \\(cost guard\\)$"):
             call()
 
 
 @pytest.mark.parametrize("n", [1, MAX_N])
 def test_cost_guard_on_k_bits(n):
     """k is refused once 2n * bit_length(4k) passes MAX_POWER_BITS: at the
-    bound both request types validate, and one past it they, both sums and
-    the oracle raise CostGuardError before any value is computed."""
+    bound both request types are built, and one past it their constructors,
+    both sums and the oracle raise CostGuardError before any value is
+    computed."""
     bound = cotangent.MAX_POWER_BITS
     bits = bound // (2 * n)  # the largest bit_length(4k) allowed
     at, past = (1 << (bits - 2)) - 1, 1 << (bits - 2)
     assert 2 * n * (4 * at).bit_length() == bound < 2 * n * (4 * past).bit_length()
     for params in (CotSumParams, ByrneSmithParams):
-        params(n, at).validate()
+        assert params(n, at).k == at
     if n == 1:
         assert cot_power_sum(1, at) == F((at - 1) * (at - 2), 3)
     for call in (
-        lambda: CotSumParams(n, past).validate(),
-        lambda: ByrneSmithParams(n, past).validate(),
+        lambda: CotSumParams(n, past),
+        lambda: ByrneSmithParams(n, past),
         lambda: cot_power_sum(n, past),
         lambda: byrne_smith_sum(n, past),
         lambda: evaluate_exact(CotSumParams(n, past)),
     ):
-        with pytest.raises(CostGuardError, match="cost guard"):
+        with pytest.raises(CostGuardError, match=rf"^2n \* bit_length\(4k\) must be <= {bound} \(cost guard\)$"):
             call()
 
 
@@ -398,18 +399,20 @@ def test_byrne_smith_polynomial_structure_from_oracle_fit():
 
 
 def test_param_validation():
-    with pytest.raises(ParameterError):
-        CotSumParams(2, 1).validate()
-    with pytest.raises(ParameterError):
-        ByrneSmithParams(0, 3).validate()
-    with pytest.raises(ParameterError):
-        ByrneSmithParams(2, 0).validate()
-    with pytest.raises(ParameterError):
-        CotSumParams(2, 3.0).validate()
-    with pytest.raises(ParameterError):
-        ByrneSmithParams(True, 3).validate()
-    CotSumParams(2, 2).validate()
-    ByrneSmithParams(1, 1).validate()
+    """Each request type refuses a bad n or k at construction, with its
+    message."""
+    for build, message in [
+        (lambda: CotSumParams(2, 1), "k must be >= 2 (the sum over r=1..k-1 is empty otherwise)"),
+        (lambda: ByrneSmithParams(0, 3), "n must be positive"),
+        (lambda: ByrneSmithParams(2, 0), "k must be positive"),
+        (lambda: CotSumParams(2, 3.0), "k must be an int, not float"),
+        (lambda: ByrneSmithParams(True, 3), "n must be an int, not bool"),
+    ]:
+        with pytest.raises(ParameterError) as refused:
+            build()
+        assert str(refused.value) == message
+    assert CotSumParams(2, 2).k == 2
+    assert ByrneSmithParams(1, 1).k == 1
 
 
 # --- the reference enumeration ----------------------------------------------

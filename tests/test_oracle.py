@@ -379,14 +379,17 @@ def test_defining_sum_cost_guard():
 
 
 def test_non_int_requests_rejected():
-    for spec in (
-        SumSpec(Family.COS_POWER, True, 3),
-        SumSpec(Family.SIN_POWER, 2, 3.0),
-        OddCosPowerParams(True, 3),
-        OddCosPowerParams(1, 2.5),
+    """A bool or float parameter is refused when the request is built, so
+    no such request reaches the oracle."""
+    for build, message in (
+        (lambda: SumSpec(Family.COS_POWER, True, 3), "m must be an int, not bool"),
+        (lambda: SumSpec(Family.SIN_POWER, 2, 3.0), "n must be an int, not float"),
+        (lambda: OddCosPowerParams(True, 3), "j must be an int, not bool"),
+        (lambda: OddCosPowerParams(1, 2.5), "n must be an int, not float"),
     ):
-        with pytest.raises(ParameterError, match="must be an int"):
-            evaluate_exact(spec)
+        with pytest.raises(ParameterError) as refused:
+            build()
+        assert str(refused.value) == message
 
 
 def test_unsupported_request_rejected():
@@ -408,15 +411,15 @@ _REQUESTS = [
 
 @pytest.mark.parametrize("spec", _REQUESTS, ids=lambda spec: type(spec).__name__)
 def test_evaluate_exact_builds_and_validates_once(spec, monkeypatch):
-    """One evaluate_exact validates the request once and builds its
-    defining sum once; the bound, the precision and every direct_sum try
-    read that one build."""
-    builds, validations = [], []
-    build, validate = oracle._DEFINING_SUMS[type(spec)], type(spec).validate
+    """One evaluate_exact builds its defining sum once and no request: the
+    request checked its arguments when it was built, and the bound, the
+    precision and every direct_sum try read the one defining sum."""
+    builds, requests = [], []
+    build, init = oracle._DEFINING_SUMS[type(spec)], type(spec).__init__
     monkeypatch.setitem(oracle._DEFINING_SUMS, type(spec), lambda s: builds.append(s) or build(s))
-    monkeypatch.setattr(type(spec), "validate", lambda s: validations.append(s) or validate(s))
+    monkeypatch.setattr(type(spec), "__init__", lambda s, *a, **k: requests.append(a) or init(s, *a, **k))
     evaluate_exact(spec)
-    assert builds == [spec] and validations == [spec]
+    assert builds == [spec] and requests == []
 
 
 @pytest.mark.parametrize("spec", _REQUESTS, ids=lambda spec: type(spec).__name__)

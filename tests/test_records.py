@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from trigsum.closed_forms import Family, SumSpec
+from trigsum.closed_forms import MAX_M, Family, SumSpec
 from trigsum.cotangent import (
+    MAX_N,
     ByrneSmithCoefficients,
     ByrneSmithParams,
     CotPolynomial,
@@ -25,7 +26,7 @@ from trigsum.oracle import (
     OddCosPowerParams,
     ReconstructionPolicy,
 )
-from trigsum.walks import GraphKind, GraphSpec
+from trigsum.walks import GraphKind, GraphSpec, WalkCount
 
 F = Fraction
 
@@ -173,8 +174,54 @@ def test_keyword_and_default_construction():
         (lambda: ReconstructionPolicy(5, guard_bits=MAX_PRECISION_BITS + 1), CostGuardError),
         (lambda: SeriesCoefficients((F(1),), 1), ValueError),
         (lambda: SeriesCoefficients(coeffs=(F(1), F(2)), order=0), ValueError),
+        pytest.param(lambda: SeriesCoefficients((F(1),), 1), ParameterError, id="series-length"),
+        pytest.param(lambda: SeriesCoefficients((F(1),), 0.0), ParameterError, id="series-float-order"),
+        pytest.param(lambda: SeriesCoefficients((), -1), ParameterError, id="series-negative-order"),
+        # every request type, built and smuggled through a pickle round trip
+        pytest.param(lambda: SumSpec(Family.QUONIAM, 5, 4), ParameterError, id="SumSpec"),
+        pytest.param(lambda: SumSpec("C", 2, 3), ParameterError, id="SumSpec-family"),
+        pytest.param(lambda: SumSpec(Family.COS_POWER, MAX_M + 1, 7), CostGuardError, id="SumSpec-guard"),
+        pytest.param(
+            lambda: _unpickled(SumSpec, Family.QUONIAM, 5, 4, 1, "cos"), ParameterError, id="SumSpec-pickled"
+        ),
+        pytest.param(lambda: CotSumParams(2, 1), ParameterError, id="CotSumParams"),
+        pytest.param(lambda: _unpickled(CotSumParams, 2, 1), ParameterError, id="CotSumParams-pickled"),
+        pytest.param(lambda: ByrneSmithParams(2, 0), ParameterError, id="ByrneSmithParams"),
+        pytest.param(lambda: ByrneSmithParams(MAX_N + 1, 1), CostGuardError, id="ByrneSmithParams-guard"),
+        pytest.param(
+            lambda: _unpickled(ByrneSmithParams, True, 3), ParameterError, id="ByrneSmithParams-pickled"
+        ),
+        pytest.param(lambda: OddCosPowerParams(-1, 3), ParameterError, id="OddCosPowerParams"),
+        pytest.param(lambda: OddCosPowerParams(MAX_M + 1, 3), CostGuardError, id="OddCosPowerParams-guard"),
+        pytest.param(
+            lambda: _unpickled(OddCosPowerParams, 1, 2.5), ParameterError, id="OddCosPowerParams-pickled"
+        ),
+        pytest.param(lambda: GraphSpec(GraphKind.CYCLE, 4), ParameterError, id="GraphSpec"),
+        pytest.param(lambda: _unpickled(GraphSpec, None, 5), ParameterError, id="GraphSpec-pickled"),
+        pytest.param(lambda: WalkCount(2.7), ParameterError, id="WalkCount-float"),
+        pytest.param(lambda: WalkCount(True), ParameterError, id="WalkCount-bool"),
+        pytest.param(lambda: WalkCount("3"), ParameterError, id="WalkCount-str"),
+        pytest.param(lambda: WalkCount(-1), ParameterError, id="WalkCount-negative"),
     ],
 )
 def test_constructor_checks_still_raise(build, error):
     with pytest.raises(error):
         build()
+
+
+def _unpickled(cls, *fields):
+    """A record of ``cls`` holding ``fields``, set past its constructor,
+    after a pickle round trip. __reduce__ calls the class with the fields,
+    so the constructor's checks run again on the way back."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        set_field(record, name, value)
+    return pickle.loads(pickle.dumps(record))
+
+
+def test_series_coefficients_hash_whatever_sequence_they_are_given():
+    """The coefficients are kept as a tuple, so a series built from a list
+    is frozen and hashes like one built from a tuple."""
+    series = SeriesCoefficients([F(1)], 0)
+    assert series.coeffs == (F(1),)
+    assert hash(series) == hash(SeriesCoefficients((F(1),), 0))

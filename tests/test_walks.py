@@ -104,10 +104,11 @@ def test_odd_cycles_have_odd_closed_walks():
 def test_even_cycles_rejected():
     with pytest.raises(ParameterError):
         cycle_closed_walks(4, 2)
-    with pytest.raises(ParameterError):
-        GraphSpec(GraphKind.CYCLE, 6).validate()
-    with pytest.raises(ParameterError):
-        GraphSpec(GraphKind.CYCLE, 1).validate()
+    message = "^cycle requires odd n >= 3 \\(the even-cycle count is not this formula\\)$"
+    with pytest.raises(ParameterError, match=message):
+        GraphSpec(GraphKind.CYCLE, 6)
+    with pytest.raises(ParameterError, match=message):
+        GraphSpec(GraphKind.CYCLE, 1)
 
 
 def test_path_parameter_validation():
@@ -154,7 +155,7 @@ def test_walk_tables_match_per_index_counters():
     [
         lambda: closed_walk_counts("path", 3, 3),
         lambda: trace_oracle(GraphSpec("bogus", 3), 4),
-        lambda: GraphSpec(None, 5).validate(),
+        lambda: GraphSpec(None, 5),
     ],
     ids=["counts-str", "trace-bogus", "none"],
 )
