@@ -45,9 +45,12 @@ _REQUEST_FAMILIES = {
     "byrne-smith": (("n", "k"), ByrneSmithParams),
 }
 # Cost guard on the raw points of a verify grid, counted before any point
-# is built. A built point holds about 300 bytes and a case takes 0.3 to 2 ms
-# (closed form plus oracle), so 10^6 points are about 300 MB and 5 to 30
-# minutes; larger grids are refused with CostGuardError. The default grid
+# is built. On the 20 SumSpec families at m = 200..202, n <= 24 (7,422
+# cases), a built point held about 80 bytes and its case record about
+# 1.6 KB, and a case took 0.08 to 0.12 ms of wall time on average (closed
+# form plus oracle, with the campaign's memos; 0.6 to 0.9 s in all, 2-vCPU
+# Xeon VM), so 10^6 such points are about 1.6 GB and 2 minutes, more at
+# larger m; larger grids are refused with CostGuardError. The default grid
 # has 3,660 points.
 MAX_CASES = 10**6
 
@@ -325,7 +328,10 @@ def cmd_verify(args) -> int:
     if args.expect_known_errata and not errata:
         errata = list(_ERRATA_FAMILIES)
 
-    cases = _run_cases(_grid_requests(normal, args), args.jobs)
+    requests = _grid_requests(normal, args)
+    if not requests and not errata:  # total=0 would report a check that never ran
+        raise ParameterError("the verify grid selects no case")
+    cases = _run_cases(requests, args.jobs)
     mismatches = sum(not case["match"] for case in cases)
 
     all_reproduced = True
@@ -480,6 +486,7 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
     best = None
     value = None
     for _ in range(repeat):
+        cf.clear_caches()
         ct.clear_caches()
         ec.clear_caches()
         t0 = time.perf_counter_ns()

@@ -22,7 +22,11 @@ are the terms p = 0 (mod d) of the window of (m, n). So each value walks
 the window of (m, n) once, adds term p into a bucket chosen by p mod L,
 and reads each C and S it needs off the buckets (_window_pass); with one
 bucket, as for C, S and their multiples, the window is summed as it
-streams.
+streams. Values share windows too: coprime and gcd do not depend on q
+beyond gcd(n, q), and C, S, scaled, coprime and gcd read the same one. So
+_window_pass keeps its last _PASSES results in an lru_cache keyed by its
+arguments, and a verify campaign, whose q sweeps run in a row, walks each
+window once; clear_caches() empties it, for timing a cold value.
 
 The window sum over all integers p is also entry m mod n of the residue
 row of (1 + x)^{2m} mod (x^n - 1), the closed-walk count of the n-cycle
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 from operator import mul
@@ -214,6 +219,18 @@ class SumSpec(Record):
         return evaluate(self)
 
 
+# Results _window_pass keeps. A verify campaign sorts its requests by
+# family, kind, m, n and q, so a q sweep of coprime or gcd reads one window
+# over and over, and C, S, scaled, coprime and gcd share theirs: on the 20
+# families at m = 200..202, n <= 24 (7,422 cases, 7,422 calls), 16 entries
+# hit 5,868 times, 64 hit 5,910, 256 hit 6,258 and 1,024 hit 6,552. An entry
+# holds at most four sums (weight-pi3 and ell5-alt-product read four
+# multiples) of about 2m bits each, so at MAX_M an entry is about 100 KB
+# and the memo at most about 26 MB.
+_PASSES = 256
+
+
+@lru_cache(maxsize=_PASSES)
 def _window_pass(
     kind: str,
     m: int,
@@ -221,12 +238,17 @@ def _window_pass(
     multiples: tuple[int, ...],
     classes: tuple[tuple[int, ...], ...] = (),
     period: int = 1,
-) -> list[int]:
+) -> tuple[int, ...]:
     """One pass over the window of (m, n), or one residue row. Returns
     4^m * X(m, d*n) for each d in ``multiples`` (X = C for kind "cos", S
     for "sin"), then for each tuple in ``classes`` the tail sum of
     binom(2m, m - p*n) over p >= 1 with p mod ``period`` in that tuple;
     each tuple is closed under c -> -c mod ``period``.
+
+    The last _PASSES results are memoized, keyed by the arguments as
+    passed, so a campaign reads each window once however many requests
+    share it; the tuple returned is the memo's own. clear_caches() empties
+    the memo.
 
     Term p of the window lands in class p mod L, L the lcm of ``period`` and
     of the multiples, each d read as 2d for S at odd d*n. The window of
@@ -263,7 +285,7 @@ def _window_pass(
         sums.append(d * n * (central + 2 * tail))
     for wanted in classes:
         sums.append(sum(b for r, b in enumerate(buckets) if r % period in wanted))
-    return sums
+    return tuple(sums)
 
 
 def _row_pass(
@@ -274,7 +296,7 @@ def _row_pass(
     classes: tuple[tuple[int, ...], ...],
     period: int,
     size: int,
-) -> list[int]:
+) -> tuple[int, ...]:
     """_window_pass's sums read off the residue row of (1 + x)^{2m}
     mod (x^{size*n} - 1). Folded to dn entries, the row's entry m mod dn is
     the whole window sum of (m, d*n), so 4^m * C(m, d*n) is dn times it; S
@@ -303,7 +325,7 @@ def _row_pass(
     for wanted in classes:
         both_sides = sum(fold(c * n, period * n) for c in wanted)
         sums.append((both_sides - (binom(2 * m, m) if 0 in wanted else 0)) // 2)
-    return sums
+    return tuple(sums)
 
 
 def _row_is_cheaper(m: int, n: int, size: int) -> bool:
@@ -519,7 +541,9 @@ def _shifted(kind: str, m: int, n: int) -> int:
     """4^m times the half-shift sum of ``kind`` over (k + 1/2)*pi/n, k < n,
     from its direct form, asserted equal to 4^m * (X(m, 2n) - X(m, n)).
     X(m, n) and the direct form share one pass over the window of (m, n);
-    X(m, 2n), equal for C and S at the even 2n, is walked off its own."""
+    X(m, 2n), equal for C and S at the even 2n, is walked off its own at
+    every call, never read off the memo of _window_pass, so a hit is
+    checked too."""
     full, odd = _window_pass(kind, m, n, (1,), ((1,),), 2)
     # the direct weight less X's is -2 at odd p for cos, whose weight is
     # (-1)^p, and -2*(-1)^n at odd p for sin
@@ -630,3 +654,9 @@ def evaluate(spec: SumSpec) -> Rational:
     runs no check of its own."""
     bespoke = _BESPOKE.get(spec.family)
     return bespoke(spec) if bespoke else _windowed(spec)
+
+
+def clear_caches() -> None:
+    """Drop the memoized window passes, so that timing one value pays for
+    its window or row, as in a fresh process."""
+    _window_pass.cache_clear()

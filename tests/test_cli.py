@@ -271,6 +271,35 @@ def test_verify_runs_a_repeated_family_once(family, errata, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "total=2 mismatches=0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "C", "--m-min", "3", "--m-max", "2"],
+        ["--family", "cot", "--k-min", "9", "--k-max", "2"],
+        ["--family", "quoniam", "--m-min", "30", "--m-max", "30", "--n-max", "6"],
+        ["--family", "C,cot", "--m-min", "3", "--m-max", "2", "--k-min", "9", "--k-max", "2"],
+    ],
+)
+def test_verify_refuses_a_grid_that_selects_no_case(argv, capsys):
+    """A grid that builds no request and runs no erratum checks nothing, so
+    it exits 2 instead of reporting total=0 as a success: an empty range,
+    or points all outside the family's domain (quoniam needs m <= n)."""
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the verify grid selects no case\n"
+
+
+def test_verify_runs_errata_beside_an_empty_grid(capsys):
+    """Errata alone are a valid run, with or without an empty grid beside
+    them."""
+    assert main(["verify", "--family", "barbero-naive", "--expect-known-errata"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total=1 mismatches=1"
+    argv = ["verify", "--family", "C,barbero-naive", "--m-min", "3", "--m-max", "2"]
+    assert main([*argv, "--expect-known-errata"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total=1 mismatches=1"
+
+
 def test_verify_grid_reaches_barbero_at_n_zero(capsys):
     """--n-min 0 reaches barbero's n = 0, the one family defined there, and
     other families drop the point; a negative --n-min is clamped to 0."""
@@ -705,6 +734,19 @@ def test_run_bench_starts_the_bernoulli_table_cold():
     exact_core.bernoulli(40)
     run_bench("C", 20, 7, None, False, 1)
     assert len(exact_core._SHARED_CACHE) == 1
+
+
+def test_run_bench_walks_the_window_on_every_repeat(monkeypatch):
+    """Each repeat times a cold closed form: the window memo is cleared
+    before it, so C(200, 7) walks its window once per repeat, where a warm
+    memo would walk it once in all and time a hit."""
+    from trigsum import closed_forms
+
+    windows = []
+    real_window = closed_forms.binom_window
+    monkeypatch.setattr(closed_forms, "binom_window", lambda m, n: windows.append((m, n)) or real_window(m, n))
+    run_bench("C", 200, 7, None, False, 3)
+    assert windows == [(200, 7)] * 3
 
 
 # --- README examples ------------------------------------------------------------

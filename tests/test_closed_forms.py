@@ -348,6 +348,7 @@ def test_each_window_is_summed_once(name, monkeypatch):
 
     monkeypatch.setattr(closed_forms, "binom_window", counting_window)
     assert not hasattr(walks, "binom_window") and not hasattr(genfunc, "binom_window")
+    closed_forms.clear_caches()
     call()
     assert len(calls) == expected, calls
 
@@ -403,13 +404,14 @@ def _literal_window_pass(kind, m, n, multiples, classes, period):
         out.append(
             sum(comb(2 * m, m - p * n) for p in range(1, m // n + 1) if p % period in wanted)
         )
-    return out
+    return tuple(out)
 
 
 def _window_pass_against_literal(shape):
     kind, multiples, classes, period = shape
     for n in (1, 2, 3, 5, 6, 7, 11):
         for m in range(25):
+            closed_forms.clear_caches()  # the memo may hold the other route's sums
             got = closed_forms._window_pass(kind, m, n, multiples, classes, period)
             assert got == _literal_window_pass(kind, m, n, multiples, classes, period), (m, n)
 
@@ -454,6 +456,7 @@ def test_window_sites_take_both_routes_across_the_switch(name, monkeypatch):
         for n in set(range(1, 10)) - WINDOW_SITE_SKIPS.get(name, set()):
             rows.clear()
             windows.clear()
+            closed_forms.clear_caches()
             assert fn(m, n) == reference(m, n), (name, m, n)
             assert len(rows) + len(windows) - name.startswith(("shifted", "merca_shifted")) == 1
             routes.add("row" if rows else "window")
@@ -510,6 +513,7 @@ def test_shifted_check_walks_a_window_when_the_value_reads_a_row(fn, n, monkeypa
     real_row, real_window = closed_forms.residue_row, closed_forms.binom_window
     monkeypatch.setattr(closed_forms, "residue_row", lambda e, L: rows.append((e, L)) or real_row(e, L))
     monkeypatch.setattr(closed_forms, "binom_window", lambda m, n: windows.append((m, n)) or real_window(m, n))
+    closed_forms.clear_caches()
     fn(m, n)
     assert rows == [(m, 2 * n)] and windows == [(m, 2 * n)]
     for index in range(2 * n):
@@ -520,8 +524,99 @@ def test_shifted_check_walks_a_window_when_the_value_reads_a_row(fn, n, monkeypa
             return tuple(row)
 
         monkeypatch.setattr(closed_forms, "residue_row", corrupted)
+        closed_forms.clear_caches()  # a memo hit would skip the corrupted row
         with pytest.raises(ArithmeticError, match="routes disagree"):
             fn(m, n)
+
+
+# --- the window-pass memo ---------------------------------------------------
+
+
+def _counting_windows(monkeypatch):
+    """The (m, n) of every window walked from here on, in order."""
+    windows = []
+    real_window = closed_forms.binom_window
+    monkeypatch.setattr(closed_forms, "binom_window", lambda m, n: windows.append((m, n)) or real_window(m, n))
+    return windows
+
+
+@pytest.mark.parametrize("kind", ["cos", "sin"])
+def test_a_coprime_q_sweep_walks_its_window_once(kind, monkeypatch):
+    """A coprime value does not depend on q, and a verify campaign runs a
+    family's q sweep in a row, so the sweep at (200, 7) walks the window of
+    (200, 7) once and reads every later q off the memo; C or S at (200, 7)
+    reads the same entry."""
+    assert not closed_forms._row_is_cheaper(200, 7, 2)
+    windows = _counting_windows(monkeypatch)
+    sweep = [q for q in range(1, 16) if q % 7]
+    values = {evaluate(SumSpec(Family.COPRIME, 200, 7, q, kind)) for q in sweep}
+    power = Family.COS_POWER if kind == "cos" else Family.SIN_POWER
+    assert values == {evaluate(SumSpec(power, 200, 7))}
+    assert windows == [(200, 7)]
+    info = closed_forms._window_pass.cache_info()
+    assert (info.hits, info.misses) == (len(sweep), 1)
+
+
+def test_window_memo_keys_every_argument():
+    """cos and sin at odd n, and different multiples, classes or periods at
+    the same (m, n), each get an entry of their own: every shape the
+    families pass, plus the class 0 at period 2 beside period 1, read at
+    (30, 7) in turn and then again, equals its literal sums both times."""
+    shapes = [*WINDOW_PASS_SHAPES, ("cos", (), ((0,),), 2)]
+    literal = [_literal_window_pass(kind, 30, 7, *rest) for kind, *rest in shapes]
+    assert literal[0] != literal[1]  # cos and sin differ at odd n
+    assert _literal_window_pass("cos", 30, 7, (), ((0,),), 1) != literal[-1]
+    for _ in range(2):
+        assert [closed_forms._window_pass(kind, 30, 7, *rest) for kind, *rest in shapes] == literal
+    info = closed_forms._window_pass.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (len(shapes), len(shapes), len(shapes))
+
+
+@pytest.mark.parametrize("row", [False, True], ids=["window", "row"])
+def test_window_pass_returns_a_tuple(row, monkeypatch):
+    """Both routes return a tuple, so no caller can alter the sums the memo
+    hands to every later caller; a repeat call returns that same tuple."""
+    _force_route(monkeypatch, row)
+    first = closed_forms._window_pass("cos", 40, 3, (1, 5), ((1, 4),), 5)
+    assert type(first) is tuple
+    assert closed_forms._window_pass("cos", 40, 3, (1, 5), ((1, 4),), 5) is first
+
+
+def test_clear_caches_empties_the_window_memo(monkeypatch):
+    """clear_caches() drops every memoized pass, so the next value walks its
+    window again, as in a fresh process."""
+    windows = _counting_windows(monkeypatch)
+    cos_power_sum(200, 7)
+    cos_power_sum(200, 7)
+    assert windows == [(200, 7)] and closed_forms._window_pass.cache_info().currsize == 1
+    closed_forms.clear_caches()
+    assert closed_forms._window_pass.cache_info().currsize == 0
+    cos_power_sum(200, 7)
+    assert windows == [(200, 7)] * 2
+
+
+@pytest.mark.parametrize("fn", [shifted_cos_sum, shifted_sin_sum, merca_shifted_sum])
+def test_shifted_check_walks_its_window_on_a_memo_hit(fn, monkeypatch):
+    """A shifted value read off the memo is still checked: the window of
+    (m, 2n) is walked on every call, hit or miss, and a corrupted term of
+    it raises ArithmeticError on a hit."""
+    windows = _counting_windows(monkeypatch)
+    value = fn(200, 7)
+    assert windows == [(200, 7), (200, 14)]
+    windows.clear()
+    assert fn(200, 7) == value
+    assert windows == [(200, 14)] and closed_forms._window_pass.cache_info().hits == 1
+    real_window = exact_core.binom_window
+
+    def corrupted(m, n):
+        terms = real_window(m, n)
+        yield next(terms) + 1
+        yield from terms
+
+    monkeypatch.setattr(closed_forms, "binom_window", corrupted)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        fn(200, 7)
+    assert closed_forms._window_pass.cache_info().hits == 2
 
 
 _BEYOND = MAX_M + 1
@@ -962,8 +1057,11 @@ def test_evaluate_equals_the_public_function_across_the_table(family, monkeypatc
             for kind in ("cos", "sin"):
                 spec = _grid_spec(family, m, n, kind)
                 rows.clear()
-                assert evaluate(spec) == direct(spec), spec
+                closed_forms.clear_caches()
+                value = evaluate(spec)
                 routes.add("row" if rows else "window")
+                closed_forms.clear_caches()  # or direct() reads evaluate()'s sums back
+                assert value == direct(spec), spec
     assert routes == ({"window"} if family is Family.QUONIAM else {"row", "window"})
 
 
