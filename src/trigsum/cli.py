@@ -28,17 +28,16 @@ from . import exact_core as ec
 from . import genfunc as gf
 from . import oracle as oc
 from . import walks as wk
-from .closed_forms import Family, SumSpec
-from .cotangent import ByrneSmithParams, CotSumParams
 from .errors import CostGuardError, ParameterError, check_int
+from .families import ByrneSmithParams, CotSumParams, Family, SumSpec
 from .genfunc import MAX_TABLE_INDEX
 
 __all__ = ["main", "run_bench"]
 
 # token -> (the arguments its request reads, in report order; the request
-# type built from them). Each request type checks its arguments when it is
-# built, raising ParameterError, and answers token, params(), sort_key()
-# and closed_value().
+# type built from them). Each request type is a record of families, whose
+# constructor checks its arguments, raising ParameterError, and it answers
+# token, params(), sort_key() and closed_value().
 _REQUEST_FAMILIES = {
     **{f.value: (f.param_names, partial(SumSpec, f)) for f in Family},
     "cot": (("n", "k"), CotSumParams),

@@ -58,28 +58,21 @@ through _dyadic, the one place a Fraction is built (the Barbero erratum
 reproducer keeps its published formula).
 
 Seventeen families are one row each of the table _ROWS, which _windowed
-evaluates; the three half-shift sums (their check) stay bespoke.
-SumSpec's constructor is the one domain check, so a SumSpec that exists is
-valid: evaluate() checks nothing more, and reads a table family off
-_windowed or calls a bespoke family's public function. Each public
-function builds the SumSpec of its own family and calls no other, so a
-direct call checks its arguments once, and a call and an evaluate() of the
-same request accept and refuse the same arguments. The erratum
-reproducers build the SumSpec of the sum they misstate, then check only
-the range their published expression claims.
+evaluates; the three half-shift sums (their check) stay bespoke. The
+requests, SumSpec and Family, are defined and checked in families.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
-from .errors import CostGuardError, ParameterError, Record, check_int, set_field
+from .errors import ParameterError, check_int
 from .exact_core import Rational, binom, binom_window, residue_row
+from .families import MAX_M, Family, SumSpec
 
 __all__ = [
     "MAX_M",
@@ -106,117 +99,6 @@ __all__ = [
     "weight_pi3_sum",
     "ell5_sum",
 ]
-
-
-class Family(str, Enum):
-    """The evaluable sum families. Values double as CLI tokens."""
-
-    COS_POWER = "C"
-    SIN_POWER = "S"
-    SCALED = "scaled"
-    COPRIME = "coprime"
-    GCD_REDUCED = "gcd"
-    QUONIAM = "quoniam"
-    MERCA_HALF = "merca-half"
-    MERCA_SHIFTED = "merca-shifted"
-    BARBERO_R = "barbero"
-    ALTERNATING = "alternating"
-    SHIFTED_COS = "shifted-cos"
-    SHIFTED_SIN = "shifted-sin"
-    WEIGHT3_COS = "weight3-cos"
-    WEIGHT3_SIN = "weight3-sin"
-    WEIGHT_HALF_PI = "weight-half-pi"
-    WEIGHT_PI3 = "weight-pi3"
-    ELL5_PRODUCT = "ell5-product"
-    ELL5_ALT_PRODUCT = "ell5-alt-product"
-    ELL5_COS2 = "ell5-cos2"
-    ELL5_COS4 = "ell5-cos4"
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        """The parameters the family reads, in report order."""
-        return ("m", "n") + ("q",) * (self in _USES_Q) + ("kind",) * (self in _USES_KIND)
-
-
-# Cost guard on the half-power m of a SumSpec and of every public function
-# here (the walk counters inherit it through C). A closed form sums a window
-# of up to m binomials of 2m bits each, or reads a residue row of L*n*2m
-# bits where the cost model prices it lower. At m = 10^5 a value took up to
-# 2.6 s (ell5-alt-product at n = 14: the window of (m, 7), priced below a
-# row of 70 slots), and a shifted sum, which also walks the window of
-# (m, 2n) for its check, up to 6.2 s (n = 1; 2-vCPU Xeon VM). The oracle's
-# precision grows like 2m bits. Larger m is rejected with CostGuardError.
-MAX_M = 10**5
-
-# Families whose definition reads the q parameter / the cos-sin kind switch.
-_USES_Q = frozenset({Family.SCALED, Family.COPRIME, Family.GCD_REDUCED})
-_USES_KIND = frozenset(
-    {Family.SCALED, Family.COPRIME, Family.GCD_REDUCED, Family.ALTERNATING}
-)
-
-
-class SumSpec(Record):
-    """One evaluable sum: a family plus its parameters.
-
-    ``m`` is the half-power (the trig factor is raised to 2m), ``n`` the
-    angle denominator (the alternating family reads it as the even period
-    N). ``q`` and ``kind`` are read only by the families in _USES_Q and
-    _USES_KIND and ignored elsewhere.
-
-    The constructor holds every family's domain and cost guard, and it is
-    the only place that does: a SumSpec that exists is a valid request.
-    """
-
-    __slots__ = ("family", "m", "n", "q", "kind")
-
-    def __init__(self, family: Family, m: int, n: int, q: int = 1, kind: str = "cos") -> None:
-        set_field(self, "family", family)
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "q", q)
-        set_field(self, "kind", kind)
-        if not isinstance(family, Family):
-            raise ParameterError(f"unknown family {family!r}")
-        check_int("m", m)
-        check_int("n", n)
-        check_int("q", q)
-        if m < 0:
-            raise ParameterError("m must be non-negative")
-        if m > MAX_M:
-            raise CostGuardError(f"m must be <= {MAX_M} (cost guard)")
-        min_n = 0 if family is Family.BARBERO_R else 1
-        if n < min_n:
-            raise ParameterError(f"n must be >= {min_n} for {family.value}")
-        if kind not in ("cos", "sin"):
-            raise ParameterError("kind must be 'cos' or 'sin'")
-        # every public function builds one, so the cheap value tests go first
-        if family in _USES_Q:
-            if q < 1:
-                raise ParameterError("q must be positive")
-            if family is Family.SCALED and q % n:
-                raise ParameterError("scaled family requires n | q")
-            if family is Family.COPRIME and gcd(n, q) != 1:
-                raise ParameterError("coprime family requires gcd(n, q) = 1")
-        if not 1 <= m <= n and family is Family.QUONIAM:
-            raise ParameterError("quoniam requires 1 <= m < n+1")
-        if m < 1 and family in (Family.MERCA_HALF, Family.MERCA_SHIFTED):
-            raise ParameterError("half-range families require m >= 1")
-        if n % 2 and family in (Family.ALTERNATING, Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT):
-            raise ParameterError(f"{family.value} requires even n")
-
-    def params(self) -> dict[str, int | str]:
-        """Parameter mapping for reports, q/kind only where meaningful."""
-        return {name: getattr(self, name) for name in self.family.param_names}
-
-    @property
-    def token(self) -> str:
-        return self.family.value
-
-    def sort_key(self) -> tuple:
-        return (self.token, self.kind, self.m, self.n, self.q)
-
-    def closed_value(self) -> Rational:
-        return evaluate(self)
 
 
 # Results _window_pass keeps. A verify campaign sorts its requests by
@@ -651,7 +533,10 @@ _BESPOKE = {
 def evaluate(spec: SumSpec) -> Rational:
     """Evaluate ``spec``'s closed form exactly. ``spec`` was checked whole
     when it was built, a q or kind its family ignores included, so this
-    runs no check of its own."""
+    checks only that it is a SumSpec, and refuses anything else with
+    ParameterError."""
+    if type(spec) is not SumSpec:
+        raise ParameterError(f"unsupported closed-form request {type(spec).__name__}")
     bespoke = _BESPOKE.get(spec.family)
     return bespoke(spec) if bespoke else _windowed(spec)
 

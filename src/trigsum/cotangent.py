@@ -48,9 +48,11 @@ from math import factorial, lcm
 
 from .errors import CostGuardError, ParameterError, Record, check_int, set_field
 from .exact_core import Rational, bernoulli, binom
+from .families import MAX_N, MAX_POWER_BITS, ByrneSmithParams, CotSumParams, _check_n
 
 __all__ = [
     "MAX_N",
+    "MAX_POWER_BITS",
     "CotSumParams",
     "ByrneSmithParams",
     "CotPolynomial",
@@ -63,76 +65,6 @@ __all__ = [
     "byrne_smith_sum",
     "byrne_smith_sum_uncorrected",
 ]
-
-# Cost guard on the exponent half n of both sum shapes and on the n_max of
-# the coefficient triangles. The series costs O(n^2) products of rationals
-# that themselves grow with n (about 0.1 s at n = 100 for the polynomial),
-# the triangle O(n^3) (2.5 s at n_max = 100, 9.9 s at 150), and the
-# oracle's precision grows like n * log2(k); larger n is rejected with
-# CostGuardError.
-MAX_N = 100
-
-# Cost guard on k: 2n * bit_length(4k), the bits of (4k)^{2n} (U reads T at
-# 4k), may not pass 2 * 10^5, as 4^m at MAX_M. At the bound T took 0.07 s and
-# U 0.14 s at most (n = 1..100), T(100, 2^100000) 11.9 s (2-vCPU Xeon VM).
-MAX_POWER_BITS = 2 * 10**5
-
-
-def _check_n(n) -> None:
-    check_int("n", n)
-    if n < 1:
-        raise ParameterError("n must be positive")
-    if n > MAX_N:
-        raise CostGuardError(f"n must be <= {MAX_N} (cost guard)")
-
-
-def _check_n_k(n, k, k_min: int, too_small: str) -> None:
-    _check_n(n)
-    check_int("k", k)
-    if k < k_min:
-        raise ParameterError(too_small)
-    if 2 * n * (4 * k).bit_length() > MAX_POWER_BITS:
-        raise CostGuardError(f"2n * bit_length(4k) must be <= {MAX_POWER_BITS} (cost guard)")
-
-
-class CotSumParams(Record):
-    """Parameters of the integer-shift sum: exponent 2n, angle r*pi/k.
-    The constructor checks n and k against the domain and the cost guards."""
-
-    __slots__ = ("n", "k")
-
-    def __init__(self, n: int, k: int) -> None:
-        set_field(self, "n", n)
-        set_field(self, "k", k)
-        _check_n_k(n, k, *self._k_floor)
-
-    token = "cot"
-    _k_floor = (2, "k must be >= 2 (the sum over r=1..k-1 is empty otherwise)")
-
-    def params(self) -> dict[str, int]:
-        return {"n": self.n, "k": self.k}
-
-    def sort_key(self) -> tuple:
-        return (self.token, self.n, self.k)
-
-    def closed_value(self) -> Rational:
-        return cot_power_sum(self.n, self.k)
-
-
-class ByrneSmithParams(Record):
-    """Parameters of the half-shift sum: exponent 2n, angles (r-1/2)*pi/2k."""
-
-    __slots__ = ("n", "k")
-    __init__ = CotSumParams.__init__
-
-    token = "byrne-smith"
-    _k_floor = (1, "k must be positive")
-
-    params = CotSumParams.params
-    sort_key = CotSumParams.sort_key
-
-    def closed_value(self) -> Rational:
-        return byrne_smith_sum(self.n, self.k)
 
 
 class CotPolynomial(Record):

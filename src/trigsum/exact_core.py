@@ -23,24 +23,23 @@ from operator import add
 from typing import Iterator
 
 from .errors import CostGuardError, ParameterError, check_int
+from .families import MAX_M, MAX_N
 
 Rational = Fraction
 
 # Cost guards on binom and on the Bernoulli table (bernoulli and
 # BernoulliCache.get), at the largest argument a valid request passes:
-# binom(2m, m) at m = closed_forms.MAX_M, and B_{2n} at n = cotangent.MAX_N,
-# the last coefficient of the cot polynomial's series B(x)^{2n}. At these
-# bounds comb(2 * 10^5, 10^5) took 0.75 s and a fresh table to B_200 22 ms,
-# where B_2000 took 32 s (2-vCPU Xeon VM). Both modules import this one, so
-# the values are written out here and the tests pin them to those bounds.
-# Larger arguments raise CostGuardError.
-MAX_BINOM_N = 2 * 10**5
-MAX_BERNOULLI_INDEX = 200
+# binom(2m, m) at m = MAX_M, and B_{2n} at n = MAX_N, the last coefficient
+# of the cot polynomial's series B(x)^{2n}. At these bounds
+# comb(2 * 10^5, 10^5) took 0.75 s and a fresh table to B_200 22 ms, where
+# B_2000 took 32 s (2-vCPU Xeon VM). Larger arguments raise CostGuardError.
+MAX_BINOM_N = 2 * MAX_M
+MAX_BERNOULLI_INDEX = 2 * MAX_N
 # Cost guard on residue_row: L slots of e + 1 bits, 2 MiB packed. A row
 # this size (L = 64) took 10.6 s, where the row C(10^5, 7) reads (L = 7,
 # e = 10^5) took 0.07 s. A closed form reads a row only where the cost
 # model of closed_forms prices it below the window, and every window up to
-# closed_forms.MAX_M is priced below any row past this guard.
+# MAX_M is priced below any row past this guard.
 MAX_ROW_BITS = 2**24
 
 __all__ = [

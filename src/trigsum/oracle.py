@@ -17,9 +17,11 @@ multiplies each class total by each weight once, rounding outward back to
 the grid; a sign (-1)^k is the weight cos(k*pi), exactly +-1 there. So the
 result is an interval certified to contain the true value. evaluate_exact
 builds a request's defining sum once and hands the built sum to
-denominator_bound_for and direct_sum. It checks no request: each request
-type checks its arguments when it is built, so any request that exists is
-valid.
+denominator_bound_for and direct_sum. It checks no request: every request
+type is a record of families, whose constructor checks its arguments, so
+any request that exists is valid. The oracle imports nothing from the
+package but errors and families, so it shares no code with the closed
+forms it checks.
 
 Before any lookup each angle is folded onto [0, pi/2], exactly and on the
 integers, by the period and the mirrors x -> 2*pi - x and x -> pi - x,
@@ -70,9 +72,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .closed_forms import MAX_M, Family, SumSpec
-from .cotangent import ByrneSmithParams, CotSumParams
 from .errors import CostGuardError, ParameterError, Record, check_int, set_field
+from .families import MAX_M, ByrneSmithParams, CotSumParams, Family, OddCosPowerParams, SumSpec
 
 __all__ = [
     "MAX_TERMS",
@@ -146,23 +147,6 @@ class ReconstructionPolicy(Record):
             raise ParameterError("bound and guard_bits must be positive")
         if guard_bits > MAX_PRECISION_BITS:
             raise CostGuardError(f"guard_bits must be <= {MAX_PRECISION_BITS} (cost guard)")
-
-
-class OddCosPowerParams(Record):
-    """Request for sum_{k=0}^{n-1} cos^{2j+1}(k*pi/n) (always exactly 1:
-    the k <-> n-k pairing cancels everything but the k=0 term)."""
-
-    __slots__ = ("j", "n")
-
-    def __init__(self, j: int, n: int) -> None:
-        set_field(self, "j", j)
-        set_field(self, "n", n)
-        check_int("j", j)
-        check_int("n", n)
-        if j < 0 or n < 1:
-            raise ParameterError("need j >= 0 and n >= 1")
-        if j > MAX_M:
-            raise CostGuardError(f"j must be <= {MAX_M} (cost guard)")
 
 
 # --- interval plumbing -------------------------------------------------

@@ -28,6 +28,8 @@ from .exact_core import scaled_power_sums
 from .genfunc import MAX_TABLE_INDEX
 
 __all__ = [
+    "MAX_TRACE_NS",
+    "MAX_VERTICES",
     "GraphKind",
     "GraphSpec",
     "WalkCount",
@@ -37,6 +39,22 @@ __all__ = [
     "trace_oracle",
     "closed_walk_counts",
 ]
+
+
+# Cost guards on the matrix oracle. adjacency_matrix holds size^2 entries,
+# so a graph of more than MAX_VERTICES vertices is refused before any is
+# built (10^6 list slots, about 8 MB). trace_oracle does size^3 products of
+# entries of up to `length` bits in each of its matrix products, and takes
+# about size^3 * (47 * products + 3^bit_length(length) / 64) ns: the first
+# term is the interpreter's cost per product, the second Karatsuba's on the
+# largest entries. The constants are a least squares fit to the relative
+# error over 20 timings at 3..301 vertices and lengths 2..10^6, each within
+# 0.57-1.8x of the model; (101, 2000) took 4.1 s, (25, 10^5) 32.6 s and
+# (9, 6400), the largest reference the bench harness builds, 0.03 s (2-vCPU
+# Xeon VM, Python 3.11). A call the model prices above MAX_TRACE_NS is
+# refused with CostGuardError before any matrix is built.
+MAX_VERTICES = 1000
+MAX_TRACE_NS = 2 * 10**9
 
 
 class GraphKind(Enum):
@@ -98,6 +116,8 @@ def cycle_closed_walks(n: int, m: int) -> WalkCount:
 def adjacency_matrix(graph: GraphSpec) -> list[list[int]]:
     """Exact 0/1 adjacency matrix."""
     size = graph.vertex_count
+    if size > MAX_VERTICES:
+        raise CostGuardError(f"the graph has {size} vertices; at most {MAX_VERTICES} (cost guard)")
     mat = [[0] * size for _ in range(size)]
     for i in range(size - 1):
         mat[i][i + 1] = mat[i + 1][i] = 1
@@ -124,6 +144,14 @@ def trace_oracle(graph: GraphSpec, length: int) -> WalkCount:
     size = graph.vertex_count
     if length == 0:
         return WalkCount(size)
+    bits = length.bit_length()
+    # the model's estimate in ns; past 2^40 the length alone is over the guard
+    cost = size**3 * (47 * (bits + length.bit_count() - 2) + 3 ** min(bits, 40) // 64)
+    if cost > MAX_TRACE_NS:
+        raise CostGuardError(
+            f"trace_oracle at {size} vertices and length {length} takes about {cost // 10**9} s;"
+            f" at most {MAX_TRACE_NS // 10**9} s (cost guard)"
+        )
     power = None
     square = adjacency_matrix(graph)
     bits = length

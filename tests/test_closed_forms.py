@@ -34,7 +34,7 @@ from trigsum.closed_forms import (
     weight_half_pi_sum,
     weight_pi3_sum,
 )
-from trigsum.cotangent import byrne_smith_coefficients, byrne_smith_coefficients_uncorrected
+from trigsum.cotangent import CotSumParams, byrne_smith_coefficients, byrne_smith_coefficients_uncorrected
 from trigsum.errors import CostGuardError, ParameterError
 from trigsum.exact_core import BernoulliCache, bernoulli, binom, binom_window, scaled_power_sums
 from trigsum.genfunc import (
@@ -1223,6 +1223,15 @@ def test_unknown_family_rejected(family):
     here."""
     with pytest.raises(ParameterError, match=f"^unknown family {family!r}$"):
         SumSpec(family, 2, 3)
+
+
+@pytest.mark.parametrize("spec", ["C", CotSumParams(1, 3)], ids=["token", "cot-request"])
+def test_evaluate_refuses_anything_but_a_sum_spec(spec):
+    """evaluate reads only SumSpecs: a family token or a cot request is a
+    usage error, refused as evaluate_exact refuses it, not an
+    AttributeError from a missing field."""
+    with pytest.raises(ParameterError, match=f"^unsupported closed-form request {type(spec).__name__}$"):
+        evaluate(spec)
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,13 @@
 reconstruction, failure taxonomy, and independence checks against the
 closed forms."""
 
+import ast
 import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,16 +267,33 @@ def test_cot_bound_is_k_to_the_2n():
             assert scaled.denominator == 1
 
 
-def test_oracle_imports_nothing_from_the_cot_closed_form():
-    """Independence: the oracle module sees only the request records
-    of the cotangent module."""
-    import trigsum.cotangent as ct
-    import trigsum.oracle as oc
+def _package_imports(module):
+    """The trigsum modules named by ``module``'s import statements, at
+    module level or inside a function, read off its source."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("trigsum.")}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trigsum"):
+            parts = node.module.split(".")
+            names |= {parts[1]} if len(parts) > 1 else {a.name for a in node.names}
+    return names
 
-    borrowed = {
-        name for name, obj in vars(oc).items() if getattr(obj, "__module__", None) == ct.__name__
-    }
-    assert borrowed == {"CotSumParams", "ByrneSmithParams"}
+
+def test_oracle_imports_only_errors_and_families():
+    """Independence: the oracle imports no package module but errors and
+    families, so importing it loads none of the code it checks."""
+    assert _package_imports(oracle) == {"errors", "families"}
+
+
+def test_families_imports_only_errors():
+    """The request records import no package module but errors, so the
+    oracle reaches no computing module through them."""
+    import trigsum.families as families
+
+    assert _package_imports(families) == {"errors"}
 
 
 _ONE_PER_FAMILY = [

@@ -16,6 +16,7 @@ from trigsum.cotangent import (
     CotPolynomial,
     CotSumParams,
     byrne_smith_coefficients,
+    byrne_smith_sum,
     cot_sum_polynomial,
 )
 from trigsum.errors import CostGuardError, ParameterError, Record, set_field
@@ -125,6 +126,42 @@ def test_pickle_and_copy_round_trip(cls):
         assert back == record and hash(back) == hash(record)
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
+
+
+def test_every_request_record_is_defined_once_in_families():
+    """The records and their bounds are defined in families; the modules
+    that use them re-export the same objects."""
+    import trigsum
+    from trigsum import closed_forms, cotangent, exact_core, families, oracle
+
+    for name in ("Family", "SumSpec", "CotSumParams", "ByrneSmithParams", "OddCosPowerParams"):
+        assert getattr(families, name).__module__ == "trigsum.families"
+        assert getattr(trigsum, name) is getattr(families, name)
+    for module, names in (
+        (closed_forms, ("MAX_M", "Family", "SumSpec")),
+        (cotangent, ("MAX_N", "MAX_POWER_BITS", "CotSumParams", "ByrneSmithParams")),
+        (oracle, ("OddCosPowerParams",)),
+    ):
+        for name in names:
+            assert name in module.__all__ and getattr(module, name) is getattr(families, name)
+    assert (exact_core.MAX_BINOM_N, exact_core.MAX_BERNOULLI_INDEX) == (2 * families.MAX_M, 2 * families.MAX_N)
+
+
+def test_closed_value_reads_its_evaluator_when_called(monkeypatch):
+    """closed_value calls whatever function its evaluating module holds at
+    the time of the call, so a wrapper bound there after a first call is
+    seen."""
+    from trigsum import closed_forms, cotangent
+
+    spec = SumSpec(Family.COS_POWER, 2, 3)
+    assert (spec.closed_value(), CotSumParams(2, 5).closed_value()) == (F(9, 8), F(36, 5))
+    assert ByrneSmithParams(2, 5).closed_value() == byrne_smith_sum(2, 5)
+    monkeypatch.setattr(closed_forms, "evaluate", lambda spec: ("evaluate", spec))
+    monkeypatch.setattr(cotangent, "cot_power_sum", lambda n, k: ("cot", n, k))
+    monkeypatch.setattr(cotangent, "byrne_smith_sum", lambda n, k: ("byrne-smith", n, k))
+    assert spec.closed_value() == ("evaluate", spec)
+    assert CotSumParams(2, 5).closed_value() == ("cot", 2, 5)
+    assert ByrneSmithParams(2, 5).closed_value() == ("byrne-smith", 2, 5)
 
 
 def test_repr_names_every_field():

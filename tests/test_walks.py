@@ -2,15 +2,18 @@
 exact matrix-power trace, plus the spectral identities tying the counts to
 the cosine power sums."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import exact_core
+from trigsum import exact_core, walks
 from trigsum.cli import main
 from trigsum.closed_forms import cos_power_sum
 from trigsum.errors import CostGuardError, ParameterError
 from trigsum.genfunc import MAX_TABLE_INDEX
 from trigsum.walks import (
+    MAX_VERTICES,
     GraphKind,
     GraphSpec,
     WalkCount,
@@ -118,6 +121,47 @@ def test_path_parameter_validation():
         path_closed_walks(4, -1)
     with pytest.raises(ParameterError):
         trace_oracle(GraphSpec(GraphKind.PATH, 4), -2)
+
+
+@pytest.mark.parametrize(
+    "kind, n, length",
+    [(GraphKind.CYCLE, 301, 600), (GraphKind.CYCLE, 101, 2000), (GraphKind.PATH, 4, 2**64),
+     (GraphKind.CYCLE, 10**5 + 1, 2)],
+    ids=["301-cycle", "101-cycle", "long", "huge-cycle"],
+)
+def test_trace_oracle_refuses_a_costly_trace_before_any_matrix(kind, n, length, monkeypatch):
+    """The 301-cycle at length 600 took 23 s and the 101-cycle at length
+    2,000 took 3.8 s; such calls are refused at once, before a matrix is
+    built or multiplied."""
+
+    def no_matrix(*args):
+        raise AssertionError("matrix built")
+
+    monkeypatch.setattr(walks, "adjacency_matrix", no_matrix)
+    monkeypatch.setattr(walks, "_mat_mul", no_matrix)
+    start = time.perf_counter()
+    with pytest.raises(CostGuardError, match="cost guard"):
+        trace_oracle(GraphSpec(kind, n), length)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "kind, n, length",
+    [(GraphKind.PATH, 26, 24), (GraphKind.CYCLE, 25, 24), (GraphKind.PATH, 9, 6400), (GraphKind.CYCLE, 9, 6400)],
+)
+def test_trace_oracle_admits_the_references_it_serves(kind, n, length):
+    """The guard admits the traces the tests (up to 25 vertices, length 24)
+    and the bench harness's large-m references (n <= 9, length <= 6,400)
+    compare against."""
+    closed = path_closed_walks if kind is GraphKind.PATH else cycle_closed_walks
+    assert trace_oracle(GraphSpec(kind, n), length) == closed(n, length // 2)
+
+
+def test_adjacency_matrix_refuses_more_than_max_vertices():
+    assert len(adjacency_matrix(GraphSpec(GraphKind.PATH, MAX_VERTICES + 1))) == MAX_VERTICES
+    for graph in (GraphSpec(GraphKind.PATH, MAX_VERTICES + 2), GraphSpec(GraphKind.CYCLE, MAX_VERTICES + 1)):
+        with pytest.raises(CostGuardError, match=f"at most {MAX_VERTICES} \\(cost guard\\)"):
+            adjacency_matrix(graph)
 
 
 def test_walk_count_type():
