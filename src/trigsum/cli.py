@@ -448,6 +448,8 @@ def cmd_table(args) -> int:
             raise CostGuardError(f"--{table.index} must be <= {MAX_TABLE_INDEX} (cost guard)")
     if args.bfile and not table.bfile:
         raise ParameterError("--bfile only applies to walks tables")
+    if args.bfile and args.json:
+        raise ParameterError("--bfile and --json cannot be combined")
     rows = table.rows(args.n, last)
     if args.bfile:
         text = "\n".join(f"{m} {count}" for m, count in rows)

@@ -43,12 +43,12 @@ large m (C(10^5, 7) in 0.10 against 2.7 s); the window keeps m = 200
 at n >= 6, criterion 9's C(200, 7) among them, and every call whose window
 has few terms.
 
-The shifted sums are the one place a second route still runs: their
-direct form weights the window of (m, n) by (-1)^p, and the difference
-C(m, 2n) - C(m, n) reads C(m, 2n) straight off the window of (m, 2n),
-walked whatever the cost model says, so a direct form read off a row is
-checked against a route that shares no arithmetic with it; the two are
-compared at every call.
+The half-shift sums are the one place a second route still runs: their
+direct form weights the window of (m, n) by (-1)^p, and the check column of
+their rows compares it with C(m, 2n) - C(m, n), C(m, 2n) walked off the
+window of (m, 2n) at every call, whatever the cost model says, so a direct
+form read off a row is checked against a route that shares no arithmetic
+with it.
 
 All values are exact rationals with a power-of-two denominator. Any value
 times 2^{2m+2} is an integer for the families here except the degree-5
@@ -57,9 +57,9 @@ window's integers into one integer numerator and every value leaves
 through _dyadic, the one place a Fraction is built (the Barbero erratum
 reproducer keeps its published formula).
 
-Seventeen families are one row each of the table _ROWS, which _windowed
-evaluates; the three half-shift sums (their check) stay bespoke. The
-requests, SumSpec and Family, are defined and checked in families.
+All twenty families are one row each of the table _ROWS, which _windowed
+evaluates. The requests, SumSpec and Family, are defined and checked in
+families.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _window_pass(
     The last _PASSES results are memoized, keyed by the arguments as
     passed, so a campaign reads each window once however many requests
     share it; the tuple returned is the memo's own. clear_caches() empties
-    the memo.
+    the memo. A row's check column walks its window outside it.
 
     Term p of the window lands in class p mod L, L the lcm of ``period`` and
     of the multiples, each d read as 2d for S at odd d*n. The window of
@@ -252,45 +252,58 @@ def _dyadic(numerator: int, bits: int) -> Rational:
     return value
 
 
-# One row per windowed family, a function of (m, n, q, kind) giving (kind,
-# window n, multiples, coefficients, constant, bits, classes, period): the
-# value is the coefficients' dot product with the sums _window_pass returns,
-# plus constant * 4^m, over 2^bits.
+# One row per family, a function of (m, n, q, kind) giving (kind, window n,
+# multiples, coefficients, constant, bits, classes, period, check): the value
+# is the coefficients' dot product with the sums _window_pass returns, plus
+# constant * 4^m, over 2^bits. A check d > 0, at even d*n, where C(m, d*n) =
+# S(m, d*n), asserts that 4^m * C(m, d*n) less the first sum is the numerator.
 _ROWS = {
-    Family.COS_POWER: lambda m, n, q, kind: ("cos", n, (1,), (1,), 0, 2 * m, (), 1),
-    Family.SIN_POWER: lambda m, n, q, kind: ("sin", n, (1,), (1,), 0, 2 * m, (), 1),
-    Family.SCALED: lambda m, n, q, kind: (kind, n, (1,), (q // n,), 0, 2 * m, (), 1),
-    Family.COPRIME: lambda m, n, q, kind: (kind, n, (1,), (1,), 0, 2 * m, (), 1),
-    Family.GCD_REDUCED: lambda m, n, q, kind: (kind, n // gcd(n, q), (1,), (gcd(n, q),), 0, 2 * m, (), 1),
-    Family.MERCA_HALF: lambda m, n, q, kind: ("cos", n, (1,), (1,), -1, 2 * m + 1, (), 1),
-    Family.QUONIAM: lambda m, n, q, kind: ("cos", n + 1, (1,), (1,), -1, 1, (), 1),
-    Family.BARBERO_R: lambda m, n, q, kind: ("cos", 2 * n + 3, (1,), (1,), -1, 1, (), 1),
-    Family.ALTERNATING: lambda m, n, q, kind: (kind, n // 2, (1, 2), (2, -1), 0, 2 * m, (), 1),
-    Family.WEIGHT3_COS: lambda m, n, q, kind: ("cos", n, (1, 3), (3, -1), 0, 2 * m + 1, (), 1),
-    Family.WEIGHT3_SIN: lambda m, n, q, kind: ("sin", n, (1, 3), (3, -1), 0, 2 * m + 1, (), 1),
-    Family.WEIGHT_HALF_PI: lambda m, n, q, kind: ("cos", n, (1, 2), (2, -1), 0, 2 * m, (), 1),
+    Family.COS_POWER: lambda m, n, q, kind: ("cos", n, (1,), (1,), 0, 2 * m, (), 1, 0),
+    Family.SIN_POWER: lambda m, n, q, kind: ("sin", n, (1,), (1,), 0, 2 * m, (), 1, 0),
+    Family.SCALED: lambda m, n, q, kind: (kind, n, (1,), (q // n,), 0, 2 * m, (), 1, 0),
+    Family.COPRIME: lambda m, n, q, kind: (kind, n, (1,), (1,), 0, 2 * m, (), 1, 0),
+    Family.GCD_REDUCED: lambda m, n, q, kind: (kind, n // gcd(n, q), (1,), (gcd(n, q),), 0, 2 * m, (), 1, 0),
+    Family.MERCA_HALF: lambda m, n, q, kind: ("cos", n, (1,), (1,), -1, 2 * m + 1, (), 1, 0),
+    Family.QUONIAM: lambda m, n, q, kind: ("cos", n + 1, (1,), (1,), -1, 1, (), 1, 0),
+    Family.BARBERO_R: lambda m, n, q, kind: ("cos", 2 * n + 3, (1,), (1,), -1, 1, (), 1, 0),
+    Family.ALTERNATING: lambda m, n, q, kind: (kind, n // 2, (1, 2), (2, -1), 0, 2 * m, (), 1, 0),
+    Family.WEIGHT3_COS: lambda m, n, q, kind: ("cos", n, (1, 3), (3, -1), 0, 2 * m + 1, (), 1, 0),
+    Family.WEIGHT3_SIN: lambda m, n, q, kind: ("sin", n, (1, 3), (3, -1), 0, 2 * m + 1, (), 1, 0),
+    Family.WEIGHT_HALF_PI: lambda m, n, q, kind: ("cos", n, (1, 2), (2, -1), 0, 2 * m, (), 1, 0),
     Family.WEIGHT_PI3: lambda m, n, q, kind: (
-        "cos", n // 2, (1, 2, 3, 6), (6, -3, -2, 1), 0, 2 * m + 1, (), 1
+        "cos", n // 2, (1, 2, 3, 6), (6, -3, -2, 1), 0, 2 * m + 1, (), 1, 0
     ),
-    Family.ELL5_PRODUCT: lambda m, n, q, kind: ("cos", n, (1, 5), (5, -1), 0, 2 * m + 2, (), 1),
+    Family.ELL5_PRODUCT: lambda m, n, q, kind: ("cos", n, (1, 5), (5, -1), 0, 2 * m + 2, (), 1, 0),
     Family.ELL5_ALT_PRODUCT: lambda m, n, q, kind: (
-        "cos", n // 2, (1, 2, 5, 10), (10, -5, -2, 1), 0, 2 * m + 2, (), 1
+        "cos", n // 2, (1, 2, 5, 10), (10, -5, -2, 1), 0, 2 * m + 2, (), 1, 0
     ),
     # the classes p = +-1 (mod 5) of the cos2 weight (ell5_sum)
-    Family.ELL5_COS2: lambda m, n, q, kind: ("cos", n, (), (5 * n,), 0, 2 * m, ((1, 4),), 5),
-    Family.ELL5_COS4: lambda m, n, q, kind: ("cos", n, (1, 5), (10, -2, -20 * n), 0, 2 * m + 2, ((1, 4),), 5),
+    Family.ELL5_COS2: lambda m, n, q, kind: ("cos", n, (), (5 * n,), 0, 2 * m, ((1, 4),), 5, 0),
+    Family.ELL5_COS4: lambda m, n, q, kind: ("cos", n, (1, 5), (10, -2, -20 * n), 0, 2 * m + 2, ((1, 4),), 5, 0),
+    # X(m, 2n) - X(m, n): the direct weight less X's is -2 at odd p for cos,
+    # -2*(-1)^n for sin; merca-shifted is half of shifted-cos
+    Family.SHIFTED_COS: lambda m, n, q, kind: ("cos", n, (1,), (1, -4 * n), 0, 2 * m, ((1,),), 2, 2),
+    Family.SHIFTED_SIN: lambda m, n, q, kind: ("sin", n, (1,), (1, 4 * n * (-1) ** (n + 1)), 0, 2 * m, ((1,),), 2, 2),
+    Family.MERCA_SHIFTED: lambda m, n, q, kind: ("cos", n, (1,), (1, -4 * n), 0, 2 * m + 1, ((1,),), 2, 2),
 }
 
 
 def _windowed(spec: SumSpec) -> Rational:
-    """The value of ``spec``, of a family in _ROWS: one window
-    pass or residue row, and one _dyadic of the row's integer combination."""
+    """The value of ``spec``: one window pass or residue row, the row's
+    check, if any, on a window walked afresh (so a memo hit is checked too),
+    and one _dyadic of the row's integer combination."""
     m = spec.m
     row = _ROWS[spec.family](m, spec.n, spec.q, spec.kind)
-    kind, n, multiples, coefficients, constant, bits, classes, period = row
-    numerator = sum(map(mul, coefficients, _window_pass(kind, m, n, multiples, classes, period)))
+    kind, n, multiples, coefficients, constant, bits, classes, period, check = row
+    sums = _window_pass(kind, m, n, multiples, classes, period)
+    numerator = sum(map(mul, coefficients, sums))
     if constant:
         numerator += constant * 4**m
+    if check:
+        span = check * n
+        terms = binom_window(m, span)  # the tail, then the central term
+        if span * (2 * sum(islice(terms, m // span)) + next(terms)) - sums[0] != numerator:
+            raise ArithmeticError(f"{spec.family.value}: evaluation routes disagree")
     return _dyadic(numerator, bits)
 
 
@@ -348,8 +361,7 @@ def merca_shifted_sum(p: int, n: int) -> Rational:
     """sum_{k=1}^{floor(n/2)} cos^{2p}((k - 1/2)*pi/n)
     = (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} (-1)^k binom(2p, p+kn),
     which is shifted_cos_sum(p, n)/2 by mirror pairing."""
-    SumSpec(Family.MERCA_SHIFTED, p, n)
-    return _dyadic(_shifted("cos", p, n), 2 * p + 1)
+    return _windowed(SumSpec(Family.MERCA_SHIFTED, p, n))
 
 
 def barbero_R(m: int, n: int) -> Rational:
@@ -419,32 +431,13 @@ def alternating_sin_middle_erratum(m: int, n: int) -> Rational:
     return _middle_erratum(m, n)
 
 
-def _shifted(kind: str, m: int, n: int) -> int:
-    """4^m times the half-shift sum of ``kind`` over (k + 1/2)*pi/n, k < n,
-    from its direct form, asserted equal to 4^m * (X(m, 2n) - X(m, n)).
-    X(m, n) and the direct form share one pass over the window of (m, n);
-    X(m, 2n), equal for C and S at the even 2n, is walked off its own at
-    every call, never read off the memo of _window_pass, so a hit is
-    checked too."""
-    full, odd = _window_pass(kind, m, n, (1,), ((1,),), 2)
-    # the direct weight less X's is -2 at odd p for cos, whose weight is
-    # (-1)^p, and -2*(-1)^n at odd p for sin
-    direct = full - (1 if kind == "cos" else (-1) ** n) * 4 * n * odd
-    terms = binom_window(m, 2 * n)  # the tail, then the central term
-    double = 2 * n * (2 * sum(islice(terms, m // (2 * n))) + next(terms))
-    if double - full != direct:
-        raise ArithmeticError(f"shifted_{kind}_sum: evaluation routes disagree")
-    return direct
-
-
 def shifted_cos_sum(m: int, n: int) -> Rational:
     """sum_{k=0}^{n-1} cos^{2m}((k + 1/2)*pi/n) = C(m, 2n) - C(m, n).
 
     Also 2^{1-2m} * n * (binom(2m-1, m-1) + sum_p (-1)^p binom(2m, m-pn));
-    the two routes are asserted equal (see _shifted).
+    the two routes are asserted equal (the check column of its row in _ROWS).
     """
-    SumSpec(Family.SHIFTED_COS, m, n)
-    return _dyadic(_shifted("cos", m, n), 2 * m)
+    return _windowed(SumSpec(Family.SHIFTED_COS, m, n))
 
 
 def shifted_sin_sum(m: int, n: int) -> Rational:
@@ -453,10 +446,9 @@ def shifted_sin_sum(m: int, n: int) -> Rational:
     Direct form 2^{1-2m} * n * (binom(2m-1, m-1)
     + sum_p (1 + (-1)^p - (-1)^{np}) * binom(2m, m-pn)): the weight reduces
     to +1 for odd n and to (-1)^p for even n. Asserted equal to
-    S(m, 2n) - S(m, n) (see _shifted).
+    S(m, 2n) - S(m, n) (the check column of its row in _ROWS).
     """
-    SumSpec(Family.SHIFTED_SIN, m, n)
-    return _dyadic(_shifted("sin", m, n), 2 * m)
+    return _windowed(SumSpec(Family.SHIFTED_SIN, m, n))
 
 
 def weight3_sum(kind: str, m: int, n: int) -> Rational:
@@ -487,14 +479,6 @@ def weight_pi3_sum(m: int, n: int) -> Rational:
     return _windowed(SumSpec(Family.WEIGHT_PI3, m, n))
 
 
-_ELL5_FAMILIES = {
-    "product": Family.ELL5_PRODUCT,
-    "alt-product": Family.ELL5_ALT_PRODUCT,
-    "cos2": Family.ELL5_COS2,
-    "cos4": Family.ELL5_COS4,
-}
-
-
 def ell5_sum(variant: str, m: int, n: int) -> Rational:
     """Degree-5 weighted sums sum_{k=0}^{5n-1} w(k) * cos^{2m}(k*pi/5n).
 
@@ -516,13 +500,17 @@ def ell5_sum(variant: str, m: int, n: int) -> Rational:
     C and the cos2 classes from one pass over the window of (m, n) (of
     (m, n/2) for alt-product): the row of its family in _ROWS.
     """
-    if not isinstance(variant, str) or variant not in _ELL5_FAMILIES:
-        raise ParameterError(f"unknown ell5 variant {variant!r} (expected one of {tuple(_ELL5_FAMILIES)})")
-    return _windowed(SumSpec(_ELL5_FAMILIES[variant], m, n))
+    try:
+        family = Family("ell5-" + variant)
+    except (TypeError, ValueError):
+        variants = tuple(f.value[5:] for f in Family if f.value.startswith("ell5-"))
+        raise ParameterError(f"unknown ell5 variant {variant!r} (expected one of {variants})") from None
+    return _windowed(SumSpec(family, m, n))
 
 
-# The half-shift families, which check their value by a second route: their
-# public functions, looked up by name so that bench/tracer.py times them.
+# The rows with a check column: evaluate calls their public functions by
+# name, because bench/tracer.py times the check by those names. Once the
+# tracer stops wrapping public names, this map goes.
 _BESPOKE = {
     Family.MERCA_SHIFTED: lambda s: merca_shifted_sum(s.m, s.n),
     Family.SHIFTED_COS: lambda s: shifted_cos_sum(s.m, s.n),

@@ -9,8 +9,8 @@ here, and the oracle imports none of the code it checks.
 
 SumSpec's constructor is the one domain check, so a SumSpec that exists is
 valid: closed_forms.evaluate() checks only that it was handed one, and
-reads a table family off _windowed or calls a bespoke family's public
-function. Each public function builds the SumSpec of its own family and
+reads every family off its row through _windowed, the three half-shift
+families by way of their public functions. Each public function builds the SumSpec of its own family and
 calls no other, so a direct call checks its arguments once, and a call
 and an evaluate() of the same request accept and refuse the same
 arguments. The erratum reproducers build the SumSpec of the sum they

@@ -121,6 +121,8 @@ class IntervalValue(Record):
         check_int("precision_bits", precision_bits)
         if precision_bits < 0:
             raise ParameterError("precision_bits must be >= 0")
+        if lo > hi:
+            raise ParameterError("an interval needs lo <= hi")
 
     @property
     def width(self) -> Fraction:
@@ -366,49 +368,44 @@ class _DefiningSum(NamedTuple):
     scale: int = 1
 
 
-def _lattice(period: int, fn: str, *weights: tuple[int, int]):
+def _lattice(period: int, fn: str, *weights: tuple[int, int], bound_bits: int = 2):
     # k < period*n at the angles k*pi/(period*n), each term times the
     # product of cos(c*k*pi/d) over the weights (c, d)
-    return lambda n, q, kind: (range(period * n), fn, 1, 0, period * n, weights)
+    return lambda m, n, q, kind: (range(period * n), fn, 1, 0, period * n, weights, 4**m << bound_bits, 1)
 
 
-# Each family's defining sum, from (n, q, kind): (indices, fn, a, b, den,
-# weights) of _DefiningSum.
+# Each family's defining sum, from (m, n, q, kind): (indices, fn, a, b, den,
+# weights, bound, scale) of _DefiningSum. The denominator bound is 2^{2m+2},
+# four bits more for the degree-5 weighted families; quoniam and barbero
+# are scaled by 2^{2m}, which makes their values integers, of bound 1.
 _SUM_SPEC_SUMS = {
     Family.COS_POWER: _lattice(1, "cos"),
     Family.SIN_POWER: _lattice(1, "sin"),
-    Family.SCALED: lambda n, q, kind: (range(q), kind, 1, 0, n, ()),
-    Family.COPRIME: lambda n, q, kind: (range(n), kind, q, 0, n, ()),
-    Family.GCD_REDUCED: lambda n, q, kind: (range(n), kind, q, 0, n, ()),
-    Family.QUONIAM: lambda n, q, kind: (range(1, n // 2 + 1), "cos", 1, 0, n + 1, ()),
-    Family.MERCA_HALF: lambda n, q, kind: (range(1, (n - 1) // 2 + 1), "cos", 1, 0, n, ()),
-    Family.MERCA_SHIFTED: lambda n, q, kind: (range(1, n // 2 + 1), "cos", 2, -1, 2 * n, ()),
-    Family.BARBERO_R: lambda n, q, kind: (range(1, n + 2), "cos", 1, 0, 2 * n + 3, ()),
-    Family.ALTERNATING: lambda n, q, kind: (range(n), kind, 1, 0, n, ((1, 1),)),
-    Family.SHIFTED_COS: lambda n, q, kind: (range(n), "cos", 2, 1, 2 * n, ()),
-    Family.SHIFTED_SIN: lambda n, q, kind: (range(n), "sin", 2, 1, 2 * n, ()),
+    Family.SCALED: lambda m, n, q, kind: (range(q), kind, 1, 0, n, (), 4**m << 2, 1),
+    Family.COPRIME: lambda m, n, q, kind: (range(n), kind, q, 0, n, (), 4**m << 2, 1),
+    Family.GCD_REDUCED: lambda m, n, q, kind: (range(n), kind, q, 0, n, (), 4**m << 2, 1),
+    Family.QUONIAM: lambda m, n, q, kind: (range(1, n // 2 + 1), "cos", 1, 0, n + 1, (), 1, 4**m),
+    Family.MERCA_HALF: lambda m, n, q, kind: (range(1, (n - 1) // 2 + 1), "cos", 1, 0, n, (), 4**m << 2, 1),
+    Family.MERCA_SHIFTED: lambda m, n, q, kind: (range(1, n // 2 + 1), "cos", 2, -1, 2 * n, (), 4**m << 2, 1),
+    Family.BARBERO_R: lambda m, n, q, kind: (range(1, n + 2), "cos", 1, 0, 2 * n + 3, (), 1, 4**m),
+    Family.ALTERNATING: lambda m, n, q, kind: (range(n), kind, 1, 0, n, ((1, 1),), 4**m << 2, 1),
+    Family.SHIFTED_COS: lambda m, n, q, kind: (range(n), "cos", 2, 1, 2 * n, (), 4**m << 2, 1),
+    Family.SHIFTED_SIN: lambda m, n, q, kind: (range(n), "sin", 2, 1, 2 * n, (), 4**m << 2, 1),
     Family.WEIGHT3_COS: _lattice(3, "cos", (2, 3)),
     Family.WEIGHT3_SIN: _lattice(3, "sin", (2, 3)),
     Family.WEIGHT_HALF_PI: _lattice(4, "cos", (1, 2)),
     Family.WEIGHT_PI3: _lattice(3, "cos", (1, 3)),
-    Family.ELL5_PRODUCT: _lattice(5, "cos", (2, 5), (4, 5)),
-    Family.ELL5_ALT_PRODUCT: _lattice(5, "cos", (1, 5), (2, 5)),
-    Family.ELL5_COS2: _lattice(5, "cos", (2, 5)),
-    Family.ELL5_COS4: _lattice(5, "cos", (4, 5)),
+    Family.ELL5_PRODUCT: _lattice(5, "cos", (2, 5), (4, 5), bound_bits=6),
+    Family.ELL5_ALT_PRODUCT: _lattice(5, "cos", (1, 5), (2, 5), bound_bits=6),
+    Family.ELL5_COS2: _lattice(5, "cos", (2, 5), bound_bits=6),
+    Family.ELL5_COS4: _lattice(5, "cos", (4, 5), bound_bits=6),
 }
-# scaled by 2^{2m}, which makes their values integers
-_INTEGRAL = frozenset({Family.QUONIAM, Family.BARBERO_R})
-# the degree-5 weighted families, whose bound takes 4 more bits
-_DEGREE_5 = frozenset({Family.ELL5_PRODUCT, Family.ELL5_ALT_PRODUCT, Family.ELL5_COS2, Family.ELL5_COS4})
 
 
 def _sum_spec_sum(spec: SumSpec) -> _DefiningSum:
-    f, m, n = spec.family, spec.m, spec.n
-    indices, fn, a, b, den, weights = _SUM_SPEC_SUMS[f](n, spec.q, spec.kind)
-    integral = f in _INTEGRAL
-    bound = 1 if integral else 2 ** (2 * m + 2 + (4 if f in _DEGREE_5 else 0))
+    m, n = spec.m, spec.n
+    indices, fn, a, b, den, weights, bound, scale = _SUM_SPEC_SUMS[spec.family](m, n, spec.q, spec.kind)
     precision = 2 * m + (n + 1).bit_length() + 96
-    scale = 2 ** (2 * m) if integral else 1
     return _DefiningSum(indices, fn, a, b, den, 2 * m, bound, precision, weights, scale)
 
 
@@ -532,8 +529,12 @@ def reconstruct(value: IntervalValue, policy: ReconstructionPolicy) -> Fraction:
     established it holds at most one integer, p = ceil(L * 2^-prec); none,
     p > floor(H * 2^-prec), means the denominator bound is not a multiple of
     the true denominator (a bug worth surfacing, not retrying). All three
-    tests are integer shifts on the grid.
+    tests are integer shifts on the grid. A value that is not an
+    IntervalValue, or a policy that is not a ReconstructionPolicy, raises
+    ParameterError.
     """
+    if type(value) is not IntervalValue or type(policy) is not ReconstructionPolicy:
+        raise ParameterError("reconstruct needs an IntervalValue and a ReconstructionPolicy")
     bound, prec = policy.denominator_bound, value.precision_bits
     low, high = value.lo * bound, value.hi * bound
     if (high - low) << policy.guard_bits >= 1 << prec:

@@ -113,9 +113,15 @@ def cycle_closed_walks(n: int, m: int) -> WalkCount:
     return WalkCount(int(cos_power_sum(m, n) * 4**m))
 
 
+def _vertex_count(graph: GraphSpec) -> int:
+    if type(graph) is not GraphSpec:
+        raise ParameterError(f"unsupported graph {type(graph).__name__}")
+    return graph.vertex_count
+
+
 def adjacency_matrix(graph: GraphSpec) -> list[list[int]]:
-    """Exact 0/1 adjacency matrix."""
-    size = graph.vertex_count
+    """Exact 0/1 adjacency matrix of a GraphSpec (else ParameterError)."""
+    size = _vertex_count(graph)
     if size > MAX_VERTICES:
         raise CostGuardError(f"the graph has {size} vertices; at most {MAX_VERTICES} (cost guard)")
     mat = [[0] * size for _ in range(size)]
@@ -127,7 +133,6 @@ def adjacency_matrix(graph: GraphSpec) -> list[list[int]]:
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    size = len(a)
     cols = list(zip(*b))
     return [
         [sum(x * y for x, y in zip(row, col)) for col in cols] for row in a
@@ -137,11 +142,11 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def trace_oracle(graph: GraphSpec, length: int) -> WalkCount:
     """trace(A^length) by exact integer matrix powering (repeated
     squaring). Accepts any length >= 0, odd included, so bipartite
-    cancellation is itself checkable."""
+    cancellation is itself checkable. ``graph`` must be a GraphSpec."""
+    size = _vertex_count(graph)
     check_int("length", length)
     if length < 0:
         raise ParameterError("length must be non-negative")
-    size = graph.vertex_count
     if length == 0:
         return WalkCount(size)
     bits = length.bit_length()

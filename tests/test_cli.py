@@ -635,6 +635,20 @@ def test_table_bfile_refused_before_building(kind, capsys, monkeypatch):
         assert capsys.readouterr().err == "error: --bfile only applies to walks tables\n"
 
 
+@pytest.mark.parametrize("kind", ["walks-path", "walks-cycle"])
+def test_table_bfile_with_json_refused_before_building(kind, capsys, monkeypatch):
+    """--bfile with --json on a walks table exits 2 before any row is
+    built, rather than printing the b-file and dropping --json."""
+
+    def build(*args):
+        raise AssertionError("table row built")
+
+    monkeypatch.setattr(cli.wk, "closed_walk_counts", build)
+    assert main(["table", "--kind", kind, "--n", "5", "--m-max", "3", "--bfile", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --bfile and --json cannot be combined\n"
+
+
 def test_table_walks_bfile_out_file(tmp_path, capsys):
     target = tmp_path / "walks.txt"
     argv = ["table", "--kind", "walks-path", "--n", "4", "--m-max", "3", "--bfile"]

@@ -8,7 +8,7 @@ from math import comb, factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigsum import closed_forms, cotangent, exact_core, genfunc, walks
+from trigsum import closed_forms, cotangent, exact_core, genfunc, oracle, walks
 from trigsum.closed_forms import (
     MAX_M,
     Family,
@@ -1006,10 +1006,10 @@ def test_evaluate_validates_a_power_sum_once(family, monkeypatch):
     """A SumSpec checks its arguments when it is built, so a request is
     checked once per SumSpec built. A direct call of a public function
     builds one, as no public function calls another. evaluate() builds none
-    for the seventeen families of the row table, quoniam among them, which
-    it reads off _windowed itself, and one only for the three half-shift
-    families, that of the public function it dispatches to by name (the
-    bench tracer times those functions by name)."""
+    for the seventeen rows without a check column, quoniam among them,
+    which it reads off _windowed itself, and one only for the three
+    half-shift families, that of the public function it dispatches to by
+    name (the bench tracer times those functions by name)."""
     spec, direct = _DIRECT_CALLS[family]
     builds = []
     build = SumSpec.__init__
@@ -1021,13 +1021,46 @@ def test_evaluate_validates_a_power_sum_once(family, monkeypatch):
     assert len(builds) == (1 if family in closed_forms._BESPOKE else 0)
 
 
-def test_every_family_has_one_table_row_or_one_bespoke_entry():
-    """evaluate reads each Family off exactly one of the row table and the
-    bespoke map, which holds only the three half-shift families."""
-    rows, bespoke = set(closed_forms._ROWS), set(closed_forms._BESPOKE)
-    assert rows | bespoke == set(Family) and not rows & bespoke
-    assert len(rows) == 17
-    assert bespoke == {Family.MERCA_SHIFTED, Family.SHIFTED_COS, Family.SHIFTED_SIN}
+def test_every_family_has_one_table_row_and_the_checked_rows_are_bespoke():
+    """evaluate reads each of the twenty Family members off its row of the
+    table; the bespoke map, through which evaluate reaches a public
+    function by name, holds exactly the three half-shift rows, the rows
+    that carry a check column."""
+    rows = closed_forms._ROWS
+    assert set(rows) == set(Family) and len(rows) == 20
+    checked = {family for family, row in rows.items() if row(4, 4, 1, "cos")[-1]}
+    assert set(closed_forms._BESPOKE) == checked == {Family.MERCA_SHIFTED, Family.SHIFTED_COS, Family.SHIFTED_SIN}
+
+
+def test_one_table_per_family_per_layer():
+    """No module-level dict, set or frozenset of the closed forms or the
+    oracle holds Family members, as keys, elements or values, but the row
+    tables and the bespoke map; and every check column's d makes d*n even,
+    so the checked C(m, d*n) equals S(m, d*n)."""
+    tables = set()
+    for module in (closed_forms, oracle):
+        for name, value in vars(module).items():
+            if isinstance(value, dict):
+                held = [*value, *value.values()]
+            elif isinstance(value, (set, frozenset)):
+                held = value
+            else:
+                continue
+            if any(isinstance(item, Family) for item in held):
+                tables.add(f"{module.__name__}.{name}")
+    assert tables == {
+        "trigsum.closed_forms._ROWS", "trigsum.closed_forms._BESPOKE", "trigsum.oracle._SUM_SPEC_SUMS"
+    }
+    checks = 0
+    for family, row in closed_forms._ROWS.items():
+        for m in (1, 7, 200):
+            for n in range(1, 13):
+                for kind in ("cos", "sin"):
+                    spec = _grid_spec(family, m, n, kind)
+                    _, window, *_, check = row(spec.m, spec.n, spec.q, spec.kind)
+                    assert check * window % 2 == 0, spec
+                    checks += check > 0
+    assert checks == 3 * 3 * 12 * 2
 
 
 def _grid_spec(family, m, n, kind):

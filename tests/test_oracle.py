@@ -145,8 +145,9 @@ def _ambiguous_units(bound, guard_bits):
         # the narrowest grid width that reaches 2^-guard_bits at 40 guard bits
         (_below(F(1, 3)), _below(F(1, 3)) + _ambiguous_units(_BOUND, 40) * _EPS,
          _BOUND, 40, AmbiguousReconstruction),
-        # an empty interval holds no integer, though 1/3 lies between its ends
-        (F(1, 2), F(1, 4), 6, 32, NoIntegerNearby),
+        # an empty interval is refused when built, though 1/3 lies between
+        # its ends
+        (F(1, 2), F(1, 4), 6, 32, ParameterError),
         # width * bound exactly 2^-guard_bits at a power-of-two bound, and
         # one grid unit less
         (F(3, 2**10), F(3, 2**10) + F(1, 2**42), 2**10, 32, AmbiguousReconstruction),
@@ -158,6 +159,10 @@ def test_reconstruct_edge_cases(lower, upper, bound, guard_bits, expected):
     rationals; the interval holds their integers."""
     lo, hi = lower / _EPS, upper / _EPS
     assert lo.denominator == hi.denominator == 1
+    if expected is ParameterError:
+        with pytest.raises(ParameterError, match="lo <= hi"):
+            IntervalValue(int(lo), int(hi), 80)
+        return
     value = IntervalValue(int(lo), int(hi), 80)
     policy = ReconstructionPolicy(bound, guard_bits)
     assert _outcome(value, policy) == expected
@@ -177,7 +182,12 @@ def test_reconstruct_edge_cases(lower, upper, bound, guard_bits, expected):
 def test_reconstruct_matches_the_rational_definition(lo, units, prec, bound, guard_bits):
     """The integer shifts decide as the rationals do: ambiguous when
     width * bound >= 2^-guard_bits, else ceil(lower * bound) / bound, or
-    NoIntegerNearby past floor(upper * bound). Empty intervals included."""
+    NoIntegerNearby past floor(upper * bound). An empty interval is refused
+    when built."""
+    if units < 0:
+        with pytest.raises(ParameterError, match="lo <= hi"):
+            IntervalValue(lo, lo + units, prec)
+        return
     value = IntervalValue(lo, lo + units, prec)
     lower, upper = F(lo, 2**prec), F(lo + units, 2**prec)
     if (upper - lower) * bound >= F(1, 2**guard_bits):
@@ -212,6 +222,22 @@ def test_interval_membership_is_exact():
 def test_interval_rejects_negative_precision():
     with pytest.raises(ParameterError, match="precision_bits"):
         IntervalValue(0, 1, -1)
+
+
+@pytest.mark.parametrize(
+    "value, policy",
+    [
+        (1, 2),
+        ((0, 1, 64), ReconstructionPolicy(1)),
+        (IntervalValue(0, 1, 64), 1),
+        (IntervalValue(0, 1, 64), None),
+        (ReconstructionPolicy(1), IntervalValue(0, 1, 64)),
+    ],
+    ids=["ints", "tuple-value", "int-policy", "none-policy", "swapped"],
+)
+def test_reconstruct_refuses_foreign_arguments(value, policy):
+    with pytest.raises(ParameterError, match="IntervalValue and a ReconstructionPolicy"):
+        reconstruct(value, policy)
 
 
 def test_default_grid_leaves_guard_bits_of_slack():

@@ -164,6 +164,26 @@ def test_adjacency_matrix_refuses_more_than_max_vertices():
             adjacency_matrix(graph)
 
 
+@pytest.mark.parametrize("graph", ["path", 3, None, GraphKind.PATH], ids=str)
+def test_trace_oracle_refuses_a_non_graph(graph, monkeypatch):
+    """trace_oracle takes a GraphSpec; anything else is a usage error,
+    refused before any matrix is built."""
+
+    def build(*args):
+        raise AssertionError("matrix built")
+
+    monkeypatch.setattr(walks, "adjacency_matrix", build)
+    monkeypatch.setattr(walks, "_mat_mul", build)
+    with pytest.raises(ParameterError, match="unsupported graph"):
+        trace_oracle(graph, 2)
+
+
+@pytest.mark.parametrize("graph", ["path", 3, None, GraphKind.CYCLE], ids=str)
+def test_adjacency_matrix_refuses_a_non_graph(graph):
+    with pytest.raises(ParameterError, match="unsupported graph"):
+        adjacency_matrix(graph)
+
+
 def test_walk_count_type():
     assert isinstance(path_closed_walks(4, 2), int)
     with pytest.raises(ValueError):
