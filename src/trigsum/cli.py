@@ -473,9 +473,9 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
               with_oracle: bool, repeat: int) -> dict:
     """Measure closed-form (and optionally oracle) wall time for one case.
 
-    Returns {family, params, micros_closed, micros_oracle?, equal?}; the
-    closed-form time is the minimum over ``repeat`` runs, at least one and
-    at most MAX_TABLE_INDEX of them.
+    Returns {family, params, micros_closed, micros_oracle?, equal?}; each
+    time is the minimum over ``repeat`` runs, at least one and at most
+    MAX_TABLE_INDEX of them, each run after its side's caches are cleared.
     """
     check_int("repeat", repeat)
     if repeat < 1:
@@ -484,16 +484,17 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
         raise CostGuardError(f"repeat must be <= {MAX_TABLE_INDEX} (cost guard)")
     given = {"m": m, "n": n, "q": 1, "k": k, "kind": "cos"}
     request, thunk = _eval_request(args_family, given)
-    best = None
-    value = None
-    for _ in range(repeat):
-        cf.clear_caches()
-        ct.clear_caches()
-        ec.clear_caches()
-        t0 = time.perf_counter_ns()
-        value = thunk()
-        elapsed = time.perf_counter_ns() - t0
-        best = elapsed if best is None else min(best, elapsed)
+
+    def best_of(clear, call):  # the least time in ns of ``repeat`` calls, each after clear(), and the value
+        times = []
+        for _ in range(repeat):
+            clear()
+            t0 = time.perf_counter_ns()
+            value = call()
+            times.append(time.perf_counter_ns() - t0)
+        return min(times), value
+
+    best, value = best_of(lambda: (cf.clear_caches(), ct.clear_caches(), ec.clear_caches()), thunk)
     result = {
         "family": args_family,
         "params": {key: val for key, val in (("m", m), ("n", n), ("k", k)) if val is not None},
@@ -502,13 +503,7 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
     if with_oracle:
         if request is None:
             raise ParameterError("oracle timing is not defined for erratum families")
-        best_oracle = None
-        for _ in range(repeat):
-            oc.clear_caches()
-            t0 = time.perf_counter_ns()
-            exact = oc.evaluate_exact(request)
-            elapsed = time.perf_counter_ns() - t0
-            best_oracle = elapsed if best_oracle is None else min(best_oracle, elapsed)
+        best_oracle, exact = best_of(oc.clear_caches, lambda: oc.evaluate_exact(request))
         result["micros_oracle"] = best_oracle // 1000
         result["equal"] = exact == value
     return result

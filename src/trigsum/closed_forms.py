@@ -58,8 +58,12 @@ through _dyadic, the one place a Fraction is built (the Barbero erratum
 reproducer keeps its published formula).
 
 All twenty families are one row each of the table _ROWS, which _windowed
-evaluates. The requests, SumSpec and Family, are defined and checked in
-families.
+evaluates, and evaluate(SumSpec(...)) is the one entry point to every
+family. The requests, SumSpec and Family, are defined and checked in
+families. A family keeps a function of its own only where code outside
+the tests calls it: C and S (walks), the three half-shift sums (through
+_BESPOKE), and barbero_R beside the erratum reproducers barbero_R_naive
+and the two alternating middle-range expressions.
 """
 
 from __future__ import annotations
@@ -81,23 +85,13 @@ __all__ = [
     "evaluate",
     "cos_power_sum",
     "sin_power_sum",
-    "scaled_sum",
-    "coprime_sum",
-    "gcd_reduced_sum",
-    "quoniam_sum",
-    "merca_half_sum",
     "merca_shifted_sum",
     "barbero_R",
     "barbero_R_naive",
-    "alternating_sum",
     "alternating_cos_middle_erratum",
     "alternating_sin_middle_erratum",
     "shifted_cos_sum",
     "shifted_sin_sum",
-    "weight3_sum",
-    "weight_half_pi_sum",
-    "weight_pi3_sum",
-    "ell5_sum",
 ]
 
 
@@ -257,28 +251,57 @@ def _dyadic(numerator: int, bits: int) -> Rational:
 # is the coefficients' dot product with the sums _window_pass returns, plus
 # constant * 4^m, over 2^bits. A check d > 0, at even d*n, where C(m, d*n) =
 # S(m, d*n), asserts that 4^m * C(m, d*n) less the first sum is the numerator.
+# The comment on a row states its family's sum and the identity the row reads
+# (X = C for kind "cos", S for "sin"); evaluate is the entry point of each.
 _ROWS = {
     Family.COS_POWER: lambda m, n, q, kind: ("cos", n, (1,), (1,), 0, 2 * m, (), 1, 0),
     Family.SIN_POWER: lambda m, n, q, kind: ("sin", n, (1,), (1,), 0, 2 * m, (), 1, 0),
+    # sum_{k<q} X^{2m}(k*pi/n) for n | q: the n angles swept q/n times, (q/n) * X(m, n)
     Family.SCALED: lambda m, n, q, kind: (kind, n, (1,), (q // n,), 0, 2 * m, (), 1, 0),
+    # sum_{k<n} X^{2m}(q*k*pi/n) for gcd(n, q) = 1: q permutes the residues
+    # mod n and the even power kills the sign, so X(m, n) for every such q
     Family.COPRIME: lambda m, n, q, kind: (kind, n, (1,), (1,), 0, 2 * m, (), 1, 0),
+    # the same sum for any q >= 1: with r = gcd(n, q), the angles q*k/n mod 1
+    # cover the lattice of n/r exactly r times, r * X(m, n/r)
     Family.GCD_REDUCED: lambda m, n, q, kind: (kind, n // gcd(n, q), (1,), (gcd(n, q),), 0, 2 * m, (), 1, 0),
+    # sum_{k=1}^{floor((n-1)/2)} cos^{2m}(k*pi/n) = (C(m, n) - 1)/2: the k = 0
+    # term dropped, the mirror pairs halved
     Family.MERCA_HALF: lambda m, n, q, kind: ("cos", n, (1,), (1,), -1, 2 * m + 1, (), 1, 0),
+    # 4^m * sum_{k=1}^{floor(n/2)} cos^{2m}(k*pi/(n+1)) = 4^m * (C(m, n+1) - 1)/2,
+    # for 1 <= m < n+1 a window of no tail: (n+1)*binom(2m-1, m-1) - 2^{2m-1}
     Family.QUONIAM: lambda m, n, q, kind: ("cos", n + 1, (1,), (1,), -1, 1, (), 1, 0),
     Family.BARBERO_R: lambda m, n, q, kind: ("cos", 2 * n + 3, (1,), (1,), -1, 1, (), 1, 0),
+    # sum_{k<n} (-1)^k X^{2m}(k*pi/n) for even n: the even-k half lattice
+    # doubled less the full one, 2*X(m, n/2) - X(m, n); the published
+    # middle-range tables drop a factor (alternating_cos_middle_erratum)
     Family.ALTERNATING: lambda m, n, q, kind: (kind, n // 2, (1, 2), (2, -1), 0, 2 * m, (), 1, 0),
+    # sum_{k<3n} cos(2k*pi/3) * X^{2m}(k*pi/3n): the weight is 1 at k = 0
+    # (mod 3) and -1/2 otherwise, so (3*X(m, n) - X(m, 3n))/2
     Family.WEIGHT3_COS: lambda m, n, q, kind: ("cos", n, (1, 3), (3, -1), 0, 2 * m + 1, (), 1, 0),
     Family.WEIGHT3_SIN: lambda m, n, q, kind: ("sin", n, (1, 3), (3, -1), 0, 2 * m + 1, (), 1, 0),
+    # sum_{k<4n} cos(k*pi/2) * cos^{2m}(k*pi/4n) = 2*C(m, n) - C(m, 2n), the
+    # alternating sum over 2n: the weight vanishes at odd k
     Family.WEIGHT_HALF_PI: lambda m, n, q, kind: ("cos", n, (1, 2), (2, -1), 0, 2 * m, (), 1, 0),
+    # sum_{k<3n} cos(k*pi/3) * cos^{2m}(k*pi/3n) for even n:
+    # 3*C(m, n/2) - (3/2)*C(m, n) + C(m, 3n)/2 - C(m, 3n/2)
     Family.WEIGHT_PI3: lambda m, n, q, kind: (
         "cos", n // 2, (1, 2, 3, 6), (6, -3, -2, 1), 0, 2 * m + 1, (), 1, 0
     ),
+    # The degree-5 weights: sum_{k<5n} w(k) * cos^{2m}(k*pi/5n). Here
+    # w = cos(2*pi*k/5)*cos(4*pi*k/5): (5*C(m, n) - C(m, 5n))/4
     Family.ELL5_PRODUCT: lambda m, n, q, kind: ("cos", n, (1, 5), (5, -1), 0, 2 * m + 2, (), 1, 0),
+    # w = cos(pi*k/5)*cos(2*pi*k/5), even n:
+    # (10*C(m, n/2) - 2*C(m, 5n/2) + C(m, 5n) - 5*C(m, n))/4
     Family.ELL5_ALT_PRODUCT: lambda m, n, q, kind: (
         "cos", n // 2, (1, 2, 5, 10), (10, -5, -2, 1), 0, 2 * m + 2, (), 1, 0
     ),
-    # the classes p = +-1 (mod 5) of the cos2 weight (ell5_sum)
+    # w = cos(2*pi*k/5): 5n * 4^{-m} * sum_{p >= 1, p = +-1 (mod 5)} binom(2m, m - p*n).
+    # cos^{2m}(x) = 4^{-m} * sum_j binom(2m, j) * cos((2m - 2j)*x), and with
+    # x = k*pi/5n the weight is cos(2n*x); summed over k < 5n, each product
+    # cos((2m - 2j)*x) * cos(2n*x) leaves only j = m - p*n, p = +-1 (mod 5),
+    # and the mirror j <-> 2m - j merges the two classes into p >= 1
     Family.ELL5_COS2: lambda m, n, q, kind: ("cos", n, (), (5 * n,), 0, 2 * m, ((1, 4),), 5, 0),
+    # w = cos(4*pi*k/5): (10*C(m, n) - 2*C(m, 5n))/4 less the cos2 value
     Family.ELL5_COS4: lambda m, n, q, kind: ("cos", n, (1, 5), (10, -2, -20 * n), 0, 2 * m + 2, ((1, 4),), 5, 0),
     # X(m, 2n) - X(m, n): the direct weight less X's is -2 at odd p for cos,
     # -2*(-1)^n for sin; merca-shifted is half of shifted-cos
@@ -317,46 +340,6 @@ def sin_power_sum(m: int, n: int) -> Rational:
     return _windowed(SumSpec(Family.SIN_POWER, m, n))
 
 
-def scaled_sum(kind: str, m: int, n: int, q: int) -> Rational:
-    """sum_{k=0}^{q-1} trig^{2m}(k*pi/n) for n | q: the same n angles swept
-    q/n times, so the value is (q/n) * C(m, n) (resp. S)."""
-    return _windowed(SumSpec(Family.SCALED, m, n, q, kind))
-
-
-def coprime_sum(kind: str, m: int, n: int, q: int) -> Rational:
-    """sum_{k=0}^{n-1} trig^{2m}(q*k*pi/n) for gcd(n, q) = 1.
-
-    Multiplication by q permutes the residues mod n (and the squared trig
-    factor kills the sign of the representative), so the value is C(m, n)
-    (resp. S) independently of which coprime q is chosen.
-    """
-    return _windowed(SumSpec(Family.COPRIME, m, n, q, kind))
-
-
-def gcd_reduced_sum(kind: str, m: int, n: int, q: int) -> Rational:
-    """sum_{k=0}^{n-1} trig^{2m}(q*k*pi/n) for arbitrary q >= 1.
-
-    With r = gcd(n, q) and n = r*l, the angle lattice q*k/n mod 1 covers the
-    lattice for denominator l exactly r times: the value is r * C(m, l)
-    (resp. S). Reduces to coprime_sum when r = 1.
-    """
-    return _windowed(SumSpec(Family.GCD_REDUCED, m, n, q, kind))
-
-
-def quoniam_sum(m: int, n: int) -> Rational:
-    """2^{2m} * sum_{k=1}^{floor(n/2)} cos^{2m}(k*pi/(n+1)) = 4^m * (C(m, n+1) - 1)/2,
-    valid for 1 <= m < n+1, a window of no tail: (n+1)*binom(2m-1, m-1) - 2^{2m-1}."""
-    return _windowed(SumSpec(Family.QUONIAM, m, n))
-
-
-def merca_half_sum(p: int, n: int) -> Rational:
-    """sum_{k=1}^{floor((n-1)/2)} cos^{2p}(k*pi/n)
-    = -1/2 + (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} binom(2p, p+kn),
-    which is (C(p, n) - 1)/2: the k = 0 term dropped, the mirror pairs
-    halved."""
-    return _windowed(SumSpec(Family.MERCA_HALF, p, n))
-
-
 def merca_shifted_sum(p: int, n: int) -> Rational:
     """sum_{k=1}^{floor(n/2)} cos^{2p}((k - 1/2)*pi/n)
     = (n/2^{2p+1}) * sum_{k=-floor(p/n)}^{floor(p/n)} (-1)^k binom(2p, p+kn),
@@ -386,17 +369,6 @@ def barbero_R_naive(m: int, n: int) -> Rational:
     if m < 1:
         raise ParameterError("barbero_R_naive requires m >= 1")
     return Fraction(2 * n + 3, 2) * binom(2 * m, m) - 2 ** (2 * m - 1)
-
-
-def alternating_sum(kind: str, m: int, n: int) -> Rational:
-    """sum_{k=0}^{n-1} (-1)^k * trig^{2m}(k*pi/n) for even period n.
-
-    The signed sum keeps the even-k half-lattice doubled minus the full
-    lattice: 2*C(m, n/2) - C(m, n) (resp. S). Computed by composition;
-    the explicit middle-range case tables in circulation drop a factor
-    (see alternating_cos_middle_erratum).
-    """
-    return _windowed(SumSpec(Family.ALTERNATING, m, n, kind=kind))
 
 
 def _middle_erratum(m: int, n: int) -> Rational:
@@ -449,63 +421,6 @@ def shifted_sin_sum(m: int, n: int) -> Rational:
     S(m, 2n) - S(m, n) (the check column of its row in _ROWS).
     """
     return _windowed(SumSpec(Family.SHIFTED_SIN, m, n))
-
-
-def weight3_sum(kind: str, m: int, n: int) -> Rational:
-    """sum_{k=0}^{3n-1} cos(2k*pi/3) * trig^{2m}(k*pi/3n).
-
-    The weight is 1 at k = 0 mod 3 and -1/2 otherwise, a root-of-unity
-    filter: the value is (3*C(m, n) - C(m, 3n))/2 (resp. S). The published
-    three-range case expression is sound for this family (the tests hold
-    the two equal).
-    """
-    family = Family.WEIGHT3_SIN if kind == "sin" else Family.WEIGHT3_COS
-    return _windowed(SumSpec(family, m, n, kind=kind))
-
-
-def weight_half_pi_sum(m: int, n: int) -> Rational:
-    """sum_{k=0}^{4n-1} cos(k*pi/2) * cos^{2m}(k*pi/4n) = 2*C(m, n) - C(m, 2n).
-
-    The weight vanishes at odd k and alternates at even k, so this is the
-    alternating sum over N = 2n in disguise; exposed to keep that
-    reducibility a tested fact.
-    """
-    return _windowed(SumSpec(Family.WEIGHT_HALF_PI, m, n))
-
-
-def weight_pi3_sum(m: int, n: int) -> Rational:
-    """sum_{k=0}^{3n-1} cos(k*pi/3) * cos^{2m}(k*pi/3n) for even n:
-    3*C(m, n/2) - (3/2)*C(m, n) + C(m, 3n)/2 - C(m, 3n/2)."""
-    return _windowed(SumSpec(Family.WEIGHT_PI3, m, n))
-
-
-def ell5_sum(variant: str, m: int, n: int) -> Rational:
-    """Degree-5 weighted sums sum_{k=0}^{5n-1} w(k) * cos^{2m}(k*pi/5n).
-
-    variant selects the weight w(k):
-      - "product":     cos(2*pi*k/5)*cos(4*pi*k/5) -> (5*C(m,n) - C(m,5n))/4
-      - "alt-product": cos(pi*k/5)*cos(2*pi*k/5), even n only ->
-                       (10*C(m,n/2) - 2*C(m,5n/2) + C(m,5n) - 5*C(m,n))/4
-      - "cos2":        cos(2*pi*k/5) -> 5n * 4^{-m} * sum_{p >= 1, p = +-1 (mod 5)}
-                       binom(2m, m - p*n)
-      - "cos4":        cos(4*pi*k/5) -> (10*C(m,n) - 2*C(m,5n))/4 - cos2
-
-    The cos2 value: expand cos^{2m}(x) = 4^{-m} * sum_j binom(2m, j) *
-    cos((2m - 2j)*x); with x = k*pi/5n the weight is cos(2n*x), and each
-    product cos((2m - 2j)*x) * cos(2n*x) is half the sum of cos((2m - 2j
-    + 2n)*x) and cos((2m - 2j - 2n)*x). Summed over k < 5n, cos(2*pi*s*k/5n)
-    gives 5n when 5n | s and 0 otherwise, so the terms left are j = m - p*n
-    with p = 1 or p = -1 (mod 5), and the mirror j <-> 2m - j merges the two
-    classes into the one sum over p >= 1 above. Each variant reads all its
-    C and the cos2 classes from one pass over the window of (m, n) (of
-    (m, n/2) for alt-product): the row of its family in _ROWS.
-    """
-    try:
-        family = Family("ell5-" + variant)
-    except (TypeError, ValueError):
-        variants = tuple(f.value[5:] for f in Family if f.value.startswith("ell5-"))
-        raise ParameterError(f"unknown ell5 variant {variant!r} (expected one of {variants})") from None
-    return _windowed(SumSpec(family, m, n))
 
 
 # The rows with a check column: evaluate calls their public functions by

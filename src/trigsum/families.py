@@ -10,11 +10,13 @@ here, and the oracle imports none of the code it checks.
 SumSpec's constructor is the one domain check, so a SumSpec that exists is
 valid: closed_forms.evaluate() checks only that it was handed one, and
 reads every family off its row through _windowed, the three half-shift
-families by way of their public functions. Each public function builds the SumSpec of its own family and
-calls no other, so a direct call checks its arguments once, and a call
-and an evaluate() of the same request accept and refuse the same
-arguments. The erratum reproducers build the SumSpec of the sum they
-misstate, then check only the range their published expression claims.
+families by way of their public functions. evaluate() is the entry point
+to every family; the few functions closed_forms keeps beside it (C, S,
+the half-shift sums, barbero_R) each build the SumSpec of their own
+family, so a direct call checks its arguments once and accepts and
+refuses what an evaluate() of the same request does. The erratum
+reproducers build the SumSpec of the sum they misstate, then check only
+the range their published expression claims.
 
 closed_value() reads its evaluator off the evaluating module when it is
 called: those modules import this one, and a function rebound on them

@@ -107,7 +107,8 @@ class PrecisionExhausted(ArithmeticError):
 class IntervalValue(Record):
     """A certified enclosure on the grid 2^-precision_bits: the true value
     lies in [lo, hi] * 2^-precision_bits, with lo, hi and precision_bits
-    ints. ``width`` and ``in`` are exact; ``in`` takes an int or Fraction.
+    ints. ``width`` and ``in`` are exact; ``in`` takes an int or Fraction
+    and refuses anything else, a bool included, with ParameterError.
     """
 
     __slots__ = ("lo", "hi", "precision_bits")
@@ -129,6 +130,8 @@ class IntervalValue(Record):
         return Fraction(self.hi - self.lo, 1 << self.precision_bits)
 
     def __contains__(self, value) -> bool:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ParameterError(f"an interval holds ints and Fractions, not {type(value).__name__}")
         scaled, den = value.numerator << self.precision_bits, value.denominator
         return self.lo * den <= scaled <= self.hi * den
 

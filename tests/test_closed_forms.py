@@ -15,24 +15,14 @@ from trigsum.closed_forms import (
     SumSpec,
     alternating_cos_middle_erratum,
     alternating_sin_middle_erratum,
-    alternating_sum,
     barbero_R,
     barbero_R_naive,
-    coprime_sum,
     cos_power_sum,
-    ell5_sum,
     evaluate,
-    gcd_reduced_sum,
-    merca_half_sum,
     merca_shifted_sum,
-    quoniam_sum,
-    scaled_sum,
     shifted_cos_sum,
     shifted_sin_sum,
     sin_power_sum,
-    weight3_sum,
-    weight_half_pi_sum,
-    weight_pi3_sum,
 )
 from trigsum.cotangent import CotSumParams, byrne_smith_coefficients, byrne_smith_coefficients_uncorrected
 from trigsum.errors import CostGuardError, ParameterError
@@ -58,6 +48,18 @@ from trigsum.walks import (
 from trigsum.oracle import evaluate_exact
 
 F = Fraction
+
+
+def _value(family, m, n, q=1, kind="cos"):
+    """evaluate() of the SumSpec of these arguments: the one entry point of
+    a family without a function of its own."""
+    return evaluate(SumSpec(family, m, n, q, kind))
+
+
+def _family(family, kind="cos", scale=1):
+    """The function (m, n) -> _value(family, m, scale * n, kind=kind); a
+    family that needs an even period takes scale 2."""
+    return lambda m, n: _value(family, m, scale * n, kind=kind)
 
 
 # --- frozen values ----------------------------------------------------------
@@ -105,7 +107,7 @@ def test_power_sums_stream_the_signed_window():
             literal_sin = F(n * _symmetric(m, n, lambda p: (-1) ** (p * n % 2)), 4**m)
             assert cos_power_sum(m, n) == literal_cos
             assert sin_power_sum(m, n) == literal_sin, (m, n)
-            assert scaled_sum("sin", m, n, 3 * n) == 3 * literal_sin
+            assert _value(Family.SCALED, m, n, 3 * n, "sin") == 3 * literal_sin
             parities.add((n % 2, m // n % 2))
     assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -164,11 +166,11 @@ def _lead_form(m, n, weight):
     return F(n * (comb(2 * m - 1, m - 1) + _tail_sum(m, n, weight)), 2 ** (2 * m - 1))
 
 
-def _lattice_sum(m, N, s, sign=1):
-    # sum_{k<N} cos(2*pi*s*k/N) * trig^{2m}(k*pi/N), trig = cos (sign 1) or
+def _lattice_sum(m, N, s, sign=1, q=1):
+    # sum_{k<N} cos(2*pi*s*k/N) * trig^{2m}(q*k*pi/N), trig = cos (sign 1) or
     # sin (sign -1): trig^{2m}(x) = 4^{-m} sum_t sign^t binom(2m, m+t) e^{2itx},
-    # and summing over k leaves N times the terms t = +-s (mod N)
-    terms = (sign ** (t % 2) * comb(2 * m, m + t) for t in range(-m, m + 1) if (t - s) % N == 0)
+    # and summing over k leaves N times the terms t*q = +-s (mod N)
+    terms = (sign ** (t % 2) * comb(2 * m, m + t) for t in range(-m, m + 1) if (t * q - s) % N == 0)
     return F(N * sum(terms), 4**m)
 
 
@@ -189,10 +191,13 @@ def _ell5_cos2_power_reduction(m, n):
 
 
 # function of (m, n) and its docstring formula written with math.comb; a
-# family that needs an even period takes 2n for n
+# family that needs an even period takes 2n for n. The families without a
+# function of their own are reached through evaluate; their entries keep the
+# labels the suite's test ids have always carried, the names of the
+# per-family functions evaluate replaced.
 WINDOW_SITES = {
     "merca_half_sum": (
-        merca_half_sum,
+        _family(Family.MERCA_HALF),
         lambda p, n: F(-1, 2) + F(n * _symmetric(p, n, lambda k: 1), 2 ** (2 * p + 1)),
     ),
     "merca_shifted_sum": (
@@ -213,38 +218,38 @@ WINDOW_SITES = {
         lambda m, n: _lead_form(m, n, lambda p: 1 + (-1) ** p - (-1) ** (n * p)),
     ),
     "weight3_sum cos": (
-        lambda m, n: weight3_sum("cos", m, n),
+        _family(Family.WEIGHT3_COS),
         lambda m, n: _lattice_sum(m, 3 * n, n),
     ),
     "weight3_sum sin": (
-        lambda m, n: weight3_sum("sin", m, n),
+        _family(Family.WEIGHT3_SIN),
         lambda m, n: _lattice_sum(m, 3 * n, n, sign=-1),
     ),
-    "weight_half_pi_sum": (weight_half_pi_sum, lambda m, n: _lattice_sum(m, 4 * n, n)),
+    "weight_half_pi_sum": (_family(Family.WEIGHT_HALF_PI), lambda m, n: _lattice_sum(m, 4 * n, n)),
     "weight_pi3_sum": (
-        lambda m, n: weight_pi3_sum(m, 2 * n),
+        _family(Family.WEIGHT_PI3, scale=2),
         lambda m, n: _lattice_sum(m, 6 * n, n),
     ),
     "alternating_sum cos": (
-        lambda m, n: alternating_sum("cos", m, 2 * n),
+        _family(Family.ALTERNATING, scale=2),
         lambda m, n: _lattice_sum(m, 2 * n, n),
     ),
     "alternating_sum sin": (
-        lambda m, n: alternating_sum("sin", m, 2 * n),
+        _family(Family.ALTERNATING, "sin", scale=2),
         lambda m, n: _lattice_sum(m, 2 * n, n, sign=-1),
     ),
     # cos(2a)*cos(4a) = (cos(2a) + cos(6a))/2 and cos(a)*cos(2a) = (cos(a) + cos(3a))/2
     "ell5_sum product": (
-        lambda m, n: ell5_sum("product", m, n),
+        _family(Family.ELL5_PRODUCT),
         lambda m, n: (_lattice_sum(m, 5 * n, n) + _lattice_sum(m, 5 * n, 3 * n)) / 2,
     ),
     "ell5_sum alt-product": (
-        lambda m, n: ell5_sum("alt-product", m, 2 * n),
+        _family(Family.ELL5_ALT_PRODUCT, scale=2),
         lambda m, n: (_lattice_sum(m, 10 * n, n) + _lattice_sum(m, 10 * n, 3 * n)) / 2,
     ),
-    "ell5_sum cos2": (lambda m, n: ell5_sum("cos2", m, n), _ell5_cos2_power_reduction),
+    "ell5_sum cos2": (_family(Family.ELL5_COS2), _ell5_cos2_power_reduction),
     "ell5_sum cos4": (
-        lambda m, n: ell5_sum("cos4", m, n),
+        _family(Family.ELL5_COS4),
         lambda m, n: _lattice_sum(m, 5 * n, 2 * n),
     ),
     "sigma": (
@@ -304,23 +309,24 @@ def test_window_sites_make_a_constant_number_of_comb_calls(name, monkeypatch):
 # call -> binom_window calls it makes: one pass per value, each C(m, d*n)
 # it combines read off the window of (m, n); the shifted sums also read
 # C(m, 2n) from its own window, the check that the value does not read.
-# Series and walk tables read the residue rows and no window.
+# Series and walk tables read the residue rows and no window. Labels as in
+# WINDOW_SITES.
 WINDOW_COUNTS = {
-    "merca_half_sum(40, 4)": (lambda: merca_half_sum(40, 4), 1),
+    "merca_half_sum(40, 4)": (lambda: _value(Family.MERCA_HALF, 40, 4), 1),
     # C(40, 4) with the (-1)^p direct form of (40, 4), and C(40, 8)
     "merca_shifted_sum(40, 4)": (lambda: merca_shifted_sum(40, 4), 2),
     "shifted_cos_sum(40, 4)": (lambda: shifted_cos_sum(40, 4), 2),
     "shifted_sin_sum(40, 3)": (lambda: shifted_sin_sum(40, 3), 2),
-    "weight3_sum('cos', 40, 4)": (lambda: weight3_sum("cos", 40, 4), 1),
-    "weight3_sum('sin', 40, 4)": (lambda: weight3_sum("sin", 40, 4), 1),
-    "weight3_sum('sin', 40, 3)": (lambda: weight3_sum("sin", 40, 3), 1),
-    "weight_half_pi_sum(40, 4)": (lambda: weight_half_pi_sum(40, 4), 1),
-    "weight_pi3_sum(40, 6)": (lambda: weight_pi3_sum(40, 6), 1),
-    "alternating_sum('cos', 40, 6)": (lambda: alternating_sum("cos", 40, 6), 1),
-    "alternating_sum('sin', 40, 6)": (lambda: alternating_sum("sin", 40, 6), 1),
+    "weight3_sum('cos', 40, 4)": (lambda: _value(Family.WEIGHT3_COS, 40, 4), 1),
+    "weight3_sum('sin', 40, 4)": (lambda: _value(Family.WEIGHT3_SIN, 40, 4), 1),
+    "weight3_sum('sin', 40, 3)": (lambda: _value(Family.WEIGHT3_SIN, 40, 3), 1),
+    "weight_half_pi_sum(40, 4)": (lambda: _value(Family.WEIGHT_HALF_PI, 40, 4), 1),
+    "weight_pi3_sum(40, 6)": (lambda: _value(Family.WEIGHT_PI3, 40, 6), 1),
+    "alternating_sum('cos', 40, 6)": (lambda: _value(Family.ALTERNATING, 40, 6), 1),
+    "alternating_sum('sin', 40, 6)": (lambda: _value(Family.ALTERNATING, 40, 6, kind="sin"), 1),
     **{
-        f"ell5_sum('{variant}', 40, 2)": (lambda variant=variant: ell5_sum(variant, 40, 2), 1)
-        for variant in ("product", "alt-product", "cos2", "cos4")
+        f"ell5_sum('{family.value[5:]}', 40, 2)": (lambda family=family: _value(family, 40, 2), 1)
+        for family in (Family.ELL5_PRODUCT, Family.ELL5_ALT_PRODUCT, Family.ELL5_COS2, Family.ELL5_COS4)
     },
     "barbero_R(40, 3)": (lambda: barbero_R(40, 3), 1),
     "resolvent_coefficients('cos', 4, 10)": (lambda: resolvent_coefficients("cos", 4, 10), 0),
@@ -620,29 +626,30 @@ def test_shifted_check_walks_its_window_on_a_memo_hit(fn, monkeypatch):
 
 
 _BEYOND = MAX_M + 1
-# every public closed-form function, at m = MAX_M + 1
+# every public closed-form function, and evaluate for each family without
+# one (labels as in WINDOW_SITES), at m = MAX_M + 1
 GUARDED_CALLS = {
     "cos_power_sum": lambda: cos_power_sum(_BEYOND, 7),
     "sin_power_sum": lambda: sin_power_sum(_BEYOND, 7),
-    "scaled_sum": lambda: scaled_sum("cos", _BEYOND, 7, 14),
-    "coprime_sum": lambda: coprime_sum("sin", _BEYOND, 7, 2),
-    "gcd_reduced_sum": lambda: gcd_reduced_sum("cos", _BEYOND, 6, 4),
-    "quoniam_sum": lambda: quoniam_sum(_BEYOND, _BEYOND),
-    "merca_half_sum": lambda: merca_half_sum(_BEYOND, 7),
+    "scaled_sum": lambda: _value(Family.SCALED, _BEYOND, 7, 14),
+    "coprime_sum": lambda: _value(Family.COPRIME, _BEYOND, 7, 2, "sin"),
+    "gcd_reduced_sum": lambda: _value(Family.GCD_REDUCED, _BEYOND, 6, 4),
+    "quoniam_sum": lambda: _value(Family.QUONIAM, _BEYOND, _BEYOND),
+    "merca_half_sum": lambda: _value(Family.MERCA_HALF, _BEYOND, 7),
     "merca_shifted_sum": lambda: merca_shifted_sum(_BEYOND, 7),
     "barbero_R": lambda: barbero_R(_BEYOND, 2),
     "barbero_R_naive": lambda: barbero_R_naive(_BEYOND, 2),
-    "alternating_sum": lambda: alternating_sum("cos", _BEYOND, 8),
+    "alternating_sum": lambda: _value(Family.ALTERNATING, _BEYOND, 8),
     "alternating_cos_middle_erratum": lambda: alternating_cos_middle_erratum(_BEYOND, MAX_M),
     "alternating_sin_middle_erratum": lambda: alternating_sin_middle_erratum(_BEYOND, MAX_M),
     "shifted_cos_sum": lambda: shifted_cos_sum(_BEYOND, 7),
     "shifted_sin_sum": lambda: shifted_sin_sum(_BEYOND, 7),
-    "weight3_sum": lambda: weight3_sum("sin", _BEYOND, 7),
-    "weight_half_pi_sum": lambda: weight_half_pi_sum(_BEYOND, 7),
-    "weight_pi3_sum": lambda: weight_pi3_sum(_BEYOND, 8),
+    "weight3_sum": lambda: _value(Family.WEIGHT3_SIN, _BEYOND, 7),
+    "weight_half_pi_sum": lambda: _value(Family.WEIGHT_HALF_PI, _BEYOND, 7),
+    "weight_pi3_sum": lambda: _value(Family.WEIGHT_PI3, _BEYOND, 8),
     **{
-        f"ell5_sum {variant}": (lambda variant=variant: ell5_sum(variant, _BEYOND, 4))
-        for variant in ("product", "alt-product", "cos2", "cos4")
+        f"ell5_sum {family.value[5:]}": (lambda family=family: _value(family, _BEYOND, 4))
+        for family in (Family.ELL5_PRODUCT, Family.ELL5_ALT_PRODUCT, Family.ELL5_COS2, Family.ELL5_COS4)
     },
     "path_closed_walks": lambda: path_closed_walks(2, _BEYOND),
     "cycle_closed_walks": lambda: cycle_closed_walks(3, _BEYOND),
@@ -651,9 +658,10 @@ GUARDED_CALLS = {
 
 @pytest.mark.parametrize("name", GUARDED_CALLS)
 def test_cost_guard_on_m_in_every_function(name, monkeypatch):
-    """Every closed-form function, called directly, refuses m > MAX_M
-    before it builds a binomial; path_closed_walks(2, 10**5) alone took
-    7.6 s, and larger m would grow quadratically."""
+    """Every closed-form function, called directly, and evaluate for every
+    family refuse m > MAX_M before they build a binomial;
+    path_closed_walks(2, 10**5) alone took 7.6 s, and larger m would grow
+    quadratically."""
 
     def costly(*args):
         raise AssertionError("binomial computed")
@@ -675,24 +683,24 @@ def test_ell5_weight_admits_large_n(family):
     SumSpec(family, 1, 10**6)  # built, so admitted
     for m in (1, n, 2 * n + 1, 4 * n + 3):
         expected = _lattice_sum(m, 5 * n, shift * n)
-        assert ell5_sum(variant, m, n) == evaluate(SumSpec(family, m, n)) == expected, m
+        assert _value(family, m, n) == expected, m
 
 
 def test_quoniam_frozen():
-    assert quoniam_sum(2, 4) == 7
+    assert _value(Family.QUONIAM, 2, 4) == 7
     # value equals 2^{2m} * sum_{k=1}^{floor(n/2)} cos^{2m}(k*pi/(n+1))
-    assert quoniam_sum(1, 2) == F(1)
+    assert _value(Family.QUONIAM, 1, 2) == F(1)
     with pytest.raises(ParameterError):
-        quoniam_sum(0, 4)
+        _value(Family.QUONIAM, 0, 4)
     with pytest.raises(ParameterError):
-        quoniam_sum(5, 4)
+        _value(Family.QUONIAM, 5, 4)
 
 
 def test_merca_frozen():
-    assert merca_half_sum(3, 3) == F(1, 64)  # the single term cos^6(pi/3)
+    assert _value(Family.MERCA_HALF, 3, 3) == F(1, 64)  # the single term cos^6(pi/3)
     assert merca_shifted_sum(2, 2) == F(1, 4)  # the single term cos^4(pi/4)
     with pytest.raises(ParameterError):
-        merca_half_sum(0, 3)
+        _value(Family.MERCA_HALF, 0, 3)
     with pytest.raises(ParameterError):
         merca_shifted_sum(0, 3)
 
@@ -708,7 +716,7 @@ def test_barbero_frozen_trio():
 
 
 def test_ell5_cos2_frozen():
-    assert ell5_sum("cos2", 2, 2) == F(5, 8)
+    assert _value(Family.ELL5_COS2, 2, 2) == F(5, 8)
 
 
 # --- composition identities (the consistency web) ---------------------------
@@ -723,7 +731,7 @@ small_mn = st.tuples(
 def test_merca_half_web(mn):
     """Property: 2 * merca_half + 1 = C (the k=0 term plus mirror pairing)."""
     m, n = mn
-    assert 2 * merca_half_sum(m, n) + 1 == cos_power_sum(m, n)
+    assert 2 * _value(Family.MERCA_HALF, m, n) + 1 == cos_power_sum(m, n)
 
 
 @given(small_mn)
@@ -740,7 +748,7 @@ def test_merca_shifted_web(mn):
 def test_weight_half_pi_is_alternating(mn):
     """Property: weight_half_pi(m,n) = alternating cosine sum over 2n."""
     m, n = mn
-    assert weight_half_pi_sum(m, n) == alternating_sum("cos", m, 2 * n)
+    assert _value(Family.WEIGHT_HALF_PI, m, n) == _value(Family.ALTERNATING, m, 2 * n)
 
 
 @given(small_mn)
@@ -748,7 +756,7 @@ def test_weight_half_pi_is_alternating(mn):
 def test_ell5_cos2_cos4_recombination(mn):
     """Property: 4*(Cos2 + Cos4) = 10*C(m,n) - 2*C(m,5n)."""
     m, n = mn
-    left = 4 * (ell5_sum("cos2", m, n) + ell5_sum("cos4", m, n))
+    left = 4 * (_value(Family.ELL5_COS2, m, n) + _value(Family.ELL5_COS4, m, n))
     assert left == 10 * cos_power_sum(m, n) - 2 * cos_power_sum(m, 5 * n)
 
 
@@ -763,9 +771,9 @@ def test_shifted_sums_are_lattice_differences(mn):
 def test_m0_filter_identities():
     """The pure root-of-unity filter cases vanish at m = 0."""
     for n in range(1, 20):
-        assert weight3_sum("cos", 0, n) == 0
-        assert weight_half_pi_sum(0, n) == 0
-        assert ell5_sum("product", 0, n) == 0
+        assert _value(Family.WEIGHT3_COS, 0, n) == 0
+        assert _value(Family.WEIGHT_HALF_PI, 0, n) == 0
+        assert _value(Family.ELL5_PRODUCT, 0, n) == 0
 
 
 # --- parameterized family structure -----------------------------------------
@@ -780,9 +788,9 @@ def test_coprime_invariance(m, n, data):
     """Property: every q coprime to n gives the identical value."""
     qs = [q for q in range(1, 2 * n + 2) if gcd(q, n) == 1]
     kind = data.draw(st.sampled_from(["cos", "sin"]))
-    base = coprime_sum(kind, m, n, 1)
+    base = _value(Family.COPRIME, m, n, 1, kind)
     for q in qs:
-        assert coprime_sum(kind, m, n, q) == base
+        assert _value(Family.COPRIME, m, n, q, kind) == base
     assert base == (cos_power_sum if kind == "cos" else sin_power_sum)(m, n)
 
 
@@ -798,9 +806,9 @@ def test_gcd_reduction(m, n, q, data):
     kind = data.draw(st.sampled_from(["cos", "sin"]))
     r = gcd(n, q)
     base = (cos_power_sum if kind == "cos" else sin_power_sum)(m, n // r)
-    assert gcd_reduced_sum(kind, m, n, q) == r * base
+    assert _value(Family.GCD_REDUCED, m, n, q, kind) == r * base
     if r == 1:
-        assert gcd_reduced_sum(kind, m, n, q) == coprime_sum(kind, m, n, q)
+        assert _value(Family.GCD_REDUCED, m, n, q, kind) == _value(Family.COPRIME, m, n, q, kind)
 
 
 @given(
@@ -810,18 +818,18 @@ def test_gcd_reduction(m, n, q, data):
 )
 @settings(max_examples=60)
 def test_scaled_sum_is_repeated_lattice(m, n, mult):
-    assert scaled_sum("cos", m, n, mult * n) == mult * cos_power_sum(m, n)
-    assert scaled_sum("sin", m, n, mult * n) == mult * sin_power_sum(m, n)
+    assert _value(Family.SCALED, m, n, mult * n) == mult * cos_power_sum(m, n)
+    assert _value(Family.SCALED, m, n, mult * n, "sin") == mult * sin_power_sum(m, n)
 
 
 def test_scaled_sum_rejects_non_multiple():
     with pytest.raises(ParameterError):
-        scaled_sum("cos", 2, 3, 4)
+        _value(Family.SCALED, 2, 3, 4)
 
 
 def test_coprime_sum_rejects_shared_factor():
     with pytest.raises(ParameterError):
-        coprime_sum("cos", 2, 6, 3)
+        _value(Family.COPRIME, 2, 6, 3)
 
 
 # --- denominator bounds ------------------------------------------------------
@@ -859,16 +867,16 @@ def test_denominator_bound_2m_plus_2(family, m, n):
 
 
 @given(
-    st.sampled_from(["product", "alt-product", "cos2", "cos4"]),
+    st.sampled_from([Family.ELL5_PRODUCT, Family.ELL5_ALT_PRODUCT, Family.ELL5_COS2, Family.ELL5_COS4]),
     st.integers(min_value=0, max_value=14),
     st.integers(min_value=1, max_value=6),
 )
 @settings(max_examples=80)
-def test_denominator_bound_ell5(variant, m, n):
+def test_denominator_bound_ell5(family, m, n):
     """Property: ell5 values clear 2^{2m+4}."""
-    if variant == "alt-product":
+    if family is Family.ELL5_ALT_PRODUCT:
         n *= 2
-    value = ell5_sum(variant, m, n) * 2 ** (2 * m + 4)
+    value = _value(family, m, n) * 2 ** (2 * m + 4)
     assert value.denominator == 1
 
 
@@ -892,7 +900,7 @@ def test_alternating_cos_middle_off_by_factor_n():
     for n in range(1, 8):
         for m in range(n, 2 * n):
             printed = alternating_cos_middle_erratum(m, n)
-            truth = alternating_sum("cos", m, 2 * n)
+            truth = _value(Family.ALTERNATING, m, 2 * n)
             assert truth == n * printed
             assert (truth == printed) == (n == 1)
 
@@ -903,7 +911,7 @@ def test_alternating_sin_middle_off_by_sign_and_factor():
     for n in range(1, 8):
         for m in range(n, 2 * n):
             printed = alternating_sin_middle_erratum(m, n)
-            truth = alternating_sum("sin", m, 2 * n)
+            truth = _value(Family.ALTERNATING, m, 2 * n, kind="sin")
             assert truth == (-1) ** n * n * printed
             assert truth != printed
 
@@ -916,7 +924,7 @@ def test_middle_erratum_range_is_enforced():
 
 
 def _weight3_cases(kind, m, n):
-    """The published three-range expression of weight3_sum, written with
+    """The published three-range expression of the weight3 families, written with
     math.comb: 0 for m < n, 3n * 2^{-2m} * sum_p e_p binom(2m, m-pn) for
     n <= m < 3n, and from m = 3n on that minus the same tail at period 3n,
     with e_p = 1 for cosine and (-1)^{pn} for sine ((-1)^{3pn} at 3n)."""
@@ -936,88 +944,56 @@ def test_weight3_matches_explicit_tri_case():
     for kind in ("cos", "sin"):
         for m in range(0, 12):
             for n in range(1, 8):
-                assert weight3_sum(kind, m, n) == _weight3_cases(kind, m, n)
+                family = Family.WEIGHT3_COS if kind == "cos" else Family.WEIGHT3_SIN
+                assert _value(family, m, n) == _weight3_cases(kind, m, n)
 
 
 # --- spec plumbing -----------------------------------------------------------
 
-def test_evaluate_matches_direct_functions():
-    assert evaluate(SumSpec(Family.COS_POWER, 2, 3)) == cos_power_sum(2, 3)
-    assert evaluate(SumSpec(Family.SCALED, 2, 3, q=6)) == scaled_sum("cos", 2, 3, 6)
-    assert evaluate(
-        SumSpec(Family.ALTERNATING, 2, 4, kind="sin")
-    ) == alternating_sum("sin", 2, 4)
-    assert evaluate(SumSpec(Family.ELL5_COS4, 3, 2)) == ell5_sum("cos4", 3, 2)
-
-
-# family -> (a request at m = 200, the public function called on it)
-_DIRECT_CALLS = {
-    Family.COS_POWER: (SumSpec(Family.COS_POWER, 200, 7), lambda s: cos_power_sum(s.m, s.n)),
-    Family.SIN_POWER: (SumSpec(Family.SIN_POWER, 200, 7), lambda s: sin_power_sum(s.m, s.n)),
-    Family.SCALED: (
-        SumSpec(Family.SCALED, 200, 7, 21, "sin"),
-        lambda s: scaled_sum(s.kind, s.m, s.n, s.q),
-    ),
-    Family.COPRIME: (
-        SumSpec(Family.COPRIME, 200, 7, 3),
-        lambda s: coprime_sum(s.kind, s.m, s.n, s.q),
-    ),
-    Family.GCD_REDUCED: (
-        SumSpec(Family.GCD_REDUCED, 200, 14, 6, "sin"),
-        lambda s: gcd_reduced_sum(s.kind, s.m, s.n, s.q),
-    ),
-    Family.QUONIAM: (SumSpec(Family.QUONIAM, 200, 203), lambda s: quoniam_sum(s.m, s.n)),
-    Family.MERCA_HALF: (SumSpec(Family.MERCA_HALF, 200, 7), lambda s: merca_half_sum(s.m, s.n)),
-    Family.MERCA_SHIFTED: (
-        SumSpec(Family.MERCA_SHIFTED, 200, 7),
-        lambda s: merca_shifted_sum(s.m, s.n),
-    ),
-    Family.BARBERO_R: (SumSpec(Family.BARBERO_R, 200, 2), lambda s: barbero_R(s.m, s.n)),
-    Family.ALTERNATING: (
-        SumSpec(Family.ALTERNATING, 200, 8, kind="sin"),
-        lambda s: alternating_sum(s.kind, s.m, s.n),
-    ),
-    Family.SHIFTED_COS: (SumSpec(Family.SHIFTED_COS, 200, 7), lambda s: shifted_cos_sum(s.m, s.n)),
-    Family.SHIFTED_SIN: (SumSpec(Family.SHIFTED_SIN, 200, 7), lambda s: shifted_sin_sum(s.m, s.n)),
-    Family.WEIGHT3_COS: (
-        SumSpec(Family.WEIGHT3_COS, 200, 7),
-        lambda s: weight3_sum("cos", s.m, s.n),
-    ),
-    Family.WEIGHT3_SIN: (
-        SumSpec(Family.WEIGHT3_SIN, 200, 7, kind="sin"),
-        lambda s: weight3_sum("sin", s.m, s.n),
-    ),
-    Family.WEIGHT_HALF_PI: (
-        SumSpec(Family.WEIGHT_HALF_PI, 200, 7),
-        lambda s: weight_half_pi_sum(s.m, s.n),
-    ),
-    Family.WEIGHT_PI3: (SumSpec(Family.WEIGHT_PI3, 200, 8), lambda s: weight_pi3_sum(s.m, s.n)),
-    **{
-        family: (SumSpec(family, 200, 8), lambda s: ell5_sum(s.family.value[5:], s.m, s.n))
-        for family in (
-            Family.ELL5_PRODUCT, Family.ELL5_ALT_PRODUCT, Family.ELL5_COS2, Family.ELL5_COS4
-        )
-    },
+# every name closed_forms exports: the request types and evaluate, and a
+# family's own function only where code outside the tests calls it (walks
+# reads C, the tracer and _BESPOKE the half-shift sums, the CLI's erratum
+# table barbero and the errata)
+_EXPORTS = {
+    "MAX_M",
+    "Family",
+    "SumSpec",
+    "evaluate",
+    "cos_power_sum",
+    "sin_power_sum",
+    "merca_shifted_sum",
+    "shifted_cos_sum",
+    "shifted_sin_sum",
+    "barbero_R",
+    "barbero_R_naive",
+    "alternating_cos_middle_erratum",
+    "alternating_sin_middle_erratum",
 }
+
+
+def test_closed_forms_exports_only_what_is_used():
+    """evaluate is the entry point of every family, so no single-family
+    function is exported beside it unless something outside the tests
+    calls it."""
+    assert set(closed_forms.__all__) == _EXPORTS and len(closed_forms.__all__) == len(_EXPORTS)
+    assert all(hasattr(closed_forms, name) for name in _EXPORTS)
 
 
 @pytest.mark.parametrize("family", list(Family))
 def test_evaluate_validates_a_power_sum_once(family, monkeypatch):
     """A SumSpec checks its arguments when it is built, so a request is
-    checked once per SumSpec built. A direct call of a public function
-    builds one, as no public function calls another. evaluate() builds none
-    for the seventeen rows without a check column, quoniam among them,
-    which it reads off _windowed itself, and one only for the three
-    half-shift families, that of the public function it dispatches to by
-    name (the bench tracer times those functions by name)."""
-    spec, direct = _DIRECT_CALLS[family]
+    checked once per SumSpec built. evaluate() builds none for the
+    seventeen rows without a check column, quoniam among them, which it
+    reads off _windowed itself, and one only for the three half-shift
+    families, that of the public function it dispatches to by name (the
+    bench tracer times those functions by name)."""
     builds = []
     build = SumSpec.__init__
     monkeypatch.setattr(SumSpec, "__init__", lambda s, *a, **k: builds.append(a) or build(s, *a, **k))
-    value = direct(spec)
+    spec = _grid_spec(family, 200, 7, "sin")
     assert len(builds) == 1
     builds.clear()
-    assert evaluate(spec) == value
+    evaluate(spec)
     assert len(builds) == (1 if family in closed_forms._BESPOKE else 0)
 
 
@@ -1074,14 +1050,55 @@ def _grid_spec(family, m, n, kind):
     return SumSpec(family, m, n, q, kind)
 
 
+def _literal(spec):
+    """The value of ``spec`` written with math.comb: the family's defining
+    sum through _lattice_sum, or, for the half-range and half-shift
+    families, the lattice identity stated on its row of _ROWS."""
+    m, n, q = spec.m, spec.n, spec.q
+    sign = -1 if spec.kind == "sin" else 1
+
+    def X(N, s=0, q=1):  # the request's kind
+        return _lattice_sum(m, N, s, sign, q)
+
+    def C(N, s=0):
+        return _lattice_sum(m, N, s)
+
+    def S(N, s=0):
+        return _lattice_sum(m, N, s, -1)
+
+    literal = {
+        Family.COS_POWER: lambda: C(n),
+        Family.SIN_POWER: lambda: S(n),
+        Family.SCALED: lambda: q // n * X(n),
+        Family.COPRIME: lambda: X(n, q=q),
+        Family.GCD_REDUCED: lambda: X(n, q=q),
+        Family.MERCA_HALF: lambda: (C(n) - 1) / 2,
+        Family.QUONIAM: lambda: 4**m * (C(n + 1) - 1) / 2,
+        Family.BARBERO_R: lambda: 4**m * (C(2 * n + 3) - 1) / 2,
+        Family.ALTERNATING: lambda: X(n, n // 2),
+        Family.WEIGHT3_COS: lambda: C(3 * n, n),
+        Family.WEIGHT3_SIN: lambda: S(3 * n, n),
+        Family.WEIGHT_HALF_PI: lambda: C(4 * n, n),
+        Family.WEIGHT_PI3: lambda: C(3 * n, n // 2),
+        Family.ELL5_PRODUCT: lambda: (C(5 * n, n) + C(5 * n, 3 * n)) / 2,
+        Family.ELL5_ALT_PRODUCT: lambda: (C(5 * n, n // 2) + C(5 * n, 3 * n // 2)) / 2,
+        Family.ELL5_COS2: lambda: C(5 * n, n),
+        Family.ELL5_COS4: lambda: C(5 * n, 2 * n),
+        Family.SHIFTED_COS: lambda: C(2 * n) - C(n),
+        Family.SHIFTED_SIN: lambda: S(2 * n) - S(n),
+        Family.MERCA_SHIFTED: lambda: (C(2 * n) - C(n)) / 2,
+    }
+    return literal[spec.family]()
+
+
 @pytest.mark.parametrize("family", list(closed_forms._ROWS))
 def test_evaluate_equals_the_public_function_across_the_table(family, monkeypatch):
-    """For every family of the row table, evaluate() equals the family's
-    public function at m = 120, 250, 500, n <= 9 and both kinds, a grid on
-    which the cost model reads the residue row at some points and walks
-    the window at others. quoniam, at n = m..m+8, has windows of no tail
-    term, which the cost model never prices above a row."""
-    direct = _DIRECT_CALLS[family][1]
+    """For every family of the row table, evaluate(), the one public entry
+    point of every family, equals the family's sum written with math.comb
+    at m = 120, 250, 500, n <= 9 and both kinds, a grid on which the cost
+    model reads the residue row at some points and walks the window at
+    others. quoniam, at n = m..m+8, has windows of no tail term, which the
+    cost model never prices above a row."""
     rows, routes = [], set()
     real_row = closed_forms.residue_row
     monkeypatch.setattr(closed_forms, "residue_row", lambda e, L: rows.append(L) or real_row(e, L))
@@ -1091,10 +1108,8 @@ def test_evaluate_equals_the_public_function_across_the_table(family, monkeypatc
                 spec = _grid_spec(family, m, n, kind)
                 rows.clear()
                 closed_forms.clear_caches()
-                value = evaluate(spec)
+                assert evaluate(spec) == _literal(spec), spec
                 routes.add("row" if rows else "window")
-                closed_forms.clear_caches()  # or direct() reads evaluate()'s sums back
-                assert value == direct(spec), spec
     assert routes == ({"window"} if family is Family.QUONIAM else {"row", "window"})
 
 
@@ -1153,20 +1168,24 @@ def test_sumspec_validation_errors():
 
 _GRAPH = GraphSpec(GraphKind.PATH, 3)
 # every public closed-form, series, walk and coefficient-triangle function,
-# and the public binom, binomial window, scaled power sums and Bernoulli
-# table, called with one bool and with one float parameter
+# evaluate for each family without a function of its own (labels as in
+# WINDOW_SITES), and the public binom, binomial window, scaled power sums and
+# Bernoulli table, called with one bool and with one float parameter
 NON_INT_CALLS = {
     "cos_power_sum": (lambda: cos_power_sum(True, 3), lambda: cos_power_sum(2, 3.0)),
     "sin_power_sum": (lambda: sin_power_sum(2, True), lambda: sin_power_sum(2.0, 3)),
-    "scaled_sum": (lambda: scaled_sum("cos", 2, 3, True), lambda: scaled_sum("sin", 2, 3, 6.0)),
-    "coprime_sum": (lambda: coprime_sum("cos", True, 3, 2), lambda: coprime_sum("sin", 2, 3, 2.0)),
-    "gcd_reduced_sum": (lambda: gcd_reduced_sum("cos", 2, True, 2), lambda: gcd_reduced_sum("cos", 2, 3, 2.0)),
-    "quoniam_sum": (lambda: quoniam_sum(True, 3), lambda: quoniam_sum(2, 3.5)),
-    "merca_half_sum": (lambda: merca_half_sum(True, 3), lambda: merca_half_sum(2, 3.0)),
+    "scaled_sum": (lambda: _value(Family.SCALED, 2, 3, True), lambda: _value(Family.SCALED, 2, 3, 6.0, "sin")),
+    "coprime_sum": (lambda: _value(Family.COPRIME, True, 3, 2), lambda: _value(Family.COPRIME, 2, 3, 2.0, "sin")),
+    "gcd_reduced_sum": (lambda: _value(Family.GCD_REDUCED, 2, True, 2), lambda: _value(Family.GCD_REDUCED, 2, 3, 2.0)),
+    "quoniam_sum": (lambda: _value(Family.QUONIAM, True, 3), lambda: _value(Family.QUONIAM, 2, 3.5)),
+    "merca_half_sum": (lambda: _value(Family.MERCA_HALF, True, 3), lambda: _value(Family.MERCA_HALF, 2, 3.0)),
     "merca_shifted_sum": (lambda: merca_shifted_sum(2, True), lambda: merca_shifted_sum(2.0, 3)),
     "barbero_R": (lambda: barbero_R(True, 1), lambda: barbero_R(2.0, 1)),
     "barbero_R_naive": (lambda: barbero_R_naive(2, True), lambda: barbero_R_naive(2, 1.0)),
-    "alternating_sum": (lambda: alternating_sum("cos", True, 4), lambda: alternating_sum("sin", 2, 4.0)),
+    "alternating_sum": (
+        lambda: _value(Family.ALTERNATING, True, 4),
+        lambda: _value(Family.ALTERNATING, 2, 4.0, kind="sin"),
+    ),
     "alternating_cos_middle_erratum": (
         lambda: alternating_cos_middle_erratum(1, True),
         lambda: alternating_cos_middle_erratum(2.0, 2),
@@ -1177,10 +1196,13 @@ NON_INT_CALLS = {
     ),
     "shifted_cos_sum": (lambda: shifted_cos_sum(True, 3), lambda: shifted_cos_sum(2, 3.0)),
     "shifted_sin_sum": (lambda: shifted_sin_sum(2, True), lambda: shifted_sin_sum(2.0, 3)),
-    "weight3_sum": (lambda: weight3_sum("cos", True, 3), lambda: weight3_sum("sin", 2, 3.0)),
-    "weight_half_pi_sum": (lambda: weight_half_pi_sum(2, True), lambda: weight_half_pi_sum(2.0, 3)),
-    "weight_pi3_sum": (lambda: weight_pi3_sum(True, 4), lambda: weight_pi3_sum(2, 4.0)),
-    "ell5_sum": (lambda: ell5_sum("product", True, 3), lambda: ell5_sum("cos2", 3, 2.0)),
+    "weight3_sum": (lambda: _value(Family.WEIGHT3_COS, True, 3), lambda: _value(Family.WEIGHT3_SIN, 2, 3.0)),
+    "weight_half_pi_sum": (
+        lambda: _value(Family.WEIGHT_HALF_PI, 2, True),
+        lambda: _value(Family.WEIGHT_HALF_PI, 2.0, 3),
+    ),
+    "weight_pi3_sum": (lambda: _value(Family.WEIGHT_PI3, True, 4), lambda: _value(Family.WEIGHT_PI3, 2, 4.0)),
+    "ell5_sum": (lambda: _value(Family.ELL5_PRODUCT, True, 3), lambda: _value(Family.ELL5_COS2, 3, 2.0)),
     "sigma": (lambda: sigma(True, 1), lambda: sigma(2, 1.0)),
     "sigma_minus": (lambda: sigma_minus(2, True), lambda: sigma_minus(2.0, 1)),
     "sigma_table": (lambda: sigma_table("cos", True, 4), lambda: sigma_table("sin", 3, 4.0)),

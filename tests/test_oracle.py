@@ -219,6 +219,15 @@ def test_interval_membership_is_exact():
     assert 1 not in interval and -1 not in interval
 
 
+@pytest.mark.parametrize("value", [0.5, "1/2", True], ids=["float", "str", "bool"])
+def test_interval_membership_refuses_a_non_rational(value):
+    """``in`` takes an int or a Fraction, as the constructor takes ints:
+    a float, a str or a bool is a usage error, not an AttributeError and
+    not the int 1."""
+    with pytest.raises(ParameterError, match=f"^an interval holds ints and Fractions, not {type(value).__name__}$"):
+        value in IntervalValue(0, 1, 1)
+
+
 def test_interval_rejects_negative_precision():
     with pytest.raises(ParameterError, match="precision_bits"):
         IntervalValue(0, 1, -1)
