@@ -85,12 +85,12 @@ _ERRATA_FAMILIES = {
         "difference {difference} (documented: 18216)",
     ),
     "alt-cos-middle": _Erratum(
-        ("m", "n"), _alternating_request("cos"), cf.alternating_cos_middle_erratum, _MIDDLE_RANGE,
+        ("m", "n"), _alternating_request("cos"), cf.alternating_middle_erratum, _MIDDLE_RANGE,
         lambda printed, truth, m, n: truth == n * printed and (truth == printed) == (n == 1),
         "middle-range expression is off by the factor n (exact at n = 1 only)",
     ),
     "alt-sin-middle": _Erratum(
-        ("m", "n"), _alternating_request("sin"), cf.alternating_sin_middle_erratum, _MIDDLE_RANGE,
+        ("m", "n"), _alternating_request("sin"), cf.alternating_middle_erratum, _MIDDLE_RANGE,
         lambda printed, truth, m, n: truth == (-1) ** n * n * printed and truth != printed,
         "middle-range expression is off by the factor n and the sign (-1)^n",
     ),

@@ -63,7 +63,7 @@ family. The requests, SumSpec and Family, are defined and checked in
 families. A family keeps a function of its own only where code outside
 the tests calls it: C and S (walks), the three half-shift sums (through
 _BESPOKE), and barbero_R beside the erratum reproducers barbero_R_naive
-and the two alternating middle-range expressions.
+and alternating_middle_erratum.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ __all__ = [
     "merca_shifted_sum",
     "barbero_R",
     "barbero_R_naive",
-    "alternating_cos_middle_erratum",
-    "alternating_sin_middle_erratum",
+    "alternating_middle_erratum",
     "shifted_cos_sum",
     "shifted_sin_sum",
 ]
@@ -112,14 +111,15 @@ def _window_pass(
     m: int,
     n: int,
     multiples: tuple[int, ...],
-    classes: tuple[tuple[int, ...], ...] = (),
-    period: int = 1,
+    classes: tuple[tuple[int, ...], ...],
+    period: int,
 ) -> tuple[int, ...]:
     """One pass over the window of (m, n), or one residue row. Returns
     4^m * X(m, d*n) for each d in ``multiples`` (X = C for kind "cos", S
     for "sin"), then for each tuple in ``classes`` the tail sum of
     binom(2m, m - p*n) over p >= 1 with p mod ``period`` in that tuple;
-    each tuple is closed under c -> -c mod ``period``.
+    each tuple is closed under c -> -c mod ``period`` and holds no 0.
+    _windowed, its one caller, passes the arguments of a row of _ROWS.
 
     The last _PASSES results are memoized, keyed by the arguments as
     passed, so a campaign reads each window once however many requests
@@ -178,7 +178,7 @@ def _row_pass(
     the whole window sum of (m, d*n), so 4^m * C(m, d*n) is dn times it; S
     at odd dn is the fold to 2dn at m less the one at m - dn. A class tail
     is half the entries m - c*n (mod period*n), c in the class, over both
-    sides of the centre, less binom(2m, m) when c = 0 is in the class.
+    sides of the centre; no class holds 0, whose entry holds binom(2m, m) too.
 
     The row's last squaring is done only for the entries read. The row is
     H^2 for H the row of (1 + x)^m, so its fold to a span s | size*n at r
@@ -199,8 +199,7 @@ def _row_pass(
         total = fold(0, 2 * span) - fold(span, 2 * span) if odd else fold(0, span)
         sums.append(span * total)
     for wanted in classes:
-        both_sides = sum(fold(c * n, period * n) for c in wanted)
-        sums.append((both_sides - (binom(2 * m, m) if 0 in wanted else 0)) // 2)
+        sums.append(sum(fold(c * n, period * n) for c in wanted) // 2)
     return tuple(sums)
 
 
@@ -273,7 +272,7 @@ _ROWS = {
     Family.BARBERO_R: lambda m, n, q, kind: ("cos", 2 * n + 3, (1,), (1,), -1, 1, (), 1, 0),
     # sum_{k<n} (-1)^k X^{2m}(k*pi/n) for even n: the even-k half lattice
     # doubled less the full one, 2*X(m, n/2) - X(m, n); the published
-    # middle-range tables drop a factor (alternating_cos_middle_erratum)
+    # middle-range tables drop a factor (alternating_middle_erratum)
     Family.ALTERNATING: lambda m, n, q, kind: (kind, n // 2, (1, 2), (2, -1), 0, 2 * m, (), 1, 0),
     # sum_{k<3n} cos(2k*pi/3) * X^{2m}(k*pi/3n): the weight is 1 at k = 0
     # (mod 3) and -1/2 otherwise, so (3*X(m, n) - X(m, 3n))/2
@@ -371,36 +370,20 @@ def barbero_R_naive(m: int, n: int) -> Rational:
     return Fraction(2 * n + 3, 2) * binom(2 * m, m) - 2 ** (2 * m - 1)
 
 
-def _middle_erratum(m: int, n: int) -> Rational:
-    """2^{2-2m} * sum_{p >= 1} binom(2m, m-pn), the published middle-range
-    expression of both alternating errata."""
+def alternating_middle_erratum(m: int, n: int) -> Rational:
+    """The published middle-range (n <= m < 2n) expression for both
+    alternating sums over N = 2n points, 2^{2-2m} * sum_{p >= 1}
+    binom(2m, m-pn), whose one term in that range is p = 1.
+
+    Erratum reproducer: the true cosine value is n times this (equal only
+    at n = 1), the true sine value (-1)^n * n times it (never equal), as
+    the sine expression also drops the sign (-1)^{pn}. Asserted, not corrected.
+    """
     check_int("n", n)  # 2 * True would pass as N = 2
     SumSpec(Family.ALTERNATING, m, 2 * n)
     if not n <= m < 2 * n:
         raise ParameterError("middle-range expression needs n <= m < 2n")
-    (tail,) = _window_pass("cos", m, n, (), ((0,),))
-    return _dyadic(tail, 2 * m - 2)
-
-
-def alternating_cos_middle_erratum(m: int, n: int) -> Rational:
-    """The published middle-range (n <= m < 2n) expression for the cosine
-    alternating sum over N = 2n points: 2^{2-2m} * sum_p binom(2m, m-pn).
-
-    Erratum reproducer: the true value is n times this (equal only at
-    n = 1). The factor-n omission is asserted, not corrected, here.
-    """
-    return _middle_erratum(m, n)
-
-
-def alternating_sin_middle_erratum(m: int, n: int) -> Rational:
-    """The published middle-range expression for the sine alternating sum
-    over N = 2n points, identical in shape to the cosine one.
-
-    Erratum reproducer: besides the factor n it also drops the (-1)^{pn}
-    sign, so the true value is (-1)^n * n times this and the two never
-    coincide (at n = 1 the sign still differs).
-    """
-    return _middle_erratum(m, n)
+    return _dyadic(binom(2 * m, m - n), 2 * m - 2)
 
 
 def shifted_cos_sum(m: int, n: int) -> Rational:

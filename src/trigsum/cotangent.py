@@ -48,7 +48,7 @@ from math import factorial, lcm
 
 from .errors import CostGuardError, ParameterError, Record, check_int, set_field
 from .exact_core import Rational, bernoulli, binom
-from .families import MAX_N, MAX_POWER_BITS, ByrneSmithParams, CotSumParams, _check_n
+from .families import MAX_N, MAX_POWER_BITS, ByrneSmithParams, CotSumParams
 
 __all__ = [
     "MAX_N",
@@ -77,6 +77,7 @@ class CotPolynomial(Record):
         set_field(self, "coefficients", coefficients)
 
     def __call__(self, k: int) -> Fraction:
+        check_int("k", k)
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * k + c
@@ -120,7 +121,7 @@ def cot_sum_polynomial(n: int) -> CotPolynomial:
     1 or sqrt3 at the angles pi/2, pi/3, pi/4 and pi/6, so T(n, 2) = 0,
     T(n, 3) = 2/3^n, T(n, 4) = 2 and T(n, 6) = 2*3^n + 2/3^n.
     """
-    _check_n(n)
+    CotSumParams(n, 2)  # checks n: k = 2 passes every guard on k
     sign = (-1) ** n
     power = _series_power(n)
     coeffs = [Fraction(0)] * (2 * n + 1)

@@ -17,9 +17,10 @@ big-integer additions a coefficient, not a fresh binomial window each. Each also
 
 which sums the same binomial window as C(k, n) (resp. S) with the same
 weights; the tests assert that identity, the constructors do not repeat it.
-A single sigma value reads the tail classes of its window off _window_pass;
-sigma_table reads a whole table off scaled_power_sums, whose term
-4^k * C(k, n)/n is the central binomial plus twice that window.
+The window is symmetric about its central term, so s = 4^k * C(k, n)/n is
+binom(2k, k) plus twice the tail and sigma(k, n) = (s - binom(2k, k)) /
+(2 * (2k)!), sigma_minus alike with S. A single value reads s off
+cos_power_sum or sin_power_sum, sigma_table a table off scaled_power_sums.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd
 
-from .closed_forms import MAX_M, _window_pass
+from .closed_forms import MAX_M, cos_power_sum, sin_power_sum
 from .errors import CostGuardError, ParameterError, Record, check_int, set_field
-from .exact_core import Rational, scaled_power_sums
+from .exact_core import Rational, binom, scaled_power_sums
 
 __all__ = [
     "MAX_TABLE_INDEX",
@@ -99,32 +100,36 @@ class SeriesCoefficients(Record):
         return self.coeffs[j]
 
 
+def _normalized_tail(s: int, central: int, factorial_2k: int) -> Rational:
+    """(s - central) / (2 * factorial_2k): sigma(k, n) at s = 4^k * C(k, n)/n,
+    sigma_minus(k, n) at s = 4^k * S(k, n)/n."""
+    return Fraction(s - central, 2 * factorial_2k)
+
+
 def sigma(k: int, n: int) -> Rational:
     """(1/(2k)!) * sum_{p=1}^{floor(k/n)} binom(2k, k+pn); zero for k < n."""
     _check_sigma(k, n)
-    (tail,) = _window_pass("cos", k, n, (), ((0,),))  # binom(2k, k+pn) = binom(2k, k-pn)
-    return Fraction(tail, factorial(2 * k))
+    s = (cos_power_sum(k, n) * 4**k).numerator // n
+    return _normalized_tail(s, binom(2 * k, k), factorial(2 * k))
 
 
 def sigma_minus(k: int, n: int) -> Rational:
     """sigma with alternating weight (-1)^{pn}; equals sigma for even n."""
     _check_sigma(k, n)
-    even, odd = _window_pass("cos", k, n, (), ((0,), (1,)), 2)  # the tails at even and odd p
-    return Fraction(even + (-1) ** n * odd, factorial(2 * k))
+    s = (sin_power_sum(k, n) * 4**k).numerator // n
+    return _normalized_tail(s, binom(2 * k, k), factorial(2 * k))
 
 
 def sigma_table(kind: str, n: int, k_max: int) -> list[Rational]:
-    """[sigma(k, n) for k = 0..k_max] for kind "cos", sigma_minus for
-    "sin". With s_k = 4^k * X(k, n)/n from scaled_power_sums (X = C, S),
-    the window is symmetric about its central term binom(2k, k), so
-    sigma(k, n) = (s_k - binom(2k, k)) / (2 * (2k)!)."""
+    """[sigma(k, n) for k = 0..k_max] for kind "cos", sigma_minus for "sin",
+    each row read off its term 4^k * X(k, n)/n of scaled_power_sums."""
     _check_sigma(k_max, n)
     if k_max > MAX_TABLE_INDEX:
         raise CostGuardError(f"k_max must be <= {MAX_TABLE_INDEX} (cost guard)")
     rows = []
     central = factorial_2k = 1
     for k, s in zip(range(k_max + 1), scaled_power_sums(kind, n)):
-        rows.append(Fraction(s - central, 2 * factorial_2k))
+        rows.append(_normalized_tail(s, central, factorial_2k))
         central = central * 2 * (2 * k + 1) // (k + 1)
         factorial_2k *= (2 * k + 1) * (2 * k + 2)
     return rows

@@ -36,8 +36,7 @@ from trigsum import (
     trace_oracle,
 )
 from trigsum.closed_forms import (
-    alternating_cos_middle_erratum,
-    alternating_sin_middle_erratum,
+    alternating_middle_erratum,
     barbero_R,
     barbero_R_naive,
     cos_power_sum,
@@ -169,12 +168,11 @@ def test_criterion_4_composite_families_vs_oracle(capsys):
     erratum_cases = 0
     for n in range(1, 9):
         for m in range(n, 2 * n):
-            printed = alternating_cos_middle_erratum(m, n)
+            printed = alternating_middle_erratum(m, n)
             truth = evaluate_exact(SumSpec(Family.ALTERNATING, m, 2 * n, kind="cos"))
             assert truth == n * printed, (m, n)
             if n > 1:
                 assert truth != printed, (m, n)
-            printed = alternating_sin_middle_erratum(m, n)
             truth = evaluate_exact(SumSpec(Family.ALTERNATING, m, 2 * n, kind="sin"))
             assert truth == (-1) ** n * n * printed, (m, n)
             assert truth != printed, (m, n)  # the sign alone breaks n = 1

@@ -1,9 +1,12 @@
 """Closed-form sum families: frozen values, composition identities, and the
 documented-discrepancy regressions."""
 
+import ast
+import inspect
 import tracemalloc
 from fractions import Fraction
 from math import comb, factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,7 @@ from trigsum.closed_forms import (
     MAX_M,
     Family,
     SumSpec,
-    alternating_cos_middle_erratum,
-    alternating_sin_middle_erratum,
+    alternating_middle_erratum,
     barbero_R,
     barbero_R_naive,
     cos_power_sum,
@@ -365,7 +367,6 @@ WINDOW_PASS_SHAPES = [
     ("sin", (1,), (), 1),
     ("cos", (1, 2), (), 1),
     ("sin", (1, 2), (), 1),
-    ("cos", (), ((0,),), 1),
     ("cos", (1,), ((1,),), 2),
     ("sin", (1,), ((1,),), 2),
     ("cos", (1, 3), (), 1),
@@ -379,22 +380,39 @@ WINDOW_PASS_SHAPES = [
 
 
 def test_window_pass_shapes_are_the_ones_the_families_use(monkeypatch):
-    """WINDOW_PASS_SHAPES lists exactly the shapes every family, kind and
-    erratum reproducer passes, so the literal test below covers them all."""
+    """WINDOW_PASS_SHAPES lists exactly the shapes every family and kind
+    passes, so the literal test below covers them all. No class tuple holds
+    0, whose both-sided row entry would hold the central binomial too."""
     seen = set()
     real_pass = closed_forms._window_pass
 
-    def recording_pass(kind, m, n, multiples, classes=(), period=1, **route):
+    def recording_pass(kind, m, n, multiples, classes, period):
         seen.add((kind, multiples, classes, period))
-        return real_pass(kind, m, n, multiples, classes, period, **route)
+        return real_pass(kind, m, n, multiples, classes, period)
 
     monkeypatch.setattr(closed_forms, "_window_pass", recording_pass)
     q = {Family.SCALED: 8, Family.COPRIME: 3, Family.GCD_REDUCED: 6}
     for family in Family:
         for kind in ("cos", "sin"):
             evaluate(SumSpec(family, 4, 4, q=q.get(family, 1), kind=kind))
-    alternating_cos_middle_erratum(3, 2)
     assert seen == set(WINDOW_PASS_SHAPES)
+    assert not any(0 in wanted for *_, classes, _ in WINDOW_PASS_SHAPES for wanted in classes)
+
+
+def test_window_pass_has_one_caller_and_no_defaults():
+    """_windowed is the one caller of _window_pass, which takes no default
+    argument, so every shape it sees is a row of _ROWS."""
+    tree = ast.parse(Path(closed_forms.__file__).read_text())
+    callers = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_window_pass"
+    ]
+    assert callers == ["_windowed"]
+    parameters = inspect.signature(closed_forms._window_pass).parameters.values()
+    assert all(p.default is inspect.Parameter.empty for p in parameters)
 
 
 def _literal_window_pass(kind, m, n, multiples, classes, period):
@@ -433,10 +451,9 @@ def test_window_pass_matches_literal_comb_bucketing(shape, monkeypatch):
 @pytest.mark.parametrize("shape", WINDOW_PASS_SHAPES, ids=str)
 def test_row_pass_matches_literal_comb_bucketing(shape, monkeypatch):
     """The residue row gives the same sums, read on both sides of the
-    centre: the class tails halved (less the central binomial for the
-    erratum's class 0), S at odd d*n with the entries at m - d*n taken
-    away, and rows with more slots than the m + 1 binomials of
-    (1 + x)^m."""
+    centre: the class tails halved, S at odd d*n with the entries at
+    m - d*n taken away, and rows with more slots than the m + 1 binomials
+    of (1 + x)^m."""
     _force_route(monkeypatch, row=True)
     _window_pass_against_literal(shape)
 
@@ -566,12 +583,11 @@ def test_a_coprime_q_sweep_walks_its_window_once(kind, monkeypatch):
 def test_window_memo_keys_every_argument():
     """cos and sin at odd n, and different multiples, classes or periods at
     the same (m, n), each get an entry of their own: every shape the
-    families pass, plus the class 0 at period 2 beside period 1, read at
-    (30, 7) in turn and then again, equals its literal sums both times."""
-    shapes = [*WINDOW_PASS_SHAPES, ("cos", (), ((0,),), 2)]
+    families pass, read at (30, 7) in turn and then again, equals its
+    literal sums both times."""
+    shapes = WINDOW_PASS_SHAPES
     literal = [_literal_window_pass(kind, 30, 7, *rest) for kind, *rest in shapes]
     assert literal[0] != literal[1]  # cos and sin differ at odd n
-    assert _literal_window_pass("cos", 30, 7, (), ((0,),), 1) != literal[-1]
     for _ in range(2):
         assert [closed_forms._window_pass(kind, 30, 7, *rest) for kind, *rest in shapes] == literal
     info = closed_forms._window_pass.cache_info()
@@ -640,8 +656,9 @@ GUARDED_CALLS = {
     "barbero_R": lambda: barbero_R(_BEYOND, 2),
     "barbero_R_naive": lambda: barbero_R_naive(_BEYOND, 2),
     "alternating_sum": lambda: _value(Family.ALTERNATING, _BEYOND, 8),
-    "alternating_cos_middle_erratum": lambda: alternating_cos_middle_erratum(_BEYOND, MAX_M),
-    "alternating_sin_middle_erratum": lambda: alternating_sin_middle_erratum(_BEYOND, MAX_M),
+    # the cosine and sine erratum labels both reach alternating_middle_erratum
+    "alternating_cos_middle_erratum": lambda: alternating_middle_erratum(_BEYOND, MAX_M),
+    "alternating_sin_middle_erratum": lambda: alternating_middle_erratum(_BEYOND, MAX_M),
     "shifted_cos_sum": lambda: shifted_cos_sum(_BEYOND, 7),
     "shifted_sin_sum": lambda: shifted_sin_sum(_BEYOND, 7),
     "weight3_sum": lambda: _value(Family.WEIGHT3_SIN, _BEYOND, 7),
@@ -895,11 +912,13 @@ def test_basic_sums_clear_their_stated_denominator(m, n):
 # --- documented discrepancies -----------------------------------------------
 
 def test_alternating_cos_middle_off_by_factor_n():
-    """The widely printed middle-range expression is the true value divided
-    by n: exact at n = 1, wrong for every n > 1."""
+    """The widely printed middle-range expression, the published sum over
+    p >= 1 written with math.comb, is the true value divided by n: exact at
+    n = 1, wrong for every n > 1."""
     for n in range(1, 8):
         for m in range(n, 2 * n):
-            printed = alternating_cos_middle_erratum(m, n)
+            printed = alternating_middle_erratum(m, n)
+            assert printed == F(4 * _tail_sum(m, n), 4**m)
             truth = _value(Family.ALTERNATING, m, 2 * n)
             assert truth == n * printed
             assert (truth == printed) == (n == 1)
@@ -910,7 +929,7 @@ def test_alternating_sin_middle_off_by_sign_and_factor():
     (-1)^n * n * printed, and the two never agree (at n = 1 the sign flips)."""
     for n in range(1, 8):
         for m in range(n, 2 * n):
-            printed = alternating_sin_middle_erratum(m, n)
+            printed = alternating_middle_erratum(m, n)
             truth = _value(Family.ALTERNATING, m, 2 * n, kind="sin")
             assert truth == (-1) ** n * n * printed
             assert truth != printed
@@ -918,9 +937,9 @@ def test_alternating_sin_middle_off_by_sign_and_factor():
 
 def test_middle_erratum_range_is_enforced():
     with pytest.raises(ParameterError):
-        alternating_cos_middle_erratum(1, 2)  # m below the middle range
+        alternating_middle_erratum(1, 2)  # m below the middle range
     with pytest.raises(ParameterError):
-        alternating_sin_middle_erratum(6, 3)  # m at 2n, above the range
+        alternating_middle_erratum(6, 3)  # m at 2n, above the range
 
 
 def _weight3_cases(kind, m, n):
@@ -966,8 +985,7 @@ _EXPORTS = {
     "shifted_sin_sum",
     "barbero_R",
     "barbero_R_naive",
-    "alternating_cos_middle_erratum",
-    "alternating_sin_middle_erratum",
+    "alternating_middle_erratum",
 }
 
 
@@ -1186,13 +1204,15 @@ NON_INT_CALLS = {
         lambda: _value(Family.ALTERNATING, True, 4),
         lambda: _value(Family.ALTERNATING, 2, 4.0, kind="sin"),
     ),
+    # the cosine and sine erratum labels both reach alternating_middle_erratum,
+    # with the bool and float on opposite parameters
     "alternating_cos_middle_erratum": (
-        lambda: alternating_cos_middle_erratum(1, True),
-        lambda: alternating_cos_middle_erratum(2.0, 2),
+        lambda: alternating_middle_erratum(1, True),
+        lambda: alternating_middle_erratum(2.0, 2),
     ),
     "alternating_sin_middle_erratum": (
-        lambda: alternating_sin_middle_erratum(True, 1),
-        lambda: alternating_sin_middle_erratum(2, 2.0),
+        lambda: alternating_middle_erratum(True, 1),
+        lambda: alternating_middle_erratum(2, 2.0),
     ),
     "shifted_cos_sum": (lambda: shifted_cos_sum(True, 3), lambda: shifted_cos_sum(2, 3.0)),
     "shifted_sin_sum": (lambda: shifted_sin_sum(2, True), lambda: shifted_sin_sum(2.0, 3)),
@@ -1259,7 +1279,8 @@ def test_non_int_parameters_rejected_by_every_function(name, which, monkeypatch)
     for module, site in (
         (closed_forms, "binom_window"),
         (closed_forms, "binom"),
-        (genfunc, "_window_pass"),
+        (closed_forms, "_window_pass"),
+        (genfunc, "binom"),
         (genfunc, "scaled_power_sums"),
         (walks, "scaled_power_sums"),
         (cotangent, "binom"),

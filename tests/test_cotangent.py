@@ -95,12 +95,15 @@ def test_cot_sum_validation():
         lambda: byrne_smith_sum(True, 3),
         lambda: evaluate_exact(CotSumParams(2, 3.0)),
         lambda: evaluate_exact(ByrneSmithParams(True, 2)),
+        lambda: cot_sum_polynomial(2)(2.5),
+        lambda: cot_sum_polynomial(2)(True),
+        lambda: cot_sum_polynomial(2)("3"),
     ],
 )
 def test_non_int_parameters_rejected(call):
-    """bool and float parameters are caller bugs, not values: they raise
-    ParameterError (also after the int case is cached, which a float key
-    equal to the int would otherwise hit)."""
+    """bool and float parameters, and a str k of the polynomial, are caller
+    bugs, not values: they raise ParameterError (also after the int case is
+    cached, which a float key equal to the int would otherwise hit)."""
     assert cot_power_sum(2, 3) == F(2, 9)
     assert cot_power_sum(1, 3) == F(2, 3)
     with pytest.raises(ParameterError):

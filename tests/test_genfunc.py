@@ -46,7 +46,7 @@ def test_sigma_cost_guard_refuses_before_the_window(monkeypatch):
     def costly(*args):
         raise AssertionError("window summed")
 
-    monkeypatch.setattr(genfunc, "_window_pass", costly)
+    monkeypatch.setattr(closed_forms, "_window_pass", costly)
     for fn in (sigma, sigma_minus):
         with pytest.raises(CostGuardError, match="cost guard"):
             fn(MAX_M + 1, 3)
@@ -60,10 +60,10 @@ def _sigma_literal(k: int, n: int, sign: int) -> Fraction:
 
 @pytest.mark.parametrize("row", [False, True], ids=["window", "row"])
 def test_sigma_matches_literal_comb_on_both_routes(row, monkeypatch):
-    """sigma and sigma_minus read their tail classes off the window or the
-    residue row, as _row_is_cheaper says; forced either way, both equal the
+    """sigma and sigma_minus read C and S off the window or the residue
+    row, as _row_is_cheaper says; forced either way, both equal the
     math.comb literal form at k < n, k = n, n | k, n = 1 and odd n, where
-    sigma_minus takes the odd-p class away instead of adding it."""
+    sigma_minus takes the odd-p terms away instead of adding them."""
     monkeypatch.setattr(closed_forms, "_row_is_cheaper", lambda m, n, size: row)
     rows = []
     real_row = closed_forms.residue_row

@@ -331,6 +331,17 @@ def test_families_imports_only_errors():
     assert _package_imports(families) == {"errors"}
 
 
+def test_no_module_imports_a_siblings_private_name():
+    """No package module imports an underscore name from another: what one
+    module reads of another, that module exports."""
+    private = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("trigsum")):
+                private += [(path.stem, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
 _ONE_PER_FAMILY = [
     SumSpec(Family.COS_POWER, 7, 5),
     SumSpec(Family.SIN_POWER, 6, 4),
