@@ -13,10 +13,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from collections.abc import Callable
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from math import prod
@@ -128,13 +128,6 @@ def _decimal_string(value: Fraction, digits: int) -> str:
     return sign + text
 
 
-def _lift_int_str_limit() -> None:
-    # exact values can run past the default 4,300-digit limit on int <-> str
-    # conversion, which would make printing them raise ValueError
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-
-
 def _fraction_text(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
@@ -218,23 +211,6 @@ def _grid_requests(families: list[str], args) -> list:
     return requests
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures.ProcessPoolExecutor, imported when a pool starts:
-    it loads all of multiprocessing, which only verify --jobs > 1 needs."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-
-    return pool(max_workers=max_workers, initializer=_lift_int_str_limit)
-
-
-def _run_cases(requests: list, jobs: int) -> list[dict]:
-    requests = sorted(requests, key=lambda req: req.sort_key())
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1 and len(requests) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_case, requests, chunksize=16))
-    return [_verify_case(req) for req in requests]
-
-
 # --- documented-errata cases ----------------------------------------------
 
 def _errata_run(family: str) -> tuple[list[dict], bool, str]:
@@ -310,9 +286,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _open_out(path: str):
+    """The --out file, opened for writing. A path that cannot be written is
+    a usage error (exit 2), not a traceback with exit 1, which means a
+    mismatch."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ParameterError(f"cannot write --out {path}: {exc.strerror}") from None
+
+
 def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise ParameterError("--jobs must be at least 1")
+    if args.jobs != 1:
+        raise ParameterError("verify runs in one process; --jobs takes only 1")
     # a repeated token runs once, at its first place
     families = list(dict.fromkeys(args.family.split(","))) if args.family else list(_REQUEST_FAMILIES)
     for family in families:
@@ -330,37 +316,39 @@ def cmd_verify(args) -> int:
     requests = _grid_requests(normal, args)
     if not requests and not errata:  # total=0 would report a check that never ran
         raise ParameterError("the verify grid selects no case")
-    cases = _run_cases(requests, args.jobs)
-    mismatches = sum(not case["match"] for case in cases)
+    # --out is opened before any case runs, so a path that cannot be written
+    # is refused without running the campaign
+    with _open_out(args.out) if args.out else nullcontext() as sink:
+        cases = [_verify_case(req) for req in sorted(requests, key=lambda req: req.sort_key())]
+        mismatches = sum(not case["match"] for case in cases)
 
-    all_reproduced = True
-    notes: list[str] = []
-    for family in errata:
-        err_cases, reproduced, note = _errata_run(family)
-        cases.extend(err_cases)
-        notes.append(f"{family}: {note}")
-        if not reproduced:
-            all_reproduced = False
-            notes.append(f"{family}: NOT reproduced as documented")
+        all_reproduced = True
+        notes: list[str] = []
+        for family in errata:
+            err_cases, reproduced, note = _errata_run(family)
+            cases.extend(err_cases)
+            notes.append(f"{family}: {note}")
+            if not reproduced:
+                all_reproduced = False
+                notes.append(f"{family}: NOT reproduced as documented")
 
-    report = {
-        "cases": cases,
-        "summary": {"total": len(cases), "mismatches": sum(not c["match"] for c in cases)},
-    }
-    _emit_report(report, notes, args)
+        report = {
+            "cases": cases,
+            "summary": {"total": len(cases), "mismatches": sum(not c["match"] for c in cases)},
+        }
+        _emit_report(report, notes, args, sink)
     if args.expect_known_errata:
         return 0 if (mismatches == 0 and all_reproduced) else 1
     return 0 if mismatches == 0 else 1
 
 
-def _emit_report(report: dict, notes: list[str], args) -> None:
-    if args.out:
-        with open(args.out, "w") as sink:
-            if args.out.endswith(".csv"):
-                _write_case_csv(sink, report["cases"])
-            else:
-                json.dump(report, sink, indent=2)
-                sink.write("\n")
+def _emit_report(report: dict, notes: list[str], args, sink) -> None:
+    if sink is not None:
+        if args.out.endswith(".csv"):
+            _write_case_csv(sink, report["cases"])
+        else:
+            json.dump(report, sink, indent=2)
+            sink.write("\n")
     if args.json:
         print(json.dumps(report))
         return
@@ -462,7 +450,7 @@ def cmd_table(args) -> int:
         writer.writerows(map(_fraction_text, row) for row in rows)
         text = sink.getvalue().rstrip("\n")
     if args.out:
-        with open(args.out, "w") as sink:
+        with _open_out(args.out) as sink:
             sink.write(text + "\n")
     else:
         print(text)
@@ -559,9 +547,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=6)
     p_verify.add_argument("--k-min", type=int, default=1, help="cot/byrne-smith k lower bound")
     p_verify.add_argument("--k-max", type=int, default=8, help="cot/byrne-smith k upper bound")
-    p_verify.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at least 1 and at most the CPU count"
-    )
+    # verify runs in one process. --jobs stays, hidden and taking only 1,
+    # because bench/workloads.py passes --jobs 1 to both verify workloads;
+    # delete it once the bench no longer does.
+    p_verify.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p_verify.add_argument("--out", help="write the report to FILE (.csv or JSON)")
     p_verify.add_argument(
         "--expect-known-errata",
@@ -598,7 +587,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _lift_int_str_limit()
+    # exact values can run past the default 4,300-digit limit on int <-> str
+    # conversion, which would make printing them raise ValueError
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ParameterError as exc:

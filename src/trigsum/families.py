@@ -159,16 +159,12 @@ MAX_N = 100
 MAX_POWER_BITS = 2 * 10**5
 
 
-def _check_n(n) -> None:
+def _check_n_k(n, k, k_min: int, too_small: str) -> None:
     check_int("n", n)
     if n < 1:
         raise ParameterError("n must be positive")
     if n > MAX_N:
         raise CostGuardError(f"n must be <= {MAX_N} (cost guard)")
-
-
-def _check_n_k(n, k, k_min: int, too_small: str) -> None:
-    _check_n(n)
     check_int("k", k)
     if k < k_min:
         raise ParameterError(too_small)
