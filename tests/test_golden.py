@@ -13,6 +13,11 @@ per-family digests fixes the whole text. The micros_* timings are deleted
 from --json output before hashing, after a check that the output is what
 json.dumps writes. A table is hashed whole.
 
+A command with --out writes its file into a fresh directory. Its stdout
+is hashed whole, and so is the file, after a check that the file is what
+json.dump(..., indent=2) or csv.writer writes and with its micros_*
+timings set to 0.
+
 A change that alters one of these outputs on purpose updates its digests
 here and says which output changed and why. To print the digests of the
 current tree:
@@ -20,7 +25,9 @@ current tree:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import hashlib
+import io
 import json
 import shlex
 from itertools import groupby
@@ -42,6 +49,8 @@ COMMANDS = {
     "verify-json": "verify --json",
     "errata": "verify --expect-known-errata",
     "five-errata-json": f"verify --family {_FIVE_ERRATA} --expect-known-errata --json",
+    "verify-out-json": "verify --out report.json",
+    "errata-out-csv": "verify --expect-known-errata --out report.csv",
     "twenty-families": f"verify --m-min 200 --m-max 202 --n-max 24 --family {_TWENTY_FAMILIES}",
     "sigma": "table --kind sigma --n 3 --k-max 300",
     "sigma-minus-json": "table --kind sigma-minus --n 7 --k-max 300 --json",
@@ -67,8 +76,33 @@ def _family_of_line(line: str) -> str:
     return "summary" if line.startswith(("note: ", "total=")) else line.split()[0]
 
 
+def _csv_text(rows: list[list]) -> str:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+def _timings_zeroed(path: str) -> str:
+    """The --out file's text with its micros_* timings set to 0."""
+    with open(path, newline="") as file:
+        text = file.read()
+    if path.endswith(".csv"):
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert text == _csv_text(rows)
+        for row in rows[1:]:
+            row[5:7] = 0, 0
+        return _csv_text(rows)
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
+    for case in report["cases"]:
+        case["micros_closed"] = case["micros_oracle"] = 0
+    return json.dumps(report, indent=2) + "\n"
+
+
 def digests(argv: list[str], out: str) -> dict:
-    """The digests of one command's stdout."""
+    """The digests of one command's stdout, and of its --out file."""
+    if "--out" in argv:
+        return {"stdout": _sha(out), "out": _sha(_timings_zeroed(argv[argv.index("--out") + 1]))}
     if argv[0] == "table":
         return {"table": _sha(out)}
     if "--json" not in argv:
@@ -195,6 +229,14 @@ GOLDEN = {
         ),
         "summary": "dec58a2109c6882d9992eb5c6adc673deaa2a7775adfcd0b8c227142705f21a8",
     },
+    "verify-out-json": {
+        "stdout": "6cdaa6d13d240f8ebadf56675e6551351e9ea86ec6d681c97e8b4fe58f314afe",
+        "out": "c1116983ba9274ea8c06944e9ff06ec38f1975fcd91a1cad7bc204e79f6e3414",
+    },
+    "errata-out-csv": {
+        "stdout": "e9d3144ed72eadb754a825acaae240dbce033ab8092df5d7a9baf5e4c60fe4f0",
+        "out": "a508f66efda60c5b8fa03b2cada07a19e43e326a19aef4b2a725c2f3f97e5a7a",
+    },
     "twenty-families": {
         "C": "44aa7491aa633d2cd8f3b279ba2b49e5c0bbfa3b2fa4b549f40247727f2d621e",
         "S": "994c1f8bdf624e43b24069cae81abcdf53cca8f48ff55b21eeea10c7ae710434",
@@ -233,24 +275,28 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
-def test_campaign_output_matches_its_golden_digests(name, capsys):
+def test_campaign_output_matches_its_golden_digests(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     argv = shlex.split(COMMANDS[name])
     assert main(argv) == 0
     assert digests(argv, capsys.readouterr().out) == GOLDEN[name]
 
 
 if __name__ == "__main__":
-    import io
+    import os
+    import tempfile
     import textwrap
     from contextlib import redirect_stdout
 
     print("GOLDEN = {")
     for name, command in COMMANDS.items():
         argv = shlex.split(command)
-        with redirect_stdout(io.StringIO()) as out:
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()) as out:
+            os.chdir(tmp)
             assert main(argv) == 0
+            found = digests(argv, out.getvalue())
         print(f'    "{name}": {{')
-        for key, value in digests(argv, out.getvalue()).items():
+        for key, value in found.items():
             if key == "order":
                 names = ", ".join(f'"{family}"' for family in value) + ","
                 print('        "order": (')
