@@ -19,6 +19,7 @@ from collections.abc import Callable
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import prod
 from typing import NamedTuple
 
@@ -44,13 +45,12 @@ _REQUEST_FAMILIES = {
     "byrne-smith": (("n", "k"), ByrneSmithParams),
 }
 # Cost guard on the raw points of a verify grid, counted before any point
-# is built. On the 20 SumSpec families at m = 200..202, n <= 24 (7,422
-# cases), a built point held about 80 bytes and its case record about
-# 1.6 KB, and a case took 0.08 to 0.12 ms of wall time on average (closed
-# form plus oracle, with the campaign's memos; 0.6 to 0.9 s in all, 2-vCPU
-# Xeon VM), so 10^6 such points are about 1.6 GB and 2 minutes, more at
-# larger m; larger grids are refused with CostGuardError. The default grid
-# has 3,660 points.
+# is built. Cases are written as they are computed, so what grows with the
+# grid is its sorted request list, about 86 bytes a point (86 MB at 10^6).
+# On the 20 SumSpec families at m = 200..202, n <= 24 (7,422 cases), a case
+# took 0.06 to 0.12 ms of wall time on average (closed form plus oracle, with
+# the campaign's memos; 2-vCPU Xeon VM), so 10^6 points run for 1 to 2
+# minutes, more at larger m. The default grid has 3,660 points.
 MAX_CASES = 10**6
 
 
@@ -164,6 +164,65 @@ def _verify_case(req) -> dict:
     }
 
 
+def _params_text(spec: dict, sep: str) -> str:
+    return sep.join(f"{k}={v}" for k, v in spec.items() if k != "family")
+
+
+def _case_line(case: dict) -> str:
+    spec, status = case["spec"], "ok" if case["match"] else "MISMATCH"
+    return (
+        f"{spec['family']:>18} {_params_text(spec, ' '):<24} closed={case['closed_form']} "
+        f"oracle={case['oracle']} [{status}]\n"
+    )
+
+
+def _csv_line(row: list) -> str:
+    text = io.StringIO()
+    csv.writer(text).writerow(row)
+    return text.getvalue()
+
+
+def _nested_json(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as json.dump(..., indent=2) writes it ``depth`` levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+class _ReportFormat(NamedTuple):
+    """A verify report format, written as the cases come, in pieces that
+    join to the bytes one json.dumps, json.dump or csv.writer call writes."""
+
+    head: str
+    case: Callable  # case record -> its text
+    sep: str  # written between two cases
+    tail: Callable  # (notes, summary) -> the text after the last case
+
+
+_CSV_HEADER = ("family", "params", "closed_form", "oracle", "match", "micros_closed", "micros_oracle")
+# stdout (plain lines or --json) and the --out file (JSON with indent 2, or .csv)
+_REPORT_FORMATS = {
+    "lines": _ReportFormat(
+        "", _case_line, "",
+        lambda notes, summary: "".join(f"note: {note}\n" for note in notes)
+        + "total={total} mismatches={mismatches}\n".format(**summary),
+    ),
+    "json": _ReportFormat(
+        '{"cases": [', json.dumps, ", ",
+        lambda notes, summary: f'], "summary": {json.dumps(summary)}}}\n',
+    ),
+    "json-file": _ReportFormat(
+        '{\n  "cases": [\n', lambda case: "    " + _nested_json(case, 2), ",\n",
+        lambda notes, summary: f'\n  ],\n  "summary": {_nested_json(summary, 1)}\n}}\n',
+    ),
+    "csv": _ReportFormat(
+        _csv_line(_CSV_HEADER),
+        lambda case: _csv_line(
+            [case["spec"]["family"], _params_text(case["spec"], ";"), *map(case.get, _CSV_HEADER[2:])]
+        ),
+        "", lambda notes, summary: "",
+    ),
+}
+
+
 def _grid_size(names: tuple, ranges: dict) -> int:
     # q sweeps 2n+1 values per n: sum(2n+1) = len(n) * (n_first + n_last + 1)
     size = prod(len(ranges[name]) for name in names if name not in ("n", "q"))
@@ -213,34 +272,29 @@ def _grid_requests(families: list[str], args) -> list:
 
 # --- documented-errata cases ----------------------------------------------
 
-def _errata_run(family: str) -> tuple[list[dict], bool, str]:
-    """Run one documented-erratum reproducer over its grid.
+_NOT_REPRODUCED = "NOT reproduced as documented"
 
-    Returns (case records, reproduced?, note). ``reproduced`` means the
-    documented relation between printed and true value holds at every
-    point; a silent match (or a differently shaped mismatch) counts as NOT
-    reproduced.
+
+def _errata_run(family: str, notes: list[str]):
+    """Yield the case records of one documented-erratum reproducer over its
+    grid, then append its note to ``notes``, and a second, NOT reproduced,
+    unless the documented relation between printed and true value held at
+    every point: a silent match (or a differently shaped mismatch) fails.
     """
     erratum = _ERRATA_FAMILIES[family]
-    cases: list[dict] = []
     reproduced = True
     for values in erratum.grid:
         point = dict(zip(erratum.names, values))
         truth = oc.evaluate_exact(erratum.misstated(**point))
         printed = erratum.published(**point)
-        cases.append(
-            {
-                "spec": {"family": family, **point},
-                "closed_form": _fraction_text(printed),
-                "oracle": _fraction_text(truth),
-                "match": printed == truth,
-                "micros_closed": 0,
-                "micros_oracle": 0,
-            }
+        yield dict(
+            spec={"family": family, **point}, closed_form=_fraction_text(printed),
+            oracle=_fraction_text(truth), match=printed == truth, micros_closed=0, micros_oracle=0,
         )
         reproduced = erratum.holds(printed, truth, **point) and reproduced
-    note = erratum.note.format(printed=printed, truth=truth, difference=truth - printed)
-    return cases, reproduced, note
+    notes.append(f"{family}: {erratum.note.format(printed=printed, truth=truth, difference=truth - printed)}")
+    if not reproduced:
+        notes.append(f"{family}: {_NOT_REPRODUCED}")
 
 
 # --- subcommands -----------------------------------------------------------
@@ -313,78 +367,29 @@ def cmd_verify(args) -> int:
     if args.expect_known_errata and not errata:
         errata = list(_ERRATA_FAMILIES)
 
-    requests = _grid_requests(normal, args)
+    requests = sorted(_grid_requests(normal, args), key=lambda req: req.sort_key())
     if not requests and not errata:  # total=0 would report a check that never ran
         raise ParameterError("the verify grid selects no case")
     # --out is opened before any case runs, so a path that cannot be written
     # is refused without running the campaign
     with _open_out(args.out) if args.out else nullcontext() as sink:
-        cases = [_verify_case(req) for req in sorted(requests, key=lambda req: req.sort_key())]
-        mismatches = sum(not case["match"] for case in cases)
-
-        all_reproduced = True
+        outputs = [(sys.stdout, _REPORT_FORMATS["json" if args.json else "lines"])]
+        if sink:
+            outputs.append((sink, _REPORT_FORMATS["csv" if args.out.endswith(".csv") else "json-file"]))
+        for out, fmt in outputs:
+            out.write(fmt.head)
         notes: list[str] = []
-        for family in errata:
-            err_cases, reproduced, note = _errata_run(family)
-            cases.extend(err_cases)
-            notes.append(f"{family}: {note}")
-            if not reproduced:
-                all_reproduced = False
-                notes.append(f"{family}: NOT reproduced as documented")
-
-        report = {
-            "cases": cases,
-            "summary": {"total": len(cases), "mismatches": sum(not c["match"] for c in cases)},
-        }
-        _emit_report(report, notes, args, sink)
-    if args.expect_known_errata:
-        return 0 if (mismatches == 0 and all_reproduced) else 1
-    return 0 if mismatches == 0 else 1
-
-
-def _emit_report(report: dict, notes: list[str], args, sink) -> None:
-    if sink is not None:
-        if args.out.endswith(".csv"):
-            _write_case_csv(sink, report["cases"])
-        else:
-            json.dump(report, sink, indent=2)
-            sink.write("\n")
-    if args.json:
-        print(json.dumps(report))
-        return
-    for case in report["cases"]:
-        spec = case["spec"]
-        params = " ".join(f"{k}={v}" for k, v in spec.items() if k != "family")
-        status = "ok" if case["match"] else "MISMATCH"
-        print(
-            f"{spec['family']:>18} {params:<24} closed={case['closed_form']} "
-            f"oracle={case['oracle']} [{status}]"
-        )
-    for note in notes:
-        print(f"note: {note}")
-    summary = report["summary"]
-    print(f"total={summary['total']} mismatches={summary['mismatches']}")
-
-
-def _write_case_csv(sink, cases: list[dict]) -> None:
-    writer = csv.writer(sink)
-    writer.writerow(
-        ["family", "params", "closed_form", "oracle", "match", "micros_closed", "micros_oracle"]
-    )
-    for case in cases:
-        spec = case["spec"]
-        params = ";".join(f"{k}={v}" for k, v in spec.items() if k != "family")
-        writer.writerow(
-            [
-                spec["family"],
-                params,
-                case["closed_form"],
-                case["oracle"],
-                case["match"],
-                case["micros_closed"],
-                case["micros_oracle"],
-            ]
-        )
+        errata_records = chain.from_iterable(_errata_run(family, notes) for family in errata)
+        total, mismatches = 0, [0, 0]  # of grid cases, of erratum cases
+        # each case is written as soon as it is computed, and only the counts are kept
+        for record in chain(map(_verify_case, requests), errata_records):
+            for out, fmt in outputs:
+                out.write((fmt.sep if total else "") + fmt.case(record))
+            total += 1
+            mismatches[record["spec"]["family"] in _ERRATA_FAMILIES] += not record["match"]
+        for out, fmt in outputs:
+            out.write(fmt.tail(notes, {"total": total, "mismatches": sum(mismatches)}))
+    return 1 if mismatches[0] or any(note.endswith(_NOT_REPRODUCED) for note in notes) else 0
 
 
 class _TableKind(NamedTuple):
@@ -423,7 +428,8 @@ def _cell_json(value):
 
 def cmd_table(args) -> int:
     """Check the kind's arguments, then build its rows once: the index
-    guard and --bfile are refused before any row is built."""
+    guard, --bfile and an --out that cannot be written are refused before
+    any row is built."""
     table = _TABLE_KINDS[args.kind]
     if args.n is None:
         raise ParameterError(f"--kind {args.kind} requires --n")
@@ -438,22 +444,16 @@ def cmd_table(args) -> int:
         raise ParameterError("--bfile only applies to walks tables")
     if args.bfile and args.json:
         raise ParameterError("--bfile and --json cannot be combined")
-    rows = table.rows(args.n, last)
-    if args.bfile:
-        text = "\n".join(f"{m} {count}" for m, count in rows)
-    elif args.json:
-        text = json.dumps([dict(zip(table.header, map(_cell_json, row))) for row in rows])
-    else:
-        sink = io.StringIO()
-        writer = csv.writer(sink)
-        writer.writerow(table.header)
-        writer.writerows(map(_fraction_text, row) for row in rows)
-        text = sink.getvalue().rstrip("\n")
-    if args.out:
-        with _open_out(args.out) as sink:
-            sink.write(text + "\n")
-    else:
-        print(text)
+    with _open_out(args.out) if args.out else nullcontext(sys.stdout) as sink:
+        rows = table.rows(args.n, last)
+        if args.bfile:
+            sink.write("\n".join(f"{m} {count}" for m, count in rows) + "\n")
+        elif args.json:
+            sink.write(json.dumps([dict(zip(table.header, map(_cell_json, row))) for row in rows]) + "\n")
+        else:
+            writer = csv.writer(sink)
+            writer.writerow(table.header)
+            writer.writerows(map(_fraction_text, row) for row in rows)
     return 0
 
 

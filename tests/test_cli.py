@@ -435,6 +435,47 @@ def test_verify_out_file(tmp_path, capsys):
     assert header.startswith("family,params,closed_form,oracle,match")
 
 
+@pytest.mark.parametrize("flags, mark", [([], "\n"), (["--json"], '{"spec": ')], ids=["plain", "json"])
+def test_verify_writes_each_case_before_the_next_runs(flags, mark, capsys, monkeypatch):
+    """When case k starts, stdout already holds the text of the k - 1 cases
+    before it: no case waits for the campaign to end."""
+    argv = ["verify", "--family", "C,S", "--m-max", "2", "--n-max", "2", *flags]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    verify_case, written = cli._verify_case, []
+
+    def checked(req):
+        written.append(capsys.readouterr().out)
+        assert "".join(written).count(mark) == len(written) - 1
+        return verify_case(req)
+
+    monkeypatch.setattr(cli, "_verify_case", checked)
+    assert main(argv) == 0
+    assert len(written) == 12
+    streamed = "".join(written) + capsys.readouterr().out
+    assert streamed.count(mark) == whole.count(mark)
+    assert streamed == whole if not flags else json.loads(streamed)["summary"]["total"] == 12
+
+
+def test_a_refusal_in_mid_campaign_keeps_the_cases_already_written(capsys, monkeypatch):
+    """A ParameterError at the second case exits 2 with one error line, and
+    stdout keeps the first case's line."""
+    argv = ["verify", "--family", "C", "--m-max", "1", "--n-max", "2"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines(keepends=True)[0]
+    evaluate_exact, calls = cli.oc.evaluate_exact, []
+
+    def refuse_the_second(req):
+        calls.append(req)
+        if len(calls) == 2:
+            raise ParameterError("refused")
+        return evaluate_exact(req)
+
+    monkeypatch.setattr(cli.oc, "evaluate_exact", refuse_the_second)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (first, "error: refused\n")
+
+
 @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "directory"])
 @pytest.mark.parametrize(
     "argv",
@@ -445,9 +486,10 @@ def test_verify_out_file(tmp_path, capsys):
     ids=["verify", "table"],
 )
 def test_unwritable_out_is_a_usage_error(argv, target, tmp_path, capsys, monkeypatch):
-    """An --out path that cannot be written exits 2 with one error line, and
-    verify refuses it before any case runs."""
+    """An --out path that cannot be written exits 2 with one error line,
+    before any verify case runs or any table row is built."""
     monkeypatch.setattr(cli, "_verify_case", lambda req: pytest.fail("case ran"))
+    monkeypatch.setattr(cli.gf, "sigma_table", lambda *args: pytest.fail("row built"))
     path = tmp_path / target
     assert main([*argv, "--out", str(path)]) == 2
     out, err = capsys.readouterr()
