@@ -36,17 +36,20 @@ from .genfunc import MAX_TABLE_INDEX
 __all__ = ["main", "run_bench"]
 
 # token -> (the arguments its request reads, in report order; the request
-# type built from them). Each request type is a record of families, whose
-# constructor checks its arguments, raising ParameterError, and it answers
-# token, params(), sort_key() and closed_value().
+# type built from them; the request's closed value). Each request type is a
+# record of families, whose constructor checks its arguments, raising
+# ParameterError. The closed value looks cf.evaluate or ct's function up when
+# it is called, so a function rebound there after import (a tracer's
+# wrapper, a test's patch) is the one called.
 _REQUEST_FAMILIES = {
-    **{f.value: (f.param_names, partial(SumSpec, f)) for f in Family},
-    "cot": (("n", "k"), CotSumParams),
-    "byrne-smith": (("n", "k"), ByrneSmithParams),
+    **{f.value: (f.param_names, partial(SumSpec, f), lambda req: cf.evaluate(req)) for f in Family},
+    "cot": (("n", "k"), CotSumParams, lambda req: ct.cot_power_sum(req.n, req.k)),
+    "byrne-smith": (("n", "k"), ByrneSmithParams, lambda req: ct.byrne_smith_sum(req.n, req.k)),
 }
 # Cost guard on the raw points of a verify grid, counted before any point
 # is built. Cases are written as they are computed, so what grows with the
-# grid is its sorted request list, about 86 bytes a point (86 MB at 10^6).
+# grid is its request list, built in report order and grouped per family,
+# about 86 bytes a point (86 MB at 10^6).
 # On the 20 SumSpec families at m = 200..202, n <= 24 (7,422 cases), a case
 # took 0.06 to 0.12 ms of wall time on average (closed form plus oracle, with
 # the campaign's memos; 2-vCPU Xeon VM), so 10^6 points run for 1 to 2
@@ -138,11 +141,12 @@ def _value_json(value: Fraction) -> dict:
 
 # --- verify campaign -------------------------------------------------------
 
-def _verify_case(req) -> dict:
-    """One campaign case: closed form and oracle, timed, compared."""
+def _verify_case(family: str, req) -> dict:
+    """One campaign case of a family: closed form and oracle, timed, compared."""
+    names, _, closed_value = _REQUEST_FAMILIES[family]
     t0 = time.perf_counter_ns()
     try:
-        closed = req.closed_value()
+        closed = closed_value(req)
         closed_text = _fraction_text(closed)
     except ArithmeticError as exc:
         closed, closed_text = None, f"error: {exc}"
@@ -155,7 +159,7 @@ def _verify_case(req) -> dict:
         exact, oracle_text = None, f"error: {exc}"
     micros_oracle = (time.perf_counter_ns() - t0) // 1000
     return {
-        "spec": {"family": req.token, **req.params()},
+        "spec": {"family": family, **{name: getattr(req, name) for name in names}},
         "closed_form": closed_text,
         "oracle": oracle_text,
         "match": closed is not None and closed == exact,
@@ -232,13 +236,16 @@ def _grid_size(names: tuple, ranges: dict) -> int:
     return size * len(n)
 
 
-def _grid_requests(families: list[str], args) -> list:
-    """All requests of the families inside the argument ranges: m, n and k
-    sweep their ranges, q sweeps 1..2n+1 and kind cos and sin, each where
-    the family reads it. Points outside a family's domain are dropped. A
-    grid of more than MAX_CASES raw points, counted from the range lengths
-    before any point is built, and a point past a cost guard (cotangent
-    n > MAX_N, m > MAX_M) raise CostGuardError.
+def _grid_requests(families: list[str], args) -> list[tuple[str, list]]:
+    """All requests of the families inside the argument ranges, as
+    (token, requests) per family, built in report order: tokens sorted, and
+    within a family the arguments it reads ascending in the order kind, m,
+    n, q, k. m, n and k sweep their ranges, q sweeps 1..2n+1 and kind cos
+    and sin, each where the family reads it. Points outside a family's
+    domain are dropped. A grid of more than MAX_CASES raw points, counted
+    from the range lengths before any point is built, and a point past a
+    cost guard (cotangent n > MAX_N, m > MAX_M) raise CostGuardError. The
+    list is eager, so such a point is refused before any case is written.
     """
     ranges = {
         "m": range(args.m_min, args.m_max + 1),
@@ -250,11 +257,11 @@ def _grid_requests(families: list[str], args) -> list:
     size = sum(_grid_size(_REQUEST_FAMILIES[family][0], ranges) for family in families)
     if size > MAX_CASES:
         raise CostGuardError(f"the verify grid has {size} points; at most {MAX_CASES} (cost guard)")
-    requests = []
-    for family in families:
-        names, build = _REQUEST_FAMILIES[family]
-        points = [{}]
-        for name in names:  # q, whose range depends on n, always follows n
+    groups = []
+    for family in sorted(families):
+        names, build, _ = _REQUEST_FAMILIES[family]
+        points, requests = [{}], []
+        for name in sorted(names, key=("kind", "m", "n", "q", "k").index):  # q's range depends on n
             points = [
                 {**point, name: value}
                 for point in points
@@ -267,7 +274,8 @@ def _grid_requests(families: list[str], args) -> list:
                 raise
             except ParameterError:  # outside the family's domain
                 continue
-    return requests
+        groups.append((family, requests))
+    return groups
 
 
 # --- documented-errata cases ----------------------------------------------
@@ -300,25 +308,26 @@ def _errata_run(family: str, notes: list[str]):
 # --- subcommands -----------------------------------------------------------
 
 def _eval_request(family: str, given: dict):
-    """(request, thunk computing its closed value) for one family token and
-    the given arguments; the request is None for an erratum token."""
+    """(the arguments read, request, thunk computing its closed value) for one
+    family token and the given arguments; the request is None for an erratum."""
     entry = _REQUEST_FAMILIES.get(family) or _ERRATA_FAMILIES.get(family)
     if entry is None:
         raise ParameterError(f"unknown family {family!r}")
-    names, build = entry[:2]
+    names = entry[0]
     for name in names:
         if given.get(name) is None:
             raise ParameterError(f"--family {family} requires --{name}")
     arguments = {name: given[name] for name in names}
     if family in _ERRATA_FAMILIES:
-        return None, partial(entry.published, **arguments)
+        return arguments, None, partial(entry.published, **arguments)
+    _, build, closed_value = entry
     request = build(**arguments)
-    return request, request.closed_value
+    return arguments, request, partial(closed_value, request)
 
 
 def cmd_eval(args) -> int:
     given = {key: getattr(args, key) for key in ("m", "n", "q", "k", "kind")}
-    _, thunk = _eval_request(args.family, given)
+    *_, thunk = _eval_request(args.family, given)
     if (args.digits or 0) < 0:
         raise ParameterError("digits must be non-negative")
     if (args.digits or 0) > MAX_DIGITS:
@@ -367,8 +376,9 @@ def cmd_verify(args) -> int:
     if args.expect_known_errata and not errata:
         errata = list(_ERRATA_FAMILIES)
 
-    requests = sorted(_grid_requests(normal, args), key=lambda req: req.sort_key())
-    if not requests and not errata:  # total=0 would report a check that never ran
+    groups = _grid_requests(normal, args)
+    # total=0 would report a check that never ran
+    if not any(requests for _, requests in groups) and not errata:
         raise ParameterError("the verify grid selects no case")
     # --out is opened before any case runs, so a path that cannot be written
     # is refused without running the campaign
@@ -379,10 +389,11 @@ def cmd_verify(args) -> int:
         for out, fmt in outputs:
             out.write(fmt.head)
         notes: list[str] = []
+        grid_records = (_verify_case(family, req) for family, requests in groups for req in requests)
         errata_records = chain.from_iterable(_errata_run(family, notes) for family in errata)
         total, mismatches = 0, [0, 0]  # of grid cases, of erratum cases
         # each case is written as soon as it is computed, and only the counts are kept
-        for record in chain(map(_verify_case, requests), errata_records):
+        for record in chain(grid_records, errata_records):
             for out, fmt in outputs:
                 out.write((fmt.sep if total else "") + fmt.case(record))
             total += 1
@@ -458,20 +469,23 @@ def cmd_table(args) -> int:
 
 
 def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
-              with_oracle: bool, repeat: int) -> dict:
+              with_oracle: bool, repeat: int, *, q: int = 1, kind: str = "cos") -> dict:
     """Measure closed-form (and optionally oracle) wall time for one case.
 
-    Returns {family, params, micros_closed, micros_oracle?, equal?}; each
-    time is the minimum over ``repeat`` runs, at least one and at most
-    MAX_TABLE_INDEX of them, each run after its side's caches are cleared.
+    Returns {family, params, micros_closed, micros_oracle?, equal?}, params
+    being the arguments the family reads. Each time is the minimum over
+    ``repeat`` runs, at least one and at most MAX_TABLE_INDEX of them, each
+    run after its side's caches are cleared.
     """
     check_int("repeat", repeat)
     if repeat < 1:
         raise ParameterError("repeat must be >= 1")
     if repeat > MAX_TABLE_INDEX:
         raise CostGuardError(f"repeat must be <= {MAX_TABLE_INDEX} (cost guard)")
-    given = {"m": m, "n": n, "q": 1, "k": k, "kind": "cos"}
-    request, thunk = _eval_request(args_family, given)
+    given = {"m": m, "n": n, "q": q, "k": k, "kind": kind}
+    arguments, request, thunk = _eval_request(args_family, given)
+    if with_oracle and request is None:
+        raise ParameterError("oracle timing is not defined for erratum families")
 
     def best_of(clear, call):  # the least time in ns of ``repeat`` calls, each after clear(), and the value
         times = []
@@ -485,12 +499,10 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
     best, value = best_of(lambda: (cf.clear_caches(), ct.clear_caches(), ec.clear_caches()), thunk)
     result = {
         "family": args_family,
-        "params": {key: val for key, val in (("m", m), ("n", n), ("k", k)) if val is not None},
+        "params": arguments,
         "micros_closed": best // 1000,
     }
     if with_oracle:
-        if request is None:
-            raise ParameterError("oracle timing is not defined for erratum families")
         best_oracle, exact = best_of(oc.clear_caches, lambda: oc.evaluate_exact(request))
         result["micros_oracle"] = best_oracle // 1000
         result["equal"] = exact == value
@@ -498,7 +510,8 @@ def run_bench(args_family: str, m: int | None, n: int | None, k: int | None,
 
 
 def cmd_bench(args) -> int:
-    result = run_bench(args.family, args.m, args.n, args.k, args.with_oracle, args.repeat)
+    result = run_bench(args.family, args.m, args.n, args.k, args.with_oracle, args.repeat,
+                       q=args.q, kind=args.kind)
     if args.json:
         print(json.dumps(result))
         return 0
@@ -523,14 +536,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="machine-readable output")
+    # the arguments of one request, read by eval and bench
+    request = argparse.ArgumentParser(add_help=False)
+    request.add_argument("--m", type=int)
+    request.add_argument("--n", type=int)
+    request.add_argument("--q", type=int, default=1)
+    request.add_argument("--k", type=int)
+    request.add_argument("--kind", choices=["cos", "sin"], default="cos")
 
-    p_eval = sub.add_parser("eval", parents=[shared], help="evaluate one sum exactly")
+    p_eval = sub.add_parser("eval", parents=[shared, request], help="evaluate one sum exactly")
     p_eval.add_argument("--family", required=True, choices=[*_REQUEST_FAMILIES, *_ERRATA_FAMILIES])
-    p_eval.add_argument("--m", type=int)
-    p_eval.add_argument("--n", type=int)
-    p_eval.add_argument("--q", type=int, default=1)
-    p_eval.add_argument("--k", type=int)
-    p_eval.add_argument("--kind", choices=["cos", "sin"], default="cos")
     p_eval.add_argument("--digits", type=int, help="also print an exact decimal rendering")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -573,11 +588,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_table.set_defaults(func=cmd_table)
 
-    p_bench = sub.add_parser("bench", parents=[shared], help="time closed form vs oracle")
+    p_bench = sub.add_parser("bench", parents=[shared, request], help="time closed form vs oracle")
     p_bench.add_argument("--family", required=True, choices=list(_REQUEST_FAMILIES))
-    p_bench.add_argument("--m", type=int)
-    p_bench.add_argument("--n", type=int)
-    p_bench.add_argument("--k", type=int)
     p_bench.add_argument("--repeat", type=int, default=5)
     p_bench.add_argument("--with-oracle", action="store_true")
     p_bench.set_defaults(func=cmd_bench)

@@ -18,17 +18,14 @@ refuses what an evaluate() of the same request does. The erratum
 reproducers build the SumSpec of the sum they misstate, then check only
 the range their published expression claims.
 
-closed_value() reads its evaluator off the evaluating module when it is
-called: those modules import this one, and a function rebound on them
-after import (a tracer's wrapper, a test's patch) is the one called. A
-call-time import statement would do the same at several times the cost.
+A record holds its fields and its constructor's checks, nothing more: the
+CLI's family table evaluates, names and orders the requests, so a record
+handed to the oracle carries no path into the code it checks.
 """
 
 from __future__ import annotations
 
-import sys
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from .errors import CostGuardError, ParameterError, Record, check_int, set_field
@@ -130,20 +127,6 @@ class SumSpec(Record):
         if n % 2 and family in (Family.ALTERNATING, Family.WEIGHT_PI3, Family.ELL5_ALT_PRODUCT):
             raise ParameterError(f"{family.value} requires even n")
 
-    def params(self) -> dict[str, int | str]:
-        """Parameter mapping for reports, q/kind only where meaningful."""
-        return {name: getattr(self, name) for name in self.family.param_names}
-
-    @property
-    def token(self) -> str:
-        return self.family.value
-
-    def sort_key(self) -> tuple:
-        return (self.token, self.kind, self.m, self.n, self.q)
-
-    def closed_value(self) -> Fraction:
-        return sys.modules["trigsum.closed_forms"].evaluate(self)
-
 
 # Cost guard on the exponent half n of both sum shapes and on the n_max of
 # the coefficient triangles. The series costs O(n^2) products of rationals
@@ -183,17 +166,7 @@ class CotSumParams(Record):
         set_field(self, "k", k)
         _check_n_k(n, k, *self._k_floor)
 
-    token = "cot"
     _k_floor = (2, "k must be >= 2 (the sum over r=1..k-1 is empty otherwise)")
-
-    def params(self) -> dict[str, int]:
-        return {"n": self.n, "k": self.k}
-
-    def sort_key(self) -> tuple:
-        return (self.token, self.n, self.k)
-
-    def closed_value(self) -> Fraction:
-        return sys.modules["trigsum.cotangent"].cot_power_sum(self.n, self.k)
 
 
 class ByrneSmithParams(Record):
@@ -201,15 +174,7 @@ class ByrneSmithParams(Record):
 
     __slots__ = ("n", "k")
     __init__ = CotSumParams.__init__
-
-    token = "byrne-smith"
     _k_floor = (1, "k must be positive")
-
-    params = CotSumParams.params
-    sort_key = CotSumParams.sort_key
-
-    def closed_value(self) -> Fraction:
-        return sys.modules["trigsum.cotangent"].byrne_smith_sum(self.n, self.k)
 
 
 class OddCosPowerParams(Record):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -88,7 +89,7 @@ def test_digits_are_checked_before_the_value_is_computed(digits, message, capsys
     def computed(spec):
         raise AssertionError("value computed")
 
-    monkeypatch.setattr(SumSpec, "closed_value", computed)
+    monkeypatch.setattr(cli.cf, "evaluate", computed)
     assert main(["eval", "--family", "C", "--m", "2", "--n", "3", "--digits", digits]) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
@@ -152,7 +153,7 @@ def test_erratum_tokens_obey_the_misstated_sums_cost_guards(family, argv, capsys
 )
 def test_erratum_tokens_reject_non_int_parameters(family, given):
     with pytest.raises(ParameterError):
-        _, thunk = cli._eval_request(family, given)
+        *_, thunk = cli._eval_request(family, given)
         thunk()
 
 
@@ -345,9 +346,58 @@ def test_verify_sorts_cases_by_family_then_parameters(capsys):
     assert (keys[0][0], keys[-1][0]) == ("C", "cot")
 
 
+def test_verify_spec_holds_the_arguments_its_family_reads(capsys):
+    """A --json case's spec names the family, then only the arguments that
+    family reads, in report order; within a family the cases ascend in
+    kind, m, n, then q."""
+    argv = ["verify", "--family", "scaled,alternating,C", "--m-max", "2", "--n-max", "4", "--json"]
+    assert main(argv) == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    names = {"C": ["m", "n"], "scaled": ["m", "n", "q", "kind"], "alternating": ["m", "n", "kind"]}
+    families = [case["spec"]["family"] for case in cases]
+    assert families == sorted(families) and set(families) == set(names)
+    for family, order in names.items():
+        specs = [case["spec"] for case in cases if case["spec"]["family"] == family]
+        assert all(list(spec) == ["family", *order] for spec in specs)
+        keys = [tuple(spec[name] for name in ("kind", "m", "n", "q") if name in spec) for spec in specs]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_closed_values_are_looked_up_when_called(capsys, monkeypatch):
+    """verify, eval and run_bench call the closed-value function their
+    module holds at the time of the call, so a wrapper bound there after
+    import, as a tracer binds one, sees every call."""
+    calls = []
+
+    def patched(name, value):
+        return lambda *args: calls.append(name) or value
+
+    monkeypatch.setattr(cli.cf, "evaluate", patched("evaluate", F(1, 7)))
+    monkeypatch.setattr(cli.ct, "cot_power_sum", patched("cot", F(2, 7)))
+    monkeypatch.setattr(cli.ct, "byrne_smith_sum", patched("byrne-smith", F(3, 7)))
+    argv = ["verify", "--family", "C,cot,byrne-smith", "--m-max", "1", "--n-max", "1", "--k-max", "2", "--json"]
+    assert main(argv) == 1
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert {case["spec"]["family"]: case["closed_form"] for case in cases} == {
+        "C": "1/7", "cot": "2/7", "byrne-smith": "3/7",
+    }
+    assert len(calls) == len(cases)
+    for argv, printed in [
+        (["--family", "C", "--m", "2", "--n", "3"], "1/7"),
+        (["--family", "cot", "--n", "2", "--k", "5"], "2/7"),
+        (["--family", "byrne-smith", "--n", "2", "--k", "5"], "3/7"),
+    ]:
+        assert main(["eval", *argv]) == 0
+        assert capsys.readouterr().out == printed + "\n"
+    calls.clear()
+    for family, m, n, k in [("C", 2, 3, None), ("cot", None, 2, 5), ("byrne-smith", None, 2, 5)]:
+        assert run_bench(family, m, n, k, True, 2)["equal"] is False
+    assert calls == ["evaluate"] * 2 + ["cot"] * 2 + ["byrne-smith"] * 2
+
+
 def test_verify_detects_injected_mismatch(capsys, monkeypatch):
     """A wrong closed-form value must flip the exit code to 1."""
-    monkeypatch.setattr(SumSpec, "closed_value", lambda self: F(1, 7))
+    monkeypatch.setattr(cli.cf, "evaluate", lambda spec: F(1, 7))
     assert main(["verify", "--family", "C", "--m-max", "1", "--n-max", "2", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["summary"]["mismatches"] == report["summary"]["total"] == 4
@@ -370,7 +420,7 @@ def test_verify_jobs_one_prints_what_no_flag_prints(capsys):
 def test_verify_jobs_other_than_one_is_a_usage_error(jobs, capsys, monkeypatch):
     """verify runs in one process: any --jobs but 1 exits 2 before any case
     runs."""
-    monkeypatch.setattr(cli, "_verify_case", lambda req: pytest.fail("case ran"))
+    monkeypatch.setattr(cli, "_verify_case", lambda *case: pytest.fail("case ran"))
     assert main(["verify", "--family", "C", "--m-max", "1", "--n-max", "2", "--jobs", jobs]) == 2
     assert capsys.readouterr() == ("", "error: verify runs in one process; --jobs takes only 1\n")
 
@@ -444,10 +494,10 @@ def test_verify_writes_each_case_before_the_next_runs(flags, mark, capsys, monke
     whole = capsys.readouterr().out
     verify_case, written = cli._verify_case, []
 
-    def checked(req):
+    def checked(*case):
         written.append(capsys.readouterr().out)
         assert "".join(written).count(mark) == len(written) - 1
-        return verify_case(req)
+        return verify_case(*case)
 
     monkeypatch.setattr(cli, "_verify_case", checked)
     assert main(argv) == 0
@@ -488,7 +538,7 @@ def test_a_refusal_in_mid_campaign_keeps_the_cases_already_written(capsys, monke
 def test_unwritable_out_is_a_usage_error(argv, target, tmp_path, capsys, monkeypatch):
     """An --out path that cannot be written exits 2 with one error line,
     before any verify case runs or any table row is built."""
-    monkeypatch.setattr(cli, "_verify_case", lambda req: pytest.fail("case ran"))
+    monkeypatch.setattr(cli, "_verify_case", lambda *case: pytest.fail("case ran"))
     monkeypatch.setattr(cli.gf, "sigma_table", lambda *args: pytest.fail("row built"))
     path = tmp_path / target
     assert main([*argv, "--out", str(path)]) == 2
@@ -784,6 +834,37 @@ def test_run_bench_walks_the_window_on_every_repeat(monkeypatch):
     monkeypatch.setattr(closed_forms, "binom_window", lambda m, n: windows.append((m, n)) or real_window(m, n))
     run_bench("C", 200, 7, None, False, 3)
     assert windows == [(200, 7)] * 3
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["--family", "scaled", "--m", "2", "--n", "3", "--q", "6"], {"m": 2, "n": 3, "q": 6, "kind": "cos"}),
+        (["--family", "gcd", "--m", "4", "--n", "6", "--q", "4", "--kind", "sin"],
+         {"m": 4, "n": 6, "q": 4, "kind": "sin"}),
+    ],
+    ids=["scaled", "gcd-sin"],
+)
+def test_bench_reads_q_and_kind(argv, params, capsys):
+    """bench takes eval's request arguments: a scaled sum needs n | q, and
+    gcd reads kind. The report names every argument the family reads."""
+    assert main(["bench", *argv, "--with-oracle", "--repeat", "1", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["params"], result["equal"]) == (params, True)
+    assert run_bench(argv[1], params["m"], params["n"], None, True, 1, q=params["q"], kind=params["kind"]) == {
+        **result, "micros_closed": ANY, "micros_oracle": ANY,
+    }
+
+
+def test_run_bench_refuses_oracle_timing_of_an_erratum_before_timing(monkeypatch):
+    """An erratum has no oracle request: with_oracle is refused before the
+    published expression is timed even once."""
+    erratum = cli._ERRATA_FAMILIES["barbero-naive"]
+    monkeypatch.setitem(
+        cli._ERRATA_FAMILIES, "barbero-naive", erratum._replace(published=lambda **point: pytest.fail("timed"))
+    )
+    with pytest.raises(ParameterError, match="oracle timing is not defined for erratum families"):
+        run_bench("barbero-naive", 2000, 3, None, True, 1000)
 
 
 # --- README examples ------------------------------------------------------------

@@ -1148,21 +1148,6 @@ def test_dyadic_equals_fraction(numerator, bits):
     assert value + F(1, 3) == expected + F(1, 3)
 
 
-def test_sumspec_params_only_carry_used_fields():
-    assert SumSpec(Family.COS_POWER, 2, 3).params() == {"m": 2, "n": 3}
-    assert SumSpec(Family.SCALED, 2, 3, q=6).params() == {
-        "m": 2,
-        "n": 3,
-        "q": 6,
-        "kind": "cos",
-    }
-    assert SumSpec(Family.ALTERNATING, 2, 4, kind="sin").params() == {
-        "m": 2,
-        "n": 4,
-        "kind": "sin",
-    }
-
-
 def test_sumspec_validation_errors():
     """Each domain check refuses at construction, with its message."""
     for args, kwargs, message in [
@@ -1352,19 +1337,3 @@ def test_cost_guard_on_m():
             SumSpec(family, MAX_M + 1, 7)
     with pytest.raises(CostGuardError):
         SumSpec(Family.COS_POWER, 10**9, 1)
-
-
-def test_sort_key_orders_by_family_then_params():
-    specs = [
-        SumSpec(Family.SIN_POWER, 1, 1),
-        SumSpec(Family.COS_POWER, 2, 1),
-        SumSpec(Family.COS_POWER, 1, 2),
-        SumSpec(Family.COS_POWER, 1, 1),
-    ]
-    ordered = sorted(specs, key=lambda s: s.sort_key())
-    assert ordered == [
-        SumSpec(Family.COS_POWER, 1, 1),
-        SumSpec(Family.COS_POWER, 1, 2),
-        SumSpec(Family.COS_POWER, 2, 1),
-        SumSpec(Family.SIN_POWER, 1, 1),
-    ]

@@ -256,7 +256,8 @@ def test_default_grid_leaves_guard_bits_of_slack():
     re-derived from the grid endpoints gives evaluate_exact's p / D."""
     from trigsum import cli
 
-    requests = cli._grid_requests(list(cli._REQUEST_FAMILIES), cli._build_parser().parse_args(["verify"]))
+    groups = cli._grid_requests(list(cli._REQUEST_FAMILIES), cli._build_parser().parse_args(["verify"]))
+    requests = [req for _, group in groups for req in group]
     assert len(requests) == 2547
     guard_bits = ReconstructionPolicy(1).guard_bits
     for spec in requests:
@@ -325,10 +326,24 @@ def test_oracle_imports_only_errors_and_families():
 
 def test_families_imports_only_errors():
     """The request records import no package module but errors, so the
-    oracle reaches no computing module through them."""
+    oracle reaches no computing module through them. Nor do they reach one
+    at run time: families imports neither sys nor importlib, and no record
+    answers a closed value, report parameters, a token or a sort key."""
     import trigsum.families as families
+    from trigsum.errors import Record
 
     assert _package_imports(families) == {"errors"}
+    imported = set()
+    for node in ast.walk(ast.parse(Path(families.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert not imported & {"sys", "importlib"}
+    records = [cls for cls in vars(families).values() if isinstance(cls, type) and issubclass(cls, Record)]
+    assert {cls.__name__ for cls in records} >= {"SumSpec", "CotSumParams", "ByrneSmithParams", "OddCosPowerParams"}
+    for cls in records:
+        assert not {"closed_value", "params", "token", "sort_key"} & set(dir(cls)), cls
 
 
 def test_no_module_imports_a_siblings_private_name():
@@ -1042,7 +1057,7 @@ def _enclosure_sum(spec, prec: int) -> tuple[int, int]:
     return _grid_floor(total(lower), prec), _grid_ceil(total(upper), prec)
 
 
-@pytest.mark.parametrize("spec", _ONE_PER_FAMILY, ids=lambda spec: spec.token)
+@pytest.mark.parametrize("spec", _ONE_PER_FAMILY, ids=lambda spec: spec.family.value)
 def test_grid_sum_within_documented_width_at_64_bits(spec):
     """At the minimum 64 bits the integer sum contains the true value, and
     contains the exact sum of the mpmath term enclosures with each endpoint
